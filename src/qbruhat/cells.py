@@ -30,7 +30,7 @@ from .gauss import gauss_parts
 from .matrix import Matrix, iota, iota_inverse_free, rank, sigma
 from .quasidet import quasiminor_uv
 from .scalars import inv, is_zero
-from .weyl import Permutation, representative
+from .weyl import Permutation, left_by_representative, right_by_representative
 
 
 def _pivot_pattern(x: Matrix, track: bool):
@@ -100,7 +100,7 @@ def classify(x: Matrix) -> CellLabel:
 def bruhat_factor(x: Matrix):
     """(b1, u, b2) with x = b1 * representative(u) * b2 and b1, b2 upper."""
     u, m, lam, rho = _pivot_pattern(x, track=True)
-    h0 = m * representative(u).inverse()
+    h0 = right_by_representative(m, u, inverse=True)
     if not h0.is_diagonal():
         raise QBruhatError("pivot normal form did not reduce to a diagonal twist")
     return lam.inverse() * h0, u, rho.inverse()
@@ -172,9 +172,8 @@ def bruhat_factor_schubert(x: Matrix, u: Permutation | None = None):
     rest = part.inverse() * nt
     if any(not is_zero(rest[i, j]) for (i, j) in support):
         raise QBruhatError("unipotent splitting failed to clear the Schubert support")
-    ubar = representative(u)
     n_u = h * part * h.inverse()
-    b = ubar.inverse() * (h * rest) * ubar * b2
+    b = right_by_representative(left_by_representative(u, h * rest, inverse=True), u) * b2
     return n_u, b
 
 
@@ -214,22 +213,21 @@ def twist_reduced(x: Matrix, u: Permutation, v: Permutation, check: bool = True)
         raise WrongCell(
             f"x is in the double cell of ({u!r}, {v!r}) but not in its reduced cell"
         )
-    vinv_bar = representative(v.inverse())
-    ubar_inv = representative(u).inverse()
-    left = _projection("-", x * vinv_bar, "[x vbar']_-")
-    right = _projection("+", ubar_inv * x, "[ubar^-1 x]_+")
+    left = _projection("-", right_by_representative(x, v.inverse()), "[x vbar']_-")
+    right = _projection("+", left_by_representative(u, x, inverse=True), "[ubar^-1 x]_+")
     return iota(left) * iota_inverse_free(x) * iota(right)
+
+
+def _torus_entries(u: Permutation, h: Matrix) -> list:
+    # ubar h ubar^{-1} carries h[j, j] to position u(j); the +-1 signs cancel
+    return [h[j, j] for j in u.inverse().images]
 
 
 def torus_twist(u: Permutation, h: Matrix) -> Matrix:
     """u(h) = ubar h ubar^{-1}; permutes the diagonal entries by u."""
     if not h.is_diagonal():
         raise ShapeMismatch("torus_twist needs a diagonal matrix")
-    ubar = representative(u)
-    out = ubar * h * ubar.inverse()
-    if not out.is_diagonal():
-        raise QBruhatError("conjugated torus element is not diagonal")
-    return out
+    return Matrix.diagonal(_torus_entries(u, h))
 
 
 def twist_general(
@@ -252,27 +250,29 @@ def twist_general(
                 expected=(u, v),
                 actual=actual,
             )
-    ubar = representative(u)
-    ubar_inv = ubar.inverse()
-    vbar = representative(v)
-    vinv_bar = representative(v.inverse())
     try:
-        _, mid0, up0 = gauss_parts(ubar_inv * x)
+        _, mid0, up0 = gauss_parts(left_by_representative(u, x, inverse=True))
     except NotGeneric as exc:
         raise NotGeneric(
             f"Gauss projection [ubar^-1 x] failed: {exc}",
             witness=("projection", "[ubar^-1 x]"),
         ) from exc
-    torus = torus_twist(u, mid0)
-    left = _projection("-", x * vinv_bar, "[x vbar']_-")
+    torus = _torus_entries(u, mid0)
+    left = _projection("-", right_by_representative(x, v.inverse()), "[x vbar']_-")
     core = iota_inverse_free(x)
-    result = torus * iota(left) * core * iota(up0)
+    iota_left, iota_up = iota(left), iota(up0)
+    result = (iota_left * core * iota_up)._scale_rows(torus)
     if cross_check:
-        alt1 = torus * _projection("+", core * vbar.inverse(), "[(vbar x^iota)^-1]_+") * vbar * iota(up0)
-        uinv_bar = representative(u.inverse())
-        alt2 = torus * iota(left) * uinv_bar.inverse() * _projection(
-            "-", uinv_bar * core, "[ubar' (x^iota)^-1]_-"
+        plus = _projection(
+            "+", right_by_representative(core, v, inverse=True), "[(vbar x^iota)^-1]_+"
         )
+        alt1 = (right_by_representative(plus, v) * iota_up)._scale_rows(torus)
+        minus = _projection(
+            "-", left_by_representative(u.inverse(), core), "[ubar' (x^iota)^-1]_-"
+        )
+        alt2 = (
+            iota_left * left_by_representative(u.inverse(), minus, inverse=True)
+        )._scale_rows(torus)
         if result != alt1 or result != alt2:
             raise QBruhatError("the three twist formulas disagree")
     return result

@@ -104,7 +104,7 @@ def product_map(word: DoubleWord, params, h=None) -> Matrix:
     else:
         acc = Matrix.diagonal(list(h))
     for letter, t in zip(word.letters, params):
-        acc = acc * letter_matrix(letter, t, n)
+        acc = acc._right_letter(letter, t)
     return acc
 
 
@@ -205,10 +205,9 @@ class UpperFactorization:
 
     def replay(self) -> Matrix:
         """final stage times the ascending product of (1 + t E); equals the source."""
-        n = self.source.rows
         acc = self.final_stage()
         for m, k in reversed(self.pairs):
-            acc = acc * (Matrix.identity(n) + Matrix.unit(n, k, k + 1, self.t[(m, k)]))
+            acc = acc._right_letter(k, self.t[(m, k)])
         return acc
 
 
@@ -240,7 +239,7 @@ def upper_factorize(x: Matrix) -> UpperFactorization:
         else:
             tv = inv(den) * num
         t[(m, k)] = tv
-        y = y * (Matrix.identity(n) - Matrix.unit(n, k, k + 1, tv))
+        y = y._right_letter(k, -tv)
         stages[(m, k)] = y
     return UpperFactorization(x, upper_pairs(n), t, stages)
 
@@ -376,7 +375,7 @@ class UW0Factorization:
             for k in range(m, n):
                 tv = self.t[(m, k)]
                 if not is_zero(tv):
-                    acc = acc * (Matrix.identity(n) + Matrix.unit(n, k, k + 1, tv))
+                    acc = acc._right_letter(k, tv)
         return acc
 
 
@@ -438,7 +437,7 @@ class W0VFactorization:
         acc = Matrix.diagonal(list(self.h))
         for m in range(n - 1, 0, -1):
             for k in range(m, n):
-                acc = acc * letter_matrix(-k, self.tau[(m, k)], n)
+                acc = acc._right_letter(-k, self.tau[(m, k)])
         return acc
 
     def replay(self) -> Matrix:

@@ -43,8 +43,8 @@ class GaussTriple:
         return self.lower * self.diag * self.upper
 
     def lower_part(self) -> Matrix:
-        """[x]_- = L * D, the lower-triangular Gauss projection."""
-        return self.lower * self.diag
+        """[x]_- = L * D, the lower-triangular Gauss projection (a column scaling of L)."""
+        return self.lower._scale_cols([self.diag[i, i] for i in range(1, self.diag.rows + 1)])
 
 
 def ldu(A: Matrix) -> GaussTriple:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import IndexOutOfRange, NotGeneric, ShapeMismatch
+from .errors import IndexOutOfRange, NotGeneric, ShapeMismatch, ZeroInverse
 from .scalars import (
     RationalQuaternion,
     format_scalar,
@@ -67,6 +67,19 @@ class Matrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
+
+    @classmethod
+    def _wrap(cls, rows: tuple) -> "Matrix":
+        """A matrix from a nonempty tuple of equal-length row tuples of scalars.
+
+        Internal: the entries are already scalars (never raw ints), so the
+        coercion and shape checks of ``__init__`` are skipped.
+        """
+        out = object.__new__(cls)
+        _set_rows(out, len(rows))
+        _set_cols(out, len(rows[0]))
+        _set_e(out, rows)
+        return out
 
     # -- construction helpers -------------------------------------------------
 
@@ -129,8 +142,12 @@ class Matrix:
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             return False
+        # `a == b` is exact for the shipped scalars; is_zero(a - b) decides
+        # what structural equality cannot (e.g. uncancelled sympy forms).
         return all(
-            is_zero(a - b) for ra, rb in zip(self._e, other._e) for a, b in zip(ra, rb)
+            a == b or is_zero(a - b)
+            for ra, rb in zip(self._e, other._e)
+            for a, b in zip(ra, rb)
         )
 
     def __hash__(self):
@@ -163,11 +180,66 @@ class Matrix:
         if self.cols != other.rows:
             raise ShapeMismatch(f"{self.shape_str()} * {other.shape_str()}")
         cols = list(zip(*other._e))
-        return Matrix(
-            [[_dot(row, col) for col in cols] for row in self._e]
-        )
+        return Matrix._wrap(tuple(tuple(_dot(row, col) for col in cols) for row in self._e))
 
     __matmul__ = __mul__
+
+    # -- structured products --------------------------------------------------
+    # Each helper equals the dense product with an elementary, signed
+    # permutation or diagonal factor exactly, but does only the scalar work
+    # that factor needs: O(rows) for a letter, none for a permutation.
+
+    def _right_letter(self, letter: int, t) -> "Matrix":
+        """x * x_i(t) for letter i > 0, x * x_{-i}(t) for letter -i.
+
+        x_i(t) = 1 + t E_{i,i+1} adds column i times t to column i+1;
+        x_{-i}(t) has the block [[t^-1, 0], [1, t]] at rows and columns
+        i, i+1, so column i becomes col_i t^-1 + col_{i+1} and column i+1
+        becomes col_{i+1} t.
+        """
+        k = abs(letter)
+        if not 1 <= k <= self.cols - 1:
+            raise IndexOutOfRange(f"generator index {k} outside [1, {self.cols - 1}]")
+        if letter > 0:
+            rows = tuple(r[:k] + (r[k] + r[k - 1] * t,) + r[k + 1 :] for r in self._e)
+        else:
+            if is_zero(t):
+                raise ZeroInverse(f"x_-{k}(t) needs invertible t")
+            t_inv = inv(t)
+            rows = tuple(
+                r[: k - 1] + (r[k - 1] * t_inv + r[k], r[k] * t) + r[k + 1 :] for r in self._e
+            )
+        return Matrix._wrap(rows)
+
+    def _permute_rows(self, src, signs) -> "Matrix":
+        """P * x for P with signs[i] (+-1) at (i, src[i]): row i is +-row src[i]."""
+        if len(src) != self.rows or len(signs) != self.rows:
+            raise ShapeMismatch(f"row permutation of size {len(src)} on {self.shape_str()}")
+        e = self._e
+        return Matrix._wrap(
+            tuple(e[k - 1] if s > 0 else tuple(-a for a in e[k - 1]) for k, s in zip(src, signs))
+        )
+
+    def _permute_cols(self, src, signs) -> "Matrix":
+        """x * Q for Q with signs[j] (+-1) at (src[j], j): column j is +-column src[j]."""
+        if len(src) != self.cols or len(signs) != self.cols:
+            raise ShapeMismatch(f"column permutation of size {len(src)} on {self.shape_str()}")
+        picks = tuple((k - 1, s > 0) for k, s in zip(src, signs))
+        return Matrix._wrap(
+            tuple(tuple(r[k] if plus else -r[k] for k, plus in picks) for r in self._e)
+        )
+
+    def _scale_rows(self, d) -> "Matrix":
+        """diag(d) * x: row i multiplied by d[i] from the left."""
+        if len(d) != self.rows:
+            raise ShapeMismatch(f"{len(d)} row scales for {self.shape_str()}")
+        return Matrix._wrap(tuple(tuple(s * a for a in r) for s, r in zip(d, self._e)))
+
+    def _scale_cols(self, d) -> "Matrix":
+        """x * diag(d): column j multiplied by d[j] from the right."""
+        if len(d) != self.cols:
+            raise ShapeMismatch(f"{len(d)} column scales for {self.shape_str()}")
+        return Matrix._wrap(tuple(tuple(a * s for a, s in zip(r, d)) for r in self._e))
 
     def scale_left(self, s) -> "Matrix":
         """s * x, the scalar acting from the left on every entry."""
@@ -262,6 +334,11 @@ class Matrix:
         return f"Matrix[{self.shape_str()}]({body})"
 
 
+_set_rows = Matrix.__dict__["rows"].__set__
+_set_cols = Matrix.__dict__["cols"].__set__
+_set_e = Matrix.__dict__["_e"].__set__
+
+
 def _dot(row, col):
     it = zip(row, col)
     a, b = next(it)
@@ -273,21 +350,6 @@ def _dot(row, col):
 
 def _formattable(a):
     return isinstance(a, (int, Fraction, RationalQuaternion))
-
-
-# -- spec-level operation aliases ---------------------------------------------
-
-
-def submatrix(x: Matrix, I, J) -> Matrix:
-    return x.submatrix(I, J)
-
-
-def mat_mul(x: Matrix, y: Matrix) -> Matrix:
-    return x * y
-
-
-def mat_inv(x: Matrix) -> Matrix:
-    return x.inverse()
 
 
 def sigma(x: Matrix) -> Matrix:
@@ -362,10 +424,19 @@ def matrix_to_json(x: Matrix) -> dict:
 
 
 def matrix_from_json(payload: dict) -> Matrix:
+    """Parse the wire form; the shape and entry types are checked before parsing.
+
+    Malformed payloads raise ValueError (ShapeMismatch when the entries do
+    not match the declared n x m), never a TypeError or AttributeError.
+    """
     try:
         n, m, entries = payload["n"], payload["m"], payload["entries"]
     except (TypeError, KeyError) as exc:
         raise ValueError("matrix JSON needs keys n, m, entries") from exc
+    if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
+        raise ValueError("matrix JSON entries must be a list of rows")
+    if not all(isinstance(a, str) for row in entries for a in row):
+        raise ValueError("matrix JSON entries must be scalar strings")
     parsed = [[parse_scalar(s) for s in row] for row in entries]
     if len(parsed) != n or any(len(row) != m for row in parsed):
         raise ShapeMismatch(f"entries do not match declared shape {n}x{m}")

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from .errors import IndexOutOfRange, NotGeneric, QBruhatError
 from .matrix import Matrix, check_index_set, interval
 from .scalars import inv, is_zero
-from .weyl import Permutation, representative
+from .weyl import Permutation, left_by_representative, right_by_representative
 
 
 def quasideterminant(A: Matrix, p: int, q: int):
@@ -158,7 +158,8 @@ def quasiminor_indexed(x: Matrix, spec: SnMinorSpec):
     """
     direct = positive_quasiminor(x, spec.minor_spec())
     conj = principal_quasiminor(
-        representative(spec.u).inverse() * x * representative(spec.v), spec.k
+        right_by_representative(left_by_representative(spec.u, x, inverse=True), spec.v),
+        spec.k,
     )
     if not is_zero(direct - conj):
         raise QBruhatError(

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import NotGeneric, RetriesExhausted
 from .matrix import Matrix
 from .scalars import RationalQuaternion, random_quaternion
-from .weyl import Permutation, all_permutations, random_double_word
+from .weyl import Permutation, random_double_word
 
 DEFAULT_RETRY_BUDGET = 100
 
@@ -145,8 +145,3 @@ def maximal_cell_point(rng: random.Random, n: int, bound: int = 2) -> Matrix:
         return x
 
     return with_retries(attempt)
-
-
-def s_n_pairs(n: int):
-    perms = all_permutations(n)
-    return [(u, v) for u in perms for v in perms]

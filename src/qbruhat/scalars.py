@@ -6,10 +6,13 @@ Every algorithm in this package is generic over a scalar that supports
 scalars ship here:
 
 * ``fractions.Fraction`` -- the commutative oracle scalar.  The stdlib type
-  already guarantees lowest terms and a positive denominator, which is all
-  the Rational contract asks for.
-* :class:`RationalQuaternion` -- quaternions with ``Fraction`` components,
-  the working noncommutative skew field.
+  already guarantees lowest terms and a positive denominator.
+* :class:`RationalQuaternion` -- quaternions with rational components, the
+  working noncommutative skew field.  A value is stored as four Python ints
+  over one positive denominator, reduced by their common gcd after every
+  operation, so each value has exactly one stored form and equality is a
+  comparison of integer tuples.  The components are read back as
+  ``Fraction`` through ``.a``, ``.b``, ``.c``, ``.d`` and ``components()``.
 
 Python ints are accepted anywhere a scalar is (they behave as rationals),
 so identity matrices and generator matrices can be built from literals.
@@ -28,139 +31,183 @@ from fractions import Fraction
 
 from .errors import ZeroInverse
 
-Rational = Fraction
-
-_COEF = r"[+-]?\d+(?:/\d+)?"
 _QUAT_TERM = re.compile(
     r"(?P<sign>[+-]?)\s*(?:(?P<coef>\d+(?:/\d+)?)\s*\*?\s*)?(?P<unit>[ijk]?)"
 )
 
-
 class RationalQuaternion:
-    """A quaternion a + b*i + c*j + d*k with exact rational components."""
+    """A quaternion a + b*i + c*j + d*k with exact rational components.
 
-    __slots__ = ("a", "b", "c", "d")
+    The stored form ``_q = (a, b, c, d, e)`` holds integers with ``e > 0``
+    and ``gcd(a, b, c, d, e) == 1``; the value is ``(a + b*i + c*j + d*k) / e``.
+    """
+
+    __slots__ = ("_q",)
 
     def __init__(self, a=0, b=0, c=0, d=0):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
-        object.__setattr__(self, "c", Fraction(c))
-        object.__setattr__(self, "d", Fraction(d))
+        if type(a) is int and type(b) is int and type(c) is int and type(d) is int:
+            _set_q(self, (a, b, c, d, 1))
+            return
+        fa, fb, fc, fd = Fraction(a), Fraction(b), Fraction(c), Fraction(d)
+        e = math.lcm(fa.denominator, fb.denominator, fc.denominator, fd.denominator)
+        _set_q(
+            self,
+            (
+                fa.numerator * (e // fa.denominator),
+                fb.numerator * (e // fb.denominator),
+                fc.numerator * (e // fc.denominator),
+                fd.numerator * (e // fd.denominator),
+                e,
+            ),
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalQuaternion is immutable")
 
+    a = property(lambda self: Fraction(self._q[0], self._q[4]))
+    b = property(lambda self: Fraction(self._q[1], self._q[4]))
+    c = property(lambda self: Fraction(self._q[2], self._q[4]))
+    d = property(lambda self: Fraction(self._q[3], self._q[4]))
+
     def components(self):
         return (self.a, self.b, self.c, self.d)
-
-    @classmethod
-    def _raw(cls, a, b, c, d):
-        # internal: components are known to be Fractions already
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "a", a)
-        object.__setattr__(obj, "b", b)
-        object.__setattr__(obj, "c", c)
-        object.__setattr__(obj, "d", d)
-        return obj
 
     @staticmethod
     def _coerce(other):
         if isinstance(other, RationalQuaternion):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return RationalQuaternion(other)
+            return other._q
+        if isinstance(other, int):
+            return (other, 0, 0, 0, 1)
+        if isinstance(other, Fraction):
+            return (other.numerator, 0, 0, 0, other.denominator)
         return None
-
-    def _packed(self):
-        """Integer components over one common positive denominator."""
-        a, b, c, d = self.a, self.b, self.c, self.d
-        den = math.lcm(a.denominator, b.denominator, c.denominator, d.denominator)
-        return (
-            a.numerator * (den // a.denominator),
-            b.numerator * (den // b.denominator),
-            c.numerator * (den // c.denominator),
-            d.numerator * (den // d.denominator),
-            den,
-        )
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._raw(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
+        return _sum(self._q, o, 1)
 
-    __radd__ = __add__
+    def __radd__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return _sum(o, self._q, 1)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._raw(self.a - o.a, self.b - o.b, self.c - o.c, self.d - o.d)
+        return _sum(self._q, o, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return _sum(o, self._q, -1)
 
     def __neg__(self):
-        return self._raw(-self.a, -self.b, -self.c, -self.d)
+        a, b, c, d, e = self._q
+        return _wrap((-a, -b, -c, -d, e))
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a1, b1, c1, d1, e1 = self._packed()
-        a2, b2, c2, d2, e2 = o._packed()
-        den = e1 * e2
-        return self._raw(
-            Fraction(a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2, den),
-            Fraction(a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2, den),
-            Fraction(a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2, den),
-            Fraction(a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2, den),
-        )
+        return _product(self._q, o)
 
     def __rmul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o * self
+        return _product(o, self._q)
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.components() == o.components()
+        return self._q == o
 
     def __hash__(self):
-        if self.b == 0 and self.c == 0 and self.d == 0:
-            return hash(self.a)
-        return hash(self.components())
+        a, b, c, d, e = self._q
+        if b == 0 and c == 0 and d == 0:
+            return hash(Fraction(a, e))
+        return hash(self._q)
 
     def __bool__(self):
         return not self.is_zero()
 
     def is_zero(self):
-        return self.a == 0 and self.b == 0 and self.c == 0 and self.d == 0
+        q = self._q
+        return q[0] == 0 and q[1] == 0 and q[2] == 0 and q[3] == 0
 
     def conjugate(self):
-        return RationalQuaternion(self.a, -self.b, -self.c, -self.d)
+        a, b, c, d, e = self._q
+        return _wrap((a, -b, -c, -d, e))
 
     def norm(self):
         """The reduced norm a^2 + b^2 + c^2 + d^2; zero only at q = 0."""
-        return self.a * self.a + self.b * self.b + self.c * self.c + self.d * self.d
+        a, b, c, d, e = self._q
+        return Fraction(a * a + b * b + c * c + d * d, e * e)
 
     def inverse(self):
-        n = self.norm()
+        a, b, c, d, e = self._q
+        n = a * a + b * b + c * c + d * d
         if n == 0:
             raise ZeroInverse("cannot invert the zero quaternion")
-        return RationalQuaternion(self.a / n, -self.b / n, -self.c / n, -self.d / n)
+        # conj(q) / |q|^2 = (a - bi - cj - dk) e / (a^2 + b^2 + c^2 + d^2)
+        return _reduced(a * e, -b * e, -c * e, -d * e, n)
 
     def __repr__(self):
         return f"RationalQuaternion({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
 
     def __str__(self):
         return format_scalar(self)
+
+
+_set_q = RationalQuaternion.__dict__["_q"].__set__
+
+
+def _wrap(q):
+    """A quaternion from a stored form already known to be canonical."""
+    out = object.__new__(RationalQuaternion)
+    _set_q(out, q)
+    return out
+
+
+def _reduced(a, b, c, d, e):
+    """A quaternion from integers over a positive denominator, in lowest terms."""
+    if e != 1:
+        g = math.gcd(a, b, c, d, e)
+        if g != 1:
+            a, b, c, d, e = a // g, b // g, c // g, d // g, e // g
+    return _wrap((a, b, c, d, e))
+
+
+def _sum(x, y, sign):
+    """x + sign * y for two stored forms, sign in {1, -1}."""
+    a1, b1, c1, d1, e1 = x
+    a2, b2, c2, d2, e2 = y
+    if sign < 0:
+        a2, b2, c2, d2 = -a2, -b2, -c2, -d2
+    if e1 == e2:
+        return _reduced(a1 + a2, b1 + b2, c1 + c2, d1 + d2, e1)
+    return _reduced(
+        a1 * e2 + a2 * e1, b1 * e2 + b2 * e1, c1 * e2 + c2 * e1, d1 * e2 + d2 * e1, e1 * e2
+    )
+
+
+def _product(x, y):
+    """Hamilton product of two stored forms."""
+    a1, b1, c1, d1, e1 = x
+    a2, b2, c2, d2, e2 = y
+    return _reduced(
+        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+        e1 * e2,
+    )
 
 
 class OppositeScalar:

@@ -243,6 +243,21 @@ def _dodgson_admissible(n: int):
     return out
 
 
+def _grid_inv(value, u: Permutation, v: Permutation, k: int):
+    """Inverse of the (u, v) grid quasiminor `value` at level k.
+
+    A zero quasiminor makes the sample non-generic for the exchange
+    identities, not a counterexample, so this raises NotGeneric and the
+    harness resamples.
+    """
+    if is_zero(value):
+        raise NotGeneric(
+            f"grid quasiminor at level {k} for ({u!r}, {v!r}) is zero",
+            witness=("grid-zero", u.images, v.images, k),
+        )
+    return inv(value)
+
+
 def check_dodgson_grid(x: Matrix) -> int:
     """All five quasiminor exchange identities over every admissible (u, v, i)."""
     n = x.rows
@@ -258,16 +273,21 @@ def check_dodgson_grid(x: Matrix) -> int:
         e_uv = cache.uv(u, v, i + 1)
         e_usv = cache.uv(us, v, i + 1)
         e_uvs = cache.uv(u, vs, i + 1)
+        inv_d_uv = _grid_inv(d_uv, u, v, i)
+        inv_d_usv = _grid_inv(d_usv, us, v, i)
+        inv_d_uvs = _grid_inv(d_uvs, u, vs, i)
+        inv_e_usv = _grid_inv(e_usv, us, v, i + 1)
+        inv_e_uvs = _grid_inv(e_uvs, u, vs, i + 1)
         params = (u.images, v.images, i)
-        if not is_zero(d_usvs - (d_usv * inv(d_uv) * d_uvs + e_uv)):
+        if not is_zero(d_usvs - (d_usv * inv_d_uv * d_uvs + e_uv)):
             _fail("dodgson-1", x, params=params)
-        if not is_zero(inv(d_usv) * e_uv - inv(d_uv) * e_usv):
+        if not is_zero(inv_d_usv * e_uv - inv_d_uv * e_usv):
             _fail("dodgson-2", x, params=params)
-        if not is_zero(e_uv * inv(d_uvs) - e_uvs * inv(d_uv)):
+        if not is_zero(e_uv * inv_d_uvs - e_uvs * inv_d_uv):
             _fail("dodgson-3", x, params=params)
-        if not is_zero(e_uv * inv(e_usv) - d_usv * inv(d_uv)):
+        if not is_zero(e_uv * inv_e_usv - d_usv * inv_d_uv):
             _fail("dodgson-4", x, params=params)
-        if not is_zero(inv(e_uvs) * e_uv - inv(d_uv) * d_uvs):
+        if not is_zero(inv_e_uvs * e_uv - inv_d_uv * d_uvs):
             _fail("dodgson-5", x, params=params)
         checks += 5
     return checks
@@ -301,7 +321,9 @@ def check_minors_plucker_grid(x: Matrix) -> int:
                 lhs = cache.uv(u * s_next, v, i + 1)
                 rhs = cache.uv(u * s_i * s_next, v, i + 1) + cache.uv(
                     u * s_next * s_i, v, i
-                ) * inv(cache.uv(u * s_i, v, i)) * cache.uv(u, v, i + 1)
+                ) * _grid_inv(cache.uv(u * s_i, v, i), u * s_i, v, i) * cache.uv(
+                    u, v, i + 1
+                )
                 if not is_zero(lhs - rhs):
                     _fail("plucker-u", x, params=(u.images, v.images, i))
                 checks += 1
@@ -309,7 +331,9 @@ def check_minors_plucker_grid(x: Matrix) -> int:
                 lhs = cache.uv(u, v * s_next, i + 1)
                 rhs = cache.uv(u, v * s_i * s_next, i + 1) + cache.uv(
                     u, v, i + 1
-                ) * inv(cache.uv(u, v * s_i, i)) * cache.uv(u, v * s_next * s_i, i)
+                ) * _grid_inv(cache.uv(u, v * s_i, i), u, v * s_i, i) * cache.uv(
+                    u, v * s_next * s_i, i
+                )
                 if not is_zero(lhs - rhs):
                     _fail("plucker-v", x, params=(u.images, v.images, i))
                 checks += 1

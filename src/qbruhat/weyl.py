@@ -16,11 +16,16 @@ Conventions, fixed once and mirrored by every other module:
 
 The signed representative of s_i is the 2x2 block [[0, -1], [1, 0]]; signed
 representatives multiply along any reduced word to the same matrix, which is
-what makes ``representative`` well defined.
+what makes ``representative`` well defined.  That matrix is a signed
+permutation matrix, +-1 at (w(j), j), so products with it or with its
+inverse (its transpose) are signed row or column permutations:
+``left_by_representative`` and ``right_by_representative`` apply them
+without a scalar product.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -178,12 +183,46 @@ def simple_representative(i: int, n: int) -> Matrix:
     return Matrix(entries)
 
 
+@functools.lru_cache(maxsize=4096)
+def _signed_permutation(w: Permutation):
+    """(images, signs, inverse images, signs along the inverse) of representative(w).
+
+    representative(w) has signs[j] at (w(j), j).  Right multiplication by
+    the representative of s_i swaps columns i, i+1 and negates the new
+    column i+1, so the signs follow the reduced word in O(l(w)) steps.
+    """
+    signs = [1] * w.n
+    for i in w.reduced_word():
+        signs[i - 1], signs[i] = signs[i], -signs[i - 1]
+    inv_images = w.inverse().images
+    return w.images, tuple(signs), inv_images, tuple(signs[j - 1] for j in inv_images)
+
+
+@functools.lru_cache(maxsize=4096)
 def representative(w: Permutation) -> Matrix:
     """The signed representative, independent of the reduced word chosen."""
-    out = Matrix.identity(w.n)
-    for i in w.reduced_word():
-        out = out * simple_representative(i, w.n)
-    return out
+    images, signs, _, _ = _signed_permutation(w)
+    entries = [[0] * w.n for _ in range(w.n)]
+    for j, (row, sign) in enumerate(zip(images, signs)):
+        entries[row - 1][j] = sign
+    return Matrix(entries)
+
+
+def left_by_representative(w: Permutation, x: Matrix, inverse: bool = False) -> Matrix:
+    """representative(w) * x, or its inverse times x, as a signed row permutation."""
+    images, signs, inv_images, inv_signs = _signed_permutation(w)
+    if inverse:
+        # the inverse is the transpose: signs[j] at (j, w(j))
+        return x._permute_rows(images, signs)
+    return x._permute_rows(inv_images, inv_signs)
+
+
+def right_by_representative(x: Matrix, w: Permutation, inverse: bool = False) -> Matrix:
+    """x * representative(w), or x times its inverse, as a signed column permutation."""
+    images, signs, inv_images, inv_signs = _signed_permutation(w)
+    if inverse:
+        return x._permute_cols(inv_images, inv_signs)
+    return x._permute_cols(images, signs)
 
 
 def longest_in_range(i: int, n: int) -> Permutation:

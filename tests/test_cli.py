@@ -123,3 +123,11 @@ def test_not_generic_exit(capsys):
 def test_wrong_cell_exit_is_failure(capsys):
     code, _, err = run(capsys, "recover", "--input", GENERIC3, "--word=-1,1")
     assert code == 1
+
+
+def test_malformed_entries_are_usage_errors(capsys):
+    for entries in ([[1]], 5):
+        blob = json.dumps({"n": 1, "m": 1, "entries": entries})
+        code, _, err = run(capsys, "classify", "--input", blob)
+        assert code == 2
+        assert err.startswith("error: bad matrix input") and "Traceback" not in err

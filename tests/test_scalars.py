@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -159,3 +160,61 @@ def test_quaternion_equality_coerces_reals():
     assert Q(Fraction(1, 2)) == Fraction(1, 2)
     assert Q(2, 1) != 2
     assert hash(Q(2)) == hash(Fraction(2))
+
+
+# -- the packed-integer representation -----------------------------------------
+
+fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+quaternions = st.builds(Q, fractions, fractions, fractions, fractions)
+
+
+def test_equal_values_from_different_denominators_are_one_value():
+    x = Q(Fraction(1, 2), Fraction(1, 3), 0, Fraction(-5, 6))
+    y = Q(Fraction(3, 6), Fraction(4, 12), Fraction(0, 7), Fraction(-10, 12))
+    z = Q(3, 2, 0, -5) * Fraction(1, 6)
+    assert x == y == z
+    assert hash(x) == hash(y) == hash(z)
+    half = Q(1, 1) * Fraction(1, 2) + Q(1, -1) * Fraction(1, 2)
+    assert half == Q(1) == 1 and hash(half) == hash(1)
+
+
+@given(quaternions, quaternions)
+def test_stored_form_is_canonical(x, y):
+    for q in (x, y, x * y, x + y, x - y, -x, x.conjugate()):
+        a, b, c, d, e = q._q
+        assert e > 0
+        assert math.gcd(a, b, c, d, e) == 1
+        assert q.components() == (Fraction(a, e), Fraction(b, e), Fraction(c, e), Fraction(d, e))
+    assert (x - x)._q == (0, 0, 0, 0, 1)
+    if not x.is_zero():
+        assert (x * x.inverse())._q == (1, 0, 0, 0, 1)
+
+
+@given(fractions)
+def test_hash_of_real_quaternion_is_hash_of_its_rational(r):
+    assert hash(Q(r)) == hash(r) == hash(Q(r).a)
+    assert Q(r) == r and r == Q(r)
+
+
+@given(quaternions, fractions, st.integers(-9, 9))
+def test_mixed_operands_on_both_sides(q, r, k):
+    rq, kq = Q(r), Q(k)
+    assert q * r == q * rq and r * q == rq * q
+    assert q * k == q * kq and k * q == kq * q
+    assert q + r == q + rq and r + q == rq + q
+    assert q - k == q - kq and k - q == kq - q
+    assert r - q == rq - q and q - r == q - rq
+
+
+@given(quaternions)
+def test_text_form_round_trips(q):
+    assert parse_scalar(format_scalar(q)) == q
+    assert parse_scalar(format_scalar(q))._q == q._q
+
+
+def test_assigning_an_attribute_raises():
+    q = Q(1, 2, 3, 4)
+    for name in ("a", "b", "c", "d", "_q", "other"):
+        with pytest.raises(AttributeError):
+            setattr(q, name, 5)
+    assert q == Q(1, 2, 3, 4)
