@@ -1,13 +1,13 @@
 """Bruhat cell classification, reduced-cell membership and twist maps.
 
-Classification reduces x to a signed, scaled permutation matrix using only
-operations from the upper Borel on both sides: row operations may add a
-*lower* row to a higher one (left multiplication by B), column operations
-may add an *earlier* column to a later one (right multiplication by B).
-The pivot of each column is its bottom-most surviving nonzero entry; the
-pivot pattern is the permutation u with x in B u B.  The opposite cell
-datum comes from the same procedure applied to the 180-degree rotation of
-x, conjugating by the longest permutation.
+Classification reduces x by row operations from the upper Borel only: a
+*lower* row may be added to a higher one (left multiplication by B).  The
+pivot of each column is its bottom-most nonzero entry among the rows not
+yet used as pivots; the pivot pattern is the permutation u with x in B u B.
+Column operations from B would only rewrite pivot rows, so they could not
+change the pattern and none are done.  The opposite cell datum comes from
+the same procedure applied to the 180-degree rotation of x, conjugating by
+the longest permutation.
 
 The twist of a reduced cell point is
 
@@ -34,18 +34,17 @@ from .weyl import Permutation, left_by_representative, right_by_representative
 
 
 def _pivot_pattern(x: Matrix, track: bool):
-    """Reduce x by upper-Borel actions on both sides.
+    """Reduce x by upper-Borel row operations.
 
-    Returns (u, M, L, R) with L x R = M a signed scaled permutation matrix
-    whose column-j pivot sits in row u(j).  L and R are upper
-    unitriangular, tracked only when `track` is set.
+    Returns (u, M, L) with L x = M, L upper unitriangular (tracked only
+    when `track` is set) and the column-j pivot of M in row u(j), with zeros
+    left of it, so that ubar^{-1} M is upper triangular.
     """
     if not x.is_square:
         raise ShapeMismatch("classification needs a square matrix")
     n = x.rows
     m = x.to_lists()
     lam = [[1 if r == c else 0 for c in range(n)] for r in range(n)] if track else None
-    rho = [[1 if r == c else 0 for c in range(n)] for r in range(n)] if track else None
     used = [False] * n
     images = [0] * n
     for j in range(n):
@@ -65,20 +64,7 @@ def _pivot_pattern(x: Matrix, track: bool):
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
                 if track:
                     lam[i] = [a - f * b for a, b in zip(lam[i], lam[r])]
-        for c in range(j + 1, n):
-            if not is_zero(m[r][c]):
-                g = pinv * m[r][c]
-                for i in range(n):
-                    m[i][c] = m[i][c] - m[i][j] * g
-                if track:
-                    for i in range(n):
-                        rho[i][c] = rho[i][c] - rho[i][j] * g
-    return (
-        Permutation(images),
-        Matrix(m),
-        Matrix(lam) if track else None,
-        Matrix(rho) if track else None,
-    )
+    return Permutation(images), Matrix(m), Matrix(lam) if track else None
 
 
 class CellLabel(NamedTuple):
@@ -98,12 +84,16 @@ def classify(x: Matrix) -> CellLabel:
 
 
 def bruhat_factor(x: Matrix):
-    """(b1, u, b2) with x = b1 * representative(u) * b2 and b1, b2 upper."""
-    u, m, lam, rho = _pivot_pattern(x, track=True)
-    h0 = right_by_representative(m, u, inverse=True)
-    if not h0.is_diagonal():
-        raise QBruhatError("pivot normal form did not reduce to a diagonal twist")
-    return lam.inverse() * h0, u, rho.inverse()
+    """(b1, u, b2) with x = b1 * representative(u) * b2 and b1, b2 upper.
+
+    b1 undoes the row operations of the reduction and is unitriangular;
+    b2 = ubar^{-1} M, with M the reduced matrix, carries the torus part.
+    """
+    u, m, lam = _pivot_pattern(x, track=True)
+    b2 = left_by_representative(u, m, inverse=True)
+    if not b2.is_upper_triangular():
+        raise QBruhatError("pivot normal form did not reduce to an upper triangular factor")
+    return lam.inverse(), u, b2
 
 
 def in_bruhat_cell(x: Matrix, u: Permutation) -> bool:
@@ -155,11 +145,9 @@ def bruhat_factor_schubert(x: Matrix, u: Permutation | None = None):
         raise WrongCell(f"x lies in the cell of {u_found!r}", expected=u, actual=u_found)
     n = x.rows
     support = schubert_support(u)
-    h = Matrix.diagonal([b1[i, i] for i in range(1, n + 1)])
-    nt = h.inverse() * b1
     part = Matrix.identity(n)
     for dist in range(1, n):
-        resid = part.inverse() * nt
+        resid = part.inverse() * b1
         patch = [[0] * n for _ in range(n)]
         changed = False
         for i in range(1, n):
@@ -169,12 +157,11 @@ def bruhat_factor_schubert(x: Matrix, u: Permutation | None = None):
                 changed = True
         if changed:
             part = part * (Matrix.identity(n) + Matrix(patch))
-    rest = part.inverse() * nt
+    rest = part.inverse() * b1
     if any(not is_zero(rest[i, j]) for (i, j) in support):
         raise QBruhatError("unipotent splitting failed to clear the Schubert support")
-    n_u = h * part * h.inverse()
-    b = right_by_representative(left_by_representative(u, h * rest, inverse=True), u) * b2
-    return n_u, b
+    b = right_by_representative(left_by_representative(u, rest, inverse=True), u) * b2
+    return part, b
 
 
 def in_reduced_cell(x: Matrix, u: Permutation, v: Permutation) -> bool:

@@ -13,7 +13,14 @@ import json
 import sys
 
 from .cells import classify, twist_general, twist_reduced
-from .errors import NotGeneric, NotReducedWord, QBruhatError, RetriesExhausted, ShapeMismatch
+from .errors import (
+    IndexOutOfRange,
+    NotGeneric,
+    NotReducedWord,
+    QBruhatError,
+    RetriesExhausted,
+    ShapeMismatch,
+)
 from .factorize import (
     factor_u_w0,
     factor_w0_v,
@@ -261,7 +268,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NotReducedWord, ValueError) as exc:
+    except (NotReducedWord, IndexOutOfRange, ShapeMismatch, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RetriesExhausted as exc:

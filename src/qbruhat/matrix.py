@@ -269,30 +269,18 @@ class Matrix:
         return self.submatrix(I, J)
 
     def inverse(self) -> "Matrix":
-        """Exact inverse by Gauss-Jordan elimination with first-nonzero pivoting.
+        """Exact inverse: ``_row_reduce`` on ``[x | 1]`` leaves ``[1 | x^-1]``.
 
-        Row operations apply coefficients on the left, which is the order
-        that is correct over a skew field.  Raises NotGeneric naming the
-        column where no pivot could be found.
+        Raises NotGeneric naming the first column without a pivot.
         """
         if not self.is_square:
             raise ShapeMismatch(f"cannot invert {self.shape_str()}")
         n = self.rows
         m = [list(row) + [1 if r == c else 0 for c in range(n)] for r, row in enumerate(self._e)]
-        for k in range(n):
-            pivot_row = next((r for r in range(k, n) if not is_zero(m[r][k])), None)
-            if pivot_row is None:
-                raise NotGeneric(
-                    f"matrix is singular: no pivot in column {k + 1}",
-                    witness=("pivot", k + 1),
-                )
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            p = inv(m[k][k])
-            m[k] = [p * a for a in m[k]]
-            for r in range(n):
-                if r != k and not is_zero(m[r][k]):
-                    f = m[r][k]
-                    m[r] = [a - f * b for a, b in zip(m[r], m[k])]
+        pivots = _row_reduce(m, n)
+        if len(pivots) < n:
+            k = next((i for i, c in enumerate(pivots) if i != c), len(pivots)) + 1
+            raise NotGeneric(f"matrix is singular: no pivot in column {k}", witness=("pivot", k))
         return Matrix([row[n:] for row in m])
 
     # -- shape predicates -----------------------------------------------------
@@ -348,6 +336,35 @@ def _dot(row, col):
     return acc
 
 
+def _row_reduce(m: list, width: int) -> list:
+    """Gauss-Jordan elimination, in place, on the list of rows m.
+
+    Column c < width takes as pivot the first nonzero entry at or below the
+    current row; the pivot row is scaled to a leading 1 and every other row
+    loses a multiple of it, both from the left, which is the order that is
+    correct over a skew field.  The pivot row is zero left of c, so only
+    columns c onwards change.  Returns the 0-based pivot columns.
+    """
+    pivots = []
+    for c in range(width):
+        r = len(pivots)
+        if r == len(m):
+            break
+        pivot_row = next((i for i in range(r, len(m)) if not is_zero(m[i][c])), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        p = inv(m[r][c])
+        pivot = [p * a for a in m[r][c:]]
+        m[r][c:] = pivot
+        for i, row in enumerate(m):
+            if i != r and not is_zero(row[c]):
+                f = row[c]
+                row[c:] = [a - f * b for a, b in zip(row[c:], pivot)]
+        pivots.append(c)
+    return pivots
+
+
 def _formattable(a):
     return isinstance(a, (int, Fraction, RationalQuaternion))
 
@@ -365,8 +382,17 @@ def alternating_signs(n: int) -> Matrix:
     return Matrix.diagonal([(-1) ** i for i in range(1, n + 1)])
 
 
-def _sign_conjugate(x: Matrix) -> Matrix:
-    # J x J without the matrix products: flip the odd-parity positions
+def iota(x: Matrix) -> Matrix:
+    """The positive inverse J x^{-1} J, an involutive antiautomorphism.
+
+    Fixes the elementary unitriangular generators and inverts diagonal
+    matrices entrywise.
+    """
+    return iota_inverse_free(x.inverse())
+
+
+def iota_inverse_free(x: Matrix) -> Matrix:
+    """(x^iota)^{-1} = J x J: the odd-parity entries flip sign, nothing is inverted."""
     return Matrix(
         [
             [a if (i + j) % 2 == 0 else -a for j, a in enumerate(row)]
@@ -375,40 +401,9 @@ def _sign_conjugate(x: Matrix) -> Matrix:
     )
 
 
-def iota(x: Matrix) -> Matrix:
-    """The positive inverse J x^{-1} J, an involutive antiautomorphism.
-
-    Fixes the elementary unitriangular generators and inverts diagonal
-    matrices entrywise.
-    """
-    return _sign_conjugate(x.inverse())
-
-
-def iota_inverse_free(x: Matrix) -> Matrix:
-    """(x^iota)^{-1} = J x J, computed without inverting anything."""
-    return _sign_conjugate(x)
-
-
 def rank(x: Matrix) -> int:
     """Rank over the scalar's division ring, by left-row reduction."""
-    m = x.to_lists()
-    n_rows, n_cols = x.rows, x.cols
-    r = 0
-    for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if not is_zero(m[i][c])), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        p = inv(m[r][c])
-        m[r] = [p * a for a in m[r]]
-        for i in range(n_rows):
-            if i != r and not is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == n_rows:
-            break
-    return r
+    return len(_row_reduce(x.to_lists(), x.cols))
 
 
 # -- JSON wire format ---------------------------------------------------------

@@ -29,30 +29,34 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, NotGeneric, QBruhatError
-from .matrix import Matrix, check_index_set, interval
+from .matrix import Matrix, _dot, _row_reduce, check_index_set, interval, rank
 from .scalars import inv, is_zero
 from .weyl import Permutation, left_by_representative, right_by_representative
 
 
 def quasideterminant(A: Matrix, p: int, q: int):
-    """|A|_pq, exact; NotGeneric when the inner submatrix is singular."""
+    """|A|_pq, exact; NotGeneric when the inner submatrix A^pq is singular.
+
+    The Schur complement a_pq - r_p z of the inner block: ``_row_reduce``
+    on the bordered rows [A^pq | c_q] leaves z = (A^pq)^{-1} c_q in the
+    last column, and r_p multiplies z from the left.
+    """
     if not A.is_square:
         raise IndexOutOfRange(f"quasideterminant needs a square matrix, got {A.shape_str()}")
     n = A.rows
     a_pq = A[p, q]
     if n == 1:
         return a_pq
-    inner = A.delete(p, q)
-    try:
-        inner_inv = inner.inverse()
-    except NotGeneric as exc:
+    e = A.to_lists()
+    r_p = e.pop(p - 1)
+    del r_p[q - 1]
+    bordered = [row[: q - 1] + row[q:] + [row[q - 1]] for row in e]
+    if len(_row_reduce(bordered, n - 1)) < n - 1:
         raise NotGeneric(
             f"quasideterminant |A|_({p},{q}) undefined: inner {n - 1}x{n - 1} submatrix singular",
             witness=("inner", p, q),
-        ) from exc
-    row = Matrix([[A[p, c] for c in range(1, n + 1) if c != q]])
-    col = Matrix([[A[r, q]] for r in range(1, n + 1) if r != p])
-    return a_pq - (row * inner_inv * col)[1, 1]
+        )
+    return a_pq - _dot(r_p, [row[-1] for row in bordered])
 
 
 def quasidet_expansion(A: Matrix, p: int, q: int):
@@ -265,13 +269,11 @@ def sylvester_reduce(A: Matrix, I0, J0) -> Matrix:
         raise IndexOutOfRange("pivot must be a proper submatrix")
     if not I0:
         return A
-    try:
-        A.submatrix(I0, J0).inverse()
-    except NotGeneric as exc:
+    if rank(A.submatrix(I0, J0)) < len(I0):
         raise NotGeneric(
             f"pivot submatrix A_{I0},{J0} is singular",
             witness=("pivot-block", I0, J0),
-        ) from exc
+        )
     comp_rows = tuple(r for r in range(1, n + 1) if r not in I0)
     comp_cols = tuple(c for c in range(1, n + 1) if c not in J0)
     entries = []

@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 
 from .errors import NotGeneric, RetriesExhausted
-from .matrix import Matrix
+from .matrix import Matrix, rank
 from .scalars import RationalQuaternion, random_quaternion
 from .weyl import Permutation, random_double_word
 
@@ -78,7 +78,9 @@ def matrix(rng: random.Random, n: int, m: int | None = None, kind: str = "quat",
 def invertible_matrix(rng: random.Random, n: int, kind: str = "quat", bound: int = 2) -> Matrix:
     def attempt():
         x = matrix(rng, n, n, kind, bound)
-        x.inverse()
+        r = rank(x)
+        if r < n:
+            raise NotGeneric(f"sampled matrix has rank {r} < {n}", witness=("rank", r))
         return x
 
     return with_retries(attempt)

@@ -31,8 +31,9 @@ from fractions import Fraction
 
 from .errors import ZeroInverse
 
+# A coefficient takes the unsigned rational forms Fraction parses: p/q, 1.5, .5
 _QUAT_TERM = re.compile(
-    r"(?P<sign>[+-]?)\s*(?:(?P<coef>\d+(?:/\d+)?)\s*\*?\s*)?(?P<unit>[ijk]?)"
+    r"(?P<sign>[+-]?)\s*(?:(?P<coef>\d+/\d+|\d+(?:\.\d*)?|\.\d+)\s*\*?\s*)?(?P<unit>[ijk]?)"
 )
 
 class RationalQuaternion:
@@ -368,8 +369,10 @@ def _format_rational(r: Fraction) -> str:
 def parse_scalar(text: str):
     """Parse ``p/q`` into a Fraction or ``a+b*i+c*j+d*k`` into a quaternion.
 
-    Terms may be omitted or reordered; a bare unit like ``-i`` means
-    coefficient 1.  Any appearance of i/j/k yields a RationalQuaternion.
+    Terms may be omitted or reordered; every term after the first starts
+    with its sign, and a bare unit like ``-i`` means coefficient 1.  A
+    coefficient is ``p``, ``p/q`` or a decimal such as ``1.5`` or ``.5``.
+    Any appearance of i/j/k yields a RationalQuaternion.
     """
     s = text.strip().replace(" ", "")
     if not s:
@@ -386,7 +389,7 @@ def parse_scalar(text: str):
         if not m or m.end() == pos:
             raise ValueError(f"bad quaternion {text!r} at position {pos}")
         sign, coef, unit = m.group("sign"), m.group("coef"), m.group("unit")
-        if coef is None and unit == "":
+        if (coef is None and unit == "") or (pos > 0 and not sign):
             raise ValueError(f"bad quaternion {text!r} at position {pos}")
         value = Fraction(coef) if coef is not None else Fraction(1)
         if sign == "-":

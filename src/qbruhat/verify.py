@@ -548,4 +548,7 @@ SUITES = {
 def run_suite(name: str, n: int, trials: int, seed: int, bound: int = 2, **kwargs) -> SuiteReport:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    if n < 2:
+        # GL_1 has no Weyl letters and no quasiminor identity to check
+        raise ValueError(f"suites need n >= 2, got {n}")
     return SUITES[name](n, trials, seed, bound, **kwargs)

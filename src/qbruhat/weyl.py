@@ -318,10 +318,6 @@ class DoubleWord:
         return ",".join(str(l) for l in self.letters)
 
 
-def subword_perms(word: DoubleWord, k: int):
-    return word.subword_perms(k)
-
-
 def shuffles(a: tuple, b: tuple):
     """All interleavings of a and b preserving internal order."""
     m = len(a) + len(b)

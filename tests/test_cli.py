@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+from pathlib import Path
 
 from qbruhat.cli import main
 from qbruhat.matrix import Matrix, matrix_to_json
@@ -131,3 +134,39 @@ def test_malformed_entries_are_usage_errors(capsys):
         code, _, err = run(capsys, "classify", "--input", blob)
         assert code == 2
         assert err.startswith("error: bad matrix input") and "Traceback" not in err
+
+
+def test_bad_indices_and_sizes_are_usage_errors(capsys):
+    cases = (
+        ("quasidet", "--input", EYE2, "--row", "9", "--col", "1"),
+        ("verify", "--suite", "gauss", "--n", "0"),
+        ("verify", "--suite", "quasidet-identities", "--n", "1"),
+    )
+    for argv in cases:
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error:") and "Traceback" not in err
+
+
+GOLDEN_COMMANDS = (
+    ("verify", "--suite", "all", "--n", "3", "--seed", "0"),
+    ("verify", "--suite", "all", "--n", "4", "--seed", "0", "--trials", "3"),
+    ("demo",),
+)
+GOLDEN_REPORTS = Path(__file__).parent / "data" / "cli_reports.txt"
+
+
+def render_golden_reports() -> str:
+    """Each command line, its stdout, then its exit code, in one text block."""
+    blocks = []
+    for argv in GOLDEN_COMMANDS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(list(argv))
+        blocks.append(f"$ qbruhat {' '.join(argv)}\n{out.getvalue()}[exit {code}]\n")
+    return "".join(blocks)
+
+
+def test_reports_match_recorded_golden_output():
+    # Seeded reports are byte-stable; the recorded file is the contract.
+    assert render_golden_reports() == GOLDEN_REPORTS.read_text(encoding="utf-8")

@@ -134,6 +134,16 @@ def test_parse_flexible_forms():
             parse_scalar(bad)
 
 
+def test_parse_decimal_quaternion_coefficients():
+    assert parse_scalar("1.5") == Fraction(3, 2)
+    assert parse_scalar("1.5+i") == Q(Fraction(3, 2), 1)
+    assert parse_scalar(".5-2.25*j") == Q(Fraction(1, 2), 0, Fraction(-9, 4))
+    assert parse_scalar("3/4*k+1.") == Q(1, 0, 0, Fraction(3, 4))
+    for bad in ("1.5/2*i", "1.5.5+i", "1..5+i", ".+i", "2i3"):
+        with pytest.raises(ValueError):
+            parse_scalar(bad)
+
+
 def test_inv_dispatch():
     assert inv(Fraction(2, 3)) == Fraction(3, 2)
     assert inv(4) == Fraction(1, 4)
