@@ -18,7 +18,8 @@ inverse; (x^iota)^{-1} collapses to J x J and costs no inversion.  The
 general twist prepends the permuted torus part of [ubar^{-1} x]_0 and is
 left H-equivariant.  Errors distinguish "wrong cell" (WrongCell) from "a
 Gauss projection failed" (NotGeneric), because the harness treats them
-differently.
+differently; ``require_cell`` is the one cell gate, and a permutation of
+another size than x is a ShapeMismatch there.
 """
 
 from __future__ import annotations
@@ -83,11 +84,31 @@ def classify(x: Matrix) -> CellLabel:
     return CellLabel(u, w0 * v_rot * w0)
 
 
+def require_cell(x: Matrix, u: Permutation, v: Permutation) -> None:
+    """Raise unless x lies in the double cell of (u, v).
+
+    ShapeMismatch when u or v has another size than x (a usage error),
+    WrongCell when x classifies into another cell.
+    """
+    if u.n != x.rows or v.n != x.rows:
+        raise ShapeMismatch(
+            f"permutations of sizes ({u.n}, {v.n}) against a {x.shape_str()} matrix"
+        )
+    actual = classify(x)
+    if actual != (u, v):
+        raise WrongCell(
+            f"x lies in the cell of {actual!r}, not ({u!r}, {v!r})",
+            expected=(u, v),
+            actual=actual,
+        )
+
+
 def bruhat_factor(x: Matrix):
     """(b1, u, b2) with x = b1 * representative(u) * b2 and b1, b2 upper.
 
-    b1 undoes the row operations of the reduction and is unitriangular;
-    b2 = ubar^{-1} M, with M the reduced matrix, carries the torus part.
+    b1 undoes the row operations of the reduction and is unitriangular (in
+    U(u), see ``bruhat_factor_schubert``); b2 = ubar^{-1} M, with M the
+    reduced matrix, carries the torus part.
     """
     u, m, lam = _pivot_pattern(x, track=True)
     b2 = left_by_representative(u, m, inverse=True)
@@ -133,10 +154,11 @@ def schubert_support(u: Permutation) -> frozenset:
 def bruhat_factor_schubert(x: Matrix, u: Permutation | None = None):
     """(n_u, b) with x = n_u * representative(u) * b, n_u in U(u), b upper.
 
-    Constructive form of BuB = U(u) u B: the unipotent part of the Borel
-    factor is split into its U(u) and u U u^{-1} components by peeling
-    superdiagonals, and the complementary piece is conjugated across the
-    representative into the right-hand Borel factor.
+    Constructive form of BuB = U(u) u B.  The reduction behind
+    ``bruhat_factor`` only subtracts pivot row u(j) from a row u(j') with
+    j' > j and u(j') < u(j), a position on the Schubert support of u, so
+    its unitriangular factor b1 lies in the group U(u) already: n_u = b1
+    and b = b2.  That membership is checked.
     """
     b1, u_found, b2 = bruhat_factor(x)
     if u is None:
@@ -145,39 +167,22 @@ def bruhat_factor_schubert(x: Matrix, u: Permutation | None = None):
         raise WrongCell(f"x lies in the cell of {u_found!r}", expected=u, actual=u_found)
     n = x.rows
     support = schubert_support(u)
-    part = Matrix.identity(n)
-    for dist in range(1, n):
-        resid = part.inverse() * b1
-        patch = [[0] * n for _ in range(n)]
-        changed = False
-        for i in range(1, n):
-            j = i + dist
-            if j <= n and (i, j) in support and not is_zero(resid[i, j]):
-                patch[i - 1][j - 1] = resid[i, j]
-                changed = True
-        if changed:
-            part = part * (Matrix.identity(n) + Matrix(patch))
-    rest = part.inverse() * b1
-    if any(not is_zero(rest[i, j]) for (i, j) in support):
-        raise QBruhatError("unipotent splitting failed to clear the Schubert support")
-    b = right_by_representative(left_by_representative(u, rest, inverse=True), u) * b2
-    return part, b
+    off_support = (
+        (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if (i, j) not in support
+    )
+    if any(not is_zero(b1[i, j]) for i, j in off_support):
+        raise QBruhatError("the unipotent Borel factor is not in U(u)")
+    return b1, b2
 
 
 def in_reduced_cell(x: Matrix, u: Permutation, v: Permutation) -> bool:
     """True iff the level-i quasiminors at (u, e) all equal 1.
 
-    Raises WrongCell when x is not in the double cell of (u, v) at all;
-    within the cell this is the torus-normalization test cutting out the
-    reduced cell.
+    Raises as ``require_cell`` when x is not in the double cell of (u, v)
+    at all; within the cell this is the torus-normalization test cutting
+    out the reduced cell.
     """
-    actual = classify(x)
-    if actual != (u, v):
-        raise WrongCell(
-            f"x lies in the cell of {actual!r}, not ({u!r}, {v!r})",
-            expected=(u, v),
-            actual=actual,
-        )
+    require_cell(x, u, v)
     e = Permutation.identity(x.rows)
     return all(
         is_zero(quasiminor_uv(x, u, e, i) - 1) for i in range(1, x.rows + 1)
@@ -230,13 +235,7 @@ def twist_general(
     well and must agree exactly.
     """
     if check:
-        actual = classify(x)
-        if actual != (u, v):
-            raise WrongCell(
-                f"x lies in the cell of {actual!r}, not ({u!r}, {v!r})",
-                expected=(u, v),
-                actual=actual,
-            )
+        require_cell(x, u, v)
     try:
         _, mid0, up0 = gauss_parts(left_by_representative(u, x, inverse=True))
     except NotGeneric as exc:

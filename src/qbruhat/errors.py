@@ -26,9 +26,22 @@ class ShapeMismatch(QBruhatError):
 class NotGeneric(QBruhatError):
     """A genericity assumption failed (singular pivot or quasiminor).
 
-    ``witness`` identifies what failed, e.g. ``("pivot", i, j)`` for an
-    elimination pivot or ``("quasiminor", I, J, i, j)`` for an undefined
-    or non-invertible quasiminor.
+    ``witness`` identifies what failed, as a tuple led by its kind:
+
+    * kernels: ``("pivot", k)`` (no pivot in column k of an inverse, or a
+      zero elimination pivot k), ``("inner", p, q)`` (the inner block of
+      |A|_pq is singular), ``("rank", r)``, ``("column", j)``,
+      ``("principal", k)``, ``("projection", label)``,
+      ``("pivot-block", I0, J0)``, ``("expansion", r, c)``,
+      ``("plucker-left", I, i, j)``, ``("plucker-right", I, i, j)``,
+      ``("grid-zero", u, v, k)``;
+    * factorizations: ``("standard", i, j)``, ``("stage", m, k)``,
+      ``("upper-t", m, k)``, ``("branch+", k)``, ``("branch-", k)``,
+      ``("branch-agreement", k)``, ``("zero-parameter",)``, ``("replay",)``,
+      ``("tau", m, k)``, ``("tau-zero", m, k)``, ``("u-w0-twist", i, j)``,
+      ``("w0-v-twist", i, j)``;
+    * double-ratio families: ``(f, i, j)`` with f one of ``a b c d``, the
+      swapped ``a' b' c' d'`` or the telescoped ``a0 b0 a1 b1``.
     """
 
     def __init__(self, message, witness=None):

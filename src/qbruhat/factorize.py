@@ -11,7 +11,14 @@ Three families of factorization live here:
   and must agree, and the recovered parameters are replayed through the
   product map and must reproduce x exactly;
 * the block factorizations of cells against the longest element, each with
-  a direct quasiminor route and a twisted route that must agree.
+  a direct quasiminor route and a twisted route that must agree.  Every
+  block parameter is a ratio |den|^{-1} |num| of two positive quasiminors
+  from one of four families a, b, c, d, stated once in ``BLOCK_FAMILIES``
+  and evaluated by ``block_ratio``: t_{ij} of ``factor_u_w0`` is b on x and
+  a on the twist y = psi(x); tau_{ij} of ``factor_w0_v`` is d on x and c on
+  y, and h_i is the numerator of d.  On the maximal cell the forms also
+  swap (a on x = b on y, c on x = d on y); ``verify_double_ratios`` checks
+  all four transfers.
 
 Sign conventions follow the closed formulas, with stages defined by
 ``x(m, k) = x(m, k+1) (1 - t_{m,k} E_k)`` so that the ascending replay
@@ -23,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cells import classify, in_reduced_cell, twist_general
+from .cells import classify, in_reduced_cell, require_cell, twist_general
 from .errors import (
     IndexOutOfRange,
     NotGeneric,
@@ -245,15 +252,8 @@ def upper_factorize(x: Matrix) -> UpperFactorization:
 
 
 def upper_t_quasiminor(x: Matrix, m: int, k: int):
-    """The closed form for t_{m,k}: a ratio of two boxed quasiminors of x."""
-    den = boxed_quasiminor(x, interval(1, m), interval(k - m + 1, k), m, k)
-    if is_zero(den):
-        raise NotGeneric(
-            f"upper factorization quasiminor at ({m}, {k}) is zero",
-            witness=("upper-t", m, k),
-        )
-    num = boxed_quasiminor(x, interval(1, m), interval(k - m + 2, k + 1), m, k + 1)
-    return inv(den) * num
+    """The closed form for t_{m,k}: block family b of x at (m, k)."""
+    return block_ratio(MinorCache(x), "b", m, k, ("upper-t", m, k))
 
 
 def stage_entry_formula(x: Matrix, m: int, k: int, i: int, j: int):
@@ -296,24 +296,17 @@ def _ratio(den, num, label):
     return inv(den) * num
 
 
-def recover_params(x: Matrix, word: DoubleWord, verify_replay: bool = True) -> FactorizationOutput:
+def recover_params(x: Matrix, word: DoubleWord) -> FactorizationOutput:
     """Recover (h, t) with x = h * x_{i_1}(t_1) ... x_{i_m}(t_m).
 
     The diagonal entries are level quasiminors of x at (u, e); each t_k is
     a quasiminor ratio of the twist y, indexed by the subword permutations
     at position k.  Both equal forms of the branch are evaluated and must
-    agree; the replay must reproduce x exactly.
+    agree; every parameter must be nonzero and the replay must reproduce x
+    exactly.
     """
     u, v = word.u(), word.v()
-    if x.rows != word.n:
-        raise ShapeMismatch(f"{x.shape_str()} matrix against a word for n = {word.n}")
-    actual = classify(x)
-    if actual != (u, v):
-        raise WrongCell(
-            f"x lies in the cell of {actual!r}, not ({u!r}, {v!r})",
-            expected=(u, v),
-            actual=actual,
-        )
+    require_cell(x, u, v)
     n = x.rows
     e = Permutation.identity(n)
     uinv = u.inverse()
@@ -341,19 +334,51 @@ def recover_params(x: Matrix, word: DoubleWord, verify_replay: bool = True) -> F
                 witness=("branch-agreement", k),
             )
         t.append(first)
+    if any(is_zero(tk) for tk in t):
+        raise NotGeneric(
+            "a recovered parameter is zero; x is on the boundary of the word's image",
+            witness=("zero-parameter",),
+        )
     out = FactorizationOutput(h=h, t=tuple(t))
-    if verify_replay:
-        if any(is_zero(tk) for tk in t):
-            raise NotGeneric(
-                "a recovered parameter is zero; x is on the boundary of the word's image",
-                witness=("zero-parameter",),
-            )
-        if out.replay(word) != x:
-            raise NotGeneric(
-                "replay of recovered parameters does not reproduce x",
-                witness=("replay",),
-            )
+    if out.replay(word) != x:
+        raise NotGeneric(
+            "replay of recovered parameters does not reproduce x",
+            witness=("replay",),
+        )
     return out
+
+
+# -- the longest-element block families ------------------------------------------
+
+
+BLOCK_FAMILIES = {
+    "a": lambda n, i, j: (
+        MinorSpec(interval(1, i) + interval(n + i + 1 - j, n), interval(1, j), i, j),
+        MinorSpec(interval(1, i) + interval(n + i - j, n), interval(1, j + 1), i, j + 1),
+    ),
+    "b": lambda n, i, j: (
+        MinorSpec(interval(1, i), interval(j + 1 - i, j), i, j),
+        MinorSpec(interval(1, i), interval(j - i + 2, j + 1), i, j + 1),
+    ),
+    "c": lambda n, i, j: (
+        MinorSpec(interval(1, j), interval(1, j + 1 - i) + interval(n + 2 - i, n), j, j + 1 - i),
+        MinorSpec(interval(1, j), interval(1, j - i) + interval(n + 1 - i, n), j, n + 1 - i),
+    ),
+    "d": lambda n, i, j: (
+        MinorSpec(interval(i, j), interval(1, j + 1 - i), i, j + 1 - i),
+        MinorSpec(interval(i, n), interval(1, n + 1 - i), i, n + 1 - i),
+    ),
+}
+"""Block family name -> (n, i, j) -> (den_spec, num_spec), 1 <= i <= j <= n-1."""
+
+
+def block_ratio(cache: MinorCache, family: str, i: int, j: int, label):
+    """|den|^{-1} |num| of `family` at (i, j) on the cache's matrix.
+
+    NotGeneric carries `label` as its witness when the denominator vanishes.
+    """
+    den, num = BLOCK_FAMILIES[family](cache.x.rows, i, j)
+    return _ratio(cache.spec(den), cache.spec(num), label)
 
 
 # -- block factorizations against the longest element ---------------------------
@@ -379,21 +404,22 @@ class UW0Factorization:
         return acc
 
 
-def factor_u_w0(x: Matrix, check_twist: bool = True) -> UW0Factorization:
+def factor_u_w0(x: Matrix) -> UW0Factorization:
     """Peel the standard positive blocks off x, leaving a point of G^{u,e}.
 
     The stage parameters are verified against their closed quasiminor
-    forms, and (for x with longest-element column datum) against the
-    twisted quasiminor expressions; both agreements are exact.
+    forms (family b on x), and for x with longest-element column datum
+    against the twisted forms (family a on y); both agreements are exact.
     """
     u, v = classify(x)
     uf = upper_factorize(x)
     x_minus = uf.final_stage() if uf.pairs else x
     if not x_minus.is_lower_triangular():
         raise QBruhatError("upper factorization did not reach a lower triangular stage")
+    cache_x = MinorCache(x)
     for m, k in uf.pairs:
         try:
-            closed = upper_t_quasiminor(x, m, k)
+            closed = block_ratio(cache_x, "b", m, k, ("upper-t", m, k))
         except NotGeneric:
             continue
         if not is_zero(closed - uf.t[(m, k)]):
@@ -402,24 +428,14 @@ def factor_u_w0(x: Matrix, check_twist: bool = True) -> UW0Factorization:
             )
     n = x.rows
     w0 = Permutation.longest(n)
-    if check_twist and v == w0:
-        y = twist_general(x, u, w0, check=False)
-        cache = MinorCache(y)
-        for i in range(1, n):
-            for j in range(i, n):
-                den = cache.spec(
-                    MinorSpec(interval(1, i) + interval(n + i + 1 - j, n), interval(1, j), i, j)
+    if v == w0:
+        cache_y = MinorCache(twist_general(x, u, w0, check=False))
+        for i, j in sorted(uf.pairs):
+            twisted = block_ratio(cache_y, "a", i, j, ("u-w0-twist", i, j))
+            if not is_zero(twisted - uf.t[(i, j)]):
+                raise QBruhatError(
+                    f"twisted expression for t_({i},{j}) disagrees with the direct one"
                 )
-                num = cache.spec(
-                    MinorSpec(
-                        interval(1, i) + interval(n + i - j, n), interval(1, j + 1), i, j + 1
-                    )
-                )
-                twisted = _ratio(den, num, ("u-w0-twist", i, j))
-                if not is_zero(twisted - uf.t[(i, j)]):
-                    raise QBruhatError(
-                        f"twisted expression for t_({i},{j}) disagrees with the direct one"
-                    )
     return UW0Factorization(t=dict(uf.t), x_minus=x_minus, u=u, v=v)
 
 
@@ -444,12 +460,12 @@ class W0VFactorization:
         return self.negative_prefix() * self.x_plus
 
 
-def factor_w0_v(x: Matrix, check_twist: bool = True) -> W0VFactorization:
+def factor_w0_v(x: Matrix) -> W0VFactorization:
     """Factor a point with longest-element row datum into torus, negative blocks, and x_plus.
 
-    h and tau come from boxed quasiminors of lower-left blocks of x; the
-    residual must land in the reduced cell of (e, v).  The twisted
-    expressions for tau through y = psi(x) are checked for agreement.
+    h and tau come from family d on x (h_m is its numerator at row m); the
+    residual must land in the reduced cell of (e, v).  The twisted forms
+    of tau (family c on y = psi(x)) are checked for agreement.
     """
     n = x.rows
     w0 = Permutation.longest(n)
@@ -459,56 +475,30 @@ def factor_w0_v(x: Matrix, check_twist: bool = True) -> W0VFactorization:
             f"x has row datum {u!r}, not the longest element", expected=w0, actual=u
         )
     cache_x = MinorCache(x)
-    h = []
-    for m in range(1, n + 1):
-        h.append(
-            cache_x.spec(MinorSpec(interval(m, n), interval(1, n + 1 - m), m, n + 1 - m))
-        )
+    h = tuple(cache_x.spec(BLOCK_FAMILIES["d"](n, m, m)[1]) for m in range(1, n + 1))
+    pairs = sorted(upper_pairs(n))
     tau = {}
-    for m in range(1, n):
-        for k in range(m, n):
-            den = cache_x.spec(
-                MinorSpec(interval(m, k), interval(1, k + 1 - m), m, k + 1 - m)
+    for m, k in pairs:
+        tau[(m, k)] = block_ratio(cache_x, "d", m, k, ("tau", m, k))
+        if is_zero(tau[(m, k)]):
+            raise NotGeneric(
+                f"tau_({m},{k}) is zero; x is degenerate for the negative blocks",
+                witness=("tau-zero", m, k),
             )
-            tau[(m, k)] = _ratio(den, h[m - 1], ("tau", m, k))
-            if is_zero(tau[(m, k)]):
-                raise NotGeneric(
-                    f"tau_({m},{k}) is zero; x is degenerate for the negative blocks",
-                    witness=("tau-zero", m, k),
-                )
-    partial = W0VFactorization(h=tuple(h), tau=tau, x_plus=Matrix.identity(n), v=v)
+    partial = W0VFactorization(h=h, tau=tau, x_plus=Matrix.identity(n), v=v)
     x_plus = partial.negative_prefix().inverse() * x
     if not x_plus.is_unitriangular("upper"):
         raise QBruhatError("residual of the negative blocks is not upper unitriangular")
     if not in_reduced_cell(x_plus, Permutation.identity(n), v):
         raise QBruhatError("residual is unitriangular but not in the reduced cell of (e, v)")
-    if check_twist:
-        y = twist_general(x, w0, v, check=False)
-        cache_y = MinorCache(y)
-        for i in range(1, n):
-            for j in range(i, n):
-                den = cache_y.spec(
-                    MinorSpec(
-                        interval(1, j),
-                        interval(1, j + 1 - i) + interval(n + 2 - i, n),
-                        j,
-                        j + 1 - i,
-                    )
-                )
-                num = cache_y.spec(
-                    MinorSpec(
-                        interval(1, j),
-                        interval(1, j - i) + interval(n + 1 - i, n),
-                        j,
-                        n + 1 - i,
-                    )
-                )
-                twisted = _ratio(den, num, ("w0-v-twist", i, j))
-                if not is_zero(twisted - tau[(i, j)]):
-                    raise QBruhatError(
-                        f"twisted expression for tau_({i},{j}) disagrees with the direct one"
-                    )
-    return W0VFactorization(h=tuple(h), tau=tau, x_plus=x_plus, v=v)
+    cache_y = MinorCache(twist_general(x, w0, v, check=False))
+    for i, j in pairs:
+        twisted = block_ratio(cache_y, "c", i, j, ("w0-v-twist", i, j))
+        if not is_zero(twisted - tau[(i, j)]):
+            raise QBruhatError(
+                f"twisted expression for tau_({i},{j}) disagrees with the direct one"
+            )
+    return W0VFactorization(h=h, tau=tau, x_plus=x_plus, v=v)
 
 
 # -- the maximal twist identity families -----------------------------------------
@@ -518,40 +508,24 @@ def _anti_spec(n: int, i: int) -> MinorSpec:
     return MinorSpec(interval(n + 1 - i, n), interval(1, i), n + 1 - i, i)
 
 
-def _spec_a(n, i, j):
-    return MinorSpec(interval(1, i) + interval(n + i + 1 - j, n), interval(1, j), i, j)
+# (report family, block family on y, block family on x, witness mark)
+_TRANSFERS = (
+    ("positive-transfer", "a", "b", ""),
+    ("positive-transfer-swapped", "b", "a", "'"),
+    ("negative-transfer", "c", "d", ""),
+    ("negative-transfer-swapped", "d", "c", "'"),
+)
+_TELESCOPED = (
+    ("corollary-telescoped", "a", "b", "0"),
+    ("corollary-telescoped-swapped", "b", "a", "1"),
+)
 
 
-def _spec_a_next(n, i, j):
-    return MinorSpec(interval(1, i) + interval(n + i - j, n), interval(1, j + 1), i, j + 1)
-
-
-def _spec_b(n, i, j):
-    return MinorSpec(interval(1, i), interval(j + 1 - i, j), i, j)
-
-
-def _spec_b_next(n, i, j):
-    return MinorSpec(interval(1, i), interval(j - i + 2, j + 1), i, j + 1)
-
-
-def _spec_c(n, i, j):
-    return MinorSpec(
-        interval(1, j), interval(1, j + 1 - i) + interval(n + 2 - i, n), j, j + 1 - i
-    )
-
-
-def _spec_c_next(n, i, j):
-    return MinorSpec(
-        interval(1, j), interval(1, j - i) + interval(n + 1 - i, n), j, n + 1 - i
-    )
-
-
-def _spec_d(n, i, j):
-    return MinorSpec(interval(i, j), interval(1, j + 1 - i), i, j + 1 - i)
-
-
-def _spec_d_next(n, i, j):
-    return MinorSpec(interval(i, n), interval(1, n + 1 - i), i, n + 1 - i)
+def _telescoped(cache: MinorCache, family: str, i: int, j: int, label):
+    """|den(i, i)|^{-1} |den(i, j)| of `family`: the corollary's telescoped product."""
+    n = cache.x.rows
+    first, last = (BLOCK_FAMILIES[family](n, i, k)[0] for k in (i, j))
+    return _ratio(cache.spec(first), cache.spec(last), label)
 
 
 @dataclass
@@ -585,13 +559,7 @@ def verify_double_ratios(x: Matrix, include_extended: bool = False) -> DoubleRat
     """
     n = x.rows
     w0 = Permutation.longest(n)
-    actual = classify(x)
-    if actual != (w0, w0):
-        raise WrongCell(
-            f"x lies in the cell of {actual!r}, not the maximal cell",
-            expected=(w0, w0),
-            actual=actual,
-        )
+    require_cell(x, w0, w0)
     y = twist_general(x, w0, w0, check=False)
     cx, cy = MinorCache(x), MinorCache(y)
     counts: dict = {}
@@ -604,32 +572,19 @@ def verify_double_ratios(x: Matrix, include_extended: bool = False) -> DoubleRat
 
     for i in range(1, n + 1):
         record("anti-diagonal", (i,), cy.spec(_anti_spec(n, i)), cx.spec(_anti_spec(n, i)))
-    for i in range(1, n):
-        for j in range(i, n):
-            lhs = _ratio(cy.spec(_spec_a(n, i, j)), cy.spec(_spec_a_next(n, i, j)), ("a", i, j))
-            rhs = _ratio(cx.spec(_spec_b(n, i, j)), cx.spec(_spec_b_next(n, i, j)), ("b", i, j))
-            record("positive-transfer", (i, j), lhs, rhs)
-            lhs = _ratio(cy.spec(_spec_b(n, i, j)), cy.spec(_spec_b_next(n, i, j)), ("b'", i, j))
-            rhs = _ratio(cx.spec(_spec_a(n, i, j)), cx.spec(_spec_a_next(n, i, j)), ("a'", i, j))
-            record("positive-transfer-swapped", (i, j), lhs, rhs)
-            lhs = _ratio(cy.spec(_spec_c(n, i, j)), cy.spec(_spec_c_next(n, i, j)), ("c", i, j))
-            rhs = _ratio(cx.spec(_spec_d(n, i, j)), cx.spec(_spec_d_next(n, i, j)), ("d", i, j))
-            record("negative-transfer", (i, j), lhs, rhs)
-            lhs = _ratio(cy.spec(_spec_d(n, i, j)), cy.spec(_spec_d_next(n, i, j)), ("d'", i, j))
-            rhs = _ratio(cx.spec(_spec_c(n, i, j)), cx.spec(_spec_c_next(n, i, j)), ("c'", i, j))
-            record("negative-transfer-swapped", (i, j), lhs, rhs)
-            lhs = cy.spec(_spec_d(n, i, j))
-            rhs = (
-                cx.spec(_spec_d_next(n, i, j))
-                * inv(cx.spec(_spec_c_next(n, i, j)))
-                * cx.spec(_spec_c(n, i, j))
-            )
-            record("corollary-product", (i, j), lhs, rhs)
-            if include_extended:
-                lhs = _ratio(cy.spec(_spec_a(n, i, i)), cy.spec(_spec_a(n, i, j)), ("a0", i, j))
-                rhs = _ratio(cx.spec(_spec_b(n, i, i)), cx.spec(_spec_b(n, i, j)), ("b0", i, j))
-                record("corollary-telescoped", (i, j), lhs, rhs)
-                lhs = _ratio(cy.spec(_spec_b(n, i, i)), cy.spec(_spec_b(n, i, j)), ("b1", i, j))
-                rhs = _ratio(cx.spec(_spec_a(n, i, i)), cx.spec(_spec_a(n, i, j)), ("a1", i, j))
-                record("corollary-telescoped-swapped", (i, j), lhs, rhs)
+    for i, j in sorted(upper_pairs(n)):
+        for family, on_y, on_x, mark in _TRANSFERS:
+            lhs = block_ratio(cy, on_y, i, j, (on_y + mark, i, j))
+            rhs = block_ratio(cx, on_x, i, j, (on_x + mark, i, j))
+            record(family, (i, j), lhs, rhs)
+        c_den, c_num = BLOCK_FAMILIES["c"](n, i, j)
+        d_den, d_num = BLOCK_FAMILIES["d"](n, i, j)
+        lhs = cy.spec(d_den)
+        rhs = cx.spec(d_num) * inv(cx.spec(c_num)) * cx.spec(c_den)
+        record("corollary-product", (i, j), lhs, rhs)
+        if include_extended:
+            for family, on_y, on_x, mark in _TELESCOPED:
+                lhs = _telescoped(cy, on_y, i, j, (on_y + mark, i, j))
+                rhs = _telescoped(cx, on_x, i, j, (on_x + mark, i, j))
+                record(family, (i, j), lhs, rhs)
     return DoubleRatiosReport(n=n, counts=counts, failures=failures, extended=include_extended)

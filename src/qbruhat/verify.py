@@ -1,10 +1,10 @@
 """Named property suites: randomized exact-identity checks with reports.
 
-Every suite runs `trials` independent checks driven by a seeded RNG; a
-NotGeneric sample is resampled within the retry budget, a genuine identity
-violation is recorded as a failure carrying a replayable JSON witness
-(matrix, word, trial, seed).  Reports are deterministic functions of
-(suite, n, trials, seed, bound).
+``SUITES`` maps each suite name to one trial; ``run_suite`` runs it
+`trials` >= 1 times off one seeded RNG.  A NotGeneric sample is resampled
+within the retry budget, a genuine identity violation is recorded as a
+failure carrying a replayable JSON witness (matrix, word, trial, seed).
+Reports are deterministic functions of (suite, n, trials, seed, bound).
 """
 
 from __future__ import annotations
@@ -407,148 +407,108 @@ def check_gauss(x: Matrix, rng: random.Random) -> int:
 # -- suites ---------------------------------------------------------------------
 
 
-def _run_trials(report: SuiteReport, rng: random.Random, body, budget=None):
-    for trial in range(report.trials):
-        try:
-            report.checks += with_retries(lambda: body(rng), budget)
-        except CheckFailed as exc:
-            detail = dict(exc.detail)
-            detail["trial"] = trial
-            detail["seed"] = report.seed
-            detail["suite"] = report.suite
-            report.failures.append(detail)
-    return report
+def _trial_quasidet_identities(rng: random.Random, n: int, bound: int) -> int:
+    x = sample_matrix(rng, n, n, "quat", bound)
+    checks = check_elementary_properties(x, rng)
+    checks += check_homological(x, rng)
+    checks += check_sylvester(x, rng)
+    checks += check_inverse_entries(x)
+    if n <= 3:
+        checks += check_expansion(x, rng)
+    return checks
 
 
-def suite_quasidet_identities(n: int, trials: int, seed: int, bound: int = 2) -> SuiteReport:
-    report = SuiteReport("quasidet-identities", n, trials, seed)
-    rng = random.Random(seed)
-
-    def body(rng):
-        x = sample_matrix(rng, n, n, "quat", bound)
-        checks = check_elementary_properties(x, rng)
-        checks += check_homological(x, rng)
-        checks += check_sylvester(x, rng)
-        checks += check_inverse_entries(x)
-        if n <= 3:
-            checks += check_expansion(x, rng)
-        return checks
-
-    return _run_trials(report, rng, body)
+def _trial_dodgson(rng: random.Random, n: int, bound: int) -> int:
+    return check_dodgson_grid(sample_matrix(rng, n, n, "quat", bound))
 
 
-def suite_dodgson(n: int, trials: int, seed: int, bound: int = 2) -> SuiteReport:
-    report = SuiteReport("dodgson", n, trials, seed)
-    rng = random.Random(seed)
-
-    def body(rng):
-        return check_dodgson_grid(sample_matrix(rng, n, n, "quat", bound))
-
-    return _run_trials(report, rng, body)
+def _trial_plucker(rng: random.Random, n: int, bound: int) -> int:
+    checks = check_quasi_plucker_coords(rng, n)
+    if n >= 3:
+        checks += check_minors_plucker_grid(sample_matrix(rng, n, n, "quat", bound))
+    return checks
 
 
-def suite_plucker(n: int, trials: int, seed: int, bound: int = 2) -> SuiteReport:
-    report = SuiteReport("plucker", n, trials, seed)
-    rng = random.Random(seed)
-
-    def body(rng):
-        checks = check_quasi_plucker_coords(rng, n)
-        if n >= 3:
-            checks += check_minors_plucker_grid(sample_matrix(rng, n, n, "quat", bound))
-        return checks
-
-    return _run_trials(report, rng, body)
+def _trial_gauss(rng: random.Random, n: int, bound: int) -> int:
+    return check_gauss(invertible_matrix(rng, n, "quat", bound), rng)
 
 
-def suite_gauss(n: int, trials: int, seed: int, bound: int = 2) -> SuiteReport:
-    report = SuiteReport("gauss", n, trials, seed)
-    rng = random.Random(seed)
-
-    def body(rng):
-        return check_gauss(invertible_matrix(rng, n, "quat", bound), rng)
-
-    return _run_trials(report, rng, body)
-
-
-def suite_twist_involution(n: int, trials: int, seed: int, bound: int = 2) -> SuiteReport:
-    report = SuiteReport("twist-involution", n, trials, seed)
-    rng = random.Random(seed)
-
-    def body(rng):
-        u = random_permutation(rng, n)
-        v = random_permutation(rng, n)
-        x, word, params = reduced_cell_point(rng, u, v, bound)
-        y = twist_reduced(x, u, v)
-        if not in_reduced_cell(y, v, u):
-            _fail("twist-image-cell", x, u=u.images, v=v.images, word=word.to_text())
-        if twist_reduced(y, v, u) != x:
-            _fail("twist-involution", x, u=u.images, v=v.images, word=word.to_text())
-        h = [nonzero_scalar(rng, "quat", bound) for _ in range(n)]
-        g = Matrix.diagonal(h) * x
-        lhs = twist_general(g, u, v, cross_check=True)
-        if lhs != Matrix.diagonal(h) * y:
-            _fail("twist-equivariance", x, u=u.images, v=v.images)
-        if u == v:
-            if twist_general(lhs, v, u) != g:
-                _fail("twist-general-involution", g, u=u.images)
-        return 3 if u == v else 2
-
-    return _run_trials(report, rng, body)
+def _trial_twist_involution(rng: random.Random, n: int, bound: int) -> int:
+    u = random_permutation(rng, n)
+    v = random_permutation(rng, n)
+    x, word, params = reduced_cell_point(rng, u, v, bound)
+    y = twist_reduced(x, u, v)
+    if not in_reduced_cell(y, v, u):
+        _fail("twist-image-cell", x, u=u.images, v=v.images, word=word.to_text())
+    if twist_reduced(y, v, u) != x:
+        _fail("twist-involution", x, u=u.images, v=v.images, word=word.to_text())
+    h = [nonzero_scalar(rng, "quat", bound) for _ in range(n)]
+    g = Matrix.diagonal(h) * x
+    lhs = twist_general(g, u, v, cross_check=True)
+    if lhs != Matrix.diagonal(h) * y:
+        _fail("twist-equivariance", x, u=u.images, v=v.images)
+    if u == v:
+        if twist_general(lhs, v, u) != g:
+            _fail("twist-general-involution", g, u=u.images)
+    return 3 if u == v else 2
 
 
-def suite_roundtrip(n: int, trials: int, seed: int, bound: int = 2) -> SuiteReport:
-    report = SuiteReport("roundtrip", n, trials, seed)
-    rng = random.Random(seed)
-
-    def body(rng):
-        u = random_permutation(rng, n)
-        v = random_permutation(rng, n)
-        x, word, h, params = cell_point(rng, u, v, bound)
-        out = recover_params(x, word)
-        if list(out.h) != h or list(out.t) != params:
-            _fail("roundtrip", x, word=word.to_text())
-        return 1 + word.length
-
-    return _run_trials(report, rng, body)
+def _trial_roundtrip(rng: random.Random, n: int, bound: int) -> int:
+    u = random_permutation(rng, n)
+    v = random_permutation(rng, n)
+    x, word, h, params = cell_point(rng, u, v, bound)
+    out = recover_params(x, word)
+    if list(out.h) != h or list(out.t) != params:
+        _fail("roundtrip", x, word=word.to_text())
+    return 1 + word.length
 
 
-def suite_double_ratios(
-    n: int, trials: int, seed: int, bound: int = 2, extended: bool = False
-) -> SuiteReport:
-    report = SuiteReport("double-ratios", n, trials, seed)
-    rng = random.Random(seed)
+def _trial_double_ratios(rng: random.Random, n: int, bound: int, extended: bool = False) -> int:
     w0 = Permutation.longest(n)
-
-    def body(rng):
-        x = maximal_cell_point(rng, n, bound)
-        ratios = verify_double_ratios(x, include_extended=extended)
-        if not ratios.all_passed:
-            _fail("double-ratios", x, failures=ratios.failures)
-        checks = sum(ratios.counts.values())
-        xu, _, _, _ = cell_point(rng, random_permutation(rng, n), w0, bound)
-        factor_u_w0(xu)
-        xv, _, _, _ = cell_point(rng, w0, random_permutation(rng, n), bound)
-        factor_w0_v(xv)
-        return checks + 2
-
-    return _run_trials(report, rng, body)
+    x = maximal_cell_point(rng, n, bound)
+    ratios = verify_double_ratios(x, include_extended=extended)
+    if not ratios.all_passed:
+        _fail("double-ratios", x, failures=ratios.failures)
+    checks = sum(ratios.counts.values())
+    xu, _, _, _ = cell_point(rng, random_permutation(rng, n), w0, bound)
+    factor_u_w0(xu)
+    xv, _, _, _ = cell_point(rng, w0, random_permutation(rng, n), bound)
+    factor_w0_v(xv)
+    return checks + 2
 
 
 SUITES = {
-    "quasidet-identities": suite_quasidet_identities,
-    "dodgson": suite_dodgson,
-    "plucker": suite_plucker,
-    "gauss": suite_gauss,
-    "twist-involution": suite_twist_involution,
-    "roundtrip": suite_roundtrip,
-    "double-ratios": suite_double_ratios,
+    "quasidet-identities": _trial_quasidet_identities,
+    "dodgson": _trial_dodgson,
+    "plucker": _trial_plucker,
+    "gauss": _trial_gauss,
+    "twist-involution": _trial_twist_involution,
+    "roundtrip": _trial_roundtrip,
+    "double-ratios": _trial_double_ratios,
 }
+"""Suite name -> one trial: (rng, n, bound, **kwargs) -> number of checks."""
 
 
 def run_suite(name: str, n: int, trials: int, seed: int, bound: int = 2, **kwargs) -> SuiteReport:
+    """Run `trials` seeded trials of one suite; NotGeneric samples are resampled."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     if n < 2:
         # GL_1 has no Weyl letters and no quasiminor identity to check
         raise ValueError(f"suites need n >= 2, got {n}")
-    return SUITES[name](n, trials, seed, bound, **kwargs)
+    if trials < 1:
+        # zero trials would report a PASS that checked nothing
+        raise ValueError(f"suites need trials >= 1, got {trials}")
+    trial_body = SUITES[name]
+    report = SuiteReport(name, n, trials, seed)
+    rng = random.Random(seed)
+    for trial in range(trials):
+        try:
+            report.checks += with_retries(lambda: trial_body(rng, n, bound, **kwargs))
+        except CheckFailed as exc:
+            detail = dict(exc.detail)
+            detail["trial"] = trial
+            detail["seed"] = seed
+            detail["suite"] = name
+            report.failures.append(detail)
+    return report

@@ -141,6 +141,10 @@ def test_bad_indices_and_sizes_are_usage_errors(capsys):
         ("quasidet", "--input", EYE2, "--row", "9", "--col", "1"),
         ("verify", "--suite", "gauss", "--n", "0"),
         ("verify", "--suite", "quasidet-identities", "--n", "1"),
+        ("verify", "--suite", "gauss", "--n", "2", "--trials", "0"),
+        ("verify", "--suite", "gauss", "--n", "2", "--trials", "-1"),
+        ("twist", "--input", GENERIC3, "--u", "1,2", "--v", "1,2,3"),
+        ("twist", "--input", GENERIC3, "--u", "1,2", "--v", "1,2,3", "--general"),
     )
     for argv in cases:
         code, _, err = run(capsys, *argv)
@@ -148,21 +152,37 @@ def test_bad_indices_and_sizes_are_usage_errors(capsys):
         assert err.startswith("error:") and "Traceback" not in err
 
 
+DATA = Path(__file__).parent / "data"
 GOLDEN_COMMANDS = (
     ("verify", "--suite", "all", "--n", "3", "--seed", "0"),
     ("verify", "--suite", "all", "--n", "4", "--seed", "0", "--trials", "3"),
     ("demo",),
 )
-GOLDEN_REPORTS = Path(__file__).parent / "data" / "cli_reports.txt"
+GOLDEN_REPORTS = DATA / "cli_reports.txt"
+# A generic 4x4 quaternion matrix of the (w0, w0) cell; every block
+# parameter and both quasiminor forms of it are defined.
+MAXIMAL4 = "maximal4.json"
+BLOCK_COMMANDS = (
+    ("factor", "--mode", "u-w0", "--input", MAXIMAL4),
+    ("factor", "--mode", "w0-v", "--input", MAXIMAL4),
+    ("double-ratios", "--input", MAXIMAL4),
+    ("double-ratios", "--extended", "--input", MAXIMAL4),
+)
+BLOCK_REPORTS = DATA / "block_reports.txt"
 
 
-def render_golden_reports() -> str:
-    """Each command line, its stdout, then its exit code, in one text block."""
+def render_golden_reports(commands=GOLDEN_COMMANDS) -> str:
+    """Each command line, its stdout, then its exit code, in one text block.
+
+    Data file names in the argv are resolved against tests/data but shown
+    as written, so the text does not depend on where the tests run.
+    """
     blocks = []
-    for argv in GOLDEN_COMMANDS:
+    for argv in commands:
+        resolved = [str(DATA / a) if a == MAXIMAL4 else a for a in argv]
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            code = main(list(argv))
+            code = main(resolved)
         blocks.append(f"$ qbruhat {' '.join(argv)}\n{out.getvalue()}[exit {code}]\n")
     return "".join(blocks)
 
@@ -170,3 +190,10 @@ def render_golden_reports() -> str:
 def test_reports_match_recorded_golden_output():
     # Seeded reports are byte-stable; the recorded file is the contract.
     assert render_golden_reports() == GOLDEN_REPORTS.read_text(encoding="utf-8")
+
+
+def test_block_factorization_reports_match_recorded_golden_output():
+    # The u-w0 / w0-v block parameters and every double-ratio family on
+    # one fixed maximal-cell point, recorded before the family table existed.
+    rendered = render_golden_reports(BLOCK_COMMANDS)
+    assert rendered == BLOCK_REPORTS.read_text(encoding="utf-8")

@@ -451,7 +451,7 @@ def test_factor_u_w0_roundtrip_and_cell():
 def test_factor_u_w0_trivial_on_lower_triangular():
     rng = rnd()
     x = upper_triangular(rng, 3).transpose()
-    result = factor_u_w0(x, check_twist=False)
+    result = factor_u_w0(x)
     assert result.x_minus == x
     assert all(is_zero(t) for t in result.t.values())
 
@@ -461,7 +461,7 @@ def test_factor_u_w0_commutative_minor_ratios():
 
     def body():
         x = sample_matrix(rng, 4, 4, "rat", 4)
-        result = factor_u_w0(x, check_twist=False)
+        result = factor_u_w0(x)
         for (m, k), value in result.t.items():
             d1 = det_minor(x, interval(1, m), interval(k - m + 1, k))
             d2 = det_minor(x, interval(1, m - 1), interval(k - m + 1, k - 1)) if m > 1 else 1
