@@ -14,11 +14,15 @@ The twist of a reduced cell point is
     psi(x) = ([x vbar']_-)^iota (x^iota)^{-1} ([ubar^{-1} x]_+)^iota
 
 with vbar' the signed representative of v^{-1} and iota the positive
-inverse; (x^iota)^{-1} collapses to J x J and costs no inversion.  The
-general twist prepends the permuted torus part of [ubar^{-1} x]_0 and is
-left H-equivariant.  Errors distinguish "wrong cell" (WrongCell) from "a
-Gauss projection failed" (NotGeneric), because the harness treats them
-differently; ``require_cell`` is the one cell gate, and a permutation of
+inverse, so (x^iota)^{-1} = J x J.  The general twist prepends the permuted
+torus part of [ubar^{-1} x]_0 (1 on the reduced cell) and is left
+H-equivariant.  As x [ubar^{-1} x]_+^{-1} = ubar [ubar^{-1} x]_-, both are
+J [x vbar']_-^{-1} ubar [ubar^{-1} x]_- J with rows scaled by that torus
+part: one left division (``Matrix.solve``), no inverse.  The form above and
+the forms through [(vbar x^iota)^{-1}]_+ and [ubar' (x^iota)^{-1}]_- are
+the ``cross_check`` oracles.  Errors distinguish "wrong cell" (WrongCell)
+from "a Gauss projection failed" (NotGeneric), because the harness treats
+them differently; ``require_cell`` is the one cell gate, and a permutation of
 another size than x is a ShapeMismatch there.
 """
 
@@ -189,25 +193,23 @@ def in_reduced_cell(x: Matrix, u: Permutation, v: Permutation) -> bool:
     )
 
 
-def _projection(kind: str, m: Matrix, label: str) -> Matrix:
+def _gauss(m: Matrix, label: str):
+    """``gauss_parts(m)``; a failure names the twist projection `label`."""
     try:
-        low, mid, up = gauss_parts(m)
+        return gauss_parts(m)
     except NotGeneric as exc:
         raise NotGeneric(
             f"Gauss projection {label} failed: {exc}", witness=("projection", label)
         ) from exc
-    return {"-": low, "0": mid, "+": up}[kind]
 
 
 def twist_reduced(x: Matrix, u: Permutation, v: Permutation, check: bool = True) -> Matrix:
-    """The twist of a reduced cell point; lands in the opposite reduced cell."""
+    """The reduced-cell gate, then ``twist_general``; lands in the opposite reduced cell."""
     if check and not in_reduced_cell(x, u, v):
         raise WrongCell(
             f"x is in the double cell of ({u!r}, {v!r}) but not in its reduced cell"
         )
-    left = _projection("-", right_by_representative(x, v.inverse()), "[x vbar']_-")
-    right = _projection("+", left_by_representative(u, x, inverse=True), "[ubar^-1 x]_+")
-    return iota(left) * iota_inverse_free(x) * iota(right)
+    return twist_general(x, u, v, check=False)
 
 
 def _torus_entries(u: Permutation, h: Matrix) -> list:
@@ -229,36 +231,27 @@ def twist_general(
     check: bool = True,
     cross_check: bool = False,
 ) -> Matrix:
-    """Left H-equivariant twist on the full double cell.
+    """Left H-equivariant twist on the full double cell, inverse-free.
 
-    With `cross_check`, the two alternative closed forms are evaluated as
-    well and must agree exactly.
+    With `cross_check`, the paper's form and the two alternative closed
+    forms are evaluated as well and must agree exactly.
     """
     if check:
         require_cell(x, u, v)
-    try:
-        _, mid0, up0 = gauss_parts(left_by_representative(u, x, inverse=True))
-    except NotGeneric as exc:
-        raise NotGeneric(
-            f"Gauss projection [ubar^-1 x] failed: {exc}",
-            witness=("projection", "[ubar^-1 x]"),
-        ) from exc
+    low0, mid0, up0 = _gauss(left_by_representative(u, x, inverse=True), "[ubar^-1 x]")
+    left = _gauss(right_by_representative(x, v.inverse()), "[x vbar']_-")[0]
     torus = _torus_entries(u, mid0)
-    left = _projection("-", right_by_representative(x, v.inverse()), "[x vbar']_-")
-    core = iota_inverse_free(x)
-    iota_left, iota_up = iota(left), iota(up0)
-    result = (iota_left * core * iota_up)._scale_rows(torus)
+    result = iota_inverse_free(left.solve(left_by_representative(u, low0)))._scale_rows(torus)
     if cross_check:
-        plus = _projection(
-            "+", right_by_representative(core, v, inverse=True), "[(vbar x^iota)^-1]_+"
-        )
+        core = iota_inverse_free(x)
+        iota_left, iota_up = iota(left), iota(up0)
+        paper = (iota_left * core * iota_up)._scale_rows(torus)
+        plus = _gauss(right_by_representative(core, v, inverse=True), "[(vbar x^iota)^-1]_+")[2]
         alt1 = (right_by_representative(plus, v) * iota_up)._scale_rows(torus)
-        minus = _projection(
-            "-", left_by_representative(u.inverse(), core), "[ubar' (x^iota)^-1]_-"
-        )
+        minus = _gauss(left_by_representative(u.inverse(), core), "[ubar' (x^iota)^-1]_-")[0]
         alt2 = (
             iota_left * left_by_representative(u.inverse(), minus, inverse=True)
         )._scale_rows(torus)
-        if result != alt1 or result != alt2:
-            raise QBruhatError("the three twist formulas disagree")
+        if result != paper or result != alt1 or result != alt2:
+            raise QBruhatError("the twist formulas disagree")
     return result

@@ -257,6 +257,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (error classes, exit code, stderr prefix); the first isinstance match wins.
+EXIT_CODES = (
+    ((UsageError, NotReducedWord, IndexOutOfRange, ShapeMismatch, ValueError), 2, "error: "),
+    ((RetriesExhausted,), 3, "error: "),
+    ((NotGeneric,), 3, "error: not generic: "),
+    ((QBruhatError,), 1, "error: "),
+)
+_HANDLED = tuple(kind for kinds, _, _ in EXIT_CODES for kind in kinds)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -265,21 +275,10 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NotReducedWord, IndexOutOfRange, ShapeMismatch, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RetriesExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NotGeneric as exc:
-        print(f"error: not generic: {exc}", file=sys.stderr)
-        return 3
-    except QBruhatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except _HANDLED as exc:
+        code, prefix = next((c, p) for kinds, c, p in EXIT_CODES if isinstance(exc, kinds))
+        print(f"{prefix}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

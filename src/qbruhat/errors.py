@@ -28,9 +28,9 @@ class NotGeneric(QBruhatError):
 
     ``witness`` identifies what failed, as a tuple led by its kind:
 
-    * kernels: ``("pivot", k)`` (no pivot in column k of an inverse, or a
-      zero elimination pivot k), ``("inner", p, q)`` (the inner block of
-      |A|_pq is singular), ``("rank", r)``, ``("column", j)``,
+    * kernels: ``("pivot", k)`` (no pivot in column k of a solve or an
+      inverse, or a zero elimination pivot k), ``("inner", p, q)`` (the
+      inner block of |A|_pq is singular), ``("rank", r)``, ``("column", j)``,
       ``("principal", k)``, ``("projection", label)``,
       ``("pivot-block", I0, J0)``, ``("expansion", r, c)``,
       ``("plucker-left", I, i, j)``, ``("plucker-right", I, i, j)``,

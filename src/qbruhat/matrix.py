@@ -150,8 +150,7 @@ class Matrix:
             for a, b in zip(ra, rb)
         )
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, self._e))
+    __hash__ = None  # no hash of the entries follows the is_zero(a - b) equality
 
     def __add__(self, other):
         if not isinstance(other, Matrix):
@@ -268,20 +267,26 @@ class Matrix:
         J = tuple(c for c in range(1, self.cols + 1) if c != j)
         return self.submatrix(I, J)
 
-    def inverse(self) -> "Matrix":
-        """Exact inverse: ``_row_reduce`` on ``[x | 1]`` leaves ``[1 | x^-1]``.
+    def solve(self, b: "Matrix") -> "Matrix":
+        """x^-1 * b without forming x^-1: ``_row_reduce`` on ``[x | b]`` leaves ``[1 | x^-1 b]``.
 
-        Raises NotGeneric naming the first column without a pivot.
+        Raises NotGeneric with witness ("pivot", k), k the first column of x without a pivot.
         """
         if not self.is_square:
             raise ShapeMismatch(f"cannot invert {self.shape_str()}")
+        if b.rows != self.rows:
+            raise ShapeMismatch(f"cannot solve {self.shape_str()} against {b.shape_str()}")
         n = self.rows
-        m = [list(row) + [1 if r == c else 0 for c in range(n)] for r, row in enumerate(self._e)]
+        m = [list(row) + list(rhs) for row, rhs in zip(self._e, b._e)]
         pivots = _row_reduce(m, n)
         if len(pivots) < n:
             k = next((i for i, c in enumerate(pivots) if i != c), len(pivots)) + 1
             raise NotGeneric(f"matrix is singular: no pivot in column {k}", witness=("pivot", k))
-        return Matrix([row[n:] for row in m])
+        return Matrix._wrap(tuple(tuple(row[n:]) for row in m))
+
+    def inverse(self) -> "Matrix":
+        """Exact inverse, ``solve`` against the identity; raises as ``solve``."""
+        return self.solve(Matrix.identity(self.rows))
 
     # -- shape predicates -----------------------------------------------------
 

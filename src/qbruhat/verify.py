@@ -499,6 +499,8 @@ def run_suite(name: str, n: int, trials: int, seed: int, bound: int = 2, **kwarg
     if trials < 1:
         # zero trials would report a PASS that checked nothing
         raise ValueError(f"suites need trials >= 1, got {trials}")
+    if bound < 1:
+        raise ValueError(f"suites need bound >= 1 to draw nonzero entries, got {bound}")
     trial_body = SUITES[name]
     report = SuiteReport(name, n, trials, seed)
     rng = random.Random(seed)

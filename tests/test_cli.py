@@ -143,6 +143,8 @@ def test_bad_indices_and_sizes_are_usage_errors(capsys):
         ("verify", "--suite", "quasidet-identities", "--n", "1"),
         ("verify", "--suite", "gauss", "--n", "2", "--trials", "0"),
         ("verify", "--suite", "gauss", "--n", "2", "--trials", "-1"),
+        ("verify", "--suite", "gauss", "--n", "2", "--trials", "1", "--bound", "0"),
+        ("verify", "--suite", "gauss", "--n", "2", "--trials", "1", "--bound", "-1"),
         ("twist", "--input", GENERIC3, "--u", "1,2", "--v", "1,2,3"),
         ("twist", "--input", GENERIC3, "--u", "1,2", "--v", "1,2,3", "--general"),
     )
@@ -169,6 +171,14 @@ BLOCK_COMMANDS = (
     ("double-ratios", "--extended", "--input", MAXIMAL4),
 )
 BLOCK_REPORTS = DATA / "block_reports.txt"
+# A reduced-cell 4x4 quaternion point: product_map of the double word
+# (-1, 2, -3, 1, -2, 3, 2), so u = (2, 4, 1, 3) and v = (3, 4, 1, 2).
+REDUCED4 = "reduced4.json"
+TWIST_COMMANDS = (
+    ("twist", "--general", "--u", "4,3,2,1", "--v", "4,3,2,1", "--input", MAXIMAL4),
+    ("twist", "--u", "2,4,1,3", "--v", "3,4,1,2", "--input", REDUCED4),
+)
+TWIST_REPORTS = DATA / "twist_reports.txt"
 
 
 def render_golden_reports(commands=GOLDEN_COMMANDS) -> str:
@@ -179,7 +189,7 @@ def render_golden_reports(commands=GOLDEN_COMMANDS) -> str:
     """
     blocks = []
     for argv in commands:
-        resolved = [str(DATA / a) if a == MAXIMAL4 else a for a in argv]
+        resolved = [str(DATA / a) if a in (MAXIMAL4, REDUCED4) else a for a in argv]
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(resolved)
@@ -197,3 +207,10 @@ def test_block_factorization_reports_match_recorded_golden_output():
     # one fixed maximal-cell point, recorded before the family table existed.
     rendered = render_golden_reports(BLOCK_COMMANDS)
     assert rendered == BLOCK_REPORTS.read_text(encoding="utf-8")
+
+
+def test_twist_reports_match_recorded_golden_output():
+    # The general twist of the maximal point and the reduced twist of the
+    # reduced-cell point, recorded before the inverse-free twist existed.
+    rendered = render_golden_reports(TWIST_COMMANDS)
+    assert rendered == TWIST_REPORTS.read_text(encoding="utf-8")

@@ -2,23 +2,26 @@
 
 Every structured helper must equal, entry for entry and exactly, the dense
 product with the elementary, signed permutation or diagonal matrix built by
-the public constructors.  The Gauss-Jordan kernel behind the inverse, rank
-and quasideterminants must agree with the textbook definitions, and the
-row-only Bruhat reduction must factor x = b1 * ubar * b2.
+the public constructors.  The Gauss-Jordan kernel behind solve, the
+inverse, rank and quasideterminants must agree with the textbook
+definitions, the row-only Bruhat reduction must factor x = b1 * ubar * b2,
+and the inverse-free twist must agree with the paper's forms.
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qbruhat.cells import bruhat_factor, classify, torus_twist
+from qbruhat.cells import bruhat_factor, classify, torus_twist, twist_general, twist_reduced
 from qbruhat.errors import NotGeneric
 from qbruhat.factorize import letter_matrix
 from qbruhat.gauss import ldu_elimination
 from qbruhat.matrix import Matrix, rank
 from qbruhat.quasidet import quasideterminant
+from qbruhat.sampling import cell_point, reduced_cell_point
 from qbruhat.scalars import RationalQuaternion as Q
 from qbruhat.weyl import (
     Permutation,
@@ -180,6 +183,10 @@ def test_rank_deficient_inverse_names_first_column_without_pivot(data):
     with pytest.raises(NotGeneric) as info:
         x.inverse()
     assert info.value.witness == ("pivot", k)
+    rhs = Matrix([[data.draw(quaternions)] for _ in range(n)])
+    with pytest.raises(NotGeneric) as info:
+        x.solve(rhs)
+    assert info.value.witness == ("pivot", k)
 
 
 @settings(max_examples=60, deadline=None)
@@ -227,3 +234,66 @@ def test_bruhat_factor_on_every_cell_of_s4(data):
         assert b2.is_upper_triangular()
         assert b1 * representative(found) * b2 == x
         assert found == u == classify(x).u
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_solve_equals_inverse_times_rhs(data):
+    a = data.draw(square_matrices())
+    assume(rank(a) == a.rows)
+    width = data.draw(st.integers(1, 6))
+    b = Matrix([[data.draw(quaternions) for _ in range(width)] for _ in range(a.rows)])
+    z = a.solve(b)
+    assert z == a.inverse() * b
+    assert a * z == b
+
+
+@st.composite
+def cell_pairs(draw):
+    n = draw(st.integers(2, 6))
+    return draw(permutations(n)), draw(permutations(n)), random.Random(draw(st.integers(0, 2**32)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(cell_pairs())
+def test_twist_general_agrees_with_the_paper_forms(pair):
+    u, v, rng = pair
+    g, _, _, _ = cell_point(rng, u, v)
+    try:
+        twist_general(g, u, v, cross_check=True)
+    except NotGeneric:
+        assume(False)
+
+
+@settings(max_examples=30, deadline=None)
+@given(cell_pairs())
+def test_twist_reduced_is_twist_general_on_reduced_points(pair):
+    u, v, rng = pair
+    x, _, _ = reduced_cell_point(rng, u, v)
+    try:
+        expected = twist_general(x, u, v)
+    except NotGeneric:
+        assume(False)
+    assert twist_reduced(x, u, v) == expected
+
+
+SWAP = Matrix([[0, 1], [1, 0]])
+S1, E2 = Permutation((2, 1)), Permutation.identity(2)
+
+
+@pytest.mark.parametrize(
+    "u, v, label",
+    [
+        # ubar^-1 x = SWAP has no Gauss decomposition, x vbar' does
+        (E2, S1, "[ubar^-1 x]"),
+        # ubar^-1 x = diag(1, -1) does, x vbar' = SWAP does not
+        (S1, E2, "[x vbar']_-"),
+        # both fail; [ubar^-1 x] is decomposed first
+        (E2, E2, "[ubar^-1 x]"),
+    ],
+)
+def test_twist_projection_witness_labels(u, v, label):
+    for twist in (twist_general, twist_reduced):
+        with pytest.raises(NotGeneric) as info:
+            twist(SWAP, u, v, check=False)
+        assert info.value.witness == ("projection", label)

@@ -90,6 +90,12 @@ def test_inverse_singular_names_pivot():
         Matrix([[1, 2]]).inverse()
 
 
+def test_matrices_are_unhashable():
+    # equality goes through is_zero(a - b), which no hash of the entries follows
+    with pytest.raises(TypeError):
+        hash(Matrix.identity(2))
+
+
 def test_inverse_entries_are_inverted_quasideterminants():
     rng = random.Random(11)
     x = invertible_matrix(rng, 3)
