@@ -448,16 +448,23 @@ class W0VFactorization:
     x_plus: Matrix
     v: Permutation
 
-    def negative_prefix(self) -> Matrix:
+    def _letters(self) -> list:
+        """The (letter, tau) factors of the negative blocks, in product order."""
         n = len(self.h)
+        return [(-k, self.tau[(m, k)]) for m in range(n - 1, 0, -1) for k in range(m, n)]
+
+    def negative_prefix(self) -> Matrix:
         acc = Matrix.diagonal(list(self.h))
-        for m in range(n - 1, 0, -1):
-            for k in range(m, n):
-                acc = acc._right_letter(-k, self.tau[(m, k)])
+        for letter, t in self._letters():
+            acc = acc._right_letter(letter, t)
         return acc
 
     def replay(self) -> Matrix:
-        return self.negative_prefix() * self.x_plus
+        """The letters act on x_plus as row operations, last letter first, then the torus."""
+        acc = self.x_plus
+        for letter, t in reversed(self._letters()):
+            acc = acc._left_letter(letter, t)
+        return acc._scale_rows(self.h)
 
 
 def factor_w0_v(x: Matrix) -> W0VFactorization:

@@ -21,25 +21,63 @@ equal the positive quasiminor with I = u[1,k], J = v[1,k] marked at
 (u(k), v(k)), and also the principal quasiminor of ubar^{-1} x vbar where
 ubar, vbar are the signed representatives.  `quasiminor_indexed` computes
 both and insists they agree; `quasiminor_uv` is the fast single-route
-version used in inner loops.
+version used in inner loops.  One bounded table, ``_level_key``, turns
+(w, k) into (w[1, k] sorted, w(k)) for every one of them.
+
+Quasiminors come in families.  By the definition and heredity
+(Gelfand, Gelfand, Retakh, Wilson, *Quasideterminants*, Adv. Math. 193
+(2005), Thm 1.5.2), |x_{I'+p, J'+q}|_{p,q} is entry (p, q) of the Schur
+complement x[R, C] - x[R, J'] x[I', J']^{-1} x[I', C] of the inner block
+(I', J'), so every member of a family reads one elimination of
+[x[I', J'] | x[I', C]] (``_schur_columns``).  ``MinorCache`` keeps that
+elimination per inner block, made when the first member is asked for;
+``sylvester_reduce`` is the Schur complement of its pivot block, and
+``quasideterminant`` the one-member case.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, NotGeneric, QBruhatError
-from .matrix import Matrix, _dot, _row_reduce, check_index_set, interval, rank
+from .matrix import Matrix, _dot, _row_reduce, check_index_set, interval
 from .scalars import inv, is_zero
 from .weyl import Permutation, left_by_representative, right_by_representative
+
+
+def _schur_columns(e, I, J, cols):
+    """{q: x[I, J]^{-1} x[I, q]} for q in cols; None when x[I, J] is singular.
+
+    `e` holds the rows of x as 0-based tuples; I, J and cols are 1-based,
+    with |I| = |J| >= 1.  One ``_row_reduce`` of [x[I, J] | x[I, cols]]
+    leaves the identity on the left and the solved columns on the right.
+    """
+    k = len(J)
+    m = [[row[c - 1] for c in J] + [row[c - 1] for c in cols] for row in (e[r - 1] for r in I)]
+    if len(_row_reduce(m, k)) < k:
+        return None
+    return dict(zip(cols, zip(*(row[k:] for row in m))))
+
+
+def _schur_entry(e, J, z, p: int, q: int):
+    """Entry (p, q) of the Schur complement of x[I, J]: x[p, q] - x[p, J] z_q."""
+    row = e[p - 1]
+    return row[q - 1] - _dot([row[c - 1] for c in J], z[q])
+
+
+def _inner_singular(p: int, q: int, size: int) -> NotGeneric:
+    return NotGeneric(
+        f"quasideterminant |A|_({p},{q}) undefined: inner {size}x{size} submatrix singular",
+        witness=("inner", p, q),
+    )
 
 
 def quasideterminant(A: Matrix, p: int, q: int):
     """|A|_pq, exact; NotGeneric when the inner submatrix A^pq is singular.
 
-    The Schur complement a_pq - r_p z of the inner block: ``_row_reduce``
-    on the bordered rows [A^pq | c_q] leaves z = (A^pq)^{-1} c_q in the
-    last column, and r_p multiplies z from the left.
+    The Schur complement a_pq - r_p z of the inner block, with
+    z = (A^pq)^{-1} c_q from ``_schur_columns``; r_p multiplies z from the left.
     """
     if not A.is_square:
         raise IndexOutOfRange(f"quasideterminant needs a square matrix, got {A.shape_str()}")
@@ -47,16 +85,12 @@ def quasideterminant(A: Matrix, p: int, q: int):
     a_pq = A[p, q]
     if n == 1:
         return a_pq
-    e = A.to_lists()
-    r_p = e.pop(p - 1)
-    del r_p[q - 1]
-    bordered = [row[: q - 1] + row[q:] + [row[q - 1]] for row in e]
-    if len(_row_reduce(bordered, n - 1)) < n - 1:
-        raise NotGeneric(
-            f"quasideterminant |A|_({p},{q}) undefined: inner {n - 1}x{n - 1} submatrix singular",
-            witness=("inner", p, q),
-        )
-    return a_pq - _dot(r_p, [row[-1] for row in bordered])
+    rows = [r for r in range(1, n + 1) if r != p]
+    cols = [c for c in range(1, n + 1) if c != q]
+    z = _schur_columns(A._e, rows, cols, (q,))
+    if z is None:
+        raise _inner_singular(p, q, n - 1)
+    return _schur_entry(A._e, cols, z, p, q)
 
 
 def quasidet_expansion(A: Matrix, p: int, q: int):
@@ -139,12 +173,17 @@ class SnMinorSpec:
     k: int
 
     def minor_spec(self) -> MinorSpec:
-        if not 1 <= self.k <= self.u.n:
-            raise IndexOutOfRange(f"level {self.k} outside [1, {self.u.n}]")
-        rng = interval(1, self.k)
-        return MinorSpec(
-            self.u.act_set(rng), self.v.act_set(rng), self.u(self.k), self.v(self.k)
-        )
+        I, i = _level_key(self.u.images, self.k)
+        J, j = _level_key(self.v.images, self.k)
+        return MinorSpec(I, J, i, j)
+
+
+@functools.lru_cache(maxsize=4096)
+def _level_key(images: tuple, k: int) -> tuple:
+    """(w[1, k] in increasing order, w(k)) for the permutation with these images."""
+    if not 1 <= k <= len(images):
+        raise IndexOutOfRange(f"level {k} outside [1, {len(images)}]")
+    return tuple(sorted(images[:k])), images[k - 1]
 
 
 def quasiminor_uv(x: Matrix, u: Permutation, v: Permutation, k: int):
@@ -254,9 +293,10 @@ def sylvester_reduce(A: Matrix, I0, J0) -> Matrix:
 
     Returns B indexed by the complements of I0 and J0 in their original
     order, with b_pq the quasideterminant of the bordered pivot block
-    marked at (p, q); |A|_st = |B|_st for every surviving position.  An
-    empty pivot returns A itself; the pivot {2..n-1} is the noncommutative
-    Lewis Carroll setup.
+    marked at (p, q); |A|_st = |B|_st for every surviving position.  B is
+    the Schur complement of A_{I0,J0}, read off one ``_schur_columns``
+    elimination.  An empty pivot returns A itself; the pivot {2..n-1} is
+    the noncommutative Lewis Carroll setup.
     """
     if not A.is_square:
         raise IndexOutOfRange("sylvester_reduce needs a square matrix")
@@ -269,41 +309,51 @@ def sylvester_reduce(A: Matrix, I0, J0) -> Matrix:
         raise IndexOutOfRange("pivot must be a proper submatrix")
     if not I0:
         return A
-    if rank(A.submatrix(I0, J0)) < len(I0):
+    comp_rows = tuple(r for r in range(1, n + 1) if r not in I0)
+    comp_cols = tuple(c for c in range(1, n + 1) if c not in J0)
+    z = _schur_columns(A._e, I0, J0, comp_cols)
+    if z is None:
         raise NotGeneric(
             f"pivot submatrix A_{I0},{J0} is singular",
             witness=("pivot-block", I0, J0),
         )
-    comp_rows = tuple(r for r in range(1, n + 1) if r not in I0)
-    comp_cols = tuple(c for c in range(1, n + 1) if c not in J0)
-    entries = []
-    for p in comp_rows:
-        row = []
-        for q in comp_cols:
-            rows = tuple(sorted(I0 + (p,)))
-            cols = tuple(sorted(J0 + (q,)))
-            row.append(boxed_quasiminor(A, rows, cols, p, q))
-        entries.append(row)
-    return Matrix(entries)
+    return Matrix([[_schur_entry(A._e, J0, z, p, q) for q in comp_cols] for p in comp_rows])
 
 
 class MinorCache:
-    """Memoizes positive quasiminors of one fixed matrix.
+    """Memoizes the positive quasiminors of one fixed matrix x.
 
-    The identity grids evaluate the same quasiminor over and over; NotGeneric
-    outcomes are cached too, so repeated failures cost nothing.
+    ``_memo`` maps (I, J, i, j) to ("ok", value) or ("err", NotGeneric):
+    the identity grids ask for the same quasiminor over and over, and a
+    repeated failure costs nothing.  A miss reads the Schur-complement
+    family of its inner block (I', J') = (I - {i}, J - {j}) (GGRW 2005,
+    Thm 1.5.2, see the module docstring): ``_blocks`` maps (I', J') to
+    ``_schur_columns`` of x[I', J'] against every column outside J', or to
+    None when x[I', J'] is singular, and the member is
+    (-1)^{d_i(I) + d_j(J)} (x[i, j] - x[i, J'] z_j).  A block is eliminated
+    when the first member of its family is asked for, never ahead: most
+    families are read in one or two members.
     """
 
     def __init__(self, x: Matrix):
         self.x = x
         self._memo = {}
+        self._blocks = {}
 
     def spec(self, spec: MinorSpec):
-        key = (spec.I, spec.J, spec.i, spec.j)
+        return self._lookup(spec.I, spec.J, spec.i, spec.j)
+
+    def uv(self, u: Permutation, v: Permutation, k: int):
+        I, i = _level_key(u.images, k)
+        J, j = _level_key(v.images, k)
+        return self._lookup(I, J, i, j)
+
+    def _lookup(self, I, J, i, j):
+        key = (I, J, i, j)
         hit = self._memo.get(key)
         if hit is None:
             try:
-                hit = ("ok", positive_quasiminor(self.x, spec))
+                hit = ("ok", self._member(I, J, i, j))
             except NotGeneric as exc:
                 hit = ("err", exc)
             self._memo[key] = hit
@@ -311,5 +361,22 @@ class MinorCache:
             raise hit[1]
         return hit[1]
 
-    def uv(self, u: Permutation, v: Permutation, k: int):
-        return self.spec(SnMinorSpec(u, v, k).minor_spec())
+    def _member(self, I, J, i, j):
+        x = self.x
+        check_index_set(I, x.rows)
+        check_index_set(J, x.cols)
+        e = x._e
+        inner_rows = tuple(r for r in I if r != i)
+        if not inner_rows:
+            return e[i - 1][j - 1]
+        inner_cols = tuple(c for c in J if c != j)
+        block = (inner_rows, inner_cols)
+        if block not in self._blocks:
+            outside = tuple(c for c in range(1, x.cols + 1) if c not in inner_cols)
+            self._blocks[block] = _schur_columns(e, inner_rows, inner_cols, outside)
+        z = self._blocks[block]
+        d_i, d_j = count_greater(I, i), count_greater(J, j)
+        if z is None:
+            raise _inner_singular(len(I) - d_i, len(J) - d_j, len(inner_rows))
+        value = _schur_entry(e, inner_cols, z, i, j)
+        return -value if (d_i + d_j) % 2 else value

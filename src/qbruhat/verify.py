@@ -232,14 +232,15 @@ def check_expansion(x: Matrix, rng: random.Random) -> int:
 
 
 def _dodgson_admissible(n: int):
+    """(u, u s_i, v, v s_i, i) for every admissible triple; each product is built once."""
     perms = all_permutations(n)
     out = []
     for i in range(1, n):
         s = Permutation.simple(i, n)
-        us = [u for u in perms if (u * s).length() == u.length() + 1]
-        for u in us:
-            for v in us:
-                out.append((u, v, i))
+        pairs = [(u, us) for u in perms if (us := u * s).length() == u.length() + 1]
+        for u, us in pairs:
+            for v, vs in pairs:
+                out.append((u, us, v, vs, i))
     return out
 
 
@@ -263,9 +264,7 @@ def check_dodgson_grid(x: Matrix) -> int:
     n = x.rows
     cache = MinorCache(x)
     checks = 0
-    for u, v, i in _dodgson_admissible(n):
-        s = Permutation.simple(i, n)
-        us, vs = u * s, v * s
+    for u, us, v, vs, i in _dodgson_admissible(n):
         d_uv = cache.uv(u, v, i)
         d_usv = cache.uv(us, v, i)
         d_uvs = cache.uv(u, vs, i)
@@ -316,23 +315,25 @@ def check_minors_plucker_grid(x: Matrix) -> int:
     perms = all_permutations(n)
     for i, s_i, s_next, ws in _plucker_admissible(n):
         for w in ws:
+            w_next, w_i = w * s_next, w * s_i
+            w_i_next, w_next_i = w_i * s_next, w_next * s_i
             for other in perms:
                 u, v = w, other
-                lhs = cache.uv(u * s_next, v, i + 1)
-                rhs = cache.uv(u * s_i * s_next, v, i + 1) + cache.uv(
-                    u * s_next * s_i, v, i
-                ) * _grid_inv(cache.uv(u * s_i, v, i), u * s_i, v, i) * cache.uv(
+                lhs = cache.uv(w_next, v, i + 1)
+                rhs = cache.uv(w_i_next, v, i + 1) + cache.uv(
+                    w_next_i, v, i
+                ) * _grid_inv(cache.uv(w_i, v, i), w_i, v, i) * cache.uv(
                     u, v, i + 1
                 )
                 if not is_zero(lhs - rhs):
                     _fail("plucker-u", x, params=(u.images, v.images, i))
                 checks += 1
                 u, v = other, w
-                lhs = cache.uv(u, v * s_next, i + 1)
-                rhs = cache.uv(u, v * s_i * s_next, i + 1) + cache.uv(
+                lhs = cache.uv(u, w_next, i + 1)
+                rhs = cache.uv(u, w_i_next, i + 1) + cache.uv(
                     u, v, i + 1
-                ) * _grid_inv(cache.uv(u, v * s_i, i), u, v * s_i, i) * cache.uv(
-                    u, v * s_next * s_i, i
+                ) * _grid_inv(cache.uv(u, w_i, i), u, w_i, i) * cache.uv(
+                    u, w_next_i, i
                 )
                 if not is_zero(lhs - rhs):
                     _fail("plucker-v", x, params=(u.images, v.images, i))

@@ -132,10 +132,6 @@ class Permutation:
             w = w.right_multiply_simple(i)
         return tuple(reversed(collected))
 
-    def act_set(self, indices) -> tuple:
-        """The image set {w(a)} in increasing order."""
-        return tuple(sorted(self(a) for a in indices))
-
     def matrix(self) -> Matrix:
         """The plain (unsigned) permutation matrix, 1 at (w(j), j)."""
         n = self.n

@@ -20,9 +20,17 @@ from qbruhat.errors import NotGeneric
 from qbruhat.factorize import letter_matrix
 from qbruhat.gauss import ldu_elimination
 from qbruhat.matrix import Matrix, rank
-from qbruhat.quasidet import quasideterminant
+from qbruhat.quasidet import (
+    MinorCache,
+    MinorSpec,
+    boxed_quasiminor,
+    positive_quasiminor,
+    quasideterminant,
+    sylvester_reduce,
+)
 from qbruhat.sampling import cell_point, reduced_cell_point
-from qbruhat.scalars import RationalQuaternion as Q
+from qbruhat.scalars import RationalQuaternion as Q, inv
+from qbruhat.verify import check_dodgson_grid
 from qbruhat.weyl import (
     Permutation,
     all_permutations,
@@ -57,6 +65,7 @@ def test_letter_action_equals_dense_letter_product(data):
     letter = data.draw(st.integers(1, n - 1)) * data.draw(st.sampled_from((1, -1)))
     t = data.draw(nonzero_quaternions)
     assert x._right_letter(letter, t) == x * letter_matrix(letter, t, n)
+    assert x._left_letter(letter, t) == letter_matrix(letter, t, n) * x
 
 
 @settings(max_examples=60, deadline=None)
@@ -297,3 +306,160 @@ def test_twist_projection_witness_labels(u, v, label):
         with pytest.raises(NotGeneric) as info:
             twist(SWAP, u, v, check=False)
         assert info.value.witness == ("projection", label)
+
+
+def positioned_specs(n):
+    """Every positioned quasiminor (I, J, i, j) of an n x n matrix."""
+    for k in range(1, n + 1):
+        for I in itertools.combinations(range(1, n + 1), k):
+            for J in itertools.combinations(range(1, n + 1), k):
+                for i in I:
+                    for j in J:
+                        yield MinorSpec(I, J, i, j)
+
+
+def family(inner_rows, inner_cols, n):
+    """Every member |x_{I'+p, J'+q}|_{p,q} of the inner block (I', J')."""
+    return [
+        MinorSpec(tuple(sorted(inner_rows + (p,))), tuple(sorted(inner_cols + (q,))), p, q)
+        for p in range(1, n + 1)
+        if p not in inner_rows
+        for q in range(1, n + 1)
+        if q not in inner_cols
+    ]
+
+
+def outcome(evaluate):
+    """The value, or the NotGeneric's type, message and witness."""
+    try:
+        return ("ok", evaluate())
+    except NotGeneric as exc:
+        return ("err", type(exc), str(exc), exc.witness)
+
+
+def index_sets(data, n, k):
+    return tuple(sorted(data.draw(st.sets(st.integers(1, n), min_size=k, max_size=k))))
+
+
+@settings(max_examples=15, deadline=None)
+@given(square_matrices(max_n=4), st.randoms(use_true_random=False))
+def test_minor_cache_equals_positive_quasiminor_on_every_positioned_quasiminor(x, rng):
+    n = x.rows
+    specs = list(positioned_specs(n))
+    expected = {spec: outcome(lambda: positive_quasiminor(x, spec)) for spec in specs}
+    rng.shuffle(specs)
+    cache = MinorCache(x)
+    for spec in specs:
+        assert outcome(lambda: cache.spec(spec)) == expected[spec]
+    by_levels = MinorCache(x)
+    perms = all_permutations(n)
+    for u, v in itertools.product(perms, perms):
+        for k in range(1, n + 1):
+            spec = MinorSpec(
+                tuple(sorted(u.images[:k])), tuple(sorted(v.images[:k])), u(k), v(k)
+            )
+            assert outcome(lambda: by_levels.uv(u, v, k)) == expected[spec]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_minor_cache_on_whole_families_at_n5(data):
+    x = data.draw(square_matrices(min_n=5, max_n=5))
+    cache = MinorCache(x)
+    for _ in range(3):
+        k = data.draw(st.integers(0, 4))
+        for spec in family(index_sets(data, 5, k), index_sets(data, 5, k), 5):
+            assert outcome(lambda: cache.spec(spec)) == outcome(
+                lambda: positive_quasiminor(x, spec)
+            )
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_singular_inner_block_fails_its_whole_family_only(data):
+    n = data.draw(st.integers(3, 4))
+    x = Matrix([[data.draw(nonzero_quaternions) for _ in range(n)] for _ in range(n)])
+    size = data.draw(st.integers(2, n - 1))
+    inner_rows, inner_cols = index_sets(data, n, size), index_sets(data, n, size)
+    # one row of the inner block a left combination of its other rows
+    dep = data.draw(st.sampled_from(inner_rows))
+    coeffs = {r: data.draw(nonzero_quaternions) for r in inner_rows if r != dep}
+    rows = x.to_lists()
+    rows[dep - 1] = [sum((coeffs[r] * x[r, c] for r in coeffs), Q(0)) for c in range(1, n + 1)]
+    x = Matrix(rows)
+    members = family(inner_rows, inner_cols, n)
+    others = [spec for spec in positioned_specs(n) if spec not in members]
+    # the other families must evaluate around a block that is already known singular
+    order = members[:1] + others + members[1:]
+    cache = MinorCache(x)
+    results = {spec: outcome(lambda: cache.spec(spec)) for spec in order}
+    for spec in members:
+        got = results[spec]
+        assert got[0] == "err" and got == outcome(lambda: positive_quasiminor(x, spec))
+        local = (spec.I.index(spec.i) + 1, spec.J.index(spec.j) + 1)
+        assert got[3] == ("inner",) + local
+        # the failure is memoized: the same exception again, and no new entry
+        size_before = len(cache._memo)
+        with pytest.raises(NotGeneric) as first:
+            cache.spec(spec)
+        with pytest.raises(NotGeneric) as second:
+            cache.spec(spec)
+        assert first.value is second.value and len(cache._memo) == size_before
+    for spec in others:
+        assert results[spec] == outcome(lambda: positive_quasiminor(x, spec))
+    assume(any(results[spec][0] == "ok" for spec in others if len(spec.I) > 1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_zero_member_is_a_value_and_fails_the_dodgson_grid(data):
+    n = data.draw(st.integers(2, 4))
+    rows = [[data.draw(nonzero_quaternions) for _ in range(n)] for _ in range(n)]
+    # x12 = x11 x21^-1 x22 makes |x_{12,12}|_12 exactly zero
+    rows[0][1] = rows[0][0] * inv(rows[1][0]) * rows[1][1]
+    x = Matrix(rows)
+    s1, e = Permutation.simple(1, n), Permutation.identity(n)
+    assert MinorCache(x).uv(s1, e, 2) == 0
+    assert MinorCache(x).spec(MinorSpec((1, 2), (1, 2), 1, 2)) == 0
+    with pytest.raises(NotGeneric) as info:
+        check_dodgson_grid(x)
+    assert info.value.witness == ("grid-zero", s1.images, e.images, 2)
+
+
+def sylvester_by_entries(A, I0, J0):
+    """The definition: b_pq is the bordered pivot block's quasiminor marked at (p, q)."""
+    n = A.rows
+    return Matrix(
+        [
+            [
+                boxed_quasiminor(A, tuple(sorted(I0 + (p,))), tuple(sorted(J0 + (q,))), p, q)
+                for q in range(1, n + 1)
+                if q not in J0
+            ]
+            for p in range(1, n + 1)
+            if p not in I0
+        ]
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sylvester_reduce_equals_the_entrywise_definition(data):
+    A = data.draw(square_matrices(max_n=5))
+    n = A.rows
+    k = data.draw(st.integers(1, n - 1))
+    I0, J0 = index_sets(data, n, k), index_sets(data, n, k)
+    if data.draw(st.booleans()):
+        # a singular pivot: one pivot row a left multiple of another, or zero
+        rows = A.to_lists()
+        lam = data.draw(quaternions)
+        rows[I0[-1] - 1] = [lam * a for a in rows[I0[0] - 1]] if k > 1 else [Q(0)] * n
+        A = Matrix(rows)
+    try:
+        expected = sylvester_by_entries(A, I0, J0)
+    except NotGeneric:
+        with pytest.raises(NotGeneric) as info:
+            sylvester_reduce(A, I0, J0)
+        assert info.value.witness == ("pivot-block", I0, J0)
+        return
+    assert sylvester_reduce(A, I0, J0) == expected
