@@ -15,15 +15,17 @@ The twist of a reduced cell point is
 
 with vbar' the signed representative of v^{-1} and iota the positive
 inverse, so (x^iota)^{-1} = J x J.  The general twist prepends the permuted
-torus part of [ubar^{-1} x]_0 (1 on the reduced cell) and is left
-H-equivariant.  As x [ubar^{-1} x]_+^{-1} = ubar [ubar^{-1} x]_-, both are
-J [x vbar']_-^{-1} ubar [ubar^{-1} x]_- J with rows scaled by that torus
-part: one left division (``Matrix.solve``), no inverse.  The form above and
-the forms through [(vbar x^iota)^{-1}]_+ and [ubar' (x^iota)^{-1}]_- are
-the ``cross_check`` oracles.  Errors distinguish "wrong cell" (WrongCell)
-from "a Gauss projection failed" (NotGeneric), because the harness treats
-them differently; ``require_cell`` is the one cell gate, and a permutation of
-another size than x is a ShapeMismatch there.
+torus part h of [ubar^{-1} x]_0 and is left H-equivariant.  h holds the
+level quasiminors of x at (u, e), all 1 exactly on the reduced cell, so
+the twist, ``in_reduced_cell`` and ``factorize.recover_params`` read it off
+one Gauss decomposition (``_ubar_gauss``).  As x [ubar^{-1} x]_+^{-1} = ubar
+[ubar^{-1} x]_-, the twist is J [x vbar']_-^{-1} ubar [ubar^{-1} x]_- J with
+rows scaled by h: one left division (``Matrix.solve``), no inverse.  The
+form above and those through [(vbar x^iota)^{-1}]_+ and [ubar' (x^iota)^{-1}]_-
+are the oracles of ``cross_checked_twist``.  Errors distinguish "wrong
+cell" (WrongCell) from "a Gauss projection failed" (NotGeneric), because
+the harness treats them differently; ``require_cell`` is the one cell gate,
+and a permutation of another size than x is a ShapeMismatch there.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from typing import NamedTuple
 from .errors import NotGeneric, QBruhatError, ShapeMismatch, WrongCell
 from .gauss import gauss_parts
 from .matrix import Matrix, iota, iota_inverse_free, rank, sigma
-from .quasidet import quasiminor_uv
 from .scalars import inv, is_zero
 from .weyl import Permutation, left_by_representative, right_by_representative
 
@@ -179,20 +180,6 @@ def bruhat_factor_schubert(x: Matrix, u: Permutation | None = None):
     return b1, b2
 
 
-def in_reduced_cell(x: Matrix, u: Permutation, v: Permutation) -> bool:
-    """True iff the level-i quasiminors at (u, e) all equal 1.
-
-    Raises as ``require_cell`` when x is not in the double cell of (u, v)
-    at all; within the cell this is the torus-normalization test cutting
-    out the reduced cell.
-    """
-    require_cell(x, u, v)
-    e = Permutation.identity(x.rows)
-    return all(
-        is_zero(quasiminor_uv(x, u, e, i) - 1) for i in range(1, x.rows + 1)
-    )
-
-
 def _gauss(m: Matrix, label: str):
     """``gauss_parts(m)``; a failure names the twist projection `label`."""
     try:
@@ -201,6 +188,51 @@ def _gauss(m: Matrix, label: str):
         raise NotGeneric(
             f"Gauss projection {label} failed: {exc}", witness=("projection", label)
         ) from exc
+
+
+def _torus_entries(u: Permutation, h: Matrix) -> list:
+    # ubar h ubar^{-1} carries h[j, j] to position u(j); the +-1 signs cancel
+    return [h[j, j] for j in u.inverse().images]
+
+
+def _ubar_gauss(x: Matrix, u: Permutation):
+    """([ubar^{-1} x]_-, h, [ubar^{-1} x]_+), h_i = [ubar^{-1} x]_0 at u^{-1}(i).
+
+    h_i is the level-u^{-1}(i) quasiminor of x at (u, e), since the LDU
+    diagonal of ubar^{-1} x holds its principal quasiminors.
+    """
+    low, mid, up = _gauss(left_by_representative(u, x, inverse=True), "[ubar^-1 x]")
+    return low, _torus_entries(u, mid), up
+
+
+def in_reduced_cell(x: Matrix, u: Permutation, v: Permutation) -> bool:
+    """True iff every torus entry of x (level quasiminor at (u, e)) is 1: the reduced cell.
+
+    Raises as ``require_cell`` when x is not in the double cell of (u, v).
+    """
+    require_cell(x, u, v)
+    return all(is_zero(h - 1) for h in _ubar_gauss(x, u)[1])
+
+
+def torus_twist(u: Permutation, h: Matrix) -> Matrix:
+    """u(h) = ubar h ubar^{-1}; permutes the diagonal entries by u."""
+    if not h.is_diagonal():
+        raise ShapeMismatch("torus_twist needs a diagonal matrix")
+    return Matrix.diagonal(_torus_entries(u, h))
+
+
+def _twist(x: Matrix, u: Permutation, v: Permutation):
+    """(psi(x), h): the inverse-free twist and the torus its rows are scaled by."""
+    low, h, _ = _ubar_gauss(x, u)
+    left = _gauss(right_by_representative(x, v.inverse()), "[x vbar']_-")[0]
+    return iota_inverse_free(left.solve(left_by_representative(u, low)))._scale_rows(h), h
+
+
+def twist_general(x: Matrix, u: Permutation, v: Permutation, check: bool = True) -> Matrix:
+    """Left H-equivariant twist on the full double cell, inverse-free."""
+    if check:
+        require_cell(x, u, v)
+    return _twist(x, u, v)[0]
 
 
 def twist_reduced(x: Matrix, u: Permutation, v: Permutation, check: bool = True) -> Matrix:
@@ -212,46 +244,20 @@ def twist_reduced(x: Matrix, u: Permutation, v: Permutation, check: bool = True)
     return twist_general(x, u, v, check=False)
 
 
-def _torus_entries(u: Permutation, h: Matrix) -> list:
-    # ubar h ubar^{-1} carries h[j, j] to position u(j); the +-1 signs cancel
-    return [h[j, j] for j in u.inverse().images]
-
-
-def torus_twist(u: Permutation, h: Matrix) -> Matrix:
-    """u(h) = ubar h ubar^{-1}; permutes the diagonal entries by u."""
-    if not h.is_diagonal():
-        raise ShapeMismatch("torus_twist needs a diagonal matrix")
-    return Matrix.diagonal(_torus_entries(u, h))
-
-
-def twist_general(
-    x: Matrix,
-    u: Permutation,
-    v: Permutation,
-    check: bool = True,
-    cross_check: bool = False,
-) -> Matrix:
-    """Left H-equivariant twist on the full double cell, inverse-free.
-
-    With `cross_check`, the paper's form and the two alternative closed
-    forms are evaluated as well and must agree exactly.
-    """
-    if check:
-        require_cell(x, u, v)
-    low0, mid0, up0 = _gauss(left_by_representative(u, x, inverse=True), "[ubar^-1 x]")
+def cross_checked_twist(x: Matrix, u: Permutation, v: Permutation) -> Matrix:
+    """The twist oracle: ``twist_general`` once the paper's form and both alternatives equal it."""
+    result = twist_general(x, u, v)
+    _, torus, up0 = _ubar_gauss(x, u)
     left = _gauss(right_by_representative(x, v.inverse()), "[x vbar']_-")[0]
-    torus = _torus_entries(u, mid0)
-    result = iota_inverse_free(left.solve(left_by_representative(u, low0)))._scale_rows(torus)
-    if cross_check:
-        core = iota_inverse_free(x)
-        iota_left, iota_up = iota(left), iota(up0)
-        paper = (iota_left * core * iota_up)._scale_rows(torus)
-        plus = _gauss(right_by_representative(core, v, inverse=True), "[(vbar x^iota)^-1]_+")[2]
-        alt1 = (right_by_representative(plus, v) * iota_up)._scale_rows(torus)
-        minus = _gauss(left_by_representative(u.inverse(), core), "[ubar' (x^iota)^-1]_-")[0]
-        alt2 = (
-            iota_left * left_by_representative(u.inverse(), minus, inverse=True)
-        )._scale_rows(torus)
-        if result != paper or result != alt1 or result != alt2:
-            raise QBruhatError("the twist formulas disagree")
+    core = iota_inverse_free(x)
+    iota_left, iota_up = iota(left), iota(up0)
+    paper = (iota_left * core * iota_up)._scale_rows(torus)
+    plus = _gauss(right_by_representative(core, v, inverse=True), "[(vbar x^iota)^-1]_+")[2]
+    alt1 = (right_by_representative(plus, v) * iota_up)._scale_rows(torus)
+    minus = _gauss(left_by_representative(u.inverse(), core), "[ubar' (x^iota)^-1]_-")[0]
+    alt2 = (
+        iota_left * left_by_representative(u.inverse(), minus, inverse=True)
+    )._scale_rows(torus)
+    if result != paper or result != alt1 or result != alt2:
+        raise QBruhatError("the twist formulas disagree")
     return result

@@ -4,9 +4,9 @@ Three families of factorization live here:
 
 * the direct unipotent/upper factorizations driven by boxed quasiminors of
   the input itself (``solve_standard_unipotent``, ``upper_factorize``);
-* parameter recovery through the twist: the diagonal part comes from
-  level quasiminors of x at (u, e), the one-parameter factors from
-  quasiminor ratios of y = psi(x) indexed by subwords of the double word.
+* parameter recovery through the twist: the diagonal part is the torus of
+  the twist, the one-parameter factors are quasiminor ratios of y = psi(x)
+  indexed by subwords of the double word.
   Each parameter has two stated equal forms per branch; both are evaluated
   and must agree, and the recovered parameters are replayed through the
   product map and must reproduce x exactly;
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cells import classify, in_reduced_cell, require_cell, twist_general
+from .cells import _twist, classify, in_reduced_cell, require_cell, twist_general
 from .errors import (
     IndexOutOfRange,
     NotGeneric,
@@ -40,7 +40,7 @@ from .errors import (
     ZeroInverse,
 )
 from .matrix import Matrix, interval
-from .quasidet import MinorCache, MinorSpec, boxed_quasiminor, quasiminor_uv
+from .quasidet import MinorCache, MinorSpec, boxed_quasiminor
 from .scalars import inv, is_zero
 from .weyl import DoubleWord, Permutation, simple_representative
 
@@ -206,16 +206,20 @@ class UpperFactorization:
         return self.stages[(m, k)]
 
     def final_stage(self) -> Matrix:
-        if not self.pairs:
-            return self.source
-        return self.stages[self.pairs[-1]]
+        return self.stages[self.pairs[-1]] if self.pairs else self.source
 
     def replay(self) -> Matrix:
         """final stage times the ascending product of (1 + t E); equals the source."""
-        acc = self.final_stage()
-        for m, k in reversed(self.pairs):
-            acc = acc._right_letter(k, self.t[(m, k)])
-        return acc
+        return _replay_upper(self.final_stage(), self.t)
+
+
+def _replay_upper(acc: Matrix, t: dict) -> Matrix:
+    """acc * X^(n-1) ... X^(1) with X^(m) = x_m(t[m,m]) ... x_{n-1}(t[m,n-1])."""
+    n = acc.rows
+    for m in range(n - 1, 0, -1):
+        for k in range(m, n):
+            acc = acc._right_letter(k, t[(m, k)])
+    return acc
 
 
 def upper_factorize(x: Matrix) -> UpperFactorization:
@@ -299,19 +303,15 @@ def _ratio(den, num, label):
 def recover_params(x: Matrix, word: DoubleWord) -> FactorizationOutput:
     """Recover (h, t) with x = h * x_{i_1}(t_1) ... x_{i_m}(t_m).
 
-    The diagonal entries are level quasiminors of x at (u, e); each t_k is
-    a quasiminor ratio of the twist y, indexed by the subword permutations
-    at position k.  Both equal forms of the branch are evaluated and must
-    agree; every parameter must be nonzero and the replay must reproduce x
-    exactly.
+    h is the twist's torus, h_i = [ubar^{-1} x]_0 at u^{-1}(i), which equals
+    the level-u^{-1}(i) quasiminor of x at (u, e); each t_k is a quasiminor
+    ratio of the twist y, indexed by the subword permutations at position k.
+    Both equal forms of the branch are evaluated and must agree; every
+    parameter must be nonzero and the replay must reproduce x exactly.
     """
     u, v = word.u(), word.v()
     require_cell(x, u, v)
-    n = x.rows
-    e = Permutation.identity(n)
-    uinv = u.inverse()
-    h = tuple(quasiminor_uv(x, u, e, uinv(i)) for i in range(1, n + 1))
-    y = twist_general(x, u, v, check=False)
+    y, h = _twist(x, u, v)
     cache = MinorCache(y)
     t = []
     for k in range(1, word.length + 1):
@@ -339,7 +339,7 @@ def recover_params(x: Matrix, word: DoubleWord) -> FactorizationOutput:
             "a recovered parameter is zero; x is on the boundary of the word's image",
             witness=("zero-parameter",),
         )
-    out = FactorizationOutput(h=h, t=tuple(t))
+    out = FactorizationOutput(h=tuple(h), t=tuple(t))
     if out.replay(word) != x:
         raise NotGeneric(
             "replay of recovered parameters does not reproduce x",
@@ -394,14 +394,7 @@ class UW0Factorization:
     v: Permutation
 
     def replay(self) -> Matrix:
-        n = self.x_minus.rows
-        acc = self.x_minus
-        for m in range(n - 1, 0, -1):
-            for k in range(m, n):
-                tv = self.t[(m, k)]
-                if not is_zero(tv):
-                    acc = acc._right_letter(k, tv)
-        return acc
+        return _replay_upper(self.x_minus, self.t)
 
 
 def factor_u_w0(x: Matrix) -> UW0Factorization:
@@ -413,7 +406,7 @@ def factor_u_w0(x: Matrix) -> UW0Factorization:
     """
     u, v = classify(x)
     uf = upper_factorize(x)
-    x_minus = uf.final_stage() if uf.pairs else x
+    x_minus = uf.final_stage()
     if not x_minus.is_lower_triangular():
         raise QBruhatError("upper factorization did not reach a lower triangular stage")
     cache_x = MinorCache(x)

@@ -20,9 +20,9 @@ Permutation-indexed quasiminors carry a level k and a pair (u, v); they
 equal the positive quasiminor with I = u[1,k], J = v[1,k] marked at
 (u(k), v(k)), and also the principal quasiminor of ubar^{-1} x vbar where
 ubar, vbar are the signed representatives.  `quasiminor_indexed` computes
-both and insists they agree; `quasiminor_uv` is the fast single-route
-version used in inner loops.  One bounded table, ``_level_key``, turns
-(w, k) into (w[1, k] sorted, w(k)) for every one of them.
+both and insists they agree; `quasiminor_uv` is the direct route alone,
+and ``MinorCache.uv`` its cached form.  One bounded table, ``_level_key``,
+turns (w, k) into (w[1, k] sorted, w(k)) for every one of them.
 
 Quasiminors come in families.  By the definition and heredity
 (Gelfand, Gelfand, Retakh, Wilson, *Quasideterminants*, Adv. Math. 193

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .cells import in_reduced_cell, twist_general, twist_reduced
+from .cells import cross_checked_twist, in_reduced_cell, twist_general, twist_reduced
 from .errors import NotGeneric
 from .factorize import (
     factor_u_w0,
@@ -244,25 +244,26 @@ def _dodgson_admissible(n: int):
     return out
 
 
-def _grid_inv(value, u: Permutation, v: Permutation, k: int):
-    """Inverse of the (u, v) grid quasiminor `value` at level k.
+def _grid_inv(value, u: Permutation, v: Permutation, k: int, inverses: dict):
+    """Inverse of the (u, v) grid quasiminor `value` at level k, kept in the grid's `inverses`.
 
-    A zero quasiminor makes the sample non-generic for the exchange
-    identities, not a counterexample, so this raises NotGeneric and the
-    harness resamples.
+    A zero quasiminor makes the sample non-generic, not a counterexample: it
+    is never stored, and it raises NotGeneric so the harness resamples.
     """
-    if is_zero(value):
-        raise NotGeneric(
-            f"grid quasiminor at level {k} for ({u!r}, {v!r}) is zero",
-            witness=("grid-zero", u.images, v.images, k),
-        )
-    return inv(value)
+    if value not in inverses:
+        if is_zero(value):
+            raise NotGeneric(
+                f"grid quasiminor at level {k} for ({u!r}, {v!r}) is zero",
+                witness=("grid-zero", u.images, v.images, k),
+            )
+        inverses[value] = inv(value)
+    return inverses[value]
 
 
 def check_dodgson_grid(x: Matrix) -> int:
     """All five quasiminor exchange identities over every admissible (u, v, i)."""
     n = x.rows
-    cache = MinorCache(x)
+    cache, inverses = MinorCache(x), {}
     checks = 0
     for u, us, v, vs, i in _dodgson_admissible(n):
         d_uv = cache.uv(u, v, i)
@@ -272,11 +273,11 @@ def check_dodgson_grid(x: Matrix) -> int:
         e_uv = cache.uv(u, v, i + 1)
         e_usv = cache.uv(us, v, i + 1)
         e_uvs = cache.uv(u, vs, i + 1)
-        inv_d_uv = _grid_inv(d_uv, u, v, i)
-        inv_d_usv = _grid_inv(d_usv, us, v, i)
-        inv_d_uvs = _grid_inv(d_uvs, u, vs, i)
-        inv_e_usv = _grid_inv(e_usv, us, v, i + 1)
-        inv_e_uvs = _grid_inv(e_uvs, u, vs, i + 1)
+        inv_d_uv = _grid_inv(d_uv, u, v, i, inverses)
+        inv_d_usv = _grid_inv(d_usv, us, v, i, inverses)
+        inv_d_uvs = _grid_inv(d_uvs, u, vs, i, inverses)
+        inv_e_usv = _grid_inv(e_usv, us, v, i + 1, inverses)
+        inv_e_uvs = _grid_inv(e_uvs, u, vs, i + 1, inverses)
         params = (u.images, v.images, i)
         if not is_zero(d_usvs - (d_usv * inv_d_uv * d_uvs + e_uv)):
             _fail("dodgson-1", x, params=params)
@@ -310,7 +311,7 @@ def _plucker_admissible(n: int):
 def check_minors_plucker_grid(x: Matrix) -> int:
     """Both generalized exchange identities with a three-step length condition."""
     n = x.rows
-    cache = MinorCache(x)
+    cache, inverses = MinorCache(x), {}
     checks = 0
     perms = all_permutations(n)
     for i, s_i, s_next, ws in _plucker_admissible(n):
@@ -322,7 +323,7 @@ def check_minors_plucker_grid(x: Matrix) -> int:
                 lhs = cache.uv(w_next, v, i + 1)
                 rhs = cache.uv(w_i_next, v, i + 1) + cache.uv(
                     w_next_i, v, i
-                ) * _grid_inv(cache.uv(w_i, v, i), w_i, v, i) * cache.uv(
+                ) * _grid_inv(cache.uv(w_i, v, i), w_i, v, i, inverses) * cache.uv(
                     u, v, i + 1
                 )
                 if not is_zero(lhs - rhs):
@@ -332,7 +333,7 @@ def check_minors_plucker_grid(x: Matrix) -> int:
                 lhs = cache.uv(u, w_next, i + 1)
                 rhs = cache.uv(u, w_i_next, i + 1) + cache.uv(
                     u, v, i + 1
-                ) * _grid_inv(cache.uv(u, w_i, i), u, w_i, i) * cache.uv(
+                ) * _grid_inv(cache.uv(u, w_i, i), u, w_i, i, inverses) * cache.uv(
                     u, w_next_i, i
                 )
                 if not is_zero(lhs - rhs):
@@ -445,7 +446,7 @@ def _trial_twist_involution(rng: random.Random, n: int, bound: int) -> int:
         _fail("twist-involution", x, u=u.images, v=v.images, word=word.to_text())
     h = [nonzero_scalar(rng, "quat", bound) for _ in range(n)]
     g = Matrix.diagonal(h) * x
-    lhs = twist_general(g, u, v, cross_check=True)
+    lhs = cross_checked_twist(g, u, v)
     if lhs != Matrix.diagonal(h) * y:
         _fail("twist-equivariance", x, u=u.images, v=v.images)
     if u == v:

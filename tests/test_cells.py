@@ -6,6 +6,7 @@ from qbruhat.cells import (
     bruhat_factor,
     bruhat_factor_schubert,
     classify,
+    cross_checked_twist,
     in_bruhat_cell,
     in_opposite_cell,
     in_reduced_cell,
@@ -190,7 +191,7 @@ def test_twist_general_equivariance_and_formulas():
         h = diagonal(rng, 3)
         y = twist_reduced(x, u, v)
         g = h * x
-        assert twist_general(g, u, v, cross_check=True) == h * y
+        assert cross_checked_twist(g, u, v) == h * y
 
 
 def test_twist_general_involution_on_equal_pair():

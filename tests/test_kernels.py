@@ -5,7 +5,8 @@ product with the elementary, signed permutation or diagonal matrix built by
 the public constructors.  The Gauss-Jordan kernel behind solve, the
 inverse, rank and quasideterminants must agree with the textbook
 definitions, the row-only Bruhat reduction must factor x = b1 * ubar * b2,
-and the inverse-free twist must agree with the paper's forms.
+the inverse-free twist must agree with the paper's forms, and the one
+torus of [ubar^-1 x]_0 must equal the level quasiminors at (u, e).
 """
 
 import itertools
@@ -15,9 +16,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qbruhat.cells import bruhat_factor, classify, torus_twist, twist_general, twist_reduced
+from qbruhat.cells import (
+    bruhat_factor,
+    classify,
+    cross_checked_twist,
+    in_reduced_cell,
+    torus_twist,
+    twist_general,
+    twist_reduced,
+)
 from qbruhat.errors import NotGeneric
-from qbruhat.factorize import letter_matrix
+from qbruhat.factorize import letter_matrix, recover_params
 from qbruhat.gauss import ldu_elimination
 from qbruhat.matrix import Matrix, rank
 from qbruhat.quasidet import (
@@ -26,6 +35,7 @@ from qbruhat.quasidet import (
     boxed_quasiminor,
     positive_quasiminor,
     quasideterminant,
+    quasiminor_uv,
     sylvester_reduce,
 )
 from qbruhat.sampling import cell_point, reduced_cell_point
@@ -269,7 +279,7 @@ def test_twist_general_agrees_with_the_paper_forms(pair):
     u, v, rng = pair
     g, _, _, _ = cell_point(rng, u, v)
     try:
-        twist_general(g, u, v, cross_check=True)
+        cross_checked_twist(g, u, v)
     except NotGeneric:
         assume(False)
 
@@ -284,6 +294,46 @@ def test_twist_reduced_is_twist_general_on_reduced_points(pair):
     except NotGeneric:
         assume(False)
     assert twist_reduced(x, u, v) == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(cell_pairs())
+def test_cross_checked_twist_equals_twist_general(pair):
+    u, v, rng = pair
+    g, _, _, _ = cell_point(rng, u, v)
+    try:
+        expected = twist_general(g, u, v)
+    except NotGeneric:
+        assume(False)
+    assert cross_checked_twist(g, u, v) == expected
+
+
+def level_quasiminors(x, u):
+    """The level quasiminors of x at (u, e), listed by the row u(k) they are marked at."""
+    e, uinv = Permutation.identity(x.rows), u.inverse()
+    return [quasiminor_uv(x, u, e, uinv(i)) for i in range(1, x.rows + 1)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(cell_pairs())
+def test_recovered_torus_is_the_level_quasiminors(pair):
+    u, v, rng = pair
+    x, word, h, _ = cell_point(rng, u, v)
+    assert list(recover_params(x, word).h) == level_quasiminors(x, u) == h
+
+
+@settings(max_examples=20, deadline=None)
+@given(cell_pairs(), nonzero_quaternions.filter(lambda d: d != 1))
+def test_in_reduced_cell_is_every_level_quasiminor_one(pair, d):
+    u, v, rng = pair
+    x, _, _ = reduced_cell_point(rng, u, v)
+    assert in_reduced_cell(x, u, v)
+    assert all(q == 1 for q in level_quasiminors(x, u))
+    n = x.rows
+    for i in range(n):
+        scaled = Matrix.diagonal([d if r == i else 1 for r in range(n)]) * x
+        assert not in_reduced_cell(scaled, u, v)
+        assert not all(q == 1 for q in level_quasiminors(scaled, u))
 
 
 SWAP = Matrix([[0, 1], [1, 0]])
