@@ -236,12 +236,21 @@ def twist_general(x: Matrix, u: Permutation, v: Permutation, check: bool = True)
 
 
 def twist_reduced(x: Matrix, u: Permutation, v: Permutation, check: bool = True) -> Matrix:
-    """The reduced-cell gate, then ``twist_general``; lands in the opposite reduced cell."""
-    if check and not in_reduced_cell(x, u, v):
+    """The twist of a reduced-cell point; lands in the opposite reduced cell.
+
+    With `check`: ``require_cell``, then the torus that ``_twist`` returns
+    must be all 1, so [ubar^{-1} x] is decomposed once.  Both projections
+    exist on the whole double cell (ubar^{-1} x lies in U^- B there, and so
+    does x vbar'), so a point off the reduced cell gets WrongCell first.
+    """
+    if check:
+        require_cell(x, u, v)
+    psi, h = _twist(x, u, v)
+    if check and not all(is_zero(t - 1) for t in h):
         raise WrongCell(
             f"x is in the double cell of ({u!r}, {v!r}) but not in its reduced cell"
         )
-    return twist_general(x, u, v, check=False)
+    return psi
 
 
 def cross_checked_twist(x: Matrix, u: Permutation, v: Permutation) -> Matrix:

@@ -117,16 +117,6 @@ class Matrix:
             )
         return self._e[i - 1][j - 1]
 
-    def row(self, i: int) -> tuple:
-        if not 1 <= i <= self.rows:
-            raise IndexOutOfRange(f"row {i} outside [1, {self.rows}]")
-        return self._e[i - 1]
-
-    def col(self, j: int) -> tuple:
-        if not 1 <= j <= self.cols:
-            raise IndexOutOfRange(f"column {j} outside [1, {self.cols}]")
-        return tuple(r[j - 1] for r in self._e)
-
     def to_lists(self) -> list:
         """Plain 0-based list-of-lists copy of the entries."""
         return [list(row) for row in self._e]
@@ -180,8 +170,6 @@ class Matrix:
             raise ShapeMismatch(f"{self.shape_str()} * {other.shape_str()}")
         cols = list(zip(*other._e))
         return Matrix._wrap(tuple(tuple(_dot(row, col) for col in cols) for row in self._e))
-
-    __matmul__ = __mul__
 
     # -- structured products --------------------------------------------------
     # Each helper equals the dense product with an elementary, signed

@@ -445,9 +445,9 @@ def _trial_twist_involution(rng: random.Random, n: int, bound: int) -> int:
     if twist_reduced(y, v, u) != x:
         _fail("twist-involution", x, u=u.images, v=v.images, word=word.to_text())
     h = [nonzero_scalar(rng, "quat", bound) for _ in range(n)]
-    g = Matrix.diagonal(h) * x
+    g = x._scale_rows(h)
     lhs = cross_checked_twist(g, u, v)
-    if lhs != Matrix.diagonal(h) * y:
+    if lhs != y._scale_rows(h):
         _fail("twist-equivariance", x, u=u.images, v=v.images)
     if u == v:
         if twist_general(lhs, v, u) != g:

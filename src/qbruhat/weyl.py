@@ -12,7 +12,9 @@ Conventions, fixed once and mirrored by every other module:
   right on absolute values) with positive letters (a reduced word for v).
   Subword permutations use the convention that a letter of the wrong sign
   contributes the identity, and the u-side products run from the end of the
-  word backwards.
+  word backwards.  ``DoubleWord`` builds all of them, the suffix products
+  u_{>=k} and the prefix products v_{<=k}, in the one pass that validates
+  the word; ``subword_perms``, ``u()`` and ``v()`` only read those tables.
 
 The signed representative of s_i is the 2x2 block [[0, -1], [1, 0]]; signed
 representatives multiply along any reduced word to the same matrix, which is
@@ -238,6 +240,12 @@ class DoubleWord:
     Negative letters spell a reduced word for u (left to right, on absolute
     values), positive letters a reduced word for v.  Validation is eager: a
     non-reduced component raises NotReducedWord.
+
+    The one validating pass stores the subword permutations as two tables,
+    plain attributes outside the dataclass fields (equality, hash and repr
+    see ``(n, letters)`` only): ``u_from[k]`` = u_{>=k} for k = 1..m+1, built
+    from the last letter backwards, and ``v_upto[k]`` = v_{<=k} for
+    k = 0..m.  Index 0 of ``u_from`` is unused.
     """
 
     n: int
@@ -250,31 +258,30 @@ class DoubleWord:
                 raise NotReducedWord(
                     f"letter {l!r} outside +-[1, {self.n - 1}] for n = {self.n}"
                 )
-        u, v = self._component_perms()
-        if u.length() != sum(1 for l in self.letters if l < 0):
-            raise NotReducedWord(f"negative letters of {self.letters} are not reduced")
-        if v.length() != sum(1 for l in self.letters if l > 0):
-            raise NotReducedWord(f"positive letters of {self.letters} are not reduced")
-
-    def _component_perms(self):
-        u = Permutation.identity(self.n)
-        v = Permutation.identity(self.n)
+        n, m, e = self.n, len(self.letters), Permutation.identity(self.n)
+        u_from, v_upto = [None] * (m + 1) + [e], [e]
+        for k in range(m, 0, -1):
+            l = self.letters[k - 1]
+            u_from[k] = u_from[k + 1] * Permutation.simple(-l, n) if l < 0 else u_from[k + 1]
         for l in self.letters:
-            if l < 0:
-                u = u * Permutation.simple(-l, self.n)
-            else:
-                v = v * Permutation.simple(l, self.n)
-        return u, v
+            v_upto.append(v_upto[-1] * Permutation.simple(l, n) if l > 0 else v_upto[-1])
+        object.__setattr__(self, "u_from", tuple(u_from))
+        object.__setattr__(self, "v_upto", tuple(v_upto))
+        # u_{>=1} = u^{-1} has as many inversions as u
+        if u_from[1].length() != sum(1 for l in self.letters if l < 0):
+            raise NotReducedWord(f"negative letters of {self.letters} are not reduced")
+        if v_upto[m].length() != sum(1 for l in self.letters if l > 0):
+            raise NotReducedWord(f"positive letters of {self.letters} are not reduced")
 
     @property
     def length(self) -> int:
         return len(self.letters)
 
     def u(self) -> Permutation:
-        return self._component_perms()[0]
+        return self.u_from[1].inverse()
 
     def v(self) -> Permutation:
-        return self._component_perms()[1]
+        return self.v_upto[-1]
 
     def subword_perms(self, k: int):
         """(u_{>=k}, u_{>k}, v_{<=k}, v_{<k}) for position k in [1, m].
@@ -285,24 +292,7 @@ class DoubleWord:
         m = len(self.letters)
         if not 1 <= k <= m:
             raise IndexOutOfRange(f"position {k} outside [1, {m}]")
-
-        def u_product(start):
-            acc = Permutation.identity(self.n)
-            for pos in range(m, start - 1, -1):
-                l = self.letters[pos - 1]
-                if l < 0:
-                    acc = acc * Permutation.simple(-l, self.n)
-            return acc
-
-        def v_product(stop):
-            acc = Permutation.identity(self.n)
-            for pos in range(1, stop + 1):
-                l = self.letters[pos - 1]
-                if l > 0:
-                    acc = acc * Permutation.simple(l, self.n)
-            return acc
-
-        return u_product(k), u_product(k + 1), v_product(k), v_product(k - 1)
+        return self.u_from[k], self.u_from[k + 1], self.v_upto[k], self.v_upto[k - 1]
 
     @classmethod
     def from_text(cls, text: str, n: int) -> "DoubleWord":

@@ -10,12 +10,15 @@ torus of [ubar^-1 x]_0 must equal the level quasiminors at (u, e).
 """
 
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qbruhat import cells
 from qbruhat.cells import (
     bruhat_factor,
     classify,
@@ -25,10 +28,10 @@ from qbruhat.cells import (
     twist_general,
     twist_reduced,
 )
-from qbruhat.errors import NotGeneric
+from qbruhat.errors import NotGeneric, WrongCell
 from qbruhat.factorize import letter_matrix, recover_params
-from qbruhat.gauss import ldu_elimination
-from qbruhat.matrix import Matrix, rank
+from qbruhat.gauss import gauss_parts, ldu_elimination
+from qbruhat.matrix import Matrix, matrix_from_json, rank
 from qbruhat.quasidet import (
     MinorCache,
     MinorSpec,
@@ -334,6 +337,37 @@ def test_in_reduced_cell_is_every_level_quasiminor_one(pair, d):
         scaled = Matrix.diagonal([d if r == i else 1 for r in range(n)]) * x
         assert not in_reduced_cell(scaled, u, v)
         assert not all(q == 1 for q in level_quasiminors(scaled, u))
+
+
+@settings(max_examples=20, deadline=None)
+@given(cell_pairs(), nonzero_quaternions.filter(lambda d: d != 1))
+def test_twist_reduced_refuses_a_scaled_reduced_point(pair, d):
+    # diag(d) x stays in the double cell but leaves the reduced cell
+    u, v, rng = pair
+    x, _, _ = reduced_cell_point(rng, u, v)
+    n = x.rows
+    for i in range(n):
+        scaled = x._scale_rows([d if r == i else 1 for r in range(n)])
+        with pytest.raises(WrongCell, match="not in its reduced cell"):
+            twist_reduced(scaled, u, v)
+
+
+def test_twist_reduced_decomposes_as_often_as_twist_general(monkeypatch):
+    # [ubar^-1 x] and [x vbar']: one Gauss decomposition each
+    data = json.loads((Path(__file__).parent / "data" / "reduced4.json").read_text())
+    x = matrix_from_json(data)
+    u, v = Permutation((2, 4, 1, 3)), Permutation((3, 4, 1, 2))
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return gauss_parts(m)
+
+    monkeypatch.setattr(cells, "gauss_parts", counted)
+    for twist in (twist_general, twist_reduced):
+        calls.clear()
+        twist(x, u, v)
+        assert len(calls) == 2, twist.__name__
 
 
 SWAP = Matrix([[0, 1], [1, 0]])

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbruhat.errors import NotReducedWord
+from qbruhat.errors import IndexOutOfRange, NotReducedWord
 from qbruhat.matrix import Matrix
 from qbruhat.weyl import (
     DoubleWord,
@@ -155,3 +155,46 @@ def test_random_double_word_is_valid(seed):
     word = random_double_word(u, v, rng)
     assert word.u() == u and word.v() == v
     assert word.length == u.length() + v.length()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5), st.randoms(use_true_random=False))
+def test_subword_tables_equal_the_written_out_products(n, rng):
+    # the definition, multiplied out letter by letter: a letter of the wrong
+    # sign contributes the identity, u-side products run last letter first
+    perms = all_permutations(n)
+    u, v = rng.choice(perms), rng.choice(perms)
+    word = random_double_word(u, v, rng)
+    letters, m = word.letters, word.length
+    e = Permutation.identity(n)
+
+    def u_product(start):
+        acc = e
+        for pos in range(m, start - 1, -1):
+            if letters[pos - 1] < 0:
+                acc = acc * Permutation.simple(-letters[pos - 1], n)
+        return acc
+
+    def v_product(stop):
+        acc = e
+        for pos in range(1, stop + 1):
+            if letters[pos - 1] > 0:
+                acc = acc * Permutation.simple(letters[pos - 1], n)
+        return acc
+
+    u_left_to_right = e
+    for l in letters:
+        if l < 0:
+            u_left_to_right = u_left_to_right * Permutation.simple(-l, n)
+    assert word.u() == u == u_left_to_right
+    assert word.v() == v == v_product(m)
+    for k in range(1, m + 1):
+        expected = (u_product(k), u_product(k + 1), v_product(k), v_product(k - 1))
+        assert word.subword_perms(k) == expected
+    for k in (0, m + 1):
+        with pytest.raises(IndexOutOfRange):
+            word.subword_perms(k)
+    # the tables are not fields: equality, hash and repr see (n, letters) only
+    twin = DoubleWord(n, list(letters))
+    assert twin == word and hash(twin) == hash(word)
+    assert repr(word) == f"DoubleWord(n={n}, letters={letters!r})"
