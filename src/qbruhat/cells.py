@@ -20,12 +20,13 @@ level quasiminors of x at (u, e), all 1 exactly on the reduced cell, so
 the twist, ``in_reduced_cell`` and ``factorize.recover_params`` read it off
 one Gauss decomposition (``_ubar_gauss``).  As x [ubar^{-1} x]_+^{-1} = ubar
 [ubar^{-1} x]_-, the twist is J [x vbar']_-^{-1} ubar [ubar^{-1} x]_- J with
-rows scaled by h: one left division (``Matrix.solve``), no inverse.  The
-form above and those through [(vbar x^iota)^{-1}]_+ and [ubar' (x^iota)^{-1}]_-
-are the oracles of ``cross_checked_twist``.  Errors distinguish "wrong
-cell" (WrongCell) from "a Gauss projection failed" (NotGeneric), because
-the harness treats them differently; ``require_cell`` is the one cell gate,
-and a permutation of another size than x is a ShapeMismatch there.
+rows scaled by h; ``gauss.lower_solve`` divides by [x vbar']_- as it finds
+it, so no inverse.  The form above and those through [(vbar x^iota)^{-1}]_+
+and [ubar' (x^iota)^{-1}]_- are the oracles of ``cross_checked_twist``.
+Errors distinguish "wrong cell" (WrongCell) from "a Gauss projection
+failed" (NotGeneric), because the harness treats them differently;
+``require_cell`` is the one cell gate, and a permutation of another size
+than x is a ShapeMismatch there.
 """
 
 from __future__ import annotations
@@ -33,24 +34,24 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import NotGeneric, QBruhatError, ShapeMismatch, WrongCell
-from .gauss import gauss_parts
+from .gauss import gauss_parts, lower_solve
 from .matrix import Matrix, iota, iota_inverse_free, rank, sigma
 from .scalars import inv, is_zero
 from .weyl import Permutation, left_by_representative, right_by_representative
 
 
-def _pivot_pattern(x: Matrix, track: bool):
+def _pivot_pattern(x: Matrix):
     """Reduce x by upper-Borel row operations.
 
-    Returns (u, M, L) with L x = M, L upper unitriangular (tracked only
-    when `track` is set) and the column-j pivot of M in row u(j), with zeros
-    left of it, so that ubar^{-1} M is upper triangular.
+    Returns (u, M, b1) with x = b1 M (b1 upper unitriangular, as rows) and the
+    column-j pivot of M in row u(j), zeros left of it, so ubar^{-1} M is upper
+    triangular.  Undoing row_i -= f row_r, with row i no pivot yet, puts f at b1[i, r].
     """
     if not x.is_square:
         raise ShapeMismatch("classification needs a square matrix")
     n = x.rows
     m = x.to_lists()
-    lam = [[1 if r == c else 0 for c in range(n)] for r in range(n)] if track else None
+    b1 = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
     used = [False] * n
     images = [0] * n
     for j in range(n):
@@ -68,9 +69,8 @@ def _pivot_pattern(x: Matrix, track: bool):
             if not used[i] and not is_zero(m[i][j]):
                 f = m[i][j] * pinv
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-                if track:
-                    lam[i] = [a - f * b for a, b in zip(lam[i], lam[r])]
-    return Permutation(images), Matrix(m), Matrix(lam) if track else None
+                b1[i][r] = f
+    return Permutation(images), Matrix(m), b1
 
 
 class CellLabel(NamedTuple):
@@ -82,10 +82,10 @@ class CellLabel(NamedTuple):
 
 def classify(x: Matrix) -> CellLabel:
     """The unique (u, v) with x in BuB and x in B^- v B^-."""
-    u = _pivot_pattern(x, track=False)[0]
+    u = _pivot_pattern(x)[0]
     n = x.rows
     w0 = Permutation.longest(n)
-    v_rot = _pivot_pattern(sigma(x), track=False)[0]
+    v_rot = _pivot_pattern(sigma(x))[0]
     return CellLabel(u, w0 * v_rot * w0)
 
 
@@ -115,11 +115,11 @@ def bruhat_factor(x: Matrix):
     U(u), see ``bruhat_factor_schubert``); b2 = ubar^{-1} M, with M the
     reduced matrix, carries the torus part.
     """
-    u, m, lam = _pivot_pattern(x, track=True)
+    u, m, b1 = _pivot_pattern(x)
     b2 = left_by_representative(u, m, inverse=True)
     if not b2.is_upper_triangular():
         raise QBruhatError("pivot normal form did not reduce to an upper triangular factor")
-    return lam.inverse(), u, b2
+    return Matrix(b1), u, b2
 
 
 def in_bruhat_cell(x: Matrix, u: Permutation) -> bool:
@@ -180,10 +180,10 @@ def bruhat_factor_schubert(x: Matrix, u: Permutation | None = None):
     return b1, b2
 
 
-def _gauss(m: Matrix, label: str):
-    """``gauss_parts(m)``; a failure names the twist projection `label`."""
+def _gauss(m: Matrix, label: str, rhs: Matrix | None = None):
+    """``gauss_parts(m)``, or ``lower_solve(m, rhs)``; a failure names the projection `label`."""
     try:
-        return gauss_parts(m)
+        return gauss_parts(m) if rhs is None else lower_solve(m, rhs)
     except NotGeneric as exc:
         raise NotGeneric(
             f"Gauss projection {label} failed: {exc}", witness=("projection", label)
@@ -224,8 +224,9 @@ def torus_twist(u: Permutation, h: Matrix) -> Matrix:
 def _twist(x: Matrix, u: Permutation, v: Permutation):
     """(psi(x), h): the inverse-free twist and the torus its rows are scaled by."""
     low, h, _ = _ubar_gauss(x, u)
-    left = _gauss(right_by_representative(x, v.inverse()), "[x vbar']_-")[0]
-    return iota_inverse_free(left.solve(left_by_representative(u, low)))._scale_rows(h), h
+    rhs = left_by_representative(u, low)
+    core = _gauss(right_by_representative(x, v.inverse()), "[x vbar']_-", rhs)
+    return iota_inverse_free(core)._scale_rows(h), h
 
 
 def twist_general(x: Matrix, u: Permutation, v: Permutation, check: bool = True) -> Matrix:

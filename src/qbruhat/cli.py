@@ -3,7 +3,7 @@
 Exit codes: 0 all checks passed, 1 a property failed (a replayable JSON
 counterexample is printed), 2 usage or parse error, 3 NotGeneric persisted
 past the retry budget.  Reports are byte-identical for identical seeds and
-flags.  The resampling budget can be overridden with QBRUHAT_RETRY_BUDGET.
+flags.
 """
 
 from __future__ import annotations

@@ -39,6 +39,7 @@ from .errors import (
     WrongCell,
     ZeroInverse,
 )
+from .gauss import lower_solve
 from .matrix import Matrix, interval
 from .quasidet import MinorCache, MinorSpec, boxed_quasiminor
 from .scalars import inv, is_zero
@@ -486,7 +487,7 @@ def factor_w0_v(x: Matrix) -> W0VFactorization:
                 witness=("tau-zero", m, k),
             )
     partial = W0VFactorization(h=h, tau=tau, x_plus=Matrix.identity(n), v=v)
-    x_plus = partial.negative_prefix().solve(x)
+    x_plus = lower_solve(partial.negative_prefix(), x)
     if not x_plus.is_unitriangular("upper"):
         raise QBruhatError("residual of the negative blocks is not upper unitriangular")
     if not in_reduced_cell(x_plus, Permutation.identity(n), v):

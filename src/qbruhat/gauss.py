@@ -6,13 +6,14 @@ other:
 * :func:`ldu` builds the factors from quasi-Plucker coordinates of leading
   column and row blocks, with the diagonal given by the principal
   quasiminors.  This is the closed-form route.
-* :func:`ldu_elimination` is plain Gaussian elimination over the skew
-  field, the oracle route.
+* :func:`ldu_elimination` reads plain Gaussian elimination over the skew
+  field (``_eliminate``), the oracle route.
 
 Both exist exactly on the Gauss cell: all principal quasiminors defined
 and invertible.  The projections [x]_- = L*D, [x]_0 = D, [x]_+ = U feed
 the Bruhat cell machinery; note [x]_- is lower *triangular* (it carries
-the diagonal), while the stored factors keep L unitriangular.
+the diagonal), while the stored factors keep L unitriangular.  On the rows
+[A | B] that elimination leaves [A]_-^-1 B, which :func:`lower_solve` returns.
 """
 
 from __future__ import annotations
@@ -41,10 +42,6 @@ class GaussTriple:
 
     def product(self) -> Matrix:
         return self.lower * self.diag * self.upper
-
-    def lower_part(self) -> Matrix:
-        """[x]_- = L * D, the lower-triangular Gauss projection (a column scaling of L)."""
-        return self.lower._scale_cols([self.diag[i, i] for i in range(1, self.diag.rows + 1)])
 
 
 def ldu(A: Matrix) -> GaussTriple:
@@ -86,37 +83,54 @@ def ldu(A: Matrix) -> GaussTriple:
     return GaussTriple(Matrix(lower), Matrix.diagonal(diag_entries), Matrix(upper))
 
 
-def ldu_elimination(A: Matrix) -> GaussTriple:
-    """LDU by direct elimination; independent oracle for :func:`ldu`."""
-    if not A.is_square:
-        raise ShapeMismatch(f"ldu needs a square matrix, got {A.shape_str()}")
-    n = A.rows
-    m = A.to_lists()
-    lower = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    upper = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    diag = []
+def _eliminate(rows: list, n: int) -> Matrix:
+    """Eliminate the leading n x n block A of the rows [A | B] in place; returns [A]_-.
+
+    Pivot row k is scaled to a leading 1 and a left multiple of it leaves
+    every row below, with no row exchange, so the rows end as
+    [[A]_+ | [A]_-^-1 B].  Column k of [A]_- = L*D is column k of the rows
+    just before step k.  A zero pivot k raises NotInGaussCell, witness ("pivot", k).
+    """
+    cols = []
     for k in range(n):
-        p = m[k][k]
-        if is_zero(p):
-            raise NotGeneric(f"elimination pivot {k + 1} is zero", witness=("pivot", k + 1))
-        pinv = inv(p)
-        diag.append(p)
-        for j in range(k + 1, n):
-            upper[k][j] = pinv * m[k][j]
-        for i in range(k + 1, n):
-            f = m[i][k] * pinv
-            lower[i][k] = f
-            for j in range(k + 1, n):
-                m[i][j] = m[i][j] - f * m[k][j]
-    return GaussTriple(Matrix(lower), Matrix.diagonal(diag), Matrix(upper))
+        top = rows[k]
+        if is_zero(top[k]):
+            raise NotInGaussCell(
+                f"matrix is outside the Gauss cell: elimination pivot {k + 1} is zero",
+                witness=("pivot", k + 1),
+            )
+        cols.append([row[k] for row in rows[k:]])
+        p = inv(top[k])
+        pivot = [p * a for a in top[k:]]
+        top[k:] = pivot
+        for row in rows[k + 1 :]:
+            f = row[k]
+            if not is_zero(f):
+                row[k:] = [a - f * b for a, b in zip(row[k:], pivot)]
+    return Matrix([[cols[j][i - j] if j <= i else 0 for j in range(n)] for i in range(n)])
 
 
 def gauss_parts(x: Matrix):
     """The projections ([x]_-, [x]_0, [x]_+) on the Gauss cell B^- U."""
-    try:
-        triple = ldu_elimination(x)
-    except NotGeneric as exc:
-        raise NotInGaussCell(
-            f"matrix is outside the Gauss cell: {exc}", witness=exc.witness
-        ) from exc
-    return triple.lower_part(), triple.diag, triple.upper
+    if not x.is_square:
+        raise ShapeMismatch(f"ldu needs a square matrix, got {x.shape_str()}")
+    rows = x.to_lists()
+    lower = _eliminate(rows, x.rows)
+    diag = Matrix.diagonal([lower[k, k] for k in range(1, x.rows + 1)])
+    return lower, diag, Matrix._wrap(tuple(map(tuple, rows)))
+
+
+def lower_solve(a: Matrix, b: Matrix) -> Matrix:
+    """[a]_-^-1 b, which is a^-1 b for a lower triangular a; raises as ``gauss_parts``."""
+    if not a.is_square or b.rows != a.rows:
+        raise ShapeMismatch(f"cannot solve {a.shape_str()} against {b.shape_str()}")
+    rows = [list(row + rhs) for row, rhs in zip(a._e, b._e)]
+    _eliminate(rows, a.rows)
+    return Matrix._wrap(tuple(tuple(row[a.rows :]) for row in rows))
+
+
+def ldu_elimination(A: Matrix) -> GaussTriple:
+    """LDU read off ``gauss_parts``, L = [A]_- D^-1; the independent oracle for :func:`ldu`."""
+    lower, diag, upper = gauss_parts(A)
+    d = [inv(diag[k, k]) for k in range(1, A.rows + 1)]
+    return GaussTriple(lower._scale_cols(d), diag, upper)

@@ -276,26 +276,20 @@ class Matrix:
         J = tuple(c for c in range(1, self.cols + 1) if c != j)
         return self.submatrix(I, J)
 
-    def solve(self, b: "Matrix") -> "Matrix":
-        """x^-1 * b without forming x^-1: ``_row_reduce`` on ``[x | b]`` leaves ``[1 | x^-1 b]``.
+    def inverse(self) -> "Matrix":
+        """Exact inverse: ``_row_reduce`` on [x | 1] leaves [1 | x^-1].
 
         Raises NotGeneric with witness ("pivot", k), k the first column of x without a pivot.
         """
         if not self.is_square:
             raise ShapeMismatch(f"cannot invert {self.shape_str()}")
-        if b.rows != self.rows:
-            raise ShapeMismatch(f"cannot solve {self.shape_str()} against {b.shape_str()}")
         n = self.rows
-        m = [list(row) + list(rhs) for row, rhs in zip(self._e, b._e)]
+        m = [list(row) + list(unit) for row, unit in zip(self._e, Matrix.identity(n)._e)]
         pivots = _row_reduce(m, n)
         if len(pivots) < n:
             k = next((i for i, c in enumerate(pivots) if i != c), len(pivots)) + 1
             raise NotGeneric(f"matrix is singular: no pivot in column {k}", witness=("pivot", k))
         return Matrix._wrap(tuple(tuple(row[n:]) for row in m))
-
-    def inverse(self) -> "Matrix":
-        """Exact inverse, ``solve`` against the identity; raises as ``solve``."""
-        return self.solve(Matrix.identity(self.rows))
 
     # -- shape predicates -----------------------------------------------------
 

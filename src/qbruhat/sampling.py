@@ -8,7 +8,6 @@ computation up to a budget and only then gives up.
 
 from __future__ import annotations
 
-import os
 import random
 from fractions import Fraction
 
@@ -20,17 +19,9 @@ from .weyl import Permutation, random_double_word
 DEFAULT_RETRY_BUDGET = 100
 
 
-def retry_budget() -> int:
-    raw = os.environ.get("QBRUHAT_RETRY_BUDGET", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return DEFAULT_RETRY_BUDGET
-
-
 def with_retries(fn, budget: int | None = None):
-    """Run fn() until it stops raising NotGeneric, within the retry budget."""
-    budget = retry_budget() if budget is None else budget
+    """Run fn() until it stops raising NotGeneric, within `budget` (None: the default) tries."""
+    budget = DEFAULT_RETRY_BUDGET if budget is None else budget
     last = None
     for _ in range(budget):
         try:

@@ -31,9 +31,9 @@ from fractions import Fraction
 
 from .errors import ZeroInverse
 
-# A coefficient takes the unsigned rational forms Fraction parses: p/q, 1.5, .5
+# A coefficient takes the unsigned rational forms Fraction parses: p/q with q > 0, 1.5, .5
 _QUAT_TERM = re.compile(
-    r"(?P<sign>[+-]?)\s*(?:(?P<coef>\d+/\d+|\d+(?:\.\d*)?|\.\d+)\s*\*?\s*)?(?P<unit>[ijk]?)"
+    r"(?P<sign>[+-]?)\s*(?:(?P<coef>\d+/\d*[1-9]\d*|\d+(?:\.\d*)?|\.\d+)\s*\*?\s*)?(?P<unit>[ijk]?)"
 )
 
 class RationalQuaternion:

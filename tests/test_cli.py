@@ -3,6 +3,9 @@ import io
 import json
 from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from qbruhat.cli import main
 from qbruhat.matrix import Matrix, matrix_to_json
 
@@ -134,6 +137,65 @@ def test_malformed_entries_are_usage_errors(capsys):
         code, _, err = run(capsys, "classify", "--input", blob)
         assert code == 2
         assert err.startswith("error: bad matrix input") and "Traceback" not in err
+
+
+def test_zero_denominator_entry_is_a_usage_error(capsys):
+    for entry in ("1/0", "1/0*i", "2-1/0*k"):
+        blob = json.dumps({"n": 1, "m": 1, "entries": [[entry]]})
+        code, _, err = run(capsys, "quasidet", "--input", blob, "--row", "1", "--col", "1")
+        assert code == 2, entry
+        assert err.startswith("error: bad matrix input") and "Traceback" not in err
+
+
+# Entries and arguments from small alphabets that mix valid and malformed text.
+ENTRIES = ("0", "1", "-1", "2", "1/2", "i", "1+j", "-k")
+MALFORMED = ENTRIES + ("1/0", "1/0*i", "x", "", "1//2")
+INDEX_SETS = ("1", "2", "1,2", "2,1", "1,3", "0", "a", "1,2,3")
+PERMS = ("1", "1,2", "2,1", "1,2,3", "3,2,1", "2,3,1", "1,1", "x")
+WORDS = ("1", "-1", "1,-1", "-1,1", "-1,2,1", "2,-1,1", "1,-2,2,-1", "0", "x", "")
+
+
+@st.composite
+def cli_argv(draw):
+    n = draw(st.integers(1, 3))
+    malformed = draw(st.booleans())
+    alphabet = st.sampled_from(MALFORMED if malformed else ENTRIES)
+    rows = n + 1 if malformed and draw(st.booleans()) else n
+    entries = [[draw(alphabet) for _ in range(n)] for _ in range(rows)]
+    blob = json.dumps({"n": n, "m": n, "entries": entries})
+    index = st.integers(-1, 4).map(str)
+    command = draw(
+        st.sampled_from(
+            ("quasidet", "minor", "ldu", "classify", "twist", "factor", "recover", "double-ratios")
+        )
+    )
+    argv = [command, "--input", blob]
+    if command == "quasidet":
+        argv += ["--row", draw(index), "--col", draw(index)]
+    elif command == "minor":
+        argv += ["--rows", draw(st.sampled_from(INDEX_SETS))]
+        argv += ["--cols", draw(st.sampled_from(INDEX_SETS))]
+        argv += ["--row", draw(index), "--col", draw(index)]
+    elif command == "twist":
+        argv += ["--u", draw(st.sampled_from(PERMS)), "--v", draw(st.sampled_from(PERMS))]
+        argv += ["--general"] if draw(st.booleans()) else []
+    elif command == "factor":
+        argv += ["--mode", draw(st.sampled_from(("standard-unipotent", "upper", "u-w0", "w0-v")))]
+    elif command == "recover":
+        argv += ["--word=" + draw(st.sampled_from(WORDS))]
+    elif command == "double-ratios":
+        argv += ["--extended"] if draw(st.booleans()) else []
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_argv())
+def test_fuzzed_command_lines_exit_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
 
 
 def test_bad_indices_and_sizes_are_usage_errors(capsys):

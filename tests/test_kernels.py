@@ -2,9 +2,11 @@
 
 Every structured helper must equal, entry for entry and exactly, the dense
 product with the elementary, signed permutation or diagonal matrix built by
-the public constructors.  The Gauss-Jordan kernel behind solve, the
-inverse, rank and quasideterminants must agree with the textbook
-definitions, the row-only Bruhat reduction must factor x = b1 * ubar * b2,
+the public constructors.  The Gauss-Jordan kernel behind the inverse,
+rank and quasideterminants must agree with the textbook definitions, the
+Gauss-cell elimination behind the projections and the left division by
+[a]_- with the closed-form LDU and the dense inverse, the row-only Bruhat
+reduction must factor x = b1 * ubar * b2,
 the inverse-free twist must agree with the paper's forms, and the one
 torus of [ubar^-1 x]_0 must equal the level quasiminors at (u, e).
 """
@@ -18,7 +20,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qbruhat import cells
+from qbruhat import cells, gauss
 from qbruhat.cells import (
     bruhat_factor,
     classify,
@@ -28,10 +30,10 @@ from qbruhat.cells import (
     twist_general,
     twist_reduced,
 )
-from qbruhat.errors import NotGeneric, WrongCell
+from qbruhat.errors import NotGeneric, NotInGaussCell, WrongCell
 from qbruhat.factorize import letter_matrix, recover_params
-from qbruhat.gauss import gauss_parts, ldu_elimination
-from qbruhat.matrix import Matrix, matrix_from_json, rank
+from qbruhat.gauss import gauss_parts, ldu, lower_solve
+from qbruhat.matrix import Matrix, interval, matrix_from_json, rank
 from qbruhat.quasidet import (
     MinorCache,
     MinorSpec,
@@ -116,11 +118,14 @@ def test_torus_twist_equals_dense_conjugation(data):
 @settings(max_examples=40, deadline=None)
 @given(square_matrices(max_n=4))
 def test_gauss_lower_part_equals_dense_lower_times_diag(x):
+    # the closed form reads quasi-Plucker coordinates, not the elimination
     try:
-        triple = ldu_elimination(x)
+        triple = ldu(x)
     except NotGeneric:
+        with pytest.raises(NotInGaussCell):
+            gauss_parts(x)
         return
-    assert triple.lower_part() == triple.lower * triple.diag
+    assert gauss_parts(x)[0] == triple.lower * triple.diag
 
 
 def test_closed_form_representative_equals_every_reduced_word_product():
@@ -205,10 +210,6 @@ def test_rank_deficient_inverse_names_first_column_without_pivot(data):
     with pytest.raises(NotGeneric) as info:
         x.inverse()
     assert info.value.witness == ("pivot", k)
-    rhs = Matrix([[data.draw(quaternions)] for _ in range(n)])
-    with pytest.raises(NotGeneric) as info:
-        x.solve(rhs)
-    assert info.value.witness == ("pivot", k)
 
 
 @settings(max_examples=60, deadline=None)
@@ -260,14 +261,33 @@ def test_bruhat_factor_on_every_cell_of_s4(data):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_solve_equals_inverse_times_rhs(data):
-    a = data.draw(square_matrices())
-    assume(rank(a) == a.rows)
+def test_lower_solve_divides_by_the_lower_gauss_projection(data):
+    a = data.draw(square_matrices(min_n=1))
+    n = a.rows
     width = data.draw(st.integers(1, 6))
-    b = Matrix([[data.draw(quaternions) for _ in range(width)] for _ in range(a.rows)])
-    z = a.solve(b)
-    assert z == a.inverse() * b
-    assert a * z == b
+    b = Matrix([[data.draw(quaternions) for _ in range(width)] for _ in range(n)])
+    if n > 1 and data.draw(st.booleans()):
+        # an invertible a whose leading k x k block is singular: within its
+        # first k rows, column k is a right combination of the columns before it
+        k = data.draw(st.integers(1, n - 1))
+        coeffs = [data.draw(quaternions) for _ in range(k - 1)]
+        rows = a.to_lists()
+        for row in rows[:k]:
+            row[k - 1] = sum((m * c for m, c in zip(row, coeffs)), Q(0))
+        a = Matrix(rows)
+        assume(rank(a) == n)
+    # pivot k is zero exactly when the leading k x k block is the first singular one
+    singular = (k for k in range(1, n + 1) if rank(a.submatrix(interval(1, k), interval(1, k))) < k)
+    first = next(singular, None)
+    if first is None:
+        assert gauss_parts(a)[0] * lower_solve(a, b) == b
+    else:
+        for divide in (gauss_parts, lambda m: lower_solve(m, b)):
+            with pytest.raises(NotInGaussCell) as info:
+                divide(a)
+            assert info.value.witness == ("pivot", first)
+    lower = data.draw(upper_triangulars(n)).transpose()
+    assert lower_solve(lower, b) == lower.inverse() * b
 
 
 @st.composite
@@ -353,17 +373,18 @@ def test_twist_reduced_refuses_a_scaled_reduced_point(pair, d):
 
 
 def test_twist_reduced_decomposes_as_often_as_twist_general(monkeypatch):
-    # [ubar^-1 x] and [x vbar']: one Gauss decomposition each
+    # [ubar^-1 x], then [x vbar' | ubar [ubar^-1 x]_-]: one Gauss-cell elimination each
     data = json.loads((Path(__file__).parent / "data" / "reduced4.json").read_text())
     x = matrix_from_json(data)
     u, v = Permutation((2, 4, 1, 3)), Permutation((3, 4, 1, 2))
     calls = []
+    eliminate = gauss._eliminate
 
-    def counted(m):
-        calls.append(m)
-        return gauss_parts(m)
+    def counted(rows, n):
+        calls.append(n)
+        return eliminate(rows, n)
 
-    monkeypatch.setattr(cells, "gauss_parts", counted)
+    monkeypatch.setattr(gauss, "_eliminate", counted)
     for twist in (twist_general, twist_reduced):
         calls.clear()
         twist(x, u, v)

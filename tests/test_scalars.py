@@ -134,6 +134,13 @@ def test_parse_flexible_forms():
             parse_scalar(bad)
 
 
+def test_zero_denominator_is_a_bad_scalar():
+    # a rational and a quaternion coefficient fail alike, with ValueError
+    for bad in ("1/0", "1/0*i", "1+2/0*j", "0/0*k", "i-3/0"):
+        with pytest.raises(ValueError, match="bad"):
+            parse_scalar(bad)
+
+
 def test_parse_decimal_quaternion_coefficients():
     assert parse_scalar("1.5") == Fraction(3, 2)
     assert parse_scalar("1.5+i") == Q(Fraction(3, 2), 1)
