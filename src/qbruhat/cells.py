@@ -15,18 +15,26 @@ The twist of a reduced cell point is
 
 with vbar' the signed representative of v^{-1} and iota the positive
 inverse, so (x^iota)^{-1} = J x J.  The general twist prepends the permuted
-torus part h of [ubar^{-1} x]_0 and is left H-equivariant.  h holds the
-level quasiminors of x at (u, e), all 1 exactly on the reduced cell, so
-the twist, ``in_reduced_cell`` and ``factorize.recover_params`` read it off
-one Gauss decomposition (``_ubar_gauss``).  As x [ubar^{-1} x]_+^{-1} = ubar
-[ubar^{-1} x]_-, the twist is J [x vbar']_-^{-1} ubar [ubar^{-1} x]_- J with
-rows scaled by h; ``gauss.lower_solve`` divides by [x vbar']_- as it finds
-it, so no inverse.  The form above and those through [(vbar x^iota)^{-1}]_+
-and [ubar' (x^iota)^{-1}]_- are the oracles of ``cross_checked_twist``.
+torus part h of [ubar^{-1} x]_0, the level quasiminors of x at (u, e), and
+is left H-equivariant; h is all 1 exactly on the reduced cell.  As
+x [ubar^{-1} x]_+^{-1} = ubar [ubar^{-1} x]_-, the twist is
+J [x vbar']_-^{-1} ubar [ubar^{-1} x]_- J with rows scaled by h.  Its two
+projections are the Bruhat factorizations that decide the double cell, so
+``_twist`` is also the one cell gate, reducing x once per side.  The u side
+is ``bruhat_factor``: x = b1 ubar b2 with b1 in U(u), so
+ubar [ubar^{-1} x]_- = b1 ubar D with D = diag(b2), and h is D permuted by
+u.  The v side is B^- v B^- = B^- vbar (U^- meet v^{-1} U v): x lies in it
+iff x vbar' is in the Gauss cell and [x vbar']_+ vanishes off
+``schubert_support(v)``, and ``gauss.lower_solve`` on
+[x vbar' | b1 ubar D] yields that test and divides by [x vbar']_-, with
+no inverse.  ``cross_checked_twist`` decomposes both sides afresh to check
+the form above and those through [(vbar x^iota)^{-1}]_+ and
+[ubar' (x^iota)^{-1}]_- against it.
+
 Errors distinguish "wrong cell" (WrongCell) from "a Gauss projection
-failed" (NotGeneric), because the harness treats them differently;
-``require_cell`` is the one cell gate, and a permutation of another size
-than x is a ShapeMismatch there.
+failed" (NotGeneric), because the harness treats them differently.  With
+`check`, x off the double cell is WrongCell naming the cell ``classify``
+finds; without it, NotGeneric naming the projection that failed.
 """
 
 from __future__ import annotations
@@ -89,25 +97,6 @@ def classify(x: Matrix) -> CellLabel:
     return CellLabel(u, w0 * v_rot * w0)
 
 
-def require_cell(x: Matrix, u: Permutation, v: Permutation) -> None:
-    """Raise unless x lies in the double cell of (u, v).
-
-    ShapeMismatch when u or v has another size than x (a usage error),
-    WrongCell when x classifies into another cell.
-    """
-    if u.n != x.rows or v.n != x.rows:
-        raise ShapeMismatch(
-            f"permutations of sizes ({u.n}, {v.n}) against a {x.shape_str()} matrix"
-        )
-    actual = classify(x)
-    if actual != (u, v):
-        raise WrongCell(
-            f"x lies in the cell of {actual!r}, not ({u!r}, {v!r})",
-            expected=(u, v),
-            actual=actual,
-        )
-
-
 def bruhat_factor(x: Matrix):
     """(b1, u, b2) with x = b1 * representative(u) * b2 and b1, b2 upper.
 
@@ -156,6 +145,13 @@ def schubert_support(u: Permutation) -> frozenset:
     )
 
 
+def _within_support(upper: Matrix, u: Permutation) -> bool:
+    """True iff the strict upper part of `upper` vanishes off ``schubert_support(u)``."""
+    support, n = schubert_support(u), upper.rows
+    pairs = ((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
+    return all(is_zero(upper[i, j]) for i, j in pairs if (i, j) not in support)
+
+
 def bruhat_factor_schubert(x: Matrix, u: Permutation | None = None):
     """(n_u, b) with x = n_u * representative(u) * b, n_u in U(u), b upper.
 
@@ -170,20 +166,15 @@ def bruhat_factor_schubert(x: Matrix, u: Permutation | None = None):
         u = u_found
     elif u != u_found:
         raise WrongCell(f"x lies in the cell of {u_found!r}", expected=u, actual=u_found)
-    n = x.rows
-    support = schubert_support(u)
-    off_support = (
-        (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if (i, j) not in support
-    )
-    if any(not is_zero(b1[i, j]) for i, j in off_support):
+    if not _within_support(b1, u):
         raise QBruhatError("the unipotent Borel factor is not in U(u)")
     return b1, b2
 
 
-def _gauss(m: Matrix, label: str, rhs: Matrix | None = None):
-    """``gauss_parts(m)``, or ``lower_solve(m, rhs)``; a failure names the projection `label`."""
+def _gauss(m: Matrix, label: str):
+    """``gauss_parts(m)``; a failure names the projection `label`."""
     try:
-        return gauss_parts(m) if rhs is None else lower_solve(m, rhs)
+        return gauss_parts(m)
     except NotGeneric as exc:
         raise NotGeneric(
             f"Gauss projection {label} failed: {exc}", witness=("projection", label)
@@ -195,23 +186,45 @@ def _torus_entries(u: Permutation, h: Matrix) -> list:
     return [h[j, j] for j in u.inverse().images]
 
 
-def _ubar_gauss(x: Matrix, u: Permutation):
-    """([ubar^{-1} x]_-, h, [ubar^{-1} x]_+), h_i = [ubar^{-1} x]_0 at u^{-1}(i).
+def _twist(x: Matrix, u: Permutation, v: Permutation, check: bool = True):
+    """(psi(x), h) from one reduction of x per side: the cell gate (see the module docstring).
 
-    h_i is the level-u^{-1}(i) quasiminor of x at (u, e), since the LDU
-    diagonal of ubar^{-1} x holds its principal quasiminors.
+    The u side is tested first; a singular x under `check` stays classify's NotGeneric.
     """
-    low, mid, up = _gauss(left_by_representative(u, x, inverse=True), "[ubar^-1 x]")
-    return low, _torus_entries(u, mid), up
+    if u.n != x.rows or v.n != x.rows:
+        raise ShapeMismatch(
+            f"permutations of sizes ({u.n}, {v.n}) against a {x.shape_str()} matrix"
+        )
+    label = "[ubar^-1 x]"
+    try:
+        b1, found, b2 = bruhat_factor(x)
+        if found != u:
+            raise NotGeneric(f"x lies in B {found!r} B")
+        label = "[x vbar']_-"
+        d = [b2[j, j] for j in range(1, x.rows + 1)]
+        plus, core = lower_solve(
+            right_by_representative(x, v.inverse()), right_by_representative(b1, u)._scale_cols(d)
+        )
+        if not _within_support(plus, v):
+            raise NotGeneric(f"[x vbar']_+ is not zero off the Schubert support of {v!r}")
+    except NotGeneric as exc:
+        if not check:
+            raise NotGeneric(
+                f"Gauss projection {label} failed: {exc}", witness=("projection", label)
+            ) from exc
+        actual = classify(x)
+        raise WrongCell(
+            f"x lies in the cell of {actual!r}, not ({u!r}, {v!r})",
+            expected=(u, v),
+            actual=actual,
+        ) from exc
+    h = _torus_entries(u, b2)
+    return iota_inverse_free(core)._scale_rows(h), h
 
 
 def in_reduced_cell(x: Matrix, u: Permutation, v: Permutation) -> bool:
-    """True iff every torus entry of x (level quasiminor at (u, e)) is 1: the reduced cell.
-
-    Raises as ``require_cell`` when x is not in the double cell of (u, v).
-    """
-    require_cell(x, u, v)
-    return all(is_zero(h - 1) for h in _ubar_gauss(x, u)[1])
+    """True iff the torus (level quasiminors at (u, e)) is all 1; WrongCell off the double cell."""
+    return all(is_zero(h - 1) for h in _twist(x, u, v)[1])
 
 
 def torus_twist(u: Permutation, h: Matrix) -> Matrix:
@@ -221,32 +234,21 @@ def torus_twist(u: Permutation, h: Matrix) -> Matrix:
     return Matrix.diagonal(_torus_entries(u, h))
 
 
-def _twist(x: Matrix, u: Permutation, v: Permutation):
-    """(psi(x), h): the inverse-free twist and the torus its rows are scaled by."""
-    low, h, _ = _ubar_gauss(x, u)
-    rhs = left_by_representative(u, low)
-    core = _gauss(right_by_representative(x, v.inverse()), "[x vbar']_-", rhs)
-    return iota_inverse_free(core)._scale_rows(h), h
-
-
 def twist_general(x: Matrix, u: Permutation, v: Permutation, check: bool = True) -> Matrix:
-    """Left H-equivariant twist on the full double cell, inverse-free."""
-    if check:
-        require_cell(x, u, v)
-    return _twist(x, u, v)[0]
+    """Left H-equivariant twist on the full double cell, inverse-free.
+
+    x off the double cell is WrongCell with `check`, NotGeneric without it.
+    """
+    return _twist(x, u, v, check)[0]
 
 
 def twist_reduced(x: Matrix, u: Permutation, v: Permutation, check: bool = True) -> Matrix:
     """The twist of a reduced-cell point; lands in the opposite reduced cell.
 
-    With `check`: ``require_cell``, then the torus that ``_twist`` returns
-    must be all 1, so [ubar^{-1} x] is decomposed once.  Both projections
-    exist on the whole double cell (ubar^{-1} x lies in U^- B there, and so
-    does x vbar'), so a point off the reduced cell gets WrongCell first.
+    x off the double cell is WrongCell with `check`, NotGeneric without it;
+    with `check`, a torus that is not all 1 is WrongCell too.
     """
-    if check:
-        require_cell(x, u, v)
-    psi, h = _twist(x, u, v)
+    psi, h = _twist(x, u, v, check)
     if check and not all(is_zero(t - 1) for t in h):
         raise WrongCell(
             f"x is in the double cell of ({u!r}, {v!r}) but not in its reduced cell"
@@ -257,7 +259,8 @@ def twist_reduced(x: Matrix, u: Permutation, v: Permutation, check: bool = True)
 def cross_checked_twist(x: Matrix, u: Permutation, v: Permutation) -> Matrix:
     """The twist oracle: ``twist_general`` once the paper's form and both alternatives equal it."""
     result = twist_general(x, u, v)
-    _, torus, up0 = _ubar_gauss(x, u)
+    _, mid, up0 = _gauss(left_by_representative(u, x, inverse=True), "[ubar^-1 x]")
+    torus = _torus_entries(u, mid)
     left = _gauss(right_by_representative(x, v.inverse()), "[x vbar']_-")[0]
     core = iota_inverse_free(x)
     iota_left, iota_up = iota(left), iota(up0)

@@ -34,7 +34,7 @@ from .gauss import ldu
 from .matrix import matrix_from_json, matrix_to_json
 from .quasidet import MinorSpec, positive_quasiminor, quasideterminant
 from .scalars import format_scalar
-from .verify import SUITES, run_suite
+from .verify import SUITES, run_suite, validate_run
 from .weyl import DoubleWord, Permutation
 
 
@@ -153,6 +153,8 @@ def cmd_recover(args):
 
 def cmd_verify(args):
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
+    for name in names:
+        validate_run(name, args.n, args.trials, args.bound)
     worst = 0
     for name in names:
         kwargs = {}

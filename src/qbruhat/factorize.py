@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cells import _twist, classify, in_reduced_cell, require_cell, twist_general
+from .cells import _twist, classify, in_reduced_cell, twist_general
 from .errors import (
     IndexOutOfRange,
     NotGeneric,
@@ -310,9 +310,7 @@ def recover_params(x: Matrix, word: DoubleWord) -> FactorizationOutput:
     Both equal forms of the branch are evaluated and must agree; every
     parameter must be nonzero and the replay must reproduce x exactly.
     """
-    u, v = word.u(), word.v()
-    require_cell(x, u, v)
-    y, h = _twist(x, u, v)
+    y, h = _twist(x, word.u(), word.v())
     cache = MinorCache(y)
     t = []
     for k in range(1, word.length + 1):
@@ -423,7 +421,7 @@ def factor_u_w0(x: Matrix) -> UW0Factorization:
     n = x.rows
     w0 = Permutation.longest(n)
     if v == w0:
-        cache_y = MinorCache(twist_general(x, u, w0, check=False))
+        cache_y = MinorCache(twist_general(x, u, w0))
         for i, j in sorted(uf.pairs):
             twisted = block_ratio(cache_y, "a", i, j, ("u-w0-twist", i, j))
             if not is_zero(twisted - uf.t[(i, j)]):
@@ -487,12 +485,12 @@ def factor_w0_v(x: Matrix) -> W0VFactorization:
                 witness=("tau-zero", m, k),
             )
     partial = W0VFactorization(h=h, tau=tau, x_plus=Matrix.identity(n), v=v)
-    x_plus = lower_solve(partial.negative_prefix(), x)
+    x_plus = lower_solve(partial.negative_prefix(), x)[1]
     if not x_plus.is_unitriangular("upper"):
         raise QBruhatError("residual of the negative blocks is not upper unitriangular")
     if not in_reduced_cell(x_plus, Permutation.identity(n), v):
         raise QBruhatError("residual is unitriangular but not in the reduced cell of (e, v)")
-    cache_y = MinorCache(twist_general(x, w0, v, check=False))
+    cache_y = MinorCache(twist_general(x, w0, v))
     for i, j in pairs:
         twisted = block_ratio(cache_y, "c", i, j, ("w0-v-twist", i, j))
         if not is_zero(twisted - tau[(i, j)]):
@@ -560,8 +558,7 @@ def verify_double_ratios(x: Matrix, include_extended: bool = False) -> DoubleRat
     """
     n = x.rows
     w0 = Permutation.longest(n)
-    require_cell(x, w0, w0)
-    y = twist_general(x, w0, w0, check=False)
+    y = twist_general(x, w0, w0)
     cx, cy = MinorCache(x), MinorCache(y)
     counts: dict = {}
     failures: list = []

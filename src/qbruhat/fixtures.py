@@ -18,14 +18,13 @@ from dataclasses import dataclass, field
 import sympy as sp
 
 from .factorize import (
-    letter_matrix,
     product_map,
     solve_standard_unipotent,
     standard_position,
     standard_word,
     upper_factorize,
 )
-from .gauss import ldu
+from .gauss import ldu, lower_solve
 from .matrix import Matrix, interval
 from .quasidet import MinorSpec, boxed_quasiminor, positive_quasiminor
 from .scalars import inv, is_zero
@@ -124,9 +123,7 @@ def fixture_gl3() -> FixtureReport:
 
     hs = sp.symbols("h1 h2 h3")
     ts = sp.symbols("t1 t2 t3")
-    lower = Matrix.diagonal(list(hs))
-    for letter, t in zip((-2, -1, -2), ts):
-        lower = lower * letter_matrix(letter, t, 3)
+    lower = product_map(DoubleWord(3, (-2, -1, -2)), ts, hs)
     stated = Matrix(
         [
             [hs[0] / ts[1], 0, 0],
@@ -206,10 +203,8 @@ def fixture_negative3() -> FixtureReport:
             x, MinorSpec(interval(m, k), interval(1, k + 1 - m), m, k + 1 - m)
         )
         rep.check(f"tau{m}{k} from the general formula", inv(den) * h[m - 1], value)
-    prefix = Matrix.diagonal(h)
-    for letter, tau in ((-2, tau22), (-1, tau11), (-2, tau12)):
-        prefix = prefix * letter_matrix(letter, tau, 3)
-    residue = prefix.inverse() * x
+    prefix = product_map(DoubleWord(3, (-2, -1, -2)), [tau22, tau11, tau12], h)
+    residue = lower_solve(prefix, x)[1]
     rep.check("residue is upper unitriangular", residue[2, 1], sp.Integer(0))
     rep.check("residue is upper unitriangular (3,1)", residue[3, 1], sp.Integer(0))
     rep.check("residue is upper unitriangular (3,2)", residue[3, 2], sp.Integer(0))

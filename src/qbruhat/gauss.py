@@ -13,7 +13,7 @@ Both exist exactly on the Gauss cell: all principal quasiminors defined
 and invertible.  The projections [x]_- = L*D, [x]_0 = D, [x]_+ = U feed
 the Bruhat cell machinery; note [x]_- is lower *triangular* (it carries
 the diagonal), while the stored factors keep L unitriangular.  On the rows
-[A | B] that elimination leaves [A]_-^-1 B, which :func:`lower_solve` returns.
+[A | B] that elimination leaves [[A]_+ | [A]_-^-1 B], the pair :func:`lower_solve` returns.
 """
 
 from __future__ import annotations
@@ -83,13 +83,13 @@ def ldu(A: Matrix) -> GaussTriple:
     return GaussTriple(Matrix(lower), Matrix.diagonal(diag_entries), Matrix(upper))
 
 
-def _eliminate(rows: list, n: int) -> Matrix:
-    """Eliminate the leading n x n block A of the rows [A | B] in place; returns [A]_-.
+def _eliminate(rows: list, n: int) -> list:
+    """Eliminate the leading n x n block A of the rows [A | B] in place; returns the pivot columns.
 
-    Pivot row k is scaled to a leading 1 and a left multiple of it leaves
-    every row below, with no row exchange, so the rows end as
-    [[A]_+ | [A]_-^-1 B].  Column k of [A]_- = L*D is column k of the rows
-    just before step k.  A zero pivot k raises NotInGaussCell, witness ("pivot", k).
+    Pivot row k is scaled to a leading 1 and a left multiple of it leaves every row
+    below, with no row exchange, so the rows end as [[A]_+ | [A]_-^-1 B].  Pivot column
+    k is column k of [A]_- = L*D from its diagonal down.  A zero pivot k raises
+    NotInGaussCell, witness ("pivot", k).
     """
     cols = []
     for k in range(n):
@@ -107,26 +107,30 @@ def _eliminate(rows: list, n: int) -> Matrix:
             f = row[k]
             if not is_zero(f):
                 row[k:] = [a - f * b for a, b in zip(row[k:], pivot)]
-    return Matrix([[cols[j][i - j] if j <= i else 0 for j in range(n)] for i in range(n)])
+    return cols
 
 
 def gauss_parts(x: Matrix):
     """The projections ([x]_-, [x]_0, [x]_+) on the Gauss cell B^- U."""
     if not x.is_square:
         raise ShapeMismatch(f"ldu needs a square matrix, got {x.shape_str()}")
+    n = x.rows
     rows = x.to_lists()
-    lower = _eliminate(rows, x.rows)
-    diag = Matrix.diagonal([lower[k, k] for k in range(1, x.rows + 1)])
+    cols = _eliminate(rows, n)
+    lower = Matrix([[cols[j][i - j] if j <= i else 0 for j in range(n)] for i in range(n)])
+    diag = Matrix.diagonal([col[0] for col in cols])
     return lower, diag, Matrix._wrap(tuple(map(tuple, rows)))
 
 
-def lower_solve(a: Matrix, b: Matrix) -> Matrix:
-    """[a]_-^-1 b, which is a^-1 b for a lower triangular a; raises as ``gauss_parts``."""
+def lower_solve(a: Matrix, b: Matrix):
+    """([a]_+, [a]_-^-1 b), the latter a^-1 b for a lower triangular a; raises as gauss_parts."""
     if not a.is_square or b.rows != a.rows:
         raise ShapeMismatch(f"cannot solve {a.shape_str()} against {b.shape_str()}")
+    n = a.rows
     rows = [list(row + rhs) for row, rhs in zip(a._e, b._e)]
-    _eliminate(rows, a.rows)
-    return Matrix._wrap(tuple(tuple(row[a.rows :]) for row in rows))
+    _eliminate(rows, n)
+    plus, solved = zip(*((tuple(row[:n]), tuple(row[n:])) for row in rows))
+    return Matrix._wrap(plus), Matrix._wrap(solved)
 
 
 def ldu_elimination(A: Matrix) -> GaussTriple:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from math import factorial
 
 from .cells import cross_checked_twist, twist_general, twist_reduced
 from .errors import NotGeneric, WrongCell
@@ -489,8 +490,29 @@ SUITES = {
 """Suite name -> one trial: (rng, n, bound, **kwargs) -> number of checks."""
 
 
-def run_suite(name: str, n: int, trials: int, seed: int, bound: int = 2, **kwargs) -> SuiteReport:
-    """Run `trials` seeded trials of one suite; NotGeneric samples are resampled."""
+GRID_CHECKS = {
+    "dodgson": lambda n: 5 * (n - 1) * (factorial(n) // 2) ** 2,
+    "plucker": lambda n: (n - 2) * factorial(n) ** 2 // 3,
+}
+"""Grid suite -> n -> grid checks in one trial, in closed form.
+
+Dodgson makes 5 checks per admissible (u, v, i): for each of the n - 1
+simple reflections s_i, n!/2 permutations u have l(u s_i) > l(u), and as
+many v.  Plucker makes 2 checks per (w, other, i), i = 1..n-2, where
+l(w s_i s_{i+1} s_i) = l(w) + 3 holds for the n!/6 minimal representatives
+w of the cosets of <s_i, s_{i+1}>.
+"""
+
+GRID_CHECK_BUDGET = 10_000_000
+"""Most grid checks (checks per trial times trials) one suite run may plan."""
+
+
+def validate_run(name: str, n: int, trials: int, bound: int = 2) -> None:
+    """Raise ValueError for a run ``run_suite`` refuses, before any trial starts.
+
+    Besides malformed arguments, a grid suite whose ``GRID_CHECKS`` estimate
+    exceeds ``GRID_CHECK_BUDGET`` is refused: it could not finish in reasonable time.
+    """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     if n < 2:
@@ -501,6 +523,20 @@ def run_suite(name: str, n: int, trials: int, seed: int, bound: int = 2, **kwarg
         raise ValueError(f"suites need trials >= 1, got {trials}")
     if bound < 1:
         raise ValueError(f"suites need bound >= 1 to draw nonzero entries, got {bound}")
+    estimate = GRID_CHECKS[name](n) * trials if name in GRID_CHECKS else 0
+    if estimate > GRID_CHECK_BUDGET:
+        raise ValueError(
+            f"suite {name!r} at n = {n} with trials = {trials} would make {estimate:,} "
+            f"grid checks, over the budget of {GRID_CHECK_BUDGET:,}; lower n or trials"
+        )
+
+
+def run_suite(name: str, n: int, trials: int, seed: int, bound: int = 2, **kwargs) -> SuiteReport:
+    """Run `trials` seeded trials of one suite; NotGeneric samples are resampled.
+
+    Raises as ``validate_run`` first.
+    """
+    validate_run(name, n, trials, bound)
     trial_body = SUITES[name]
     report = SuiteReport(name, n, trials, seed)
     rng = random.Random(seed)

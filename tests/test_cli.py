@@ -131,6 +131,14 @@ def test_wrong_cell_exit_is_failure(capsys):
     assert code == 1
 
 
+def test_oversized_grid_suite_is_refused_before_any_report_line(capsys):
+    # n = 6 dodgson is 3.24M checks a trial; 20 trials of it are over the budget
+    for argv in (("--n", "6"), ("--suite", "plucker", "--n", "7", "--trials", "1")):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert "budget" in err
+
+
 def test_malformed_entries_are_usage_errors(capsys):
     for entries in ([[1]], 5):
         blob = json.dumps({"n": 1, "m": 1, "entries": entries})

@@ -47,9 +47,11 @@ from qbruhat.sampling import cell_point, reduced_cell_point
 from qbruhat.scalars import RationalQuaternion as Q, inv
 from qbruhat.verify import check_dodgson_grid
 from qbruhat.weyl import (
+    DoubleWord,
     Permutation,
     all_permutations,
     left_by_representative,
+    random_double_word,
     reduced_words,
     representative,
     right_by_representative,
@@ -280,14 +282,17 @@ def test_lower_solve_divides_by_the_lower_gauss_projection(data):
     singular = (k for k in range(1, n + 1) if rank(a.submatrix(interval(1, k), interval(1, k))) < k)
     first = next(singular, None)
     if first is None:
-        assert gauss_parts(a)[0] * lower_solve(a, b) == b
+        low, _, up = gauss_parts(a)
+        plus, solved = lower_solve(a, b)
+        assert low * solved == b
+        assert plus == up
     else:
         for divide in (gauss_parts, lambda m: lower_solve(m, b)):
             with pytest.raises(NotInGaussCell) as info:
                 divide(a)
             assert info.value.witness == ("pivot", first)
     lower = data.draw(upper_triangulars(n)).transpose()
-    assert lower_solve(lower, b) == lower.inverse() * b
+    assert lower_solve(lower, b)[1] == lower.inverse() * b
 
 
 @st.composite
@@ -373,22 +378,36 @@ def test_twist_reduced_refuses_a_scaled_reduced_point(pair, d):
 
 
 def test_twist_reduced_decomposes_as_often_as_twist_general(monkeypatch):
-    # [ubar^-1 x], then [x vbar' | ubar [ubar^-1 x]_-]: one Gauss-cell elimination each
+    # the gate reduces x once per side: one Bruhat reduction, then one
+    # Gauss-cell elimination of [x vbar' | ubar [ubar^-1 x]_-]; classify only refuses
     data = json.loads((Path(__file__).parent / "data" / "reduced4.json").read_text())
     x = matrix_from_json(data)
-    u, v = Permutation((2, 4, 1, 3)), Permutation((3, 4, 1, 2))
+    word = DoubleWord(4, (-1, 2, -3, 1, -2, 3, 2))
+    u, v = word.u(), word.v()
     calls = []
-    eliminate = gauss._eliminate
 
-    def counted(rows, n):
-        calls.append(n)
-        return eliminate(rows, n)
+    def counted(module, name):
+        kernel = getattr(module, name)
 
-    monkeypatch.setattr(gauss, "_eliminate", counted)
-    for twist in (twist_general, twist_reduced):
+        def wrapper(*args):
+            calls.append(name)
+            return kernel(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(cells, "_pivot_pattern")
+    counted(cells, "classify")
+    counted(gauss, "_eliminate")
+    gated = (
+        lambda: twist_general(x, u, v),
+        lambda: twist_reduced(x, u, v),
+        lambda: in_reduced_cell(x, u, v),
+        lambda: recover_params(x, word),
+    )
+    for run in gated:
         calls.clear()
-        twist(x, u, v)
-        assert len(calls) == 2, twist.__name__
+        run()
+        assert sorted(calls) == ["_eliminate", "_pivot_pattern"]
 
 
 SWAP = Matrix([[0, 1], [1, 0]])
@@ -411,6 +430,49 @@ def test_twist_projection_witness_labels(u, v, label):
         with pytest.raises(NotGeneric) as info:
             twist(SWAP, u, v, check=False)
         assert info.value.witness == ("projection", label)
+
+
+@st.composite
+def classified_points(draw):
+    """(x, u, v) with (u, v) = classify(x): a dense quaternion matrix or a cell point."""
+    n = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        x = Matrix([[draw(quaternions) for _ in range(n)] for _ in range(n)])
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        x = cell_point(rng, draw(permutations(n)), draw(permutations(n)))[0]
+    try:
+        u, v = classify(x)
+    except NotGeneric:
+        assume(False)
+    return x, u, v
+
+
+@settings(max_examples=60, deadline=None)
+@given(classified_points(), st.data())
+def test_the_gate_refuses_a_wrong_cell_on_either_side(point, data):
+    # a dense x usually has x vbar' in the Gauss cell for a wrong v too:
+    # then only the support of [x vbar']_+ tells the cells apart
+    x, u, v = point
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    for claimed, label in (
+        ((data.draw(permutations(x.rows).filter(lambda w: w != u)), v), "[ubar^-1 x]"),
+        ((u, data.draw(permutations(x.rows).filter(lambda w: w != v))), "[x vbar']_-"),
+    ):
+        word = random_double_word(*claimed, rng)
+        for refuse in (
+            twist_general,
+            twist_reduced,
+            in_reduced_cell,
+            lambda y, *_: recover_params(y, word),
+        ):
+            with pytest.raises(WrongCell) as info:
+                refuse(x, *claimed)
+            assert info.value.actual == (u, v)
+        for twist in (twist_general, twist_reduced):
+            with pytest.raises(NotGeneric) as info:
+                twist(x, *claimed, check=False)
+            assert info.value.witness == ("projection", label)
 
 
 def positioned_specs(n):

@@ -27,7 +27,14 @@ from qbruhat.sampling import (
     with_retries,
 )
 from qbruhat.scalars import OppositeScalar, RationalQuaternion as Q, inv
-from qbruhat.verify import run_suite
+from qbruhat import verify
+from qbruhat.verify import (
+    GRID_CHECKS,
+    _dodgson_admissible,
+    _plucker_admissible,
+    run_suite,
+    validate_run,
+)
 from qbruhat.weyl import Permutation, all_permutations, representative
 
 
@@ -347,3 +354,24 @@ def test_zero_grid_quasiminor_is_resampled_not_raised():
     # check reports it as NotGeneric and the harness draws the next sample
     report = run_suite("dodgson", 4, trials=1, seed=274)
     assert report.passed and report.trials == 1 and report.checks > 0
+
+
+def test_grid_check_counts_are_the_admissible_counts():
+    for n in (2, 3, 4, 5):
+        assert GRID_CHECKS["dodgson"](n) == 5 * len(_dodgson_admissible(n))
+        plucker = sum(2 * len(all_permutations(n)) * len(ws) for *_, ws in _plucker_admissible(n))
+        assert GRID_CHECKS["plucker"](n) == plucker
+
+
+def test_grid_budget_boundary_is_checked_before_any_trial(monkeypatch):
+    # every size the golden reports and the benchmark use fits, and so does n = 5
+    for n, trials in ((3, 20), (4, 3), (4, 1), (5, 20)):
+        for name in ("dodgson", "plucker"):
+            validate_run(name, n, trials)
+    validate_run("roundtrip", 8, 10**6)  # the polynomial suites are not limited
+    per_trial = GRID_CHECKS["dodgson"](6)
+    monkeypatch.setattr(verify, "GRID_CHECK_BUDGET", 3 * per_trial)
+    validate_run("dodgson", 6, 3)
+    with pytest.raises(ValueError, match="budget") as info:
+        run_suite("dodgson", 6, trials=4, seed=0)
+    assert f"{4 * per_trial:,}" in str(info.value) and "dodgson" in str(info.value)
