@@ -7,7 +7,8 @@ yet used as pivots; the pivot pattern is the permutation u with x in B u B.
 Column operations from B would only rewrite pivot rows, so they could not
 change the pattern and none are done.  The opposite cell datum comes from
 the same procedure applied to the 180-degree rotation of x, conjugating by
-the longest permutation.
+the longest permutation; ``_opposite_datum`` is that v side alone, for a
+caller such as ``factor_w0_v`` whose u is fixed and left to the twist gate.
 
 The twist of a reduced cell point is
 
@@ -88,13 +89,15 @@ class CellLabel(NamedTuple):
     v: Permutation
 
 
+def _opposite_datum(x: Matrix) -> Permutation:
+    """The v with x in B^- v B^-: the pivot pattern of sigma(x), conjugated by w0."""
+    w0 = Permutation.longest(x.rows)
+    return w0 * _pivot_pattern(sigma(x))[0] * w0
+
+
 def classify(x: Matrix) -> CellLabel:
     """The unique (u, v) with x in BuB and x in B^- v B^-."""
-    u = _pivot_pattern(x)[0]
-    n = x.rows
-    w0 = Permutation.longest(n)
-    v_rot = _pivot_pattern(sigma(x))[0]
-    return CellLabel(u, w0 * v_rot * w0)
+    return CellLabel(_pivot_pattern(x)[0], _opposite_datum(x))
 
 
 def bruhat_factor(x: Matrix):

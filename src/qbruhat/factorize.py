@@ -18,7 +18,9 @@ Three families of factorization live here:
   a on the twist y = psi(x); tau_{ij} of ``factor_w0_v`` is d on x and c on
   y, and h_i is the numerator of d.  On the maximal cell the forms also
   swap (a on x = b on y, c on x = d on y); ``verify_double_ratios`` checks
-  all four transfers.
+  all four transfers.  ``factor_w0_v`` takes its cell test from the twist
+  gate, which it runs first, and its negative prefix from ``product_map``
+  of the block word; the residue of the blocks inherits the gate's test.
 
 Sign conventions follow the closed formulas, with stages defined by
 ``x(m, k) = x(m, k+1) (1 - t_{m,k} E_k)`` so that the ascending replay
@@ -30,15 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cells import _twist, classify, in_reduced_cell, twist_general
-from .errors import (
-    IndexOutOfRange,
-    NotGeneric,
-    QBruhatError,
-    ShapeMismatch,
-    WrongCell,
-    ZeroInverse,
-)
+from .cells import _opposite_datum, _twist, classify, twist_general
+from .errors import IndexOutOfRange, NotGeneric, QBruhatError, ShapeMismatch, ZeroInverse
 from .gauss import lower_solve
 from .matrix import Matrix, interval
 from .quasidet import MinorCache, MinorSpec, boxed_quasiminor
@@ -94,7 +89,7 @@ def product_map(word: DoubleWord, params, h=None) -> Matrix:
     """h * x_{i_1}(t_1) * ... * x_{i_m}(t_m) for a double word.
 
     All parameters must be nonzero; `h` may be a list of diagonal scalars
-    or a diagonal matrix.
+    or a diagonal matrix, n x n for a word on GL_n.
     """
     params = list(params)
     if len(params) != word.length:
@@ -111,6 +106,8 @@ def product_map(word: DoubleWord, params, h=None) -> Matrix:
         acc = h
     else:
         acc = Matrix.diagonal(list(h))
+    if (acc.rows, acc.cols) != (n, n):
+        raise ShapeMismatch(f"a {acc.shape_str()} torus for a word on GL_{n}")
     for letter, t in zip(word.letters, params):
         acc = acc._right_letter(letter, t)
     return acc
@@ -431,6 +428,18 @@ def factor_u_w0(x: Matrix) -> UW0Factorization:
     return UW0Factorization(t=dict(uf.t), x_minus=x_minus, u=u, v=v)
 
 
+def _negative_prefix(h, tau) -> Matrix:
+    """diag(h) * Xneg^(n-1) ... Xneg^(1), the product map of the block word.
+
+    Its letters -k for m = n-1, ..., 1 and k = m, ..., n-1 spell a reduced
+    word for the longest element on the negative side.
+    """
+    n = len(h)
+    blocks = [(m, k) for m in range(n - 1, 0, -1) for k in range(m, n)]
+    word = DoubleWord(n, tuple(-k for _, k in blocks))
+    return product_map(word, [tau[block] for block in blocks], h)
+
+
 @dataclass(frozen=True)
 class W0VFactorization:
     """x = diag(h) * Xneg^(n-1) ... Xneg^(1) * x_plus with Xneg^(m) = prod_k x_{-k}(tau[m,k])."""
@@ -440,39 +449,25 @@ class W0VFactorization:
     x_plus: Matrix
     v: Permutation
 
-    def _letters(self) -> list:
-        """The (letter, tau) factors of the negative blocks, in product order."""
-        n = len(self.h)
-        return [(-k, self.tau[(m, k)]) for m in range(n - 1, 0, -1) for k in range(m, n)]
-
-    def negative_prefix(self) -> Matrix:
-        acc = Matrix.diagonal(list(self.h))
-        for letter, t in self._letters():
-            acc = acc._right_letter(letter, t)
-        return acc
-
     def replay(self) -> Matrix:
-        """The letters act on x_plus as row operations, last letter first, then the torus."""
-        acc = self.x_plus
-        for letter, t in reversed(self._letters()):
-            acc = acc._left_letter(letter, t)
-        return acc._scale_rows(self.h)
+        return _negative_prefix(self.h, self.tau) * self.x_plus
 
 
 def factor_w0_v(x: Matrix) -> W0VFactorization:
     """Factor a point with longest-element row datum into torus, negative blocks, and x_plus.
 
-    h and tau come from family d on x (h_m is its numerator at row m); the
-    residual must land in the reduced cell of (e, v).  The twisted forms
-    of tau (family c on y = psi(x)) are checked for agreement.
+    The twist gate runs first, at (w0, v) with v the opposite datum of x,
+    so a point with another row datum is WrongCell before any quasiminor
+    is computed.  h and tau come from family d on x (h_m is its numerator
+    at row m), and x_plus = P^{-1} x for the negative prefix P, which must
+    be upper unitriangular.  x_plus then lies in the reduced cell of
+    (e, v) with no further test: P is lower triangular, so
+    [x_plus vbar']_+ = [x vbar']_+, whose support the gate has checked.
+    The twisted forms of tau (family c on y = psi(x)) must agree.
     """
     n = x.rows
-    w0 = Permutation.longest(n)
-    u, v = classify(x)
-    if u != w0:
-        raise WrongCell(
-            f"x has row datum {u!r}, not the longest element", expected=w0, actual=u
-        )
+    v = _opposite_datum(x)
+    cache_y = MinorCache(twist_general(x, Permutation.longest(n), v))
     cache_x = MinorCache(x)
     h = tuple(cache_x.spec(BLOCK_FAMILIES["d"](n, m, m)[1]) for m in range(1, n + 1))
     pairs = sorted(upper_pairs(n))
@@ -484,13 +479,9 @@ def factor_w0_v(x: Matrix) -> W0VFactorization:
                 f"tau_({m},{k}) is zero; x is degenerate for the negative blocks",
                 witness=("tau-zero", m, k),
             )
-    partial = W0VFactorization(h=h, tau=tau, x_plus=Matrix.identity(n), v=v)
-    x_plus = lower_solve(partial.negative_prefix(), x)[1]
+    x_plus = lower_solve(_negative_prefix(h, tau), x)[1]
     if not x_plus.is_unitriangular("upper"):
         raise QBruhatError("residual of the negative blocks is not upper unitriangular")
-    if not in_reduced_cell(x_plus, Permutation.identity(n), v):
-        raise QBruhatError("residual is unitriangular but not in the reduced cell of (e, v)")
-    cache_y = MinorCache(twist_general(x, w0, v))
     for i, j in pairs:
         twisted = block_ratio(cache_y, "c", i, j, ("w0-v-twist", i, j))
         if not is_zero(twisted - tau[(i, j)]):

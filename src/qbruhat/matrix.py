@@ -198,27 +198,6 @@ class Matrix:
             )
         return Matrix._wrap(rows)
 
-    def _left_letter(self, letter: int, t) -> "Matrix":
-        """x_i(t) * x for letter i > 0, x_{-i}(t) * x for letter -i.
-
-        x_i(t) adds t times row i+1 to row i; x_{-i}(t) (the block
-        [[t^-1, 0], [1, t]] at rows and columns i, i+1) makes row i
-        t^-1 row_i and row i+1 row_i + t row_{i+1}.
-        """
-        k = abs(letter)
-        if not 1 <= k <= self.rows - 1:
-            raise IndexOutOfRange(f"generator index {k} outside [1, {self.rows - 1}]")
-        e = self._e
-        top, bottom = e[k - 1], e[k]
-        if letter > 0:
-            pair = (tuple(a + t * b for a, b in zip(top, bottom)), bottom)
-        else:
-            if is_zero(t):
-                raise ZeroInverse(f"x_-{k}(t) needs invertible t")
-            t_inv = inv(t)
-            pair = (tuple(t_inv * a for a in top), tuple(a + t * b for a, b in zip(top, bottom)))
-        return Matrix._wrap(e[: k - 1] + pair + e[k + 1 :])
-
     def _permute_rows(self, src, signs) -> "Matrix":
         """P * x for P with signs[i] (+-1) at (i, src[i]): row i is +-row src[i]."""
         if len(src) != self.rows or len(signs) != self.rows:

@@ -132,7 +132,8 @@ def maximal_cell_point(rng: random.Random, n: int, bound: int = 2) -> Matrix:
     w0 = Permutation.longest(n)
 
     def attempt():
-        x = invertible_matrix(rng, n, "quat", bound)
+        # classify raises NotGeneric on a singular x, so no rank test is needed
+        x = matrix(rng, n, n, "quat", bound)
         if classify(x) != (w0, w0):
             raise NotGeneric("sampled matrix missed the maximal cell")
         return x

@@ -472,9 +472,11 @@ def _trial_double_ratios(rng: random.Random, n: int, bound: int, extended: bool 
         _fail("double-ratios", x, failures=ratios.failures)
     checks = sum(ratios.counts.values())
     xu, _, _, _ = cell_point(rng, random_permutation(rng, n), w0, bound)
-    factor_u_w0(xu)
+    if factor_u_w0(xu).replay() != xu:
+        _fail("u-w0-replay", xu)
     xv, _, _, _ = cell_point(rng, w0, random_permutation(rng, n), bound)
-    factor_w0_v(xv)
+    if factor_w0_v(xv).replay() != xv:
+        _fail("w0-v-replay", xv)
     return checks + 2
 
 

@@ -8,6 +8,7 @@ from oracles import det_minor
 from qbruhat.cells import classify, in_reduced_cell
 from qbruhat.errors import NotGeneric, ShapeMismatch, WrongCell, ZeroInverse
 from qbruhat.factorize import (
+    FactorizationOutput,
     Generator,
     commute_neg_pos,
     factor_u_w0,
@@ -196,6 +197,13 @@ def test_product_map_errors():
         product_map(word, [Q(1), Q(0)])
     with pytest.raises(ShapeMismatch):
         product_map(word, [Q(1), Q(1)], Matrix([[1, 1], [0, 1]]))
+    # a torus of another size than the word's group
+    for h in ([2], [1, 1], [1, 1, 1, 1]):
+        for torus in (h, Matrix.diagonal(h)):
+            with pytest.raises(ShapeMismatch):
+                product_map(word, [Q(1), Q(1)], torus)
+        with pytest.raises(ShapeMismatch):
+            FactorizationOutput(h=tuple(h), t=(Q(1), Q(1))).replay(word)
 
 
 def test_standard_word_is_reduced_for_longest():

@@ -31,7 +31,7 @@ from qbruhat.cells import (
     twist_reduced,
 )
 from qbruhat.errors import NotGeneric, NotInGaussCell, WrongCell
-from qbruhat.factorize import letter_matrix, recover_params
+from qbruhat.factorize import factor_w0_v, letter_matrix, recover_params
 from qbruhat.gauss import gauss_parts, ldu, lower_solve
 from qbruhat.matrix import Matrix, interval, matrix_from_json, rank
 from qbruhat.quasidet import (
@@ -82,7 +82,6 @@ def test_letter_action_equals_dense_letter_product(data):
     letter = data.draw(st.integers(1, n - 1)) * data.draw(st.sampled_from((1, -1)))
     t = data.draw(nonzero_quaternions)
     assert x._right_letter(letter, t) == x * letter_matrix(letter, t, n)
-    assert x._left_letter(letter, t) == letter_matrix(letter, t, n) * x
 
 
 @settings(max_examples=60, deadline=None)
@@ -377,27 +376,29 @@ def test_twist_reduced_refuses_a_scaled_reduced_point(pair, d):
             twist_reduced(scaled, u, v)
 
 
-def test_twist_reduced_decomposes_as_often_as_twist_general(monkeypatch):
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The names of the reduction, elimination and classify calls made, in order."""
+    calls = []
+    for module, name in ((cells, "_pivot_pattern"), (cells, "classify"), (gauss, "_eliminate")):
+        kernel = getattr(module, name)
+
+        def wrapper(*args, kernel=kernel, name=name):
+            calls.append(name)
+            return kernel(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_twist_reduced_decomposes_as_often_as_twist_general(kernel_calls):
     # the gate reduces x once per side: one Bruhat reduction, then one
     # Gauss-cell elimination of [x vbar' | ubar [ubar^-1 x]_-]; classify only refuses
     data = json.loads((Path(__file__).parent / "data" / "reduced4.json").read_text())
     x = matrix_from_json(data)
     word = DoubleWord(4, (-1, 2, -3, 1, -2, 3, 2))
     u, v = word.u(), word.v()
-    calls = []
-
-    def counted(module, name):
-        kernel = getattr(module, name)
-
-        def wrapper(*args):
-            calls.append(name)
-            return kernel(*args)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(cells, "_pivot_pattern")
-    counted(cells, "classify")
-    counted(gauss, "_eliminate")
+    calls = kernel_calls
     gated = (
         lambda: twist_general(x, u, v),
         lambda: twist_reduced(x, u, v),
@@ -473,6 +474,26 @@ def test_the_gate_refuses_a_wrong_cell_on_either_side(point, data):
             with pytest.raises(NotGeneric) as info:
                 twist(x, *claimed, check=False)
             assert info.value.witness == ("projection", label)
+
+
+def test_factor_w0_v_reduces_x_once_per_side_and_divides_once(kernel_calls):
+    # the opposite datum and the gate's Bruhat reduction; the gate's
+    # elimination and the division of x by the negative prefix
+    data = json.loads((Path(__file__).parent / "data" / "maximal4.json").read_text())
+    factor_w0_v(matrix_from_json(data))
+    assert sorted(kernel_calls) == ["_eliminate"] * 2 + ["_pivot_pattern"] * 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(classified_points())
+def test_factor_w0_v_refuses_another_row_datum_at_the_gate(point):
+    x, u, v = point
+    w0 = Permutation.longest(x.rows)
+    assume(u != w0)
+    with pytest.raises(WrongCell) as info:
+        factor_w0_v(x)
+    assert info.value.actual == classify(x) == (u, v)
+    assert info.value.expected == (w0, v)
 
 
 def positioned_specs(n):
