@@ -49,6 +49,10 @@ from .scalars import inv, is_zero
 from .weyl import Permutation, left_by_representative, right_by_representative
 
 
+def _no_pivot(j: int) -> NotGeneric:
+    return NotGeneric(f"matrix is singular: column {j} has no usable pivot", witness=("column", j))
+
+
 def _pivot_pattern(x: Matrix):
     """Reduce x by upper-Borel row operations.
 
@@ -66,10 +70,7 @@ def _pivot_pattern(x: Matrix):
     for j in range(n):
         candidates = [r for r in range(n) if not used[r] and not is_zero(m[r][j])]
         if not candidates:
-            raise NotGeneric(
-                f"matrix is singular: column {j + 1} has no usable pivot",
-                witness=("column", j + 1),
-            )
+            raise _no_pivot(j + 1)
         r = max(candidates)
         used[r] = True
         images[j] = r + 1
@@ -90,9 +91,16 @@ class CellLabel(NamedTuple):
 
 
 def _opposite_datum(x: Matrix) -> Permutation:
-    """The v with x in B^- v B^-: the pivot pattern of sigma(x), conjugated by w0."""
+    """The v with x in B^- v B^-: the pivot pattern of sigma(x), conjugated by w0.
+
+    A singular x is reported at its own column n + 1 - j, not at column j of sigma(x).
+    """
+    try:
+        pattern = _pivot_pattern(sigma(x))[0]
+    except NotGeneric as exc:
+        raise _no_pivot(x.rows + 1 - exc.witness[1]) from None
     w0 = Permutation.longest(x.rows)
-    return w0 * _pivot_pattern(sigma(x))[0] * w0
+    return w0 * pattern * w0
 
 
 def classify(x: Matrix) -> CellLabel:

@@ -30,8 +30,9 @@ class NotGeneric(QBruhatError):
 
     * kernels: ``("pivot", k)`` (no pivot in column k of an inverse, or a
       zero Gauss-cell elimination pivot k), ``("inner", p, q)`` (the
-      inner block of |A|_pq is singular), ``("rank", r)``, ``("column", j)``,
-      ``("principal", k)``, ``("projection", label)``,
+      inner block of |A|_pq is singular), ``("rank", r)``, ``("column", j)``
+      (classifying a singular x found no pivot in its column j, on either
+      side), ``("principal", k)``, ``("projection", label)``,
       ``("pivot-block", I0, J0)``, ``("expansion", r, c)``,
       ``("plucker-left", I, i, j)``, ``("plucker-right", I, i, j)``,
       ``("grid-zero", u, v, k)``;

@@ -33,6 +33,13 @@ complement x[R, C] - x[R, J'] x[I', J']^{-1} x[I', C] of the inner block
 elimination per inner block, made when the first member is asked for;
 ``sylvester_reduce`` is the Schur complement of its pivot block, and
 ``quasideterminant`` the one-member case.
+
+Blocks come in chains: the inner block of the level-(k+1) quasiminor at
+(u, v) is the whole level-k block.  So ``MinorCache`` borders a new block
+from a cached one-smaller parent x[P - a, Q - b] when it has one, by the
+quotient property of Schur complements (Crabtree, Haynsworth, Proc. AMS 22
+(1969)): one Schur row against the parent's solutions, O(k n) scalar work
+(``_border``), where a cold ``_schur_columns`` elimination is O(k^2 n).
 """
 
 from __future__ import annotations
@@ -64,6 +71,33 @@ def _schur_entry(e, J, z, p: int, q: int):
     """Entry (p, q) of the Schur complement of x[I, J]: x[p, q] - x[p, J] z_q."""
     row = e[p - 1]
     return row[q - 1] - _dot([row[c - 1] for c in J], z[q])
+
+
+def _border(e, Q, a: int, t: int, z):
+    """{q: x[P, Q]^{-1} x[P, q]} from the solutions z of the parent x[P - a, Q - b].
+
+    b = Q[t], and z maps every column outside Q - b to its solution; None
+    when x[P, Q] is singular.  By the quotient property of Schur complements
+    (Crabtree, Haynsworth 1969), with the Schur row
+    s_q = x[a, q] - x[a, Q - b] z_q and its pivot sigma = s_b, x[P, Q] is
+    singular iff sigma = 0; otherwise mu_q = sigma^{-1} s_q is the solution's
+    entry at b and z_q - z_b mu_q the rest, multiplied in exactly that order
+    over a skew field.
+    """
+    b, row, z_b = Q[t], e[a - 1], z[Q[t]]
+    border = [row[c - 1] for c in Q[:t] + Q[t + 1 :]]
+    sigma = row[b - 1] - _dot(border, z_b)
+    if is_zero(sigma):
+        return None
+    sigma_inv = inv(sigma)
+    out = {}
+    for q, z_q in z.items():
+        if q != b:
+            mu = sigma_inv * (row[q - 1] - _dot(border, z_q))
+            solved = [c - d * mu for c, d in zip(z_q, z_b)]
+            solved.insert(t, mu)
+            out[q] = tuple(solved)
+    return out
 
 
 def _inner_singular(p: int, q: int, size: int) -> NotGeneric:
@@ -328,11 +362,14 @@ class MinorCache:
     repeated failure costs nothing.  A miss reads the Schur-complement
     family of its inner block (I', J') = (I - {i}, J - {j}) (GGRW 2005,
     Thm 1.5.2, see the module docstring): ``_blocks`` maps (I', J') to
-    ``_schur_columns`` of x[I', J'] against every column outside J', or to
-    None when x[I', J'] is singular, and the member is
-    (-1)^{d_i(I) + d_j(J)} (x[i, j] - x[i, J'] z_j).  A block is eliminated
-    when the first member of its family is asked for, never ahead: most
-    families are read in one or two members.
+    x[I', J']^{-1} x[I', q] for every column q outside J', or to None when
+    x[I', J'] is singular, and the member is
+    (-1)^{d_i(I) + d_j(J)} (x[i, j] - x[i, J'] z_j).  A block is made when
+    the first member of its family is asked for, never ahead: most families
+    are read in one or two members.  ``_block`` borders it from a cached,
+    nonsingular one-smaller parent when there is one (Crabtree-Haynsworth
+    1969, ``_border``) and eliminates it cold with ``_schur_columns``
+    otherwise: 1x1 blocks, and blocks whose parents are missing or singular.
     """
 
     def __init__(self, x: Matrix):
@@ -361,6 +398,20 @@ class MinorCache:
             raise hit[1]
         return hit[1]
 
+    def _block(self, P, Q):
+        """{q: x[P, Q]^{-1} x[P, q]} for q outside Q, bordered or cold; None if singular."""
+        blocks, e = self._blocks, self.x._e
+        if (P, Q) not in blocks:
+            for s, a in enumerate(P):
+                for t in range(len(Q)):
+                    z = blocks.get((P[:s] + P[s + 1 :], Q[:t] + Q[t + 1 :]))
+                    if z is not None:
+                        blocks[P, Q] = _border(e, Q, a, t, z)
+                        return blocks[P, Q]
+            outside = tuple(c for c in range(1, self.x.cols + 1) if c not in Q)
+            blocks[P, Q] = _schur_columns(e, P, Q, outside)
+        return blocks[P, Q]
+
     def _member(self, I, J, i, j):
         x = self.x
         check_index_set(I, x.rows)
@@ -370,11 +421,7 @@ class MinorCache:
         if not inner_rows:
             return e[i - 1][j - 1]
         inner_cols = tuple(c for c in J if c != j)
-        block = (inner_rows, inner_cols)
-        if block not in self._blocks:
-            outside = tuple(c for c in range(1, x.cols + 1) if c not in inner_cols)
-            self._blocks[block] = _schur_columns(e, inner_rows, inner_cols, outside)
-        z = self._blocks[block]
+        z = self._block(inner_rows, inner_cols)
         d_i, d_j = count_greater(I, i), count_greater(J, j)
         if z is None:
             raise _inner_singular(len(I) - d_i, len(J) - d_j, len(inner_rows))

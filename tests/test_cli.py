@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -249,6 +252,14 @@ TWIST_COMMANDS = (
     ("twist", "--u", "2,4,1,3", "--v", "3,4,1,2", "--input", REDUCED4),
 )
 TWIST_REPORTS = DATA / "twist_reports.txt"
+# The polynomial suites at the sizes where quasiminor blocks form the
+# longest chains, recorded before blocks were bordered from their parents.
+SCALING_COMMANDS = tuple(
+    ("verify", "--suite", suite, "--n", str(n), "--trials", "3", "--seed", "0")
+    for n in (6, 8)
+    for suite in ("roundtrip", "double-ratios", "twist-involution")
+)
+SCALING_REPORTS = DATA / "scaling_reports.txt"
 
 
 def render_golden_reports(commands=GOLDEN_COMMANDS) -> str:
@@ -284,3 +295,20 @@ def test_twist_reports_match_recorded_golden_output():
     # reduced-cell point, recorded before the inverse-free twist existed.
     rendered = render_golden_reports(TWIST_COMMANDS)
     assert rendered == TWIST_REPORTS.read_text(encoding="utf-8")
+
+
+def test_scaling_reports_match_recorded_golden_output():
+    rendered = render_golden_reports(SCALING_COMMANDS)
+    assert rendered == SCALING_REPORTS.read_text(encoding="utf-8")
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["verify", "--suite", "gauss", "--n", "2", "--trials", "1", "--seed", "0"]
+    src = str(Path(__file__).parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-m", "qbruhat", *argv], capture_output=True, text=True, env=env
+    )
+    code, out, err = run(capsys, *argv)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, err)

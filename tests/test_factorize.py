@@ -525,6 +525,30 @@ def test_factor_w0_v_wrong_cell():
         factor_w0_v(x)
 
 
+# column 2 is column 1 times a quaternion from the right, a relation row operations keep
+QUAT_SINGULAR = Matrix(
+    [
+        [a, a * Q(1, -1, 2, 0), b]
+        for a, b in (
+            (Q(1, 2, 0, -1), Q(0, 1, 1, 1)),
+            (Q(-2, 0, 1, 1), Q(3, 0, 0, 1)),
+            (Q(1, 1, 1, 1), Q(2, -1, 0, 0)),
+        )
+    ]
+)
+
+
+@pytest.mark.parametrize("x", (Matrix([[1, 2, 3], [2, 4, 6], [0, 0, 1]]), QUAT_SINGULAR))
+def test_a_singular_x_is_reported_at_its_own_column_from_either_side(x):
+    # the u side reduces columns 1, 2, 3 and stops at 2; the v side reduces
+    # sigma(x), i.e. columns 3, 2, 1 of x, and stops at 1, not at sigma's 3
+    for factor, j in ((factor_u_w0, 2), (factor_w0_v, 1)):
+        with pytest.raises(NotGeneric) as info:
+            factor(x)
+        assert info.value.witness == ("column", j)
+        assert str(info.value) == f"matrix is singular: column {j} has no usable pivot"
+
+
 # -- maximal twist report -------------------------------------------------------------
 
 

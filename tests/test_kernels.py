@@ -11,6 +11,7 @@ the inverse-free twist must agree with the paper's forms, and the one
 torus of [ubar^-1 x]_0 must equal the level quasiminors at (u, e).
 """
 
+import contextlib
 import itertools
 import json
 import random
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qbruhat import cells, gauss
+from qbruhat import cells, gauss, quasidet
 from qbruhat.cells import (
     bruhat_factor,
     classify,
@@ -596,6 +597,68 @@ def test_singular_inner_block_fails_its_whole_family_only(data):
     for spec in others:
         assert results[spec] == outcome(lambda: positive_quasiminor(x, spec))
     assume(any(results[spec][0] == "ok" for spec in others if len(spec.I) > 1))
+
+
+@contextlib.contextmanager
+def cold_blocks():
+    """The (rows, cols) of every block that ``_schur_columns`` eliminates cold, in order."""
+    blocks = []
+    kernel = quasidet._schur_columns
+
+    def wrapper(e, I, J, cols):
+        blocks.append((tuple(I), tuple(J)))
+        return kernel(e, I, J, cols)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quasidet, "_schur_columns", wrapper)
+        yield blocks
+
+
+def test_recover_params_borders_every_block_but_the_first_of_each_chain():
+    # a (w0, w0) recovery at n = 6 reads 35 blocks; each chain of level
+    # blocks starts at a 1x1 block and every later link is bordered from it
+    w0 = Permutation.longest(6)
+    x, word, h, t = cell_point(random.Random(3), w0, w0)
+    with cold_blocks() as cold:
+        out = recover_params(x, word)
+    assert list(out.h) == h and list(out.t) == t
+    assert len(cold) == 6 and all(len(rows) == 1 for rows, _ in cold)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_a_block_with_only_singular_cached_parents_is_eliminated_cold(data):
+    # an invertible block always has some nonsingular one-smaller parent, so
+    # here only the parents read before it are singular, and none can border it
+    n = data.draw(st.integers(3, 5))
+    k = data.draw(st.integers(2, n - 1))
+    I0, J0 = index_sets(data, n, k), index_sets(data, n, k)
+    rows = [[data.draw(nonzero_quaternions) for _ in range(n)] for _ in range(n)]
+    matching = data.draw(st.permutations(range(k)))[: data.draw(st.integers(1, k))]
+    parents = []
+    for s, t in enumerate(matching):
+        a, b = I0[s], J0[t]
+        inner_rows, inner_cols = I0[:s] + I0[s + 1 :], J0[:t] + J0[t + 1 :]
+        # one row of the parent a left combination of its other rows
+        dep = data.draw(st.sampled_from(inner_rows))
+        coeffs = {r: data.draw(nonzero_quaternions) for r in inner_rows if r != dep}
+        for c in inner_cols:
+            rows[dep - 1][c - 1] = sum((coeffs[r] * rows[r - 1][c - 1] for r in coeffs), Q(0))
+        parents.append((a, b, inner_rows, inner_cols))
+    x = Matrix(rows)
+    assume(rank(x.submatrix(I0, J0)) == k)
+    assume(all(rank(x.submatrix(p, q)) < k - 1 for _, _, p, q in parents))
+    # the member of a parent's family marked at (a, b) is |x_{I0,J0}|_{a,b}
+    reads = [MinorSpec(I0, J0, a, b) for a, b, _, _ in parents] + family(I0, J0, n)
+    expected = [outcome(lambda: positive_quasiminor(x, spec)) for spec in reads]
+    assert all(got[0] == "err" for got in expected[: len(parents)])
+    cache = MinorCache(x)
+    with cold_blocks() as cold:
+        got = [outcome(lambda: cache.spec(spec)) for spec in reads[: len(parents)]]
+        assert cache._blocks == {(p, q): None for _, _, p, q in parents}
+        got += [outcome(lambda: cache.spec(spec)) for spec in reads[len(parents) :]]
+    assert got == expected
+    assert cold == [(p, q) for _, _, p, q in parents] + [(I0, J0)]
 
 
 @settings(max_examples=25, deadline=None)
