@@ -35,7 +35,7 @@ from fractions import Fraction
 from .cells import _opposite_datum, _twist, classify, twist_general
 from .errors import IndexOutOfRange, NotGeneric, QBruhatError, ShapeMismatch, ZeroInverse
 from .gauss import lower_solve
-from .matrix import Matrix, interval
+from .matrix import Matrix, _coerce_entry, interval
 from .quasidet import MinorCache, MinorSpec, boxed_quasiminor
 from .scalars import inv, is_zero
 from .weyl import DoubleWord, Permutation, simple_representative
@@ -88,10 +88,11 @@ def letter_matrix(letter: int, t, n: int) -> Matrix:
 def product_map(word: DoubleWord, params, h=None) -> Matrix:
     """h * x_{i_1}(t_1) * ... * x_{i_m}(t_m) for a double word.
 
-    All parameters must be nonzero; `h` may be a list of diagonal scalars
+    All parameters must be nonzero exact scalars (a float or complex is a
+    TypeError, as for a matrix entry); `h` may be a list of diagonal scalars
     or a diagonal matrix, n x n for a word on GL_n.
     """
-    params = list(params)
+    params = [_coerce_entry(t) for t in params]
     if len(params) != word.length:
         raise ShapeMismatch(f"{len(params)} parameters for a word of length {word.length}")
     n = word.n

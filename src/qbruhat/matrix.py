@@ -13,6 +13,7 @@ row operations multiply on the left, column operations on the right.
 
 from __future__ import annotations
 
+import bisect
 from fractions import Fraction
 
 from .errors import IndexOutOfRange, NotGeneric, ShapeMismatch, ZeroInverse
@@ -26,8 +27,8 @@ from .scalars import (
 
 
 def _coerce_entry(e):
-    if isinstance(e, bool):
-        raise TypeError("bool is not a scalar")
+    if isinstance(e, (bool, float, complex)):
+        raise TypeError(f"{type(e).__name__} is not an exact scalar")
     if isinstance(e, int):
         return Fraction(e)
     return e
@@ -256,19 +257,20 @@ class Matrix:
         return self.submatrix(I, J)
 
     def inverse(self) -> "Matrix":
-        """Exact inverse: ``_row_reduce`` on [x | 1] leaves [1 | x^-1].
+        """Exact inverse: ``_solve`` on [x | 1] solves x z = e_c for every unit column.
 
         Raises NotGeneric with witness ("pivot", k), k the first column of x without a pivot.
         """
         if not self.is_square:
             raise ShapeMismatch(f"cannot invert {self.shape_str()}")
         n = self.rows
-        m = [list(row) + list(unit) for row, unit in zip(self._e, Matrix.identity(n)._e)]
-        pivots = _row_reduce(m, n)
-        if len(pivots) < n:
-            k = next((i for i, c in enumerate(pivots) if i != c), len(pivots)) + 1
+        e = [row + unit for row, unit in zip(self._e, Matrix.identity(n)._e)]
+        units = interval(n + 1, 2 * n)
+        Q, z = _solve(e, interval(1, n), interval(1, n), units)
+        if len(Q) < n:
+            k = next((i for i, c in enumerate(Q, start=1) if i != c), len(Q) + 1)
             raise NotGeneric(f"matrix is singular: no pivot in column {k}", witness=("pivot", k))
-        return Matrix._wrap(tuple(tuple(row[n:]) for row in m))
+        return Matrix._wrap(tuple(zip(*(z[c] for c in units))))
 
     # -- shape predicates -----------------------------------------------------
 
@@ -323,33 +325,55 @@ def _dot(row, col):
     return acc
 
 
-def _row_reduce(m: list, width: int) -> list:
-    """Gauss-Jordan elimination, in place, on the list of rows m.
+def _border(row, Q, z, candidates):
+    """Border x[P, Q] by one more row of x: (Q + b, z'), or None if no candidate pivots.
 
-    Column c < width takes as pivot the first nonzero entry at or below the
-    current row; the pivot row is scaled to a leading 1 and every other row
-    loses a multiple of it, both from the left, which is the order that is
-    correct over a skew field.  The pivot row is zero left of c, so only
-    columns c onwards change.  Returns the 0-based pivot columns.
+    z maps columns q to z_q = x[P, Q]^{-1} x[P, q] (empty tuples for the
+    empty block), and `row` is the new row of x, 0-based.  By the quotient
+    property of Schur complements (Crabtree, Haynsworth, Proc. AMS 22
+    (1969)), with the Schur row s_q = row[q] - row[Q] z_q and b the first
+    candidate with s_b != 0, z'_q is z_q - z_b mu_q with mu_q = s_b^{-1} s_q
+    inserted at b's sorted position, multiplied in exactly that order over a
+    skew field: O(|Q| |z|) scalar work.
     """
-    pivots = []
-    for c in range(width):
-        r = len(pivots)
-        if r == len(m):
+    border = [row[c - 1] for c in Q]
+
+    def schur(q):
+        return row[q - 1] - _dot(border, z[q]) if border else row[q - 1]
+
+    for b in candidates:
+        sigma = schur(b)
+        if not is_zero(sigma):
             break
-        pivot_row = next((i for i in range(r, len(m)) if not is_zero(m[i][c])), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        p = inv(m[r][c])
-        pivot = [p * a for a in m[r][c:]]
-        m[r][c:] = pivot
-        for i, row in enumerate(m):
-            if i != r and not is_zero(row[c]):
-                f = row[c]
-                row[c:] = [a - f * b for a, b in zip(row[c:], pivot)]
-        pivots.append(c)
-    return pivots
+    else:
+        return None
+    sigma_inv, z_b = inv(sigma), z[b]
+    t = bisect.bisect(Q, b)
+    out = {}
+    for q, z_q in z.items():
+        if q != b:
+            mu = sigma_inv * schur(q)
+            solved = [c - d * mu for c, d in zip(z_q, z_b)]
+            solved.insert(t, mu)
+            out[q] = tuple(solved)
+    return Q[:t] + (b,) + Q[t:], out
+
+
+def _solve(e, P, J, cols):
+    """(Q, z): x[P', Q] bordered from the empty block by each independent row P' of P.
+
+    `e` holds the rows of x as 0-based tuples; P, J and cols are 1-based, J
+    increasing and disjoint from cols.  Each row pivots on its first column
+    of J with a nonzero Schur entry and is skipped when it has none, so Q is
+    the column rank profile of x[P, J] (the leading columns of any echelon
+    form), and z maps each column of J - Q and cols to x[P', Q]^{-1} x[P', q].
+    """
+    Q, z = (), dict.fromkeys(tuple(J) + tuple(cols), ())
+    for a in P:
+        step = _border(e[a - 1], Q, z, [c for c in J if c in z])
+        if step is not None:
+            Q, z = step
+    return Q, z
 
 
 def _formattable(a):
@@ -389,8 +413,8 @@ def iota_inverse_free(x: Matrix) -> Matrix:
 
 
 def rank(x: Matrix) -> int:
-    """Rank over the scalar's division ring, by left-row reduction."""
-    return len(_row_reduce(x.to_lists(), x.cols))
+    """Rank over the scalar's division ring: the size of the pivot set ``_solve`` finds."""
+    return len(_solve(x._e, interval(1, x.rows), interval(1, x.cols), ())[0])
 
 
 # -- JSON wire format ---------------------------------------------------------

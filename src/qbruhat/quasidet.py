@@ -28,18 +28,20 @@ Quasiminors come in families.  By the definition and heredity
 (Gelfand, Gelfand, Retakh, Wilson, *Quasideterminants*, Adv. Math. 193
 (2005), Thm 1.5.2), |x_{I'+p, J'+q}|_{p,q} is entry (p, q) of the Schur
 complement x[R, C] - x[R, J'] x[I', J']^{-1} x[I', C] of the inner block
-(I', J'), so every member of a family reads one elimination of
-[x[I', J'] | x[I', C]] (``_schur_columns``).  ``MinorCache`` keeps that
-elimination per inner block, made when the first member is asked for;
+(I', J'), so every member of a family reads one solve
+z_q = x[I', J']^{-1} x[I', q] (``_schur_columns``).  ``MinorCache`` keeps
+that solve per inner block, made when the first member is asked for;
 ``sylvester_reduce`` is the Schur complement of its pivot block, and
 ``quasideterminant`` the one-member case.
 
-Blocks come in chains: the inner block of the level-(k+1) quasiminor at
-(u, v) is the whole level-k block.  So ``MinorCache`` borders a new block
-from a cached one-smaller parent x[P - a, Q - b] when it has one, by the
+Every solve is a chain of bordering steps (``matrix._border``): by the
 quotient property of Schur complements (Crabtree, Haynsworth, Proc. AMS 22
-(1969)): one Schur row against the parent's solutions, O(k n) scalar work
-(``_border``), where a cold ``_schur_columns`` elimination is O(k^2 n).
+(1969)) the solutions of x[P, Q] follow from those of x[P - a, Q - b] and
+one Schur row, O(k n) scalar work.  A cold solve borders the empty block
+with each row of I' in turn (``matrix._solve``), O(k^2 n).  Blocks come in
+chains too: the inner block of the level-(k+1) quasiminor at (u, v) is the
+whole level-k block, so ``MinorCache`` borders a new block once from a
+cached one-smaller parent when it has one.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ import functools
 from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, NotGeneric, QBruhatError
-from .matrix import Matrix, _dot, _row_reduce, check_index_set, interval
+from .matrix import Matrix, _border, _dot, _solve, check_index_set, interval
 from .scalars import inv, is_zero
 from .weyl import Permutation, left_by_representative, right_by_representative
 
@@ -57,47 +59,17 @@ def _schur_columns(e, I, J, cols):
     """{q: x[I, J]^{-1} x[I, q]} for q in cols; None when x[I, J] is singular.
 
     `e` holds the rows of x as 0-based tuples; I, J and cols are 1-based,
-    with |I| = |J| >= 1.  One ``_row_reduce`` of [x[I, J] | x[I, cols]]
-    leaves the identity on the left and the solved columns on the right.
+    with |I| = |J| >= 1 and J increasing: ``_solve`` borders the block one
+    row of I at a time.
     """
-    k = len(J)
-    m = [[row[c - 1] for c in J] + [row[c - 1] for c in cols] for row in (e[r - 1] for r in I)]
-    if len(_row_reduce(m, k)) < k:
-        return None
-    return dict(zip(cols, zip(*(row[k:] for row in m))))
+    Q, z = _solve(e, I, J, cols)
+    return z if len(Q) == len(J) else None
 
 
 def _schur_entry(e, J, z, p: int, q: int):
     """Entry (p, q) of the Schur complement of x[I, J]: x[p, q] - x[p, J] z_q."""
     row = e[p - 1]
     return row[q - 1] - _dot([row[c - 1] for c in J], z[q])
-
-
-def _border(e, Q, a: int, t: int, z):
-    """{q: x[P, Q]^{-1} x[P, q]} from the solutions z of the parent x[P - a, Q - b].
-
-    b = Q[t], and z maps every column outside Q - b to its solution; None
-    when x[P, Q] is singular.  By the quotient property of Schur complements
-    (Crabtree, Haynsworth 1969), with the Schur row
-    s_q = x[a, q] - x[a, Q - b] z_q and its pivot sigma = s_b, x[P, Q] is
-    singular iff sigma = 0; otherwise mu_q = sigma^{-1} s_q is the solution's
-    entry at b and z_q - z_b mu_q the rest, multiplied in exactly that order
-    over a skew field.
-    """
-    b, row, z_b = Q[t], e[a - 1], z[Q[t]]
-    border = [row[c - 1] for c in Q[:t] + Q[t + 1 :]]
-    sigma = row[b - 1] - _dot(border, z_b)
-    if is_zero(sigma):
-        return None
-    sigma_inv = inv(sigma)
-    out = {}
-    for q, z_q in z.items():
-        if q != b:
-            mu = sigma_inv * (row[q - 1] - _dot(border, z_q))
-            solved = [c - d * mu for c, d in zip(z_q, z_b)]
-            solved.insert(t, mu)
-            out[q] = tuple(solved)
-    return out
 
 
 def _inner_singular(p: int, q: int, size: int) -> NotGeneric:
@@ -329,7 +301,7 @@ def sylvester_reduce(A: Matrix, I0, J0) -> Matrix:
     order, with b_pq the quasideterminant of the bordered pivot block
     marked at (p, q); |A|_st = |B|_st for every surviving position.  B is
     the Schur complement of A_{I0,J0}, read off one ``_schur_columns``
-    elimination.  An empty pivot returns A itself; the pivot {2..n-1} is
+    solve.  An empty pivot returns A itself; the pivot {2..n-1} is
     the noncommutative Lewis Carroll setup.
     """
     if not A.is_square:
@@ -366,10 +338,11 @@ class MinorCache:
     x[I', J'] is singular, and the member is
     (-1)^{d_i(I) + d_j(J)} (x[i, j] - x[i, J'] z_j).  A block is made when
     the first member of its family is asked for, never ahead: most families
-    are read in one or two members.  ``_block`` borders it from a cached,
-    nonsingular one-smaller parent when there is one (Crabtree-Haynsworth
-    1969, ``_border``) and eliminates it cold with ``_schur_columns``
-    otherwise: 1x1 blocks, and blocks whose parents are missing or singular.
+    are read in one or two members.  ``_block`` borders it once from a
+    cached, nonsingular one-smaller parent when there is one
+    (Crabtree-Haynsworth 1969, ``matrix._border`` with the one candidate
+    column b), and solves it cold with ``_schur_columns`` otherwise: 1x1
+    blocks, and blocks whose parents are missing or singular.
     """
 
     def __init__(self, x: Matrix):
@@ -403,10 +376,12 @@ class MinorCache:
         blocks, e = self._blocks, self.x._e
         if (P, Q) not in blocks:
             for s, a in enumerate(P):
-                for t in range(len(Q)):
-                    z = blocks.get((P[:s] + P[s + 1 :], Q[:t] + Q[t + 1 :]))
+                for t, b in enumerate(Q):
+                    inner_cols = Q[:t] + Q[t + 1 :]
+                    z = blocks.get((P[:s] + P[s + 1 :], inner_cols))
                     if z is not None:
-                        blocks[P, Q] = _border(e, Q, a, t, z)
+                        step = _border(e[a - 1], inner_cols, z, (b,))
+                        blocks[P, Q] = None if step is None else step[1]
                         return blocks[P, Q]
             outside = tuple(c for c in range(1, self.x.cols + 1) if c not in Q)
             blocks[P, Q] = _schur_columns(e, P, Q, outside)

@@ -25,6 +25,7 @@ from .gauss import gauss_parts, ldu, ldu_elimination
 from .matrix import Matrix, interval, matrix_to_json
 from .quasidet import (
     MinorCache,
+    boxed_quasiminor,
     principal_quasiminor,
     quasi_plucker_left,
     quasi_plucker_right,
@@ -79,13 +80,6 @@ def _fail(check: str, x: Matrix, **extra):
     detail = {"check": check, "matrix": matrix_to_json(x)}
     detail.update(extra)
     raise CheckFailed(detail)
-
-
-def _deleted_quasidet(A, drop_row, drop_col, p, q):
-    inner = A.delete(drop_row, drop_col)
-    pi = p - 1 if p > drop_row else p
-    qi = q - 1 if q > drop_col else q
-    return quasideterminant(inner, pi, qi)
 
 
 # -- single-matrix checks -------------------------------------------------------
@@ -157,13 +151,15 @@ def check_homological(x: Matrix, rng: random.Random) -> int:
     i = rng.randint(1, n)
     j, ell = rng.sample(range(1, n + 1), 2)
     checks = 0
+    # others[d] is 1..n without d: the quasiminors below delete one row and one column
+    others = {d: tuple(r for r in interval(1, n) if r != d) for d in interval(1, n)}
     a_ij = quasideterminant(x, i, j)
     a_il = quasideterminant(x, i, ell)
     for s in range(1, n + 1):
         if s == i:
             continue
-        lhs = -a_ij * inv(_deleted_quasidet(x, i, ell, s, j))
-        rhs = a_il * inv(_deleted_quasidet(x, i, j, s, ell))
+        lhs = -a_ij * inv(boxed_quasiminor(x, others[i], others[ell], s, j))
+        rhs = a_il * inv(boxed_quasiminor(x, others[i], others[j], s, ell))
         if not is_zero(lhs - rhs):
             _fail("homological-row", x, i=i, j=j, ell=ell, s=s)
         checks += 1
@@ -172,8 +168,8 @@ def check_homological(x: Matrix, rng: random.Random) -> int:
     for t in range(1, n + 1):
         if t == j:
             continue
-        lhs = -inv(_deleted_quasidet(x, k, j, i, t)) * a_ij
-        rhs = inv(_deleted_quasidet(x, i, j, k, t)) * a_kj
+        lhs = -inv(boxed_quasiminor(x, others[k], others[j], i, t)) * a_ij
+        rhs = inv(boxed_quasiminor(x, others[i], others[j], k, t)) * a_kj
         if not is_zero(lhs - rhs):
             _fail("homological-column", x, i=i, j=j, k=k, t=t)
         checks += 1

@@ -2,10 +2,18 @@
 
 Deliberately naive and self-contained: cofactor expansion over plain
 Python lists, no shared code with the package's elimination or
-quasideterminant routines.
+quasideterminant routines.  Ranks come from sympy's rational domain
+matrices, and a quaternion matrix's rank from the rank of its real form.
 """
 
 from fractions import Fraction
+
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
+
+from qbruhat.scalars import RationalQuaternion
+
+QUATERNION_BASIS = [RationalQuaternion(*(int(i == e) for i in range(4))) for e in range(4)]
 
 
 def cofactor_det(rows):
@@ -42,3 +50,23 @@ def plucker_row_coordinate(x, row_order):
     """det of the square submatrix taking the given row order and all columns."""
     lists = x.to_lists()
     return cofactor_det([list(lists[r - 1]) for r in row_order])
+
+
+def rational_rank(rows):
+    """Rank of a nonempty rational matrix given as lists of Fractions or ints."""
+    entries = [[QQ(Fraction(a).numerator, Fraction(a).denominator) for a in row] for row in rows]
+    return DomainMatrix(entries, (len(rows), len(rows[0])), QQ).rank()
+
+
+def real_form(x):
+    """The 4n x 4m rational matrix of v -> x v on H^m, for a quaternion matrix x.
+
+    Entry q becomes the 4 x 4 block whose column e holds the components of
+    q * e for e = 1, i, j, k.  The image of v -> x v is a right H-space of
+    dimension rank(x), so the real form has rank exactly 4 rank(x).
+    """
+    return [
+        [(q * e).components()[r] for q in row for e in QUATERNION_BASIS]
+        for row in x.to_lists()
+        for r in range(4)
+    ]

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from oracles import det_minor
 from qbruhat.cells import classify, in_reduced_cell
@@ -204,6 +205,18 @@ def test_product_map_errors():
                 product_map(word, [Q(1), Q(1)], torus)
         with pytest.raises(ShapeMismatch):
             FactorizationOutput(h=tuple(h), t=(Q(1), Q(1))).replay(word)
+
+
+def test_product_map_refuses_inexact_parameters():
+    word = DoubleWord(2, (1, -1))
+    for t in (0.5, 2.0, 1j, True):
+        with pytest.raises(TypeError):
+            product_map(word, [Q(1), t])
+        with pytest.raises(TypeError):
+            product_map(word, [Q(1), Q(1)], [1, t])
+    a = sympy.Symbol("a")
+    x = product_map(word, [a, sympy.Rational(1, 2)])
+    assert x == Matrix([[a + 2, a / 2], [1, sympy.Rational(1, 2)]])
 
 
 def test_standard_word_is_reduced_for_longest():

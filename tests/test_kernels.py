@@ -3,7 +3,8 @@
 Every structured helper must equal, entry for entry and exactly, the dense
 product with the elementary, signed permutation or diagonal matrix built by
 the public constructors.  The Gauss-Jordan kernel behind the inverse,
-rank and quasideterminants must agree with the textbook definitions, the
+rank and quasideterminants must agree with the textbook definitions and
+with rank oracles that do not run it (sympy, the real form), the
 Gauss-cell elimination behind the projections and the left division by
 [a]_- with the closed-form LDU and the dense inverse, the row-only Bruhat
 reduction must factor x = b1 * ubar * b2,
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import rational_rank, real_form
 from qbruhat import cells, gauss, quasidet
 from qbruhat.cells import (
     bruhat_factor,
@@ -45,7 +47,7 @@ from qbruhat.quasidet import (
     sylvester_reduce,
 )
 from qbruhat.sampling import cell_point, reduced_cell_point
-from qbruhat.scalars import RationalQuaternion as Q, inv
+from qbruhat.scalars import OppositeScalar, RationalQuaternion as Q, inv
 from qbruhat.verify import check_dodgson_grid
 from qbruhat.weyl import (
     DoubleWord,
@@ -229,6 +231,84 @@ def test_dependent_column_is_the_inverse_witness(data):
     with pytest.raises(NotGeneric) as info:
         Matrix(rows).inverse()
     assert info.value.witness == ("pivot", k)
+
+
+@st.composite
+def dependent_matrices(draw, scalars, max_n=5, square=False):
+    """An n x m matrix; some rows left, some columns right combinations of earlier ones."""
+    n = draw(st.integers(1, max_n))
+    m = n if square else draw(st.integers(1, max_n))
+    rows = [[draw(scalars) for _ in range(m)] for _ in range(n)]
+    zero = rows[0][0] - rows[0][0]
+    for r in range(1, n):
+        if draw(st.booleans()):
+            coeffs = [draw(scalars) for _ in range(r)]
+            rows[r] = [sum((c * row[j] for c, row in zip(coeffs, rows)), zero) for j in range(m)]
+    for j in range(1, m):
+        if draw(st.booleans()):
+            coeffs = [draw(scalars) for _ in range(j)]
+            for row in rows:
+                row[j] = sum((a * c for a, c in zip(row, coeffs)), zero)
+    return Matrix(rows)
+
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dependent_matrices(rationals))
+def test_rank_of_rational_matrices_equals_sympy(x):
+    assert rank(x) == rational_rank(x.to_lists())
+
+
+@settings(max_examples=40, deadline=None)
+@given(dependent_matrices(quaternions, max_n=4))
+def test_quaternion_row_rank_equals_column_rank_and_the_real_form(x):
+    r = rank(x)
+    # the left row rank of x is the left row rank of its transpose over H^op
+    assert r == rank(x.transpose().map(OppositeScalar))
+    assert 4 * r == rational_rank(real_form(x))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_inverse_witness_is_the_first_column_dependent_in_the_real_form(data):
+    x = data.draw(dependent_matrices(quaternions, max_n=4, square=True))
+    dependent = (
+        k
+        for k in range(1, x.rows + 1)
+        if rational_rank(real_form(column_prefix(x, k))) < 4 * k
+    )
+    k = next(dependent, None)
+    if k is None:
+        assert (x * x.inverse()).is_identity()
+    else:
+        with pytest.raises(NotGeneric) as info:
+            x.inverse()
+        assert info.value.witness == ("pivot", k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_schur_columns_solve_their_block(data):
+    x = data.draw(dependent_matrices(quaternions))
+    # leave a column outside the block when there is one to leave
+    k = data.draw(st.integers(1, max(1, min(x.rows, x.cols - 1))))
+    I, J = index_sets(data, x.rows, k), index_sets(data, x.cols, k)
+    if data.draw(st.booleans()):
+        # the block's first row pivots past its first column, the next row on it
+        rows = x.to_lists()
+        rows[I[0] - 1][J[0] - 1] = Q(0)
+        x = Matrix(rows)
+    cols = tuple(c for c in interval(1, x.cols) if c not in J)
+    z = quasidet._schur_columns(x._e, I, J, cols)
+    block = x.submatrix(I, J)
+    if z is None:
+        assert rational_rank(real_form(block)) < 4 * k
+        return
+    assert sorted(z) == list(cols)
+    for q in cols:
+        assert block * Matrix([[a] for a in z[q]]) == x.submatrix(I, (q,))
 
 
 @settings(max_examples=60, deadline=None)

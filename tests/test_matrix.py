@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from qbruhat.errors import IndexOutOfRange, NotGeneric, ShapeMismatch
 from qbruhat.matrix import (
@@ -88,6 +89,16 @@ def test_inverse_singular_names_pivot():
     assert info.value.witness == ("pivot", 2)
     with pytest.raises(ShapeMismatch):
         Matrix([[1, 2]]).inverse()
+
+
+def test_inexact_entries_are_refused():
+    # a float or complex entry would make every later result inexact
+    for entry in (0.5, 1.0, 1j, True):
+        with pytest.raises(TypeError):
+            Matrix([[entry, 1], [1, 1]])
+    a = sympy.Symbol("a")
+    x = Matrix([[sympy.Rational(1, 2), a], [0, 1]])
+    assert x.inverse() == Matrix([[2, -2 * a], [0, 1]])
 
 
 def test_matrices_are_unhashable():
