@@ -1,12 +1,16 @@
 """A recorded digest of what the exact linear-algebra kernels return.
 
-Seeded small matrices (1x1 to 4x4, some not square) over the rationals and
-the rational quaternions, with zeros and forced row and column dependencies,
-go through ``rank``, ``Matrix.inverse``, every ``quasideterminant``,
-``sylvester_reduce`` at random pivots, and ``MinorCache`` reads of every
-positioned quasiminor in shuffled order.  Each outcome is one line: the
-value's repr, or the error's type, message and witness.  The sha256 of the
-lines and the counts of outcomes and errors are recorded in
+Seeded small matrices (1x1 to 4x4, some not square) over the rationals
+and the rational quaternions, with zeros and forced row and column
+dependencies, go through ``rank``, ``Matrix.inverse``, every
+``quasideterminant``, ``sylvester_reduce`` at random pivots,
+``MinorCache`` reads of every positioned quasiminor in shuffled order,
+the Gauss-cell projections (``gauss_parts``, ``ldu_elimination``, and
+``lower_solve`` against a second seeded matrix, of the same row count or
+not) and the Bruhat reduction (``bruhat_factor``,
+``bruhat_factor_schubert``, ``classify``).  Each outcome is one line:
+the value's repr, or the error's type, message and witness.  The sha256
+of the lines and the counts of outcomes and errors are recorded in
 ``tests/data/kernel_digest.txt``, so any change to a kernel must leave
 every value, message and witness exactly as it was.
 
@@ -21,7 +25,9 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+from qbruhat.cells import bruhat_factor, bruhat_factor_schubert, classify
 from qbruhat.errors import QBruhatError
+from qbruhat.gauss import gauss_parts, ldu_elimination, lower_solve
 from qbruhat.matrix import Matrix, rank
 from qbruhat.quasidet import MinorCache, MinorSpec, quasideterminant, sylvester_reduce
 from qbruhat.scalars import RationalQuaternion
@@ -40,8 +46,8 @@ def scalar(rng, quaternion):
     return RationalQuaternion(*(rng.choice((0, 0, 1, -1, 2)) for _ in range(4)))
 
 
-def sample_matrix(rng):
-    n = rng.randint(1, 4)
+def sample_matrix(rng, n=None):
+    n = n or rng.randint(1, 4)
     m = n if rng.random() < 0.75 else rng.randint(1, 4)
     quaternion = rng.random() < 0.5
     rows = [[scalar(rng, quaternion) for _ in range(m)] for _ in range(n)]
@@ -78,6 +84,8 @@ def positioned_specs(rows, cols):
 
 def outcome_lines(seed=SEED, count=MATRICES):
     rng = random.Random(seed)
+    # lower_solve's right-hand sides draw from their own stream, leaving that of x alone
+    rhs_rng = random.Random(seed + 1)
     for index in range(count):
         x = sample_matrix(rng)
         n = x.rows
@@ -100,6 +108,13 @@ def outcome_lines(seed=SEED, count=MATRICES):
             yield f"minor {spec.I} {spec.J} {spec.i} {spec.j} " + render(
                 lambda: cache.spec(spec)
             )
+        y = sample_matrix(rhs_rng, n if rhs_rng.random() < 0.8 else None)
+        yield f"lower_solve {y!r} " + render(lambda: lower_solve(x, y))
+        yield "gauss_parts " + render(lambda: gauss_parts(x))
+        yield "ldu_elimination " + render(lambda: ldu_elimination(x))
+        yield "bruhat_factor " + render(lambda: bruhat_factor(x))
+        yield "bruhat_factor_schubert " + render(lambda: bruhat_factor_schubert(x))
+        yield "classify " + render(lambda: classify(x))
 
 
 def digest(lines) -> str:
