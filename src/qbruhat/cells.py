@@ -2,13 +2,15 @@
 
 Classification reduces x by row operations from the upper Borel only: a
 *lower* row may be added to a higher one (left multiplication by B).  The
-pivot of each column is its bottom-most nonzero entry among the rows not
-yet used as pivots; the pivot pattern is the permutation u with x in B u B.
-Column operations from B would only rewrite pivot rows, so they could not
-change the pattern and none are done.  The opposite cell datum comes from
-the same procedure applied to the 180-degree rotation of x, conjugating by
-the longest permutation; ``_opposite_datum`` is that v side alone, for a
-caller such as ``factor_w0_v`` whose u is fixed and left to the twist gate.
+pivot of each column is its bottom-most nonzero entry among the rows not yet
+used as pivots: ``gauss._reduce_rows`` by the Bruhat pivot rule, where the
+Gauss rule takes the diagonal one.  The pivot pattern is the permutation u
+with x in B u B.  Column operations from B would only rewrite pivot rows, so
+they could not change the pattern and none are done.  The opposite cell
+datum comes from the same procedure applied to the 180-degree rotation of x,
+conjugating by the longest permutation; ``_opposite_datum`` is that v side
+alone, for a caller such as ``factor_w0_v`` whose u is fixed and left to the
+twist gate.
 
 The twist of a reduced cell point is
 
@@ -43,9 +45,9 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import NotGeneric, QBruhatError, ShapeMismatch, WrongCell
-from .gauss import gauss_parts, lower_solve
+from .gauss import _reduce_rows, gauss_parts, lower_solve
 from .matrix import Matrix, iota, iota_inverse_free, rank, sigma
-from .scalars import inv, is_zero
+from .scalars import is_zero
 from .weyl import Permutation, left_by_representative, right_by_representative
 
 
@@ -54,33 +56,20 @@ def _no_pivot(j: int) -> NotGeneric:
 
 
 def _pivot_pattern(x: Matrix):
-    """Reduce x by upper-Borel row operations.
+    """(u, M, b1): ``gauss._reduce_rows`` of x by the Bruhat rule, upper-Borel row operations.
 
-    Returns (u, M, b1) with x = b1 M (b1 upper unitriangular, as rows) and the
-    column-j pivot of M in row u(j), zeros left of it, so ubar^{-1} M is upper
-    triangular.  Undoing row_i -= f row_r, with row i no pivot yet, puts f at b1[i, r].
+    x = b1 M, b1 upper unitriangular (as rows) with f at b1[i, r] for each row_i -= f row_r,
+    and the column-j pivot of M in row u(j), zeros left of it: ubar^{-1} M is upper triangular.
     """
     if not x.is_square:
         raise ShapeMismatch("classification needs a square matrix")
-    n = x.rows
     m = x.to_lists()
-    b1 = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    used = [False] * n
-    images = [0] * n
-    for j in range(n):
-        candidates = [r for r in range(n) if not used[r] and not is_zero(m[r][j])]
-        if not candidates:
-            raise _no_pivot(j + 1)
-        r = max(candidates)
-        used[r] = True
-        images[j] = r + 1
-        pinv = inv(m[r][j])
-        for i in range(r):
-            if not used[i] and not is_zero(m[i][j]):
-                f = m[i][j] * pinv
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-                b1[i][r] = f
-    return Permutation(images), Matrix(m), b1
+    steps = _reduce_rows(m, bottom=True)
+    if len(steps) < x.rows:
+        raise _no_pivot(len(steps) + 1)
+    f = {(i, r): f for r, _, _, multipliers in steps for i, f in multipliers}
+    b1 = [[f.get((i, c), 1 if i == c else 0) for c in range(x.rows)] for i in range(x.rows)]
+    return Permutation([r + 1 for r, _, _, _ in steps]), Matrix(m), b1
 
 
 class CellLabel(NamedTuple):

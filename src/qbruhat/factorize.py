@@ -35,9 +35,9 @@ from fractions import Fraction
 from .cells import _opposite_datum, _twist, classify, twist_general
 from .errors import IndexOutOfRange, NotGeneric, QBruhatError, ShapeMismatch, ZeroInverse
 from .gauss import lower_solve
-from .matrix import Matrix, _coerce_entry, interval
+from .matrix import Matrix, interval
 from .quasidet import MinorCache, MinorSpec, boxed_quasiminor
-from .scalars import inv, is_zero
+from .scalars import _exact, inv, is_zero
 from .weyl import DoubleWord, Permutation, simple_representative
 
 
@@ -92,7 +92,7 @@ def product_map(word: DoubleWord, params, h=None) -> Matrix:
     TypeError, as for a matrix entry); `h` may be a list of diagonal scalars
     or a diagonal matrix, n x n for a word on GL_n.
     """
-    params = [_coerce_entry(t) for t in params]
+    params = [_exact(t) for t in params]
     if len(params) != word.length:
         raise ShapeMismatch(f"{len(params)} parameters for a word of length {word.length}")
     n = word.n

@@ -7,13 +7,15 @@ other:
   column and row blocks, with the diagonal given by the principal
   quasiminors.  This is the closed-form route.
 * :func:`ldu_elimination` reads plain Gaussian elimination over the skew
-  field (``_eliminate``), the oracle route.
+  field, the oracle route.
 
 Both exist exactly on the Gauss cell: all principal quasiminors defined
 and invertible.  The projections [x]_- = L*D, [x]_0 = D, [x]_+ = U feed
 the Bruhat cell machinery; note [x]_- is lower *triangular* (it carries
-the diagonal), while the stored factors keep L unitriangular.  On the rows
-[A | B] that elimination leaves [[A]_+ | [A]_-^-1 B], the pair :func:`lower_solve` returns.
+the diagonal), while the stored factors keep L unitriangular.  The
+elimination is ``_reduce_rows`` by the Gauss pivot rule, the row reduction
+that ``cells`` runs by the Bruhat rule.  On the rows [A | B] it leaves
+[[A]_+ | [A]_-^-1 B], the pair :func:`lower_solve` returns.
 """
 
 from __future__ import annotations
@@ -83,31 +85,48 @@ def ldu(A: Matrix) -> GaussTriple:
     return GaussTriple(Matrix(lower), Matrix.diagonal(diag_entries), Matrix(upper))
 
 
-def _eliminate(rows: list, n: int) -> list:
-    """Eliminate the leading n x n block A of the rows [A | B] in place; returns the pivot columns.
+def _reduce_rows(rows: list, *, bottom: bool) -> list:
+    """Clear the leading square block of `rows` in place by left multiples of pivot rows.
 
-    Pivot row k is scaled to a leading 1 and a left multiple of it leaves every row
-    below, with no row exchange, so the rows end as [[A]_+ | [A]_-^-1 B].  Pivot column
-    k is column k of [A]_- = L*D from its diagonal down.  A zero pivot k raises
-    NotInGaussCell, witness ("pivot", k).
+    Column j's pivot d is row j's entry (the Gauss rule, no exchange) or, with `bottom`,
+    the bottom-most unused row's nonzero one (the Bruhat rule).  Every other unused row,
+    zero left of j, with a != 0 in column j loses f = a d^-1 times the pivot row from
+    column j + 1 on, and its column j becomes a - a.  Pivot rows are not scaled.  Returns
+    (r, d^-1, column j as it was, [(i, f), ...]) per pivot row r, up to the first column
+    without a pivot.
     """
-    cols = []
-    for k in range(n):
-        top = rows[k]
-        if is_zero(top[k]):
-            raise NotInGaussCell(
-                f"matrix is outside the Gauss cell: elimination pivot {k + 1} is zero",
-                witness=("pivot", k + 1),
-            )
-        cols.append([row[k] for row in rows[k:]])
-        p = inv(top[k])
-        pivot = [p * a for a in top[k:]]
-        top[k:] = pivot
-        for row in rows[k + 1 :]:
-            f = row[k]
-            if not is_zero(f):
-                row[k:] = [a - f * b for a, b in zip(row[k:], pivot)]
-    return cols
+    free = list(range(len(rows)))
+    steps = []
+    for j in range(len(rows)):
+        column = [row[j] for row in rows]
+        nonzero = [i for i in free if not is_zero(column[i])]
+        r = nonzero[-1] if bottom and nonzero else j
+        if r not in nonzero:
+            break
+        free.remove(r)
+        p, pivot = inv(column[r]), rows[r][j + 1 :]
+        multipliers = [(i, column[i] * p) for i in nonzero if i != r]
+        for i, f in multipliers:
+            a, row = column[i], rows[i]
+            row[j:] = [a - a] + [c - f * b for c, b in zip(row[j + 1 :], pivot)]
+        steps.append((r, p, column, multipliers))
+    return steps
+
+
+def _gauss_reduce(rows: list) -> list:
+    """``_reduce_rows`` by the Gauss rule, then each pivot row scaled to a leading 1.
+
+    Returns the step columns: column k from its diagonal down is column k of [A]_-.
+    A zero pivot k raises NotInGaussCell, witness ("pivot", k).
+    """
+    steps = _reduce_rows(rows, bottom=False)
+    if len(steps) < len(rows):
+        k = len(steps) + 1
+        message = f"matrix is outside the Gauss cell: elimination pivot {k} is zero"
+        raise NotInGaussCell(message, witness=("pivot", k))
+    for k, (_, p, _, _) in enumerate(steps):
+        rows[k][k:] = [p * a for a in rows[k][k:]]
+    return [column for _, _, column, _ in steps]
 
 
 def gauss_parts(x: Matrix):
@@ -116,9 +135,9 @@ def gauss_parts(x: Matrix):
         raise ShapeMismatch(f"ldu needs a square matrix, got {x.shape_str()}")
     n = x.rows
     rows = x.to_lists()
-    cols = _eliminate(rows, n)
-    lower = Matrix([[cols[j][i - j] if j <= i else 0 for j in range(n)] for i in range(n)])
-    diag = Matrix.diagonal([col[0] for col in cols])
+    cols = _gauss_reduce(rows)
+    lower = Matrix([[cols[j][i] if j <= i else 0 for j in range(n)] for i in range(n)])
+    diag = Matrix.diagonal([cols[k][k] for k in range(n)])
     return lower, diag, Matrix._wrap(tuple(map(tuple, rows)))
 
 
@@ -128,7 +147,7 @@ def lower_solve(a: Matrix, b: Matrix):
         raise ShapeMismatch(f"cannot solve {a.shape_str()} against {b.shape_str()}")
     n = a.rows
     rows = [list(row + rhs) for row, rhs in zip(a._e, b._e)]
-    _eliminate(rows, n)
+    _gauss_reduce(rows)
     plus, solved = zip(*((tuple(row[:n]), tuple(row[n:])) for row in rows))
     return Matrix._wrap(plus), Matrix._wrap(solved)
 

@@ -19,19 +19,12 @@ from fractions import Fraction
 from .errors import IndexOutOfRange, NotGeneric, ShapeMismatch, ZeroInverse
 from .scalars import (
     RationalQuaternion,
+    _exact,
     format_scalar,
     inv,
     is_zero,
     parse_scalar,
 )
-
-
-def _coerce_entry(e):
-    if isinstance(e, (bool, float, complex)):
-        raise TypeError(f"{type(e).__name__} is not an exact scalar")
-    if isinstance(e, int):
-        return Fraction(e)
-    return e
 
 
 def interval(a: int, b: int) -> tuple:
@@ -56,7 +49,7 @@ class Matrix:
     __slots__ = ("rows", "cols", "_e")
 
     def __init__(self, entries):
-        data = tuple(tuple(_coerce_entry(e) for e in row) for row in entries)
+        data = tuple(tuple(_exact(e) for e in row) for row in entries)
         if not data or not data[0]:
             raise ShapeMismatch("matrices must have at least one row and column")
         width = len(data[0])

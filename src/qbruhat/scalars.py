@@ -36,6 +36,14 @@ _QUAT_TERM = re.compile(
     r"(?P<sign>[+-]?)\s*(?:(?P<coef>\d+/\d*[1-9]\d*|\d+(?:\.\d*)?|\.\d+)\s*\*?\s*)?(?P<unit>[ijk]?)"
 )
 
+
+def _exact(a):
+    """a as an exact scalar, an int as a Fraction; a bool, float or complex is a TypeError."""
+    if isinstance(a, (bool, float, complex)):
+        raise TypeError(f"{type(a).__name__} is not an exact scalar")
+    return Fraction(a) if isinstance(a, int) else a
+
+
 class RationalQuaternion:
     """A quaternion a + b*i + c*j + d*k with exact rational components.
 
@@ -49,18 +57,9 @@ class RationalQuaternion:
         if type(a) is int and type(b) is int and type(c) is int and type(d) is int:
             _set_q(self, (a, b, c, d, 1))
             return
-        fa, fb, fc, fd = Fraction(a), Fraction(b), Fraction(c), Fraction(d)
-        e = math.lcm(fa.denominator, fb.denominator, fc.denominator, fd.denominator)
-        _set_q(
-            self,
-            (
-                fa.numerator * (e // fa.denominator),
-                fb.numerator * (e // fb.denominator),
-                fc.numerator * (e // fc.denominator),
-                fd.numerator * (e // fd.denominator),
-                e,
-            ),
-        )
+        parts = [Fraction(_exact(part)) for part in (a, b, c, d)]
+        e = math.lcm(*(part.denominator for part in parts))
+        _set_q(self, (*(part.numerator * (e // part.denominator) for part in parts), e))
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalQuaternion is immutable")
@@ -293,7 +292,7 @@ def is_zero(a) -> bool:
         return a.is_zero()
     if isinstance(a, OppositeScalar):
         return is_zero(a.value)
-    if isinstance(a, (int, Fraction)):
+    if isinstance(_exact(a), Fraction):
         return a == 0
     if type(a).__module__.split(".")[0] == "sympy":
         import sympy
@@ -308,13 +307,9 @@ def inv(a):
         return a.inverse()
     if isinstance(a, OppositeScalar):
         return OppositeScalar(inv(a.value))
-    if isinstance(a, (int, Fraction)):
-        if a == 0:
-            raise ZeroInverse("cannot invert 0")
-        return Fraction(1) / Fraction(a)
     if is_zero(a):
-        raise ZeroInverse(f"cannot invert {a!r}")
-    return 1 / a
+        raise ZeroInverse(f"cannot invert {a}")
+    return Fraction(1, a) if isinstance(a, int) else 1 / a
 
 
 def quat_mul(x: RationalQuaternion, y: RationalQuaternion) -> RationalQuaternion:

@@ -459,22 +459,23 @@ def test_twist_reduced_refuses_a_scaled_reduced_point(pair, d):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """The names of the reduction, elimination and classify calls made, in order."""
+    """The pivot rules of the row reductions made ("bruhat" or "gauss"), in order."""
     calls = []
-    for module, name in ((cells, "_pivot_pattern"), (cells, "classify"), (gauss, "_eliminate")):
-        kernel = getattr(module, name)
+    kernel = gauss._reduce_rows
 
-        def wrapper(*args, kernel=kernel, name=name):
-            calls.append(name)
-            return kernel(*args)
+    def counted(rows, *, bottom):
+        calls.append("bruhat" if bottom else "gauss")
+        return kernel(rows, bottom=bottom)
 
-        monkeypatch.setattr(module, name, wrapper)
+    for module in (cells, gauss):
+        monkeypatch.setattr(module, "_reduce_rows", counted)
     return calls
 
 
 def test_twist_reduced_decomposes_as_often_as_twist_general(kernel_calls):
     # the gate reduces x once per side: one Bruhat reduction, then one
-    # Gauss-cell elimination of [x vbar' | ubar [ubar^-1 x]_-]; classify only refuses
+    # Gauss-cell elimination of [x vbar' | ubar [ubar^-1 x]_-]; classify, which
+    # would add two Bruhat reductions, only refuses
     data = json.loads((Path(__file__).parent / "data" / "reduced4.json").read_text())
     x = matrix_from_json(data)
     word = DoubleWord(4, (-1, 2, -3, 1, -2, 3, 2))
@@ -489,7 +490,7 @@ def test_twist_reduced_decomposes_as_often_as_twist_general(kernel_calls):
     for run in gated:
         calls.clear()
         run()
-        assert sorted(calls) == ["_eliminate", "_pivot_pattern"]
+        assert sorted(calls) == ["bruhat", "gauss"]
 
 
 SWAP = Matrix([[0, 1], [1, 0]])
@@ -562,7 +563,7 @@ def test_factor_w0_v_reduces_x_once_per_side_and_divides_once(kernel_calls):
     # elimination and the division of x by the negative prefix
     data = json.loads((Path(__file__).parent / "data" / "maximal4.json").read_text())
     factor_w0_v(matrix_from_json(data))
-    assert sorted(kernel_calls) == ["_eliminate"] * 2 + ["_pivot_pattern"] * 2
+    assert sorted(kernel_calls) == ["bruhat"] * 2 + ["gauss"] * 2
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,10 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
 from qbruhat.errors import ZeroInverse
+from qbruhat.factorize import commute_neg_pos
 from qbruhat.scalars import (
     OppositeScalar,
     RationalQuaternion as Q,
@@ -158,6 +160,25 @@ def test_inv_dispatch():
         inv(Fraction(0))
     with pytest.raises(ZeroInverse):
         inv(0)
+
+
+def test_the_scalar_layer_refuses_inexact_numbers():
+    # a float would be stored as its binary expansion and a bool read as 0 or 1
+    refused = (
+        lambda: Q(0.1),
+        lambda: Q(True),
+        lambda: Q(1, 2, 3, 1j),
+        lambda: inv(0.1),
+        lambda: inv(True),
+        lambda: is_zero(0.5),
+        lambda: commute_neg_pos(1, 1, 0.5, 0.25),
+    )
+    for call in refused:
+        with pytest.raises(TypeError):
+            call()
+    a = sympy.Symbol("a")
+    assert inv(a) == 1 / a and is_zero(a - a) and not is_zero(a)
+    assert Q(Fraction(1, 2), "1/3", 0, 5) == Q(3, 2, 0, 30) * Fraction(1, 6)
 
 
 def test_opposite_scalar_reverses_products():
