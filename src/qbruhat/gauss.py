@@ -132,7 +132,7 @@ def _gauss_reduce(rows: list) -> list:
 def gauss_parts(x: Matrix):
     """The projections ([x]_-, [x]_0, [x]_+) on the Gauss cell B^- U."""
     if not x.is_square:
-        raise ShapeMismatch(f"ldu needs a square matrix, got {x.shape_str()}")
+        raise ShapeMismatch(f"gauss_parts needs a square matrix, got {x.shape_str()}")
     n = x.rows
     rows = x.to_lists()
     cols = _gauss_reduce(rows)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qbruhat.errors import NotGeneric, NotInGaussCell
+from qbruhat.errors import NotGeneric, NotInGaussCell, ShapeMismatch
 from qbruhat.gauss import GaussTriple, gauss_parts, ldu, ldu_elimination
 from qbruhat.matrix import Matrix
 from qbruhat.quasidet import principal_quasiminor, quasideterminant
@@ -100,6 +100,11 @@ def _in_cell(x):
 def test_gauss_parts_outside_cell():
     with pytest.raises(NotInGaussCell):
         gauss_parts(Matrix([[0, 1], [1, 0]]))
+    # the refusal names the function that was called
+    with pytest.raises(ShapeMismatch, match="^gauss_parts needs a square matrix, got 1x2$"):
+        gauss_parts(Matrix([[1, 2]]))
+    with pytest.raises(ShapeMismatch, match="^ldu needs a square matrix, got 1x2$"):
+        ldu(Matrix([[1, 2]]))
 
 
 def test_diagonal_part_is_principal_quasiminors():
