@@ -56,10 +56,10 @@ def _no_pivot(j: int) -> NotGeneric:
 
 
 def _pivot_pattern(x: Matrix):
-    """(u, M, b1): ``gauss._reduce_rows`` of x by the Bruhat rule, upper-Borel row operations.
+    """``gauss._reduce_rows`` of x by the Bruhat rule: (u, M, b1) with x = b1 M.
 
-    x = b1 M, b1 upper unitriangular (as rows) with f at b1[i, r] for each row_i -= f row_r,
-    and the column-j pivot of M in row u(j), zeros left of it: ubar^{-1} M is upper triangular.
+    b1 is upper unitriangular (as rows), with f at b1[i, r] for each row_i -= f row_r; the
+    column-j pivot of M is in row u(j), zeros left of it, so ubar^{-1} M is upper triangular.
     """
     if not x.is_square:
         raise ShapeMismatch("classification needs a square matrix")
@@ -67,8 +67,8 @@ def _pivot_pattern(x: Matrix):
     steps = _reduce_rows(m, bottom=True)
     if len(steps) < x.rows:
         raise _no_pivot(len(steps) + 1)
-    f = {(i, r): f for r, _, _, multipliers in steps for i, f in multipliers}
-    b1 = [[f.get((i, c), 1 if i == c else 0) for c in range(x.rows)] for i in range(x.rows)]
+    factor = {(i, r): f for r, _, _, multipliers in steps for i, f in multipliers}
+    b1 = [[factor.get((i, c), 1 if i == c else 0) for c in range(x.rows)] for i in range(x.rows)]
     return Permutation([r + 1 for r, _, _, _ in steps]), Matrix(m), b1
 
 

@@ -16,6 +16,7 @@ scalars ship here:
 
 Python ints are accepted anywhere a scalar is (they behave as rationals),
 so identity matrices and generator matrices can be built from literals.
+``bool``, ``float`` and ``complex`` are refused with TypeError (``_exact``).
 
 Text forms: rationals print as ``p`` or ``p/q``; quaternions print
 canonically as ``a+b*i+c*j+d*k`` with all four components present, e.g.
