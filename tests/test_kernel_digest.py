@@ -7,9 +7,11 @@ dependencies, go through ``rank``, ``Matrix.inverse``, every
 ``MinorCache`` reads of every positioned quasiminor in shuffled order,
 the Gauss-cell projections (``gauss_parts``, ``ldu_elimination``, and
 ``lower_solve`` against a second seeded matrix, of the same row count or
-not) and the Bruhat reduction (``bruhat_factor``,
-``bruhat_factor_schubert``, ``classify``).  Each outcome is one line:
-the value's repr, or the error's type, message and witness.  The sha256
+not), the Bruhat reduction (``bruhat_factor``,
+``bruhat_factor_schubert``, ``classify``) and the block factorizations
+against the longest element (``factor_u_w0``, ``factor_w0_v``).  Each
+outcome is one line: the value's repr, or the error's type, message and
+witness.  The sha256
 of the lines and the counts of outcomes and errors are recorded in
 ``tests/data/kernel_digest.txt``, so any change to a kernel must leave
 every value, message and witness exactly as it was.
@@ -27,6 +29,7 @@ from pathlib import Path
 
 from qbruhat.cells import bruhat_factor, bruhat_factor_schubert, classify
 from qbruhat.errors import QBruhatError
+from qbruhat.factorize import factor_u_w0, factor_w0_v
 from qbruhat.gauss import gauss_parts, ldu_elimination, lower_solve
 from qbruhat.matrix import Matrix, rank
 from qbruhat.quasidet import MinorCache, MinorSpec, quasideterminant, sylvester_reduce
@@ -115,6 +118,8 @@ def outcome_lines(seed=SEED, count=MATRICES):
         yield "bruhat_factor " + render(lambda: bruhat_factor(x))
         yield "bruhat_factor_schubert " + render(lambda: bruhat_factor_schubert(x))
         yield "classify " + render(lambda: classify(x))
+        yield "factor_u_w0 " + render(lambda: factor_u_w0(x))
+        yield "factor_w0_v " + render(lambda: factor_w0_v(x))
 
 
 def digest(lines) -> str:

@@ -34,7 +34,7 @@ from qbruhat.cells import (
     twist_reduced,
 )
 from qbruhat.errors import NotGeneric, NotInGaussCell, WrongCell
-from qbruhat.factorize import factor_w0_v, letter_matrix, recover_params
+from qbruhat.factorize import factor_u_w0, factor_w0_v, letter_matrix, recover_params
 from qbruhat.gauss import gauss_parts, ldu, lower_solve
 from qbruhat.matrix import Matrix, interval, matrix_from_json, rank
 from qbruhat.quasidet import (
@@ -564,6 +564,18 @@ def test_factor_w0_v_reduces_x_once_per_side_and_divides_once(kernel_calls):
     data = json.loads((Path(__file__).parent / "data" / "maximal4.json").read_text())
     factor_w0_v(matrix_from_json(data))
     assert sorted(kernel_calls) == ["bruhat"] * 2 + ["gauss"] * 2
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [("maximal4", ["bruhat"] * 2 + ["gauss"]), ("reduced4", ["bruhat"] * 2)],
+)
+def test_factor_u_w0_reduces_x_once_per_side(kernel_calls, name, expected):
+    # one Bruhat reduction per side; only a longest-element column datum adds
+    # the gate's elimination, for the twisted forms
+    data = json.loads((Path(__file__).parent / "data" / f"{name}.json").read_text())
+    factor_u_w0(matrix_from_json(data))
+    assert sorted(kernel_calls) == expected
 
 
 @settings(max_examples=40, deadline=None)
