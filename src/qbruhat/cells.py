@@ -9,8 +9,8 @@ with x in B u B.  Column operations from B would only rewrite pivot rows, so
 they could not change the pattern and none are done.  The opposite cell
 datum comes from the same procedure applied to the 180-degree rotation of x,
 conjugating by the longest permutation; ``_opposite_datum`` is that v side
-alone, for a caller such as ``factor_w0_v`` whose u is fixed and left to the
-twist gate.
+alone, for the block factorizations ``factor_u_w0`` and ``factor_w0_v``,
+which take the other side from a Bruhat factor or the twist gate.
 
 The twist of a reduced cell point is
 
@@ -30,9 +30,10 @@ u.  The v side is B^- v B^- = B^- vbar (U^- meet v^{-1} U v): x lies in it
 iff x vbar' is in the Gauss cell and [x vbar']_+ vanishes off
 ``schubert_support(v)``, and ``gauss.lower_solve`` on
 [x vbar' | b1 ubar D] yields that test and divides by [x vbar']_-, with
-no inverse.  ``cross_checked_twist`` decomposes both sides afresh to check
-the form above and those through [(vbar x^iota)^{-1}]_+ and
-[ubar' (x^iota)^{-1}]_- against it.
+no inverse.  ``_twist_from_factor`` is that v side (with h and psi(x)) on
+a given Bruhat factor.  ``cross_checked_twist`` decomposes both sides
+afresh to check the form above and those through [(vbar x^iota)^{-1}]_+
+and [ubar' (x^iota)^{-1}]_- against it.
 
 Errors distinguish "wrong cell" (WrongCell) from "a Gauss projection
 failed" (NotGeneric), because the harness treats them differently.  With
@@ -186,6 +187,16 @@ def _torus_entries(u: Permutation, h: Matrix) -> list:
     return [h[j, j] for j in u.inverse().images]
 
 
+def _twist_from_factor(x: Matrix, b1: Matrix, u: Permutation, b2: Matrix, v: Permutation):
+    """(psi(x), h) from x's Bruhat factor x = b1 ubar b2: the gate's v side, NotGeneric off it."""
+    rhs = right_by_representative(b1, u)._scale_cols([b2[j, j] for j in range(1, x.rows + 1)])
+    plus, core = lower_solve(right_by_representative(x, v.inverse()), rhs)
+    if not _within_support(plus, v):
+        raise NotGeneric(f"[x vbar']_+ is not zero off the Schubert support of {v!r}")
+    h = _torus_entries(u, b2)
+    return iota_inverse_free(core)._scale_rows(h), h
+
+
 def _twist(x: Matrix, u: Permutation, v: Permutation, check: bool = True):
     """(psi(x), h) from one reduction of x per side: the cell gate (see the module docstring).
 
@@ -201,12 +212,7 @@ def _twist(x: Matrix, u: Permutation, v: Permutation, check: bool = True):
         if found != u:
             raise NotGeneric(f"x lies in B {found!r} B")
         label = "[x vbar']_-"
-        d = [b2[j, j] for j in range(1, x.rows + 1)]
-        plus, core = lower_solve(
-            right_by_representative(x, v.inverse()), right_by_representative(b1, u)._scale_cols(d)
-        )
-        if not _within_support(plus, v):
-            raise NotGeneric(f"[x vbar']_+ is not zero off the Schubert support of {v!r}")
+        return _twist_from_factor(x, b1, u, b2, v)
     except NotGeneric as exc:
         if not check:
             raise NotGeneric(
@@ -218,8 +224,6 @@ def _twist(x: Matrix, u: Permutation, v: Permutation, check: bool = True):
             expected=(u, v),
             actual=actual,
         ) from exc
-    h = _torus_entries(u, b2)
-    return iota_inverse_free(core)._scale_rows(h), h
 
 
 def in_reduced_cell(x: Matrix, u: Permutation, v: Permutation) -> bool:

@@ -18,9 +18,9 @@ Three families of factorization live here:
   a on the twist y = psi(x); tau_{ij} of ``factor_w0_v`` is d on x and c on
   y, and h_i is the numerator of d.  On the maximal cell the forms also
   swap (a on x = b on y, c on x = d on y); ``verify_double_ratios`` checks
-  all four transfers.  ``factor_w0_v`` takes its cell test from the twist
-  gate, which it runs first, and its negative prefix from ``product_map``
-  of the block word; the residue of the blocks inherits the gate's test.
+  all four transfers.  Both factorizations read v with ``_opposite_datum``;
+  ``factor_u_w0`` twists on its own ``bruhat_factor``, ``factor_w0_v`` runs
+  the gate first, and the residue of its blocks inherits the gate's test.
 
 Sign conventions follow the closed formulas, with stages defined by
 ``x(m, k) = x(m, k+1) (1 - t_{m,k} E_k)`` so that the ascending replay
@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cells import _opposite_datum, _twist, classify, twist_general
+from .cells import _opposite_datum, _twist, _twist_from_factor, bruhat_factor, twist_general
 from .errors import IndexOutOfRange, NotGeneric, QBruhatError, ShapeMismatch, ZeroInverse
 from .gauss import lower_solve
 from .matrix import Matrix, interval
@@ -397,11 +397,13 @@ class UW0Factorization:
 def factor_u_w0(x: Matrix) -> UW0Factorization:
     """Peel the standard positive blocks off x, leaving a point of G^{u,e}.
 
-    The stage parameters are verified against their closed quasiminor
-    forms (family b on x), and for x with longest-element column datum
-    against the twisted forms (family a on y); both agreements are exact.
+    u and v come from one reduction of x per side.  The stage parameters
+    are verified against their closed quasiminor forms (family b on x),
+    and for v = w0 against the twisted forms (family a on y, the gate's v
+    side on the same Bruhat factor); both agreements are exact.
     """
-    u, v = classify(x)
+    b1, u, b2 = bruhat_factor(x)
+    v = _opposite_datum(x)
     uf = upper_factorize(x)
     x_minus = uf.final_stage()
     if not x_minus.is_lower_triangular():
@@ -416,10 +418,9 @@ def factor_u_w0(x: Matrix) -> UW0Factorization:
             raise QBruhatError(
                 f"stage parameter ({m}, {k}) disagrees with its quasiminor form"
             )
-    n = x.rows
-    w0 = Permutation.longest(n)
+    w0 = Permutation.longest(x.rows)
     if v == w0:
-        cache_y = MinorCache(twist_general(x, u, w0))
+        cache_y = MinorCache(_twist_from_factor(x, b1, u, b2, w0)[0])
         for i, j in sorted(uf.pairs):
             twisted = block_ratio(cache_y, "a", i, j, ("u-w0-twist", i, j))
             if not is_zero(twisted - uf.t[(i, j)]):
