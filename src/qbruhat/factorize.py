@@ -190,7 +190,7 @@ def solve_standard_unipotent(x: Matrix):
 
 
 def upper_pairs(n: int) -> tuple:
-    """All (m, k), 1 <= m <= k <= n-1, in processing order (row by row, k descending)."""
+    """All (m, k), 1 <= m <= k <= n-1, by rows, k descending; reversed, the block words' order."""
     return tuple((m, k) for m in range(1, n) for k in range(n - 1, m - 1, -1))
 
 
@@ -214,10 +214,8 @@ class UpperFactorization:
 
 def _replay_upper(acc: Matrix, t: dict) -> Matrix:
     """acc * X^(n-1) ... X^(1) with X^(m) = x_m(t[m,m]) ... x_{n-1}(t[m,n-1])."""
-    n = acc.rows
-    for m in range(n - 1, 0, -1):
-        for k in range(m, n):
-            acc = acc._right_letter(k, t[(m, k)])
+    for m, k in reversed(upper_pairs(acc.rows)):
+        acc = acc._right_letter(k, t[(m, k)])
     return acc
 
 
@@ -437,7 +435,7 @@ def _negative_prefix(h, tau) -> Matrix:
     word for the longest element on the negative side.
     """
     n = len(h)
-    blocks = [(m, k) for m in range(n - 1, 0, -1) for k in range(m, n)]
+    blocks = upper_pairs(n)[::-1]
     word = DoubleWord(n, tuple(-k for _, k in blocks))
     return product_map(word, [tau[block] for block in blocks], h)
 
