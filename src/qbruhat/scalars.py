@@ -77,7 +77,7 @@ class RationalQuaternion:
     def _coerce(other):
         if isinstance(other, RationalQuaternion):
             return other._q
-        if isinstance(other, int):
+        if type(other) is int:  # a bool is an int but not a scalar
             return (other, 0, 0, 0, 1)
         if isinstance(other, Fraction):
             return (other.numerator, 0, 0, 0, other.denominator)
@@ -231,7 +231,7 @@ class OppositeScalar:
     def _coerce(other):
         if isinstance(other, OppositeScalar):
             return other
-        if isinstance(other, (int, Fraction, RationalQuaternion)):
+        if type(other) is int or isinstance(other, (Fraction, RationalQuaternion)):
             return OppositeScalar(other)
         return None
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qbruhat.errors import ZeroInverse
 from qbruhat.factorize import commute_neg_pos
+from qbruhat.matrix import Matrix
 from qbruhat.scalars import (
     OppositeScalar,
     RationalQuaternion as Q,
@@ -172,6 +173,11 @@ def test_the_scalar_layer_refuses_inexact_numbers():
         lambda: inv(True),
         lambda: is_zero(0.5),
         lambda: commute_neg_pos(1, 1, 0.5, 0.25),
+        lambda: Q(1, 1) + True,
+        lambda: True * Q(1, 1),
+        lambda: OppositeScalar(Q(1, 1)) - False,
+        lambda: Matrix([[Q(1, 1)]]).scale_left(True),
+        lambda: Matrix([[Fraction(1, 2)]]).scale_right(True),
     )
     for call in refused:
         with pytest.raises(TypeError):
