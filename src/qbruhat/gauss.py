@@ -116,7 +116,7 @@ def _reduce_rows(rows: list, *, bottom: bool) -> list:
 def _gauss_reduce(rows: list) -> list:
     """``_reduce_rows`` by the Gauss rule, then each pivot row scaled to a leading 1.
 
-    Returns the step columns: column k from its diagonal down is column k of [A]_-.
+    Returns (column, d^-1) per pivot d: column k from its diagonal down is column k of [A]_-.
     A zero pivot k raises NotInGaussCell, witness ("pivot", k).
     """
     steps = _reduce_rows(rows, bottom=False)
@@ -126,19 +126,24 @@ def _gauss_reduce(rows: list) -> list:
         raise NotInGaussCell(message, witness=("pivot", k))
     for k, (_, p, _, _) in enumerate(steps):
         rows[k][k:] = [p * a for a in rows[k][k:]]
-    return [column for _, _, column, _ in steps]
+    return [(column, p) for _, p, column, _ in steps]
 
 
-def gauss_parts(x: Matrix):
-    """The projections ([x]_-, [x]_0, [x]_+) on the Gauss cell B^- U."""
+def _projections(x: Matrix):
+    """``gauss_parts(x)`` and the inverses of the entries of [x]_0, from one elimination."""
     if not x.is_square:
         raise ShapeMismatch(f"gauss_parts needs a square matrix, got {x.shape_str()}")
     n = x.rows
     rows = x.to_lists()
-    cols = _gauss_reduce(rows)
+    cols, inverses = zip(*_gauss_reduce(rows))
     lower = Matrix([[cols[j][i] if j <= i else 0 for j in range(n)] for i in range(n)])
     diag = Matrix.diagonal([cols[k][k] for k in range(n)])
-    return lower, diag, Matrix._wrap(tuple(map(tuple, rows)))
+    return lower, diag, Matrix._wrap(tuple(map(tuple, rows))), inverses
+
+
+def gauss_parts(x: Matrix):
+    """The projections ([x]_-, [x]_0, [x]_+) on the Gauss cell B^- U."""
+    return _projections(x)[:3]
 
 
 def lower_solve(a: Matrix, b: Matrix):
@@ -153,7 +158,6 @@ def lower_solve(a: Matrix, b: Matrix):
 
 
 def ldu_elimination(A: Matrix) -> GaussTriple:
-    """LDU read off ``gauss_parts``, L = [A]_- D^-1; the independent oracle for :func:`ldu`."""
-    lower, diag, upper = gauss_parts(A)
-    d = [inv(diag[k, k]) for k in range(1, A.rows + 1)]
-    return GaussTriple(lower._scale_cols(d), diag, upper)
+    """LDU from one elimination, L = [A]_- D^-1 with D^-1 from it; the oracle for :func:`ldu`."""
+    lower, diag, upper, inverses = _projections(A)
+    return GaussTriple(lower._scale_cols(inverses), diag, upper)

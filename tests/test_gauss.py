@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from qbruhat import gauss
 from qbruhat.errors import NotGeneric, NotInGaussCell, ShapeMismatch
 from qbruhat.gauss import GaussTriple, gauss_parts, ldu, ldu_elimination
 from qbruhat.matrix import Matrix
@@ -50,6 +51,17 @@ def test_reconstruction_and_agreement_random():
             return 1
 
         with_retries(body)
+
+
+def test_ldu_elimination_inverts_each_pivot_once(monkeypatch):
+    # D^-1 comes from the elimination that found D, as for gauss_parts
+    calls = []
+    monkeypatch.setattr(gauss, "inv", lambda a: calls.append(a) or inv(a))
+    x = Matrix([[4, 1, 2, 0], [2, 3, 1, 1], [0, 1, 5, 2], [1, 0, 2, 6]])
+    for decompose in (gauss_parts, ldu_elimination):
+        calls.clear()
+        decompose(x)
+        assert len(calls) == 4
 
 
 def test_not_generic_names_level():
