@@ -32,10 +32,10 @@ from fractions import Fraction
 
 from .errors import ZeroInverse
 
-# A coefficient takes the unsigned rational forms Fraction parses: p/q with q > 0, 1.5, .5
-_QUAT_TERM = re.compile(
-    r"(?P<sign>[+-]?)\s*(?:(?P<coef>\d+/\d*[1-9]\d*|\d+(?:\.\d*)?|\.\d+)\s*\*?\s*)?(?P<unit>[ijk]?)"
-)
+# An unsigned coefficient: p/q with q > 0, or a decimal such as 1.5, 1. or .5 (no exponent)
+_COEF = r"\d+/\d*[1-9]\d*|\d+(?:\.\d*)?|\.\d+"
+_QUAT_TERM = re.compile(rf"(?P<sign>[+-]?)\s*(?:(?P<coef>{_COEF})\s*\*?\s*)?(?P<unit>[ijk]?)")
+_RATIONAL = re.compile(rf"[+-]?(?:{_COEF})")
 
 
 def _exact(a):
@@ -374,10 +374,9 @@ def parse_scalar(text: str):
     if not s:
         raise ValueError("empty scalar")
     if not re.search(r"[ijk]", s):
-        try:
-            return Fraction(s)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"bad rational {text!r}") from exc
+        if not _RATIONAL.fullmatch(s):
+            raise ValueError(f"bad rational {text!r}")
+        return Fraction(s)
     comps = {"": Fraction(0), "i": Fraction(0), "j": Fraction(0), "k": Fraction(0)}
     pos = 0
     while pos < len(s):

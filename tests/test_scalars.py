@@ -149,7 +149,8 @@ def test_parse_decimal_quaternion_coefficients():
     assert parse_scalar("1.5+i") == Q(Fraction(3, 2), 1)
     assert parse_scalar(".5-2.25*j") == Q(Fraction(1, 2), 0, Fraction(-9, 4))
     assert parse_scalar("3/4*k+1.") == Q(1, 0, 0, Fraction(3, 4))
-    for bad in ("1.5/2*i", "1.5.5+i", "1..5+i", ".+i", "2i3"):
+    # a rational is one signed coefficient: no exponent and no underscore, as in a quaternion
+    for bad in ("1.5/2*i", "1.5.5+i", "1..5+i", ".+i", "2i3", "1e5", "1_000", "1e3000000", "5*"):
         with pytest.raises(ValueError):
             parse_scalar(bad)
 
