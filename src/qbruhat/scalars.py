@@ -16,7 +16,8 @@ scalars ship here:
 
 Python ints are accepted anywhere a scalar is (they behave as rationals),
 so identity matrices and generator matrices can be built from literals.
-``bool``, ``float`` and ``complex`` are refused with TypeError (``_exact``).
+``bool``, ``float`` and ``complex`` are refused with TypeError (``_exact``,
+and the quaternion and opposite-scalar operators).
 
 Text forms: rationals print as ``p`` or ``p/q``; quaternions print
 canonically as ``a+b*i+c*j+d*k`` with all four components present, e.g.
@@ -367,7 +368,8 @@ def parse_scalar(text: str):
 
     Terms may be omitted or reordered; every term after the first starts
     with its sign, and a bare unit like ``-i`` means coefficient 1.  A
-    coefficient is ``p``, ``p/q`` or a decimal such as ``1.5`` or ``.5``.
+    coefficient is ``p``, ``p/q`` or a decimal such as ``1.5`` or ``.5``,
+    with no exponent, and a rational is one coefficient with its sign.
     Any appearance of i/j/k yields a RationalQuaternion.
     """
     s = text.strip().replace(" ", "")
