@@ -8,10 +8,11 @@ dependencies, go through ``rank``, ``Matrix.inverse``, every
 the Gauss-cell projections (``gauss_parts``, ``ldu_elimination``, and
 ``lower_solve`` against a second seeded matrix, of the same row count or
 not), the Bruhat reduction (``bruhat_factor``,
-``bruhat_factor_schubert``, ``classify``) and the block factorizations
-against the longest element (``factor_u_w0``, ``factor_w0_v``).  Each
-outcome is one line: the value's repr, or the error's type, message and
-witness.  The sha256
+``bruhat_factor_schubert``, ``classify``), the block factorizations
+against the longest element (``factor_u_w0``, ``factor_w0_v``) and the
+identity grids (``check_dodgson_grid`` for n >= 2,
+``check_minors_plucker_grid`` for n >= 3).  Each outcome is one line: the
+value's repr, or the error's type, message and witness.  The sha256
 of the lines and the counts of outcomes and errors are recorded in
 ``tests/data/kernel_digest.txt``, so any change to a kernel must leave
 every value, message and witness exactly as it was.
@@ -34,6 +35,7 @@ from qbruhat.gauss import gauss_parts, ldu_elimination, lower_solve
 from qbruhat.matrix import Matrix, rank
 from qbruhat.quasidet import MinorCache, MinorSpec, quasideterminant, sylvester_reduce
 from qbruhat.scalars import RationalQuaternion
+from qbruhat.verify import check_dodgson_grid, check_minors_plucker_grid
 
 DIGEST = Path(__file__).resolve().parent / "data" / "kernel_digest.txt"
 SEED = 20050
@@ -120,6 +122,10 @@ def outcome_lines(seed=SEED, count=MATRICES):
         yield "classify " + render(lambda: classify(x))
         yield "factor_u_w0 " + render(lambda: factor_u_w0(x))
         yield "factor_w0_v " + render(lambda: factor_w0_v(x))
+        if x.is_square and n >= 2:
+            yield "dodgson_grid " + render(lambda: check_dodgson_grid(x))
+        if x.is_square and n >= 3:
+            yield "plucker_grid " + render(lambda: check_minors_plucker_grid(x))
 
 
 def digest(lines) -> str:
