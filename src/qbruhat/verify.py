@@ -25,6 +25,7 @@ from .gauss import gauss_parts, ldu, ldu_elimination
 from .matrix import Matrix, interval, matrix_to_json
 from .quasidet import (
     MinorCache,
+    _level_key,
     boxed_quasiminor,
     principal_quasiminor,
     quasi_plucker_left,
@@ -225,16 +226,30 @@ def check_expansion(x: Matrix, rng: random.Random) -> int:
 
 
 def _dodgson_admissible(n: int):
-    """(u, u s_i, v, v s_i, i) for every admissible triple; each product is built once."""
+    """(u, u s_i, v, v s_i, i, m): each distinct instance of the admissible triples, once.
+
+    A triple (u, v, i) with l(u s_i) > l(u) and l(v s_i) > l(v) reads seven
+    quasiminors.  Their ``MinorCache`` keys see u only through the level keys
+    of u and u s_i at levels i and i + 1 (u[1, i-1] as a set, u(i) and
+    u(i+1)), and v likewise, and these eight level keys are read back from the
+    seven keys.  Triples that share them are one instance: the same five
+    identities on the same values.  An instance is listed at its first triple
+    in (i, u, v) order, with the number m of triples it stands for; each
+    product is built once.
+    """
     perms = all_permutations(n)
-    out = []
+    instances = {}
     for i in range(1, n):
         s = Permutation.simple(i, n)
-        pairs = [(u, us) for u in perms if (us := u * s).length() == u.length() + 1]
-        for u, us in pairs:
-            for v, vs in pairs:
-                out.append((u, us, v, vs, i))
-    return out
+        pairs = [
+            (u, us, tuple(_level_key(w.images, k) for w in (u, us) for k in (i, i + 1)))
+            for u in perms
+            if (us := u * s).length() == u.length() + 1
+        ]
+        for u, us, key_u in pairs:
+            for v, vs, key_v in pairs:
+                instances.setdefault((key_u, key_v), [u, us, v, vs, i, 0])[-1] += 1
+    return [tuple(entry) for entry in instances.values()]
 
 
 def _grid_inv(value, u: Permutation, v: Permutation, k: int, inverses: dict):
@@ -254,11 +269,17 @@ def _grid_inv(value, u: Permutation, v: Permutation, k: int, inverses: dict):
 
 
 def check_dodgson_grid(x: Matrix) -> int:
-    """All five quasiminor exchange identities over every admissible (u, v, i)."""
+    """All five quasiminor exchange identities over every admissible (u, v, i).
+
+    Each distinct instance (``_dodgson_admissible``) is evaluated once, at its
+    first triple, and counts 5 checks for each triple it stands for.  A
+    failure or a NotGeneric witness is that of the first failing triple: a
+    triple fails exactly when its instance does.
+    """
     n = x.rows
     cache, inverses = MinorCache(x), {}
     checks = 0
-    for u, us, v, vs, i in _dodgson_admissible(n):
+    for u, us, v, vs, i, m in _dodgson_admissible(n):
         d_uv = cache.uv(u, v, i)
         d_usv = cache.uv(us, v, i)
         d_uvs = cache.uv(u, vs, i)
@@ -282,56 +303,68 @@ def check_dodgson_grid(x: Matrix) -> int:
             _fail("dodgson-4", x, params=params)
         if not is_zero(inv_e_uvs * e_uv - inv_d_uv * d_uvs):
             _fail("dodgson-5", x, params=params)
-        checks += 5
+        checks += 5 * m
     return checks
 
 
 def _plucker_admissible(n: int):
+    """(side, i, family, other, m): each distinct instance of the Plucker checks, once.
+
+    The checks run over i = 1..n-2, then w with l(w s_i s_{i+1} s_i) = l(w) + 3,
+    then every permutation `other`, the u check (u, v) = (w, other) before the
+    v check (u, v) = (other, w).  ``family`` is (w, w s_{i+1}, w s_i,
+    w s_i s_{i+1}, w s_{i+1} s_i).  A check reads five quasiminors, whose
+    ``MinorCache`` keys see w only through the level keys of its family (at
+    levels i + 1, i + 1, i, i + 1, i) and `other` through its level keys at i
+    and i + 1.  Checks of one side that share them are one instance; it is
+    listed at its first check, with the number m of checks it stands for.
+    """
     perms = all_permutations(n)
-    out = []
+    instances = {}
     for i in range(1, n - 1):
         s_i = Permutation.simple(i, n)
         s_next = Permutation.simple(i + 1, n)
-        ws = [
-            w
-            for w in perms
-            if (w * s_i * s_next * s_i).length() == w.length() + 3
-        ]
-        out.append((i, s_i, s_next, ws))
-    return out
+        others = [(o, (_level_key(o.images, i), _level_key(o.images, i + 1))) for o in perms]
+        for w in perms:
+            if (w * s_i * s_next * s_i).length() != w.length() + 3:
+                continue
+            w_next, w_i = w * s_next, w * s_i
+            family = (w, w_next, w_i, w_i * s_next, w_next * s_i)
+            levels = (i + 1, i + 1, i, i + 1, i)
+            key_w = tuple(_level_key(f.images, k) for f, k in zip(family, levels))
+            for other, key_o in others:
+                for side in ("u", "v"):
+                    key = (side, key_w, key_o)
+                    instances.setdefault(key, [side, i, family, other, 0])[-1] += 1
+    return [tuple(entry) for entry in instances.values()]
 
 
 def check_minors_plucker_grid(x: Matrix) -> int:
-    """Both generalized exchange identities with a three-step length condition."""
-    n = x.rows
+    """Both generalized exchange identities with a three-step length condition.
+
+    Each distinct instance (``_plucker_admissible``) is evaluated once, at its
+    first check, and counts 1 for each check it stands for.  A failure or a
+    NotGeneric witness is that of the first failing check: a check fails
+    exactly when its instance does.
+    """
     cache, inverses = MinorCache(x), {}
     checks = 0
-    perms = all_permutations(n)
-    for i, s_i, s_next, ws in _plucker_admissible(n):
-        for w in ws:
-            w_next, w_i = w * s_next, w * s_i
-            w_i_next, w_next_i = w_i * s_next, w_next * s_i
-            for other in perms:
-                u, v = w, other
-                lhs = cache.uv(w_next, v, i + 1)
-                rhs = cache.uv(w_i_next, v, i + 1) + cache.uv(
-                    w_next_i, v, i
-                ) * _grid_inv(cache.uv(w_i, v, i), w_i, v, i, inverses) * cache.uv(
-                    u, v, i + 1
-                )
-                if not is_zero(lhs - rhs):
-                    _fail("plucker-u", x, params=(u.images, v.images, i))
-                checks += 1
-                u, v = other, w
-                lhs = cache.uv(u, w_next, i + 1)
-                rhs = cache.uv(u, w_i_next, i + 1) + cache.uv(
-                    u, v, i + 1
-                ) * _grid_inv(cache.uv(u, w_i, i), u, w_i, i, inverses) * cache.uv(
-                    u, w_next_i, i
-                )
-                if not is_zero(lhs - rhs):
-                    _fail("plucker-v", x, params=(u.images, v.images, i))
-                checks += 1
+    for side, i, (w, w_next, w_i, w_i_next, w_next_i), other, m in _plucker_admissible(x.rows):
+        if side == "u":
+            u, v = w, other
+            lhs = cache.uv(w_next, v, i + 1)
+            rhs = cache.uv(w_i_next, v, i + 1) + cache.uv(
+                w_next_i, v, i
+            ) * _grid_inv(cache.uv(w_i, v, i), w_i, v, i, inverses) * cache.uv(u, v, i + 1)
+        else:
+            u, v = other, w
+            lhs = cache.uv(u, w_next, i + 1)
+            rhs = cache.uv(u, w_i_next, i + 1) + cache.uv(
+                u, v, i + 1
+            ) * _grid_inv(cache.uv(u, w_i, i), u, w_i, i, inverses) * cache.uv(u, w_next_i, i)
+        if not is_zero(lhs - rhs):
+            _fail(f"plucker-{side}", x, params=(u.images, v.images, i))
+        checks += m
     return checks
 
 

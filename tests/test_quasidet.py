@@ -7,6 +7,7 @@ from oracles import det_minor, det_of, plucker_coordinate, plucker_row_coordinat
 from qbruhat.errors import NotGeneric
 from qbruhat.matrix import Matrix, interval, iota, sigma
 from qbruhat.quasidet import (
+    MinorCache,
     MinorSpec,
     SnMinorSpec,
     boxed_quasiminor,
@@ -26,12 +27,16 @@ from qbruhat.sampling import (
     matrix as sample_matrix,
     with_retries,
 )
-from qbruhat.scalars import OppositeScalar, RationalQuaternion as Q, inv
+from qbruhat.scalars import OppositeScalar, RationalQuaternion as Q, inv, is_zero
 from qbruhat import verify
 from qbruhat.verify import (
     GRID_CHECKS,
+    CheckFailed,
     _dodgson_admissible,
+    _grid_inv,
     _plucker_admissible,
+    check_dodgson_grid,
+    check_minors_plucker_grid,
     run_suite,
     validate_run,
 )
@@ -357,10 +362,148 @@ def test_zero_grid_quasiminor_is_resampled_not_raised():
 
 
 def test_grid_check_counts_are_the_admissible_counts():
+    # each listed instance stands for m admissible triples (Plucker: m checks)
     for n in (2, 3, 4, 5):
-        assert GRID_CHECKS["dodgson"](n) == 5 * len(_dodgson_admissible(n))
-        plucker = sum(2 * len(all_permutations(n)) * len(ws) for *_, ws in _plucker_admissible(n))
-        assert GRID_CHECKS["plucker"](n) == plucker
+        assert GRID_CHECKS["dodgson"](n) == 5 * sum(m for *_, m in _dodgson_admissible(n))
+        assert GRID_CHECKS["plucker"](n) == sum(m for *_, m in _plucker_admissible(n))
+
+
+def dodgson_reference(x):
+    """The Dodgson grid without grouping: all five identities at every admissible triple."""
+    n = x.rows
+    cache, inverses = MinorCache(x), {}
+    checks = 0
+    for i in range(1, n):
+        s = Permutation.simple(i, n)
+        ascents = [u for u in all_permutations(n) if (u * s).length() == u.length() + 1]
+        for u in ascents:
+            for v in ascents:
+                us, vs = u * s, v * s
+                d_uv = cache.uv(u, v, i)
+                d_usv = cache.uv(us, v, i)
+                d_uvs = cache.uv(u, vs, i)
+                d_usvs = cache.uv(us, vs, i)
+                e_uv = cache.uv(u, v, i + 1)
+                e_usv = cache.uv(us, v, i + 1)
+                e_uvs = cache.uv(u, vs, i + 1)
+                inv_d_uv = _grid_inv(d_uv, u, v, i, inverses)
+                inv_d_usv = _grid_inv(d_usv, us, v, i, inverses)
+                inv_d_uvs = _grid_inv(d_uvs, u, vs, i, inverses)
+                inv_e_usv = _grid_inv(e_usv, us, v, i + 1, inverses)
+                inv_e_uvs = _grid_inv(e_uvs, u, vs, i + 1, inverses)
+                params = (u.images, v.images, i)
+                if not is_zero(d_usvs - (d_usv * inv_d_uv * d_uvs + e_uv)):
+                    raise CheckFailed({"check": "dodgson-1", "params": params})
+                if not is_zero(inv_d_usv * e_uv - inv_d_uv * e_usv):
+                    raise CheckFailed({"check": "dodgson-2", "params": params})
+                if not is_zero(e_uv * inv_d_uvs - e_uvs * inv_d_uv):
+                    raise CheckFailed({"check": "dodgson-3", "params": params})
+                if not is_zero(e_uv * inv_e_usv - d_usv * inv_d_uv):
+                    raise CheckFailed({"check": "dodgson-4", "params": params})
+                if not is_zero(inv_e_uvs * e_uv - inv_d_uv * d_uvs):
+                    raise CheckFailed({"check": "dodgson-5", "params": params})
+                checks += 5
+    return checks
+
+
+def plucker_reference(x):
+    """The Plucker grid without grouping: the u and the v check at every (i, w, other)."""
+    n = x.rows
+    cache, inverses = MinorCache(x), {}
+    checks = 0
+    for i in range(1, n - 1):
+        s_i, s_next = Permutation.simple(i, n), Permutation.simple(i + 1, n)
+        for w in all_permutations(n):
+            if (w * s_i * s_next * s_i).length() != w.length() + 3:
+                continue
+            w_next, w_i = w * s_next, w * s_i
+            w_i_next, w_next_i = w_i * s_next, w_next * s_i
+            for other in all_permutations(n):
+                u, v = w, other
+                lhs = cache.uv(w_next, v, i + 1)
+                inner = _grid_inv(cache.uv(w_i, v, i), w_i, v, i, inverses)
+                rhs = cache.uv(w_i_next, v, i + 1) + cache.uv(w_next_i, v, i) * inner * cache.uv(
+                    u, v, i + 1
+                )
+                if not is_zero(lhs - rhs):
+                    raise CheckFailed({"check": "plucker-u", "params": (u.images, v.images, i)})
+                checks += 1
+                u, v = other, w
+                lhs = cache.uv(u, w_next, i + 1)
+                inner = _grid_inv(cache.uv(u, w_i, i), u, w_i, i, inverses)
+                rhs = cache.uv(u, w_i_next, i + 1) + cache.uv(u, v, i + 1) * inner * cache.uv(
+                    u, w_next_i, i
+                )
+                if not is_zero(lhs - rhs):
+                    raise CheckFailed({"check": "plucker-v", "params": (u.images, v.images, i)})
+                checks += 1
+    return checks
+
+
+def grid_outcome(grid, x):
+    try:
+        return ("checks", grid(x))
+    except CheckFailed as exc:
+        return ("failed", exc.detail["check"], exc.detail["params"])
+    except NotGeneric as exc:
+        return ("not-generic", exc.witness)
+
+
+@pytest.mark.parametrize("n", (3, 4))
+@pytest.mark.parametrize(
+    "name, grid, reference",
+    [
+        ("dodgson", check_dodgson_grid, dodgson_reference),
+        ("plucker", check_minors_plucker_grid, plucker_reference),
+    ],
+    ids=("dodgson", "plucker"),
+)
+def test_grouped_grid_reports_as_every_triple_would(monkeypatch, n, name, grid, reference):
+    rng = random.Random(100 + n)
+
+    def generic():
+        x = sample_matrix(rng, n, n)
+        reference(x)
+        return x
+
+    x = with_retries(generic)
+    expected = ("checks", GRID_CHECKS[name](n))
+    assert grid_outcome(reference, x) == grid_outcome(grid, x) == expected
+    member, read = MinorCache._member, []
+    monkeypatch.setattr(MinorCache, "_member", lambda self, *key: read.append(key) or member(self, *key))
+    reference(x)
+    # one quasiminor shifted by 1, or set to zero, fails both at the same first triple
+    for key in rng.sample(read, 6):
+        for shift in (lambda a: a + 1, lambda a: a - a):
+
+            def perturbed(self, *at, key=key, shift=shift):
+                value = member(self, *at)
+                return shift(value) if at == key else value
+
+            monkeypatch.setattr(MinorCache, "_member", perturbed)
+            expected = grid_outcome(reference, x)
+            assert expected[0] != "checks"
+            assert grid_outcome(grid, x) == expected
+
+
+def test_grid_checks_evaluate_each_distinct_instance_once(monkeypatch):
+    # every evaluated Dodgson instance inverts five quasiminors, every Plucker one one
+    calls = []
+    grid_inv = verify._grid_inv
+    monkeypatch.setattr(verify, "_grid_inv", lambda *args: calls.append(args) or grid_inv(*args))
+    rng = random.Random(5)
+    for n, dodgson, plucker in ((4, 216, 288), (5, 2_000, 4_000)):
+        assert (len(_dodgson_admissible(n)), len(_plucker_admissible(n))) == (dodgson, plucker)
+
+        def evaluated():
+            x = sample_matrix(rng, n, n)
+            calls.clear()
+            got = [check_dodgson_grid(x), len(calls)]
+            calls.clear()
+            return got + [check_minors_plucker_grid(x), len(calls)]
+
+        expected = [GRID_CHECKS["dodgson"](n), 5 * dodgson, GRID_CHECKS["plucker"](n), plucker]
+        assert with_retries(evaluated) == expected
 
 
 def test_grid_budget_boundary_is_checked_before_any_trial(monkeypatch):
