@@ -33,7 +33,7 @@ from .fixtures import FIXTURES, run_fixture
 from .gauss import ldu
 from .matrix import matrix_from_json, matrix_to_json
 from .quasidet import MinorSpec, positive_quasiminor, quasideterminant
-from .scalars import format_scalar
+from .scalars import format_scalar, parse_int
 from .verify import SUITES, run_suite, validate_run
 from .weyl import DoubleWord, Permutation
 
@@ -58,14 +58,14 @@ def _load_matrix(source: str):
 
 def _parse_index_set(text: str):
     try:
-        return tuple(int(p) for p in text.split(","))
+        return tuple(parse_int(p) for p in text.split(","))
     except ValueError as exc:
         raise UsageError(f"bad index set {text!r}") from exc
 
 
 def _parse_perm(text: str) -> Permutation:
     try:
-        return Permutation(int(p) for p in text.split(","))
+        return Permutation(parse_int(p) for p in text.split(","))
     except ValueError as exc:
         raise UsageError(f"bad permutation {text!r}") from exc
 
@@ -197,16 +197,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quasidet", help="quasideterminant of a matrix at a marked entry")
     p.add_argument("--input", required=True, help="matrix JSON (inline or a file path)")
-    p.add_argument("--row", type=int, required=True)
-    p.add_argument("--col", type=int, required=True)
+    p.add_argument("--row", type=parse_int, required=True)
+    p.add_argument("--col", type=parse_int, required=True)
     p.set_defaults(fn=cmd_quasidet)
 
     p = sub.add_parser("minor", help="positive quasiminor for a row/column selection")
     p.add_argument("--input", required=True)
     p.add_argument("--rows", required=True, help="comma separated row set")
     p.add_argument("--cols", required=True, help="comma separated column set")
-    p.add_argument("--row", type=int, required=True, help="marked row")
-    p.add_argument("--col", type=int, required=True, help="marked column")
+    p.add_argument("--row", type=parse_int, required=True, help="marked row")
+    p.add_argument("--col", type=parse_int, required=True, help="marked column")
     p.set_defaults(fn=cmd_minor)
 
     p = sub.add_parser("ldu", help="Gauss LDU decomposition")
@@ -245,10 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named property suite")
     p.add_argument("--suite", default="all", choices=sorted(SUITES) + ["all"])
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bound", type=int, default=2)
+    p.add_argument("--n", type=parse_int, default=3)
+    p.add_argument("--trials", type=parse_int, default=20)
+    p.add_argument("--seed", type=parse_int, default=0)
+    p.add_argument("--bound", type=parse_int, default=2)
     p.add_argument("--extended", action="store_true", help="include the flagged corollary readings")
     p.set_defaults(fn=cmd_verify)
 

@@ -33,10 +33,14 @@ from fractions import Fraction
 
 from .errors import ZeroInverse
 
-# An unsigned coefficient: p/q with q > 0, or a decimal such as 1.5, 1. or .5 (no exponent)
-_COEF = r"\d+/\d*[1-9]\d*|\d+(?:\.\d*)?|\.\d+"
-_QUAT_TERM = re.compile(rf"(?P<sign>[+-]?)\s*(?:(?P<coef>{_COEF})\s*\*?\s*)?(?P<unit>[ijk]?)")
+# An unsigned coefficient in ASCII digits: p/q with q > 0, or a decimal such as 1.5, 1. or .5
+# (no exponent).  In a quaternion term a `*` may stand only between a coefficient and its unit.
+_COEF = r"[0-9]+/[0-9]*[1-9][0-9]*|[0-9]+(?:\.[0-9]*)?|\.[0-9]+"
+_QUAT_TERM = re.compile(
+    rf"(?P<sign>[+-]?)\s*(?:(?P<coef>{_COEF})\s*(?:\*\s*(?=[ijk]))?)?(?P<unit>[ijk]?)"
+)
 _RATIONAL = re.compile(rf"[+-]?(?:{_COEF})")
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 
 def _exact(a):
@@ -363,13 +367,24 @@ def _format_rational(r: Fraction) -> str:
     return f"{r.numerator}/{r.denominator}"
 
 
+def parse_int(text: str) -> int:
+    """Parse an integer in ASCII digits, ``[+-]?[0-9]+``, with surrounding spaces allowed.
+
+    ``int`` alone would also take other Unicode digits and underscores.
+    """
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"bad integer {text!r}")
+    return int(text)
+
+
 def parse_scalar(text: str):
     """Parse ``p/q`` into a Fraction or ``a+b*i+c*j+d*k`` into a quaternion.
 
     Terms may be omitted or reordered; every term after the first starts
     with its sign, and a bare unit like ``-i`` means coefficient 1.  A
-    coefficient is ``p``, ``p/q`` or a decimal such as ``1.5`` or ``.5``,
-    with no exponent, and a rational is one coefficient with its sign.
+    coefficient is ``p``, ``p/q`` or a decimal such as ``1.5`` or ``.5`` in
+    ASCII digits, with no exponent, and a rational is one coefficient with
+    its sign.  A ``*`` stands only between a coefficient and its unit.
     Any appearance of i/j/k yields a RationalQuaternion.
     """
     s = text.strip().replace(" ", "")

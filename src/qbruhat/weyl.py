@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 
 from .errors import IndexOutOfRange, NotReducedWord
 from .matrix import Matrix
+from .scalars import parse_int
 
 
 class Permutation:
@@ -297,7 +298,7 @@ class DoubleWord:
     @classmethod
     def from_text(cls, text: str, n: int) -> "DoubleWord":
         text = text.strip()
-        letters = () if not text else tuple(int(p) for p in text.split(","))
+        letters = () if not text else tuple(parse_int(p) for p in text.split(","))
         return cls(n, letters)
 
     def to_text(self) -> str:

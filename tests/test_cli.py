@@ -227,6 +227,27 @@ def test_bad_indices_and_sizes_are_usage_errors(capsys):
         assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_integer_fields_take_ascii_digits_only(capsys):
+    # int() alone would read the Arabic-Indic and fullwidth digits and the underscore
+    minor = ("minor", "--input", GENERIC3, "--cols", "2,3", "--col", "2")
+    cases = (
+        (minor + ("--rows", "1,\u0662", "--row", "1"), "\u0662"),
+        (minor + ("--rows", "1,2", "--row", "\u0661"), "\u0661"),
+        (("recover", "--input", GENERIC3, "--word=-2,1_0"), "1_0"),
+        (("recover", "--input", GENERIC3, "--word=-\u0662,1"), "\u0662"),
+        (("twist", "--input", GENERIC3, "--u", "3,2,\uff11", "--v", "3,2,1"), "\uff11"),
+        (("quasidet", "--input", EYE2, "--row", "\uff11", "--col", "1"), "\uff11"),
+        (("verify", "--suite", "gauss", "--n", "\u0662", "--trials", "1"), "\u0662"),
+    )
+    for argv, bad in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert bad in err and "Traceback" not in err, argv
+    # a sign and surrounding spaces stay allowed
+    code, out, _ = run(capsys, *minor[:-1], "+2", "--rows", " 1, +2", "--row", " 1 ")
+    assert code == 0 and out.strip() == "-1/2"
+
+
 DATA = Path(__file__).parent / "data"
 GOLDEN_COMMANDS = (
     ("verify", "--suite", "all", "--n", "3", "--seed", "0"),

@@ -132,7 +132,8 @@ def test_parse_flexible_forms():
     assert parse_scalar("1+i") == Q(1, 1)
     assert parse_scalar("-i+2*k") == Q(0, -1, 0, 2)
     assert parse_scalar(" 1/2 - 3*j ") == Q(Fraction(1, 2), 0, -3, 0)
-    for bad in ("", "i*j", "1//2", "2+*i"):
+    # digits are ASCII, and a `*` stands only between a coefficient and its unit
+    for bad in ("", "i*j", "1//2", "2+*i", "\u0663", "\uff11", "1+\u0663*i", "i+2*", "2*+i"):
         with pytest.raises(ValueError):
             parse_scalar(bad)
 
