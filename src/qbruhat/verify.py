@@ -324,18 +324,17 @@ def _plucker_admissible(n: int):
     for i in range(1, n - 1):
         s_i = Permutation.simple(i, n)
         s_next = Permutation.simple(i + 1, n)
+        levels = (i + 1, i + 1, i, i + 1, i)
         others = [(o, (_level_key(o.images, i), _level_key(o.images, i + 1))) for o in perms]
         for w in perms:
             if (w * s_i * s_next * s_i).length() != w.length() + 3:
                 continue
             w_next, w_i = w * s_next, w * s_i
             family = (w, w_next, w_i, w_i * s_next, w_next * s_i)
-            levels = (i + 1, i + 1, i, i + 1, i)
             key_w = tuple(_level_key(f.images, k) for f, k in zip(family, levels))
             for other, key_o in others:
                 for side in ("u", "v"):
-                    key = (side, key_w, key_o)
-                    instances.setdefault(key, [side, i, family, other, 0])[-1] += 1
+                    instances.setdefault((side, key_w, key_o), [side, i, family, other, 0])[-1] += 1
     return [tuple(entry) for entry in instances.values()]
 
 
@@ -531,7 +530,9 @@ Dodgson makes 5 checks per admissible (u, v, i): for each of the n - 1
 simple reflections s_i, n!/2 permutations u have l(u s_i) > l(u), and as
 many v.  Plucker makes 2 checks per (w, other, i), i = 1..n-2, where
 l(w s_i s_{i+1} s_i) = l(w) + 3 holds for the n!/6 minimal representatives
-w of the cosets of <s_i, s_{i+1}>.
+w of the cosets of <s_i, s_{i+1}>.  Every admissible triple is counted,
+though the grid checks evaluate each distinct instance once: 216 Dodgson
+and 288 Plucker instances at n = 4, 2,000 and 4,000 at n = 5.
 """
 
 GRID_CHECK_BUDGET = 10_000_000

@@ -421,19 +421,17 @@ def plucker_reference(x):
             for other in all_permutations(n):
                 u, v = w, other
                 lhs = cache.uv(w_next, v, i + 1)
-                inner = _grid_inv(cache.uv(w_i, v, i), w_i, v, i, inverses)
-                rhs = cache.uv(w_i_next, v, i + 1) + cache.uv(w_next_i, v, i) * inner * cache.uv(
-                    u, v, i + 1
-                )
+                rhs = cache.uv(w_i_next, v, i + 1) + cache.uv(w_next_i, v, i) * _grid_inv(
+                    cache.uv(w_i, v, i), w_i, v, i, inverses
+                ) * cache.uv(u, v, i + 1)
                 if not is_zero(lhs - rhs):
                     raise CheckFailed({"check": "plucker-u", "params": (u.images, v.images, i)})
                 checks += 1
                 u, v = other, w
                 lhs = cache.uv(u, w_next, i + 1)
-                inner = _grid_inv(cache.uv(u, w_i, i), u, w_i, i, inverses)
-                rhs = cache.uv(u, w_i_next, i + 1) + cache.uv(u, v, i + 1) * inner * cache.uv(
-                    u, w_next_i, i
-                )
+                rhs = cache.uv(u, w_i_next, i + 1) + cache.uv(u, v, i + 1) * _grid_inv(
+                    cache.uv(u, w_i, i), u, w_i, i, inverses
+                ) * cache.uv(u, w_next_i, i)
                 if not is_zero(lhs - rhs):
                     raise CheckFailed({"check": "plucker-v", "params": (u.images, v.images, i)})
                 checks += 1
@@ -470,7 +468,9 @@ def test_grouped_grid_reports_as_every_triple_would(monkeypatch, n, name, grid, 
     expected = ("checks", GRID_CHECKS[name](n))
     assert grid_outcome(reference, x) == grid_outcome(grid, x) == expected
     member, read = MinorCache._member, []
-    monkeypatch.setattr(MinorCache, "_member", lambda self, *key: read.append(key) or member(self, *key))
+    monkeypatch.setattr(
+        MinorCache, "_member", lambda self, *key: read.append(key) or member(self, *key)
+    )
     reference(x)
     # one quasiminor shifted by 1, or set to zero, fails both at the same first triple
     for key in rng.sample(read, 6):
