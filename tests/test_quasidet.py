@@ -489,8 +489,7 @@ def test_grouped_grid_reports_as_every_triple_would(monkeypatch, n, name, grid, 
 def test_grid_checks_evaluate_each_distinct_instance_once(monkeypatch):
     # every evaluated Dodgson instance inverts five quasiminors, every Plucker one one
     calls = []
-    grid_inv = verify._grid_inv
-    monkeypatch.setattr(verify, "_grid_inv", lambda *args: calls.append(args) or grid_inv(*args))
+    monkeypatch.setattr(verify, "_grid_inv", lambda *args: calls.append(args) or _grid_inv(*args))
     rng = random.Random(5)
     for n, dodgson, plucker in ((4, 216, 288), (5, 2_000, 4_000)):
         assert (len(_dodgson_admissible(n)), len(_plucker_admissible(n))) == (dodgson, plucker)
