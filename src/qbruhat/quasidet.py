@@ -343,6 +343,13 @@ class MinorCache:
     (Crabtree-Haynsworth 1969, ``matrix._border`` with the one candidate
     column b), and solves it cold with ``_schur_columns`` otherwise: 1x1
     blocks, and blocks whose parents are missing or singular.
+
+    A key is validated where it enters, so ``_member`` reads only valid,
+    increasing I and J, and a bad key raises ``check_index_set``'s
+    IndexOutOfRange on every read and is never memoized.  ``spec`` checks
+    I and J against x on a key's miss.  ``uv`` reads its key off
+    ``_level_key``, strictly increasing within [1, n] for permutations of
+    n, so it checks I and J only when u or v is larger than x.
     """
 
     def __init__(self, x: Matrix):
@@ -351,19 +358,27 @@ class MinorCache:
         self._blocks = {}
 
     def spec(self, spec: MinorSpec):
-        return self._lookup(spec.I, spec.J, spec.i, spec.j)
+        key = (spec.I, spec.J, spec.i, spec.j)
+        if key not in self._memo:
+            check_index_set(spec.I, self.x.rows)
+            check_index_set(spec.J, self.x.cols)
+        return self._lookup(key)
 
     def uv(self, u: Permutation, v: Permutation, k: int):
         I, i = _level_key(u.images, k)
         J, j = _level_key(v.images, k)
-        return self._lookup(I, J, i, j)
+        x = self.x
+        # a level key is strictly increasing within [1, len(images)]
+        if len(u.images) > x.rows or len(v.images) > x.cols:
+            check_index_set(I, x.rows)
+            check_index_set(J, x.cols)
+        return self._lookup((I, J, i, j))
 
-    def _lookup(self, I, J, i, j):
-        key = (I, J, i, j)
+    def _lookup(self, key):
         hit = self._memo.get(key)
         if hit is None:
             try:
-                hit = ("ok", self._member(I, J, i, j))
+                hit = ("ok", self._member(*key))
             except NotGeneric as exc:
                 hit = ("err", exc)
             self._memo[key] = hit
@@ -388,17 +403,14 @@ class MinorCache:
         return blocks[P, Q]
 
     def _member(self, I, J, i, j):
-        x = self.x
-        check_index_set(I, x.rows)
-        check_index_set(J, x.cols)
-        e = x._e
-        inner_rows = tuple(r for r in I if r != i)
-        if not inner_rows:
+        e = self.x._e
+        if len(I) == 1:
             return e[i - 1][j - 1]
-        inner_cols = tuple(c for c in J if c != j)
+        # I and J increase: a = |{r in I : r < i}|, and d_i(I) = |I| - 1 - a
+        a, b = I.index(i), J.index(j)
+        inner_rows, inner_cols = I[:a] + I[a + 1 :], J[:b] + J[b + 1 :]
         z = self._block(inner_rows, inner_cols)
-        d_i, d_j = count_greater(I, i), count_greater(J, j)
         if z is None:
-            raise _inner_singular(len(I) - d_i, len(J) - d_j, len(inner_rows))
+            raise _inner_singular(a + 1, b + 1, len(inner_rows))
         value = _schur_entry(e, inner_cols, z, i, j)
-        return -value if (d_i + d_j) % 2 else value
+        return -value if (len(I) + len(J) - a - b) % 2 else value
