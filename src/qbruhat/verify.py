@@ -9,6 +9,7 @@ Reports are deterministic functions of (suite, n, trials, seed, bound).
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from math import factorial
@@ -225,7 +226,8 @@ def check_expansion(x: Matrix, rng: random.Random) -> int:
     return 1
 
 
-def _dodgson_admissible(n: int):
+@functools.lru_cache(maxsize=1)
+def _dodgson_admissible(n: int) -> tuple:
     """(u, u s_i, v, v s_i, i, m): each distinct instance of the admissible triples, once.
 
     A triple (u, v, i) with l(u s_i) > l(u) and l(v s_i) > l(v) reads seven
@@ -234,8 +236,10 @@ def _dodgson_admissible(n: int):
     u(i+1)), and v likewise, and these eight level keys are read back from the
     seven keys.  Triples that share them are one instance: the same five
     identities on the same values.  An instance is listed at its first triple
-    in (i, u, v) order, with the number m of triples it stands for; each
-    product is built once.
+    in (i, u, v) order, with the number m of triples it stands for.  The
+    table depends on n alone: each product u s_i is built once per n, and
+    the table of the latest n is kept as a tuple of tuples for every later
+    grid at that n.
     """
     perms = all_permutations(n)
     instances = {}
@@ -249,7 +253,7 @@ def _dodgson_admissible(n: int):
         for u, us, key_u in pairs:
             for v, vs, key_v in pairs:
                 instances.setdefault((key_u, key_v), [u, us, v, vs, i, 0])[-1] += 1
-    return [tuple(entry) for entry in instances.values()]
+    return tuple(tuple(entry) for entry in instances.values())
 
 
 def _grid_inv(value, u: Permutation, v: Permutation, k: int, inverses: dict):
@@ -274,7 +278,8 @@ def check_dodgson_grid(x: Matrix) -> int:
     Each distinct instance (``_dodgson_admissible``) is evaluated once, at its
     first triple, and counts 5 checks for each triple it stands for.  A
     failure or a NotGeneric witness is that of the first failing triple: a
-    triple fails exactly when its instance does.
+    triple fails exactly when its instance does.  Identities 1 and 4 read
+    one product d_usv d_uv^{-1}.
     """
     n = x.rows
     cache, inverses = MinorCache(x), {}
@@ -293,13 +298,14 @@ def check_dodgson_grid(x: Matrix) -> int:
         inv_e_usv = _grid_inv(e_usv, us, v, i + 1, inverses)
         inv_e_uvs = _grid_inv(e_uvs, u, vs, i + 1, inverses)
         params = (u.images, v.images, i)
-        if not is_zero(d_usvs - (d_usv * inv_d_uv * d_uvs + e_uv)):
+        ratio = d_usv * inv_d_uv  # identities 1 and 4 share it
+        if not is_zero(d_usvs - (ratio * d_uvs + e_uv)):
             _fail("dodgson-1", x, params=params)
         if not is_zero(inv_d_usv * e_uv - inv_d_uv * e_usv):
             _fail("dodgson-2", x, params=params)
         if not is_zero(e_uv * inv_d_uvs - e_uvs * inv_d_uv):
             _fail("dodgson-3", x, params=params)
-        if not is_zero(e_uv * inv_e_usv - d_usv * inv_d_uv):
+        if not is_zero(e_uv * inv_e_usv - ratio):
             _fail("dodgson-4", x, params=params)
         if not is_zero(inv_e_uvs * e_uv - inv_d_uv * d_uvs):
             _fail("dodgson-5", x, params=params)
@@ -307,7 +313,8 @@ def check_dodgson_grid(x: Matrix) -> int:
     return checks
 
 
-def _plucker_admissible(n: int):
+@functools.lru_cache(maxsize=1)
+def _plucker_admissible(n: int) -> tuple:
     """(side, i, family, other, m): each distinct instance of the Plucker checks, once.
 
     The checks run over i = 1..n-2, then w with l(w s_i s_{i+1} s_i) = l(w) + 3,
@@ -318,6 +325,8 @@ def _plucker_admissible(n: int):
     levels i + 1, i + 1, i, i + 1, i) and `other` through its level keys at i
     and i + 1.  Checks of one side that share them are one instance; it is
     listed at its first check, with the number m of checks it stands for.
+    Like ``_dodgson_admissible``, the table depends on n alone and the
+    table of the latest n is kept, a tuple of tuples.
     """
     perms = all_permutations(n)
     instances = {}
@@ -335,7 +344,7 @@ def _plucker_admissible(n: int):
             for other, key_o in others:
                 for side in ("u", "v"):
                     instances.setdefault((side, key_w, key_o), [side, i, family, other, 0])[-1] += 1
-    return [tuple(entry) for entry in instances.values()]
+    return tuple(tuple(entry) for entry in instances.values())
 
 
 def check_minors_plucker_grid(x: Matrix) -> int:
@@ -532,7 +541,9 @@ many v.  Plucker makes 2 checks per (w, other, i), i = 1..n-2, where
 l(w s_i s_{i+1} s_i) = l(w) + 3 holds for the n!/6 minimal representatives
 w of the cosets of <s_i, s_{i+1}>.  Every admissible triple is counted,
 though the grid checks evaluate each distinct instance once: 216 Dodgson
-and 288 Plucker instances at n = 4, 2,000 and 4,000 at n = 5.
+and 288 Plucker instances at n = 4, 2,000 and 4,000 at n = 5.  The
+instance tables are built once per n, on the first grid at that n, and
+only those of the latest n are kept.
 """
 
 GRID_CHECK_BUDGET = 10_000_000

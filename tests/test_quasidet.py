@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import det_minor, det_of, plucker_coordinate, plucker_row_coordinate
-from qbruhat.errors import NotGeneric
+from qbruhat.errors import IndexOutOfRange, NotGeneric
 from qbruhat.matrix import Matrix, interval, iota, sigma
 from qbruhat.quasidet import (
     MinorCache,
@@ -517,3 +517,81 @@ def test_grid_budget_boundary_is_checked_before_any_trial(monkeypatch):
     with pytest.raises(ValueError, match="budget") as info:
         run_suite("dodgson", 6, trials=4, seed=0)
     assert f"{4 * per_trial:,}" in str(info.value) and "dodgson" in str(info.value)
+
+
+def test_minor_cache_refuses_bad_keys_on_every_call():
+    # a bad key raises check_index_set's IndexOutOfRange on every read, before and
+    # after valid reads, and is never memoized; x is 3 x 4, so rows and columns differ
+    x = sample_matrix(random.Random(11), 3, 4)
+    e3, e4 = Permutation.identity(3), Permutation.identity(4)
+    unsorted = "index set {} is not strictly increasing".format
+    bad = [
+        (lambda c: c.spec(MinorSpec((1, 4), (1, 2), 1, 1)), "index 4 outside [1, 3]"),
+        (lambda c: c.spec(MinorSpec((0, 1), (1, 2), 1, 1)), "index 0 outside [1, 3]"),
+        (lambda c: c.spec(MinorSpec((1, 2), (2, 5), 1, 2)), "index 5 outside [1, 4]"),
+        (lambda c: c.spec(MinorSpec((2, 1), (1, 2), 1, 1)), unsorted((2, 1))),
+        (lambda c: c.spec(MinorSpec((2, 2), (1, 3), 2, 1)), unsorted((2, 2))),
+        (lambda c: c.spec(MinorSpec((1, 2), (3, 1), 2, 3)), unsorted((3, 1))),
+        (lambda c: c.spec(MinorSpec((1, 3), (4, 4), 1, 4)), unsorted((4, 4))),
+        # a permutation larger than x: rows, then columns
+        (lambda c: c.uv(Permutation((4, 1, 2, 3)), e4, 2), "index 4 outside [1, 3]"),
+        (lambda c: c.uv(e4, e4, 4), "index 4 outside [1, 3]"),
+        (lambda c: c.uv(e3, Permutation((5, 1, 2, 3, 4)), 3), "index 5 outside [1, 4]"),
+    ]
+    valid = [
+        lambda c: c.spec(MinorSpec((1, 3), (2, 4), 3, 2)),
+        lambda c: c.uv(e3, e4, 3),
+        # a larger permutation whose key lies inside x still reads
+        lambda c: c.uv(Permutation((2, 1, 4, 3)), Permutation((4, 1, 5, 2, 3)), 2),
+    ]
+    for read, message in bad:
+        cache = MinorCache(x)
+        for valid_read in [None] + valid:
+            if valid_read is not None:
+                valid_read(cache)
+            for _ in range(2):
+                with pytest.raises(IndexOutOfRange) as info:
+                    read(cache)
+                assert str(info.value) == message
+        assert len(cache._memo) == len(valid)
+    assert MinorCache(x).uv(Permutation((2, 1, 4, 3)), Permutation((4, 1, 5, 2, 3)), 2) == (
+        MinorCache(x).spec(MinorSpec((1, 2), (1, 4), 1, 1))
+    )
+
+
+def test_grid_tables_are_built_once_per_n(monkeypatch):
+    # the tables depend on n alone: the latest n is kept, a new n rebuilds
+    products = []
+    mul = Permutation.__mul__
+    monkeypatch.setattr(Permutation, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    rng = random.Random(8)
+    _dodgson_admissible.cache_clear()
+    _plucker_admissible.cache_clear()
+    for n in (4, 3, 4):
+        for table, grid in (
+            (_dodgson_admissible, check_dodgson_grid),
+            (_plucker_admissible, check_minors_plucker_grid),
+        ):
+            products.clear()
+            first = table(n)
+            assert products
+            assert type(first) is tuple and all(type(entry) is tuple for entry in first)
+            products.clear()
+            assert table(n) is first
+            with_retries(lambda: grid(sample_matrix(rng, n, n)))
+            assert not products
+
+
+def test_dodgson_grid_shares_the_ratio_of_identities_1_and_4(monkeypatch):
+    # one n = 4 grid: 3,042 scalar products when identities 1 and 4 each built
+    # d_usv d_uv^-1, 216 fewer (one per instance) when they share it
+    x = sample_matrix(random.Random(0), 4, 4)
+    _dodgson_admissible(4)
+    products = []
+    for name in ("__mul__", "__rmul__"):
+        method = getattr(Q, name)
+        monkeypatch.setattr(
+            Q, name, lambda a, b, method=method: products.append(1) or method(a, b)
+        )
+    assert check_dodgson_grid(x) == GRID_CHECKS["dodgson"](4)
+    assert len(products) == 3_042 - 216
