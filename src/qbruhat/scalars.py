@@ -35,11 +35,12 @@ from .errors import ZeroInverse
 
 # An unsigned coefficient in ASCII digits: p/q with q > 0, or a decimal such as 1.5, 1. or .5
 # (no exponent).  In a quaternion term a `*` may stand only between a coefficient and its unit.
+# Spaces may stand before a term, after a sign and around a `*`, never inside a coefficient.
 _COEF = r"[0-9]+/[0-9]*[1-9][0-9]*|[0-9]+(?:\.[0-9]*)?|\.[0-9]+"
 _QUAT_TERM = re.compile(
-    rf"(?P<sign>[+-]?)\s*(?:(?P<coef>{_COEF})\s*(?:\*\s*(?=[ijk]))?)?(?P<unit>[ijk]?)"
+    rf"\s*(?P<sign>[+-]?)\s*(?:(?P<coef>{_COEF})(?:\s*\*\s*(?=[ijk]))?)?(?P<unit>[ijk]?)"
 )
-_RATIONAL = re.compile(rf"[+-]?(?:{_COEF})")
+_RATIONAL = re.compile(rf"(?P<sign>[+-]?)\s*(?P<coef>{_COEF})")
 _INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 
@@ -385,15 +386,20 @@ def parse_scalar(text: str):
     coefficient is ``p``, ``p/q`` or a decimal such as ``1.5`` or ``.5`` in
     ASCII digits, with no exponent, and a rational is one coefficient with
     its sign.  A ``*`` stands only between a coefficient and its unit.
+    Spaces may stand around the text, after a sign, around a ``*`` and
+    between terms; a space inside a coefficient (``1 2``, ``2 / 3``) or
+    between a coefficient and its unit (``2 i``) is refused.
     Any appearance of i/j/k yields a RationalQuaternion.
     """
-    s = text.strip().replace(" ", "")
+    s = text.strip()
     if not s:
         raise ValueError("empty scalar")
     if not re.search(r"[ijk]", s):
-        if not _RATIONAL.fullmatch(s):
+        m = _RATIONAL.fullmatch(s)
+        if not m:
             raise ValueError(f"bad rational {text!r}")
-        return Fraction(s)
+        value = Fraction(m.group("coef"))
+        return -value if m.group("sign") == "-" else value
     comps = {"": Fraction(0), "i": Fraction(0), "j": Fraction(0), "k": Fraction(0)}
     pos = 0
     while pos < len(s):

@@ -132,8 +132,14 @@ def test_parse_flexible_forms():
     assert parse_scalar("1+i") == Q(1, 1)
     assert parse_scalar("-i+2*k") == Q(0, -1, 0, 2)
     assert parse_scalar(" 1/2 - 3*j ") == Q(Fraction(1, 2), 0, -3, 0)
-    # digits are ASCII, and a `*` stands only between a coefficient and its unit
-    for bad in ("", "i*j", "1//2", "2+*i", "\u0663", "\uff11", "1+\u0663*i", "i+2*", "2*+i"):
+    # spaces stand around the text, after a sign, around a `*` and between terms
+    assert parse_scalar("- 3") == -3 and parse_scalar(" 3 ") == 3
+    assert parse_scalar("2 * i  - j") == Q(0, 2, -1, 0)
+    # digits are ASCII, a `*` stands only between a coefficient and its unit,
+    # and a space never stands inside a coefficient or before its unit
+    spaced = ("1 2", "1 2*i", "1.5 5+i", "2 / 3", "1. 5", "2 i")
+    malformed = ("", "i*j", "1//2", "2+*i", "\u0663", "\uff11", "1+\u0663*i", "i+2*", "2*+i")
+    for bad in malformed + spaced:
         with pytest.raises(ValueError):
             parse_scalar(bad)
 
