@@ -298,7 +298,7 @@ def check_dodgson_grid(x: Matrix) -> int:
         inv_e_usv = _grid_inv(e_usv, us, v, i + 1, inverses)
         inv_e_uvs = _grid_inv(e_uvs, u, vs, i + 1, inverses)
         params = (u.images, v.images, i)
-        ratio = d_usv * inv_d_uv  # identities 1 and 4 share it
+        ratio = d_usv * inv_d_uv
         if not is_zero(d_usvs - (ratio * d_uvs + e_uv)):
             _fail("dodgson-1", x, params=params)
         if not is_zero(inv_d_usv * e_uv - inv_d_uv * e_usv):
