@@ -35,7 +35,8 @@ from .errors import ZeroInverse
 
 # An unsigned coefficient in ASCII digits: p/q with q > 0, or a decimal such as 1.5, 1. or .5
 # (no exponent).  In a quaternion term a `*` may stand only between a coefficient and its unit.
-# Spaces may stand before a term, after a sign and around a `*`, never inside a coefficient.
+# Spaces may stand before a term, after a sign and around a `*`: never inside a coefficient
+# or between a coefficient and its unit.
 _COEF = r"[0-9]+/[0-9]*[1-9][0-9]*|[0-9]+(?:\.[0-9]*)?|\.[0-9]+"
 _QUAT_TERM = re.compile(
     rf"\s*(?P<sign>[+-]?)\s*(?:(?P<coef>{_COEF})(?:\s*\*\s*(?=[ijk]))?)?(?P<unit>[ijk]?)"
