@@ -184,7 +184,10 @@ class SnMinorSpec:
         return MinorSpec(I, J, i, j)
 
 
-@functools.lru_cache(maxsize=4096)
+# Room for every (w, k) of S_1 ... S_6: the sum of n * n! is 7! - 1 = 5,039 keys.  n = 6
+# is the largest grid the check budget accepts, and it reads S_6's 4,320 keys once per
+# pass, in the same order; a smaller LRU table would evict each key before its next read.
+@functools.lru_cache(maxsize=5039)
 def _level_key(images: tuple, k: int) -> tuple:
     """(w[1, k] in increasing order, w(k)) for the permutation with these images."""
     if not 1 <= k <= len(images):

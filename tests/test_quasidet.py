@@ -10,6 +10,7 @@ from qbruhat.quasidet import (
     MinorCache,
     MinorSpec,
     SnMinorSpec,
+    _level_key,
     boxed_quasiminor,
     positive_quasiminor,
     principal_quasiminor,
@@ -595,3 +596,15 @@ def test_dodgson_grid_shares_the_ratio_of_identities_1_and_4(monkeypatch):
         )
     assert check_dodgson_grid(x) == GRID_CHECKS["dodgson"](4)
     assert len(products) == 3_042 - 216
+
+
+def test_level_key_table_holds_every_key_of_s6():
+    # an n = 6 grid reads all 4,320 (w, k) keys of S_6 on every pass
+    keys = [(w.images, k) for w in all_permutations(6) for k in range(1, 7)]
+    _level_key.cache_clear()
+    for key in keys:
+        _level_key(*key)
+    misses = _level_key.cache_info().misses
+    for key in keys:
+        _level_key(*key)
+    assert _level_key.cache_info().misses == misses == len(keys)

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,9 @@ from qbruhat.scalars import (
 
 ONE = Q(1)
 I, J, K = Q(0, 1), Q(0, 0, 1), Q(0, 0, 0, 1)
+
+fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+quaternions = st.builds(Q, fractions, fractions, fractions, fractions)
 
 
 def test_hamilton_relations():
@@ -74,13 +78,8 @@ def test_noncommutativity_witness_exists():
     pytest.fail("no noncommuting pair found in 200 samples")
 
 
-@given(
-    st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50),
-    st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50),
-    st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50),
-)
-def test_ring_laws(a1, b1, c1, d1, a2, b2, c2, d2, a3, b3, c3, d3):
-    x, y, z = Q(a1, b1, c1, d1), Q(a2, b2, c2, d2), Q(a3, b3, c3, d3)
+@given(quaternions, quaternions, quaternions)
+def test_ring_laws(x, y, z):
     assert (x * y) * z == x * (y * z)
     assert x * (y + z) == x * y + x * z
     assert (x + y) * z == x * z + y * z
@@ -216,9 +215,6 @@ def test_quaternion_equality_coerces_reals():
 
 # -- the packed-integer representation -----------------------------------------
 
-fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
-quaternions = st.builds(Q, fractions, fractions, fractions, fractions)
-
 
 def test_equal_values_from_different_denominators_are_one_value():
     x = Q(Fraction(1, 2), Fraction(1, 3), 0, Fraction(-5, 6))
@@ -230,9 +226,12 @@ def test_equal_values_from_different_denominators_are_one_value():
     assert half == Q(1) == 1 and hash(half) == hash(1)
 
 
-@given(quaternions, quaternions)
-def test_stored_form_is_canonical(x, y):
-    for q in (x, y, x * y, x + y, x - y, -x, x.conjugate()):
+@given(quaternions, quaternions, fractions, st.integers(-9, 9))
+def test_stored_form_is_canonical(x, y, r, k):
+    values = [x, y, x * y, x + y, x - y, -x, x.conjugate(), r * x, x * r, k - x, r + x]
+    if not x.is_zero():
+        values.append(x.inverse())
+    for q in values:
         a, b, c, d, e = q._q
         assert e > 0
         assert math.gcd(a, b, c, d, e) == 1
@@ -254,6 +253,7 @@ def test_mixed_operands_on_both_sides(q, r, k):
     assert q * r == q * rq and r * q == rq * q
     assert q * k == q * kq and k * q == kq * q
     assert q + r == q + rq and r + q == rq + q
+    assert q + k == q + kq and k + q == kq + q
     assert q - k == q - kq and k - q == kq - q
     assert r - q == rq - q and q - r == q - rq
 
@@ -262,6 +262,34 @@ def test_mixed_operands_on_both_sides(q, r, k):
 def test_text_form_round_trips(q):
     assert parse_scalar(format_scalar(q)) == q
     assert parse_scalar(format_scalar(q))._q == q._q
+
+
+def _frames(call):
+    """The names of the Python frames that call() runs, besides its own."""
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            names.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return names[1:]
+
+
+def test_each_quaternion_operation_runs_in_one_frame():
+    x = Q(Fraction(1, 2), 3, Fraction(-2, 3), 5)
+    y = Q(Fraction(3, 4), -1, 2, Fraction(1, 5))
+    assert _frames(lambda: x * y) == ["__mul__"]
+    assert _frames(lambda: x - y) == ["__sub__"]
+    assert _frames(lambda: x + y) == ["__add__"]
+    assert _frames(lambda: is_zero(x)) == ["is_zero"]
+    assert _frames(lambda: x.inverse()) == ["inverse"]
+    # inv goes through the method, so a wrapper of RationalQuaternion.inverse sees it
+    assert _frames(lambda: inv(x)) == ["inv", "inverse"]
 
 
 def test_assigning_an_attribute_raises():
