@@ -28,12 +28,17 @@ is ``bruhat_factor``: x = b1 ubar b2 with b1 in U(u), so
 ubar [ubar^{-1} x]_- = b1 ubar D with D = diag(b2), and h is D permuted by
 u.  The v side is B^- v B^- = B^- vbar (U^- meet v^{-1} U v): x lies in it
 iff x vbar' is in the Gauss cell and [x vbar']_+ vanishes off
-``schubert_support(v)``, and ``gauss.lower_solve`` on
-[x vbar' | b1 ubar D] yields that test and divides by [x vbar']_-, with
-no inverse.  ``_twist_from_factor`` is that v side (with h and psi(x)) on
-a given Bruhat factor.  ``cross_checked_twist`` decomposes both sides
-afresh to check the form above and those through [(vbar x^iota)^{-1}]_+
-and [ubar' (x^iota)^{-1}]_- against it.
+``schubert_support(v)``.  ``gauss._gauss_eliminate`` on [x vbar' | b1 ubar],
+scaling no pivot row, leaves row k as d_k times that of
+[[x vbar']_+ | [x vbar']_-^{-1} b1 ubar], d_k the k-th pivot: the zeros
+of the left block give that test, and psi[k, l] = +-(h_k d_k^{-1}) M[k, l] D_l
+with M the right block; no matrix is inverted.  b1 is built with the zeros
+and ones of x's own scalar type (``_typed_parts``), so the twist of a
+quaternion x does only quaternion arithmetic.  ``_twist_from_factor`` is
+that v side (with h and psi(x)) on a given Bruhat factor.
+``cross_checked_twist`` decomposes both sides afresh to check the form
+above and those through [(vbar x^iota)^{-1}]_+ and [ubar' (x^iota)^{-1}]_-
+against it.
 
 Errors distinguish "wrong cell" (WrongCell) from "a Gauss projection
 failed" (NotGeneric), because the harness treats them differently.  With
@@ -46,7 +51,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import NotGeneric, QBruhatError, ShapeMismatch, WrongCell
-from .gauss import _reduce_rows, gauss_parts, lower_solve
+from .gauss import _gauss_eliminate, _reduce_rows, gauss_parts
 from .matrix import Matrix, iota, iota_inverse_free, rank, sigma
 from .scalars import is_zero
 from .weyl import Permutation, left_by_representative, right_by_representative
@@ -57,10 +62,10 @@ def _no_pivot(j: int) -> NotGeneric:
 
 
 def _pivot_pattern(x: Matrix):
-    """``gauss._reduce_rows`` of x by the Bruhat rule: (u, M, b1) with x = b1 M.
+    """``gauss._reduce_rows`` of x by the Bruhat rule: (u, M, steps) with M the reduced x.
 
-    b1 is upper unitriangular (as rows), with f at b1[i, r] for each row_i -= f row_r; the
-    column-j pivot of M is in row u(j), zeros left of it, so ubar^{-1} M is upper triangular.
+    The column-j pivot of M is in row u(j), zeros left of it, so ubar^{-1} M is upper
+    triangular.
     """
     if not x.is_square:
         raise ShapeMismatch("classification needs a square matrix")
@@ -68,9 +73,7 @@ def _pivot_pattern(x: Matrix):
     steps = _reduce_rows(m, bottom=True)
     if len(steps) < x.rows:
         raise _no_pivot(len(steps) + 1)
-    factor = {(i, r): f for r, _, _, multipliers in steps for i, f in multipliers}
-    b1 = [[factor.get((i, c), 1 if i == c else 0) for c in range(x.rows)] for i in range(x.rows)]
-    return Permutation([r + 1 for r, _, _, _ in steps]), Matrix(m), b1
+    return Permutation([r + 1 for r, _, _, _ in steps]), Matrix._wrap(tuple(map(tuple, m))), steps
 
 
 class CellLabel(NamedTuple):
@@ -98,6 +101,29 @@ def classify(x: Matrix) -> CellLabel:
     return CellLabel(_pivot_pattern(x)[0], _opposite_datum(x))
 
 
+def _bruhat_parts(x: Matrix, zero, one):
+    """``bruhat_factor(x)`` with b1 as row tuples whose other entries are `zero` and `one`.
+
+    b1 holds f at b1[i, r] for each row_i -= f row_r of the reduction.
+    """
+    u, m, steps = _pivot_pattern(x)
+    b2 = left_by_representative(u, m, inverse=True)
+    if not b2.is_upper_triangular():
+        raise QBruhatError("pivot normal form did not reduce to an upper triangular factor")
+    b1 = [[one if i == c else zero for c in range(x.rows)] for i in range(x.rows)]
+    for r, _, _, multipliers in steps:
+        for i, f in multipliers:
+            b1[i][r] = f
+    return tuple(map(tuple, b1)), u, b2
+
+
+def _typed_parts(x: Matrix):
+    """``_bruhat_parts`` with the zero and one of x's entries: one subtraction for the matrix."""
+    a = x._e[0][0]
+    zero = a - a
+    return _bruhat_parts(x, zero, zero + 1)
+
+
 def bruhat_factor(x: Matrix):
     """(b1, u, b2) with x = b1 * representative(u) * b2 and b1, b2 upper.
 
@@ -105,10 +131,7 @@ def bruhat_factor(x: Matrix):
     U(u), see ``bruhat_factor_schubert``); b2 = ubar^{-1} M, with M the
     reduced matrix, carries the torus part.
     """
-    u, m, b1 = _pivot_pattern(x)
-    b2 = left_by_representative(u, m, inverse=True)
-    if not b2.is_upper_triangular():
-        raise QBruhatError("pivot normal form did not reduce to an upper triangular factor")
+    b1, u, b2 = _bruhat_parts(x, 0, 1)
     return Matrix(b1), u, b2
 
 
@@ -146,11 +169,11 @@ def schubert_support(u: Permutation) -> frozenset:
     )
 
 
-def _within_support(upper: Matrix, u: Permutation) -> bool:
-    """True iff the strict upper part of `upper` vanishes off ``schubert_support(u)``."""
-    support, n = schubert_support(u), upper.rows
+def _within_support(rows, u: Permutation) -> bool:
+    """True iff the strict upper part of the rows' leading square vanishes off the support."""
+    support, n = schubert_support(u), u.n
     pairs = ((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
-    return all(is_zero(upper[i, j]) for i, j in pairs if (i, j) not in support)
+    return all(is_zero(rows[i - 1][j - 1]) for i, j in pairs if (i, j) not in support)
 
 
 def bruhat_factor_schubert(x: Matrix, u: Permutation | None = None):
@@ -167,7 +190,7 @@ def bruhat_factor_schubert(x: Matrix, u: Permutation | None = None):
         u = u_found
     elif u != u_found:
         raise WrongCell(f"x lies in the cell of {u_found!r}", expected=u, actual=u_found)
-    if not _within_support(b1, u):
+    if not _within_support(b1._e, u):
         raise QBruhatError("the unipotent Borel factor is not in U(u)")
     return b1, b2
 
@@ -187,14 +210,27 @@ def _torus_entries(u: Permutation, h: Matrix) -> list:
     return [h[j, j] for j in u.inverse().images]
 
 
-def _twist_from_factor(x: Matrix, b1: Matrix, u: Permutation, b2: Matrix, v: Permutation):
-    """(psi(x), h) from x's Bruhat factor x = b1 ubar b2: the gate's v side, NotGeneric off it."""
-    rhs = right_by_representative(b1, u)._scale_cols([b2[j, j] for j in range(1, x.rows + 1)])
-    plus, core = lower_solve(right_by_representative(x, v.inverse()), rhs)
-    if not _within_support(plus, v):
+def _twist_from_factor(x: Matrix, b1: tuple, u: Permutation, b2: Matrix, v: Permutation):
+    """(psi(x), h) from x's Bruhat factor x = b1 ubar b2: the gate's v side, NotGeneric off it.
+
+    b1 comes as row tuples (``_typed_parts``).  The Gauss-rule elimination leaves row k of
+    [x vbar' | b1 ubar] as d_k times that of [[x vbar']_+ | [x vbar']_-^-1 b1 ubar], d_k the
+    k-th pivot, so with D = diag(b2) psi[k, l] = +-(h_k d_k^-1) M[k, l] D[l].
+    """
+    n = x.rows
+    rhs = right_by_representative(Matrix._wrap(b1), u)
+    rows = [list(a + b) for a, b in zip(right_by_representative(x, v.inverse())._e, rhs._e)]
+    steps = _gauss_eliminate(rows)
+    if not _within_support(rows, v):
         raise NotGeneric(f"[x vbar']_+ is not zero off the Schubert support of {v!r}")
+    d = [b2._e[j][j] for j in range(n)]
     h = _torus_entries(u, b2)
-    return iota_inverse_free(core)._scale_rows(h), h
+    psi = []
+    for k, (row, (_, p, _, _)) in enumerate(zip(rows, steps)):
+        c = h[k] * p
+        products = (c * a * s for a, s in zip(row[n:], d))
+        psi.append(tuple(m if (k + l) % 2 == 0 else -m for l, m in enumerate(products)))
+    return Matrix._wrap(tuple(psi)), h
 
 
 def _twist(x: Matrix, u: Permutation, v: Permutation, check: bool = True):
@@ -208,7 +244,7 @@ def _twist(x: Matrix, u: Permutation, v: Permutation, check: bool = True):
         )
     label = "[ubar^-1 x]"
     try:
-        b1, found, b2 = bruhat_factor(x)
+        b1, found, b2 = _typed_parts(x)
         if found != u:
             raise NotGeneric(f"x lies in B {found!r} B")
         label = "[x vbar']_-"

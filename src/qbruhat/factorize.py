@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cells import _opposite_datum, _twist, _twist_from_factor, bruhat_factor, twist_general
+from .cells import _opposite_datum, _twist, _twist_from_factor, _typed_parts, twist_general
 from .errors import IndexOutOfRange, NotGeneric, QBruhatError, ShapeMismatch, ZeroInverse
 from .gauss import lower_solve
 from .matrix import Matrix, interval
@@ -90,7 +90,9 @@ def product_map(word: DoubleWord, params, h=None) -> Matrix:
 
     All parameters must be nonzero exact scalars (a float or complex is a
     TypeError, as for a matrix entry); `h` may be a list of diagonal scalars
-    or a diagonal matrix, n x n for a word on GL_n.
+    or a diagonal matrix, n x n for a word on GL_n.  A list, or the default
+    identity, starts the product with zeros and ones of its entries' type
+    (``_torus``), so quaternion letters never meet a rational.
     """
     params = [_exact(t) for t in params]
     if len(params) != word.length:
@@ -99,19 +101,35 @@ def product_map(word: DoubleWord, params, h=None) -> Matrix:
     for pos, t in enumerate(params, start=1):
         if is_zero(t):
             raise ZeroInverse(f"parameter {pos} is zero")
-    if h is None:
-        acc = Matrix.identity(n)
-    elif isinstance(h, Matrix):
+    if isinstance(h, Matrix):
         if not h.is_diagonal():
             raise ShapeMismatch("h must be diagonal")
         acc = h
     else:
-        acc = Matrix.diagonal(list(h))
+        acc = _torus(n, h, params)
     if (acc.rows, acc.cols) != (n, n):
         raise ShapeMismatch(f"a {acc.shape_str()} torus for a word on GL_{n}")
     for letter, t in zip(word.letters, params):
         acc = acc._right_letter(letter, t)
     return acc
+
+
+def _torus(n: int, h, params) -> Matrix:
+    """diag(h), or the n x n identity when h is None, off the diagonal one zero of its type.
+
+    The zero is made once, from the first entry of h or, for the identity, of the
+    parameters; the identity's one is that zero plus 1.
+    """
+    if h is None:
+        zero = params[0] - params[0] if params else Fraction(0)
+        h = [zero + 1] * n
+    else:
+        h = [_exact(a) for a in h]
+        if not h:
+            raise ShapeMismatch(f"an empty torus for a word on GL_{n}")
+        zero = h[0] - h[0]
+    cols = range(len(h))
+    return Matrix._wrap(tuple(tuple(a if i == j else zero for j in cols) for i, a in enumerate(h)))
 
 
 def commute_neg_pos(j: int, i: int, s, t):
@@ -400,7 +418,7 @@ def factor_u_w0(x: Matrix) -> UW0Factorization:
     and for v = w0 against the twisted forms (family a on y, the gate's v
     side on the same Bruhat factor); both agreements are exact.
     """
-    b1, u, b2 = bruhat_factor(x)
+    b1, u, b2 = _typed_parts(x)
     v = _opposite_datum(x)
     uf = upper_factorize(x)
     x_minus = uf.final_stage()

@@ -14,8 +14,10 @@ and invertible.  The projections [x]_- = L*D, [x]_0 = D, [x]_+ = U feed
 the Bruhat cell machinery; note [x]_- is lower *triangular* (it carries
 the diagonal), while the stored factors keep L unitriangular.  The
 elimination is ``_reduce_rows`` by the Gauss pivot rule, the row reduction
-that ``cells`` runs by the Bruhat rule.  On the rows [A | B] it leaves
-[[A]_+ | [A]_-^-1 B], the pair :func:`lower_solve` returns.
+that ``cells`` runs by the Bruhat rule.  On the rows [A | B] it leaves row
+k as d_k times row k of [[A]_+ | [A]_-^-1 B], d_k the k-th pivot
+(``_gauss_eliminate``, the twist's elimination); scaled by d_k^-1, the
+rows are the pair :func:`lower_solve` returns.
 """
 
 from __future__ import annotations
@@ -91,12 +93,13 @@ def _reduce_rows(rows: list, *, bottom: bool) -> list:
     Column j's pivot d is row j's entry (the Gauss rule, no exchange) or, with `bottom`,
     the bottom-most unused row's nonzero one (the Bruhat rule).  Every other unused row,
     zero left of j, with a != 0 in column j loses f = a d^-1 times the pivot row from
-    column j + 1 on, and its column j becomes a - a.  Pivot rows are not scaled.  Returns
+    column j + 1 on, and its column j becomes zero: d - d for the first pivot d that
+    clears a row, shared by every cleared entry.  Pivot rows are not scaled.  Returns
     (r, d^-1, column j as it was, [(i, f), ...]) per pivot row r, up to the first column
     without a pivot.
     """
     free = list(range(len(rows)))
-    steps = []
+    steps, zero = [], None
     for j in range(len(rows)):
         column = [row[j] for row in rows]
         nonzero = [i for i in free if not is_zero(column[i])]
@@ -106,24 +109,35 @@ def _reduce_rows(rows: list, *, bottom: bool) -> list:
         free.remove(r)
         p, pivot = inv(column[r]), rows[r][j + 1 :]
         multipliers = [(i, column[i] * p) for i in nonzero if i != r]
+        if multipliers and zero is None:
+            zero = column[r] - column[r]
         for i, f in multipliers:
-            a, row = column[i], rows[i]
-            row[j:] = [a - a] + [c - f * b for c, b in zip(row[j + 1 :], pivot)]
+            row = rows[i]
+            row[j:] = [zero] + [c - f * b for c, b in zip(row[j + 1 :], pivot)]
         steps.append((r, p, column, multipliers))
     return steps
 
 
-def _gauss_reduce(rows: list) -> list:
-    """``_reduce_rows`` by the Gauss rule, then each pivot row scaled to a leading 1.
+def _gauss_eliminate(rows: list) -> list:
+    """``_reduce_rows`` by the Gauss rule, every row reduced: its steps, pivot k in row k.
 
-    Returns (column, d^-1) per pivot d: column k from its diagonal down is column k of [A]_-.
-    A zero pivot k raises NotInGaussCell, witness ("pivot", k).
+    Row k is left as d_k times row k of [[A]_+ | [A]_-^-1 B], d_k its pivot.  A zero
+    pivot k raises NotInGaussCell, witness ("pivot", k).
     """
     steps = _reduce_rows(rows, bottom=False)
     if len(steps) < len(rows):
         k = len(steps) + 1
         message = f"matrix is outside the Gauss cell: elimination pivot {k} is zero"
         raise NotInGaussCell(message, witness=("pivot", k))
+    return steps
+
+
+def _gauss_reduce(rows: list) -> list:
+    """``_gauss_eliminate``, then each pivot row scaled to a leading 1.
+
+    Returns (column, d^-1) per pivot d: column k from its diagonal down is column k of [A]_-.
+    """
+    steps = _gauss_eliminate(rows)
     for k, (_, p, _, _) in enumerate(steps):
         rows[k][k:] = [p * a for a in rows[k][k:]]
     return [(column, p) for _, p, column, _ in steps]

@@ -379,8 +379,7 @@ def sigma(x: Matrix) -> Matrix:
     """The 180-degree rotation sigma(x)[i, j] = x[n+1-i, n+1-j]; involutive."""
     if not x.is_square:
         raise ShapeMismatch("sigma needs a square matrix")
-    n = x.rows
-    return Matrix([[x[n + 1 - i, n + 1 - j] for j in range(1, n + 1)] for i in range(1, n + 1)])
+    return Matrix._wrap(tuple(row[::-1] for row in reversed(x._e)))
 
 
 def alternating_signs(n: int) -> Matrix:
@@ -399,11 +398,11 @@ def iota(x: Matrix) -> Matrix:
 
 def iota_inverse_free(x: Matrix) -> Matrix:
     """(x^iota)^{-1} = J x J: the odd-parity entries flip sign, nothing is inverted."""
-    return Matrix(
-        [
-            [a if (i + j) % 2 == 0 else -a for j, a in enumerate(row)]
-            for i, row in enumerate(x.to_lists())
-        ]
+    return Matrix._wrap(
+        tuple(
+            tuple(a if (i + j) % 2 == 0 else -a for j, a in enumerate(row))
+            for i, row in enumerate(x._e)
+        )
     )
 
 

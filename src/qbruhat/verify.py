@@ -262,14 +262,15 @@ def _grid_inv(value, u: Permutation, v: Permutation, k: int, inverses: dict):
     A zero quasiminor makes the sample non-generic, not a counterexample: it
     is never stored, and it raises NotGeneric so the harness resamples.
     """
-    if value not in inverses:
+    found = inverses.get(value)
+    if found is None:
         if is_zero(value):
             raise NotGeneric(
                 f"grid quasiminor at level {k} for ({u!r}, {v!r}) is zero",
                 witness=("grid-zero", u.images, v.images, k),
             )
-        inverses[value] = inv(value)
-    return inverses[value]
+        found = inverses[value] = inv(value)
+    return found
 
 
 def check_dodgson_grid(x: Matrix) -> int:

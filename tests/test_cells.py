@@ -215,8 +215,19 @@ def test_torus_twist_permutes_diagonal():
 
 def test_twist_projection_failure_is_not_generic():
     # the signed longest representative is outside the Gauss cell, so the
-    # lower projection in the twist must fail loudly when checks are off
-    w0 = Permutation.longest(3)
+    # fused elimination of [x vbar' | b1 ubar] in the twist must fail
+    # loudly when checks are off, and x is in another cell when they are on
+    w0, e = Permutation.longest(3), Permutation.identity(3)
     x = representative(w0)
-    with pytest.raises(NotGeneric):
-        twist_reduced(x, w0, Permutation.identity(3), check=False)
+    for twist in (twist_reduced, twist_general):
+        with pytest.raises(NotGeneric) as info:
+            twist(x, w0, e, check=False)
+        assert info.value.witness == ("projection", "[x vbar']_-")
+        assert str(info.value) == (
+            "Gauss projection [x vbar']_- failed: "
+            "matrix is outside the Gauss cell: elimination pivot 1 is zero"
+        )
+        with pytest.raises(WrongCell) as info:
+            twist(x, w0, e)
+        assert info.value.expected == (w0, e)
+        assert info.value.actual == (w0, w0)

@@ -16,6 +16,7 @@ import contextlib
 import itertools
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -34,7 +35,13 @@ from qbruhat.cells import (
     twist_reduced,
 )
 from qbruhat.errors import NotGeneric, NotInGaussCell, WrongCell
-from qbruhat.factorize import factor_u_w0, factor_w0_v, letter_matrix, recover_params
+from qbruhat.factorize import (
+    factor_u_w0,
+    factor_w0_v,
+    letter_matrix,
+    product_map,
+    recover_params,
+)
 from qbruhat.gauss import gauss_parts, ldu, lower_solve
 from qbruhat.matrix import Matrix, interval, matrix_from_json, rank
 from qbruhat.quasidet import (
@@ -416,6 +423,51 @@ def test_cross_checked_twist_equals_twist_general(pair):
     assert cross_checked_twist(g, u, v) == expected
 
 
+def quaternion_points():
+    """(x, word, h, t): cell points of random (u, v) at n = 3..5, then the two data points.
+
+    A data point's h and t are None; maximal4 is recovered along a seeded word of (w0, w0).
+    """
+    rng = random.Random(21)
+    for n in (3, 4, 5):
+        perms = all_permutations(n)
+        for _ in range(4):
+            yield cell_point(rng, rng.choice(perms), rng.choice(perms))
+    w0 = Permutation.longest(4)
+    for name, word in (
+        ("reduced4", DoubleWord(4, (-1, 2, -3, 1, -2, 3, 2))),
+        ("maximal4", random_double_word(w0, w0, rng)),
+    ):
+        data = json.loads((Path(__file__).parent / "data" / f"{name}.json").read_text())
+        yield matrix_from_json(data), word, None, None
+
+
+def test_recovery_stays_in_the_quaternions(monkeypatch):
+    # the twist, the product map and the replay keep x's scalar type: no rational zero or
+    # one of a torus or a Bruhat factor reaches a quaternion operator during the recovery
+    coerce, rationals = Q._coerce, []
+
+    def counted(other):
+        if isinstance(other, Fraction):
+            rationals.append(other)
+        return coerce(other)
+
+    for x, word, h, t in quaternion_points():
+        u, v = word.u(), word.v()
+        y = twist_general(x, u, v)
+        assert y == cross_checked_twist(x, u, v)
+        with monkeypatch.context() as patch:
+            patch.setattr(Q, "_coerce", staticmethod(counted))
+            out = recover_params(x, word)
+        built = [y, out.replay(word)]
+        if h is not None:
+            built.append(product_map(word, t, h))
+            assert list(out.h) == h and list(out.t) == t
+        for m in built:
+            assert all(type(a) is Q for row in m.to_lists() for a in row)
+    assert rationals == []
+
+
 def level_quasiminors(x, u):
     """The level quasiminors of x at (u, e), listed by the row u(k) they are marked at."""
     e, uinv = Permutation.identity(x.rows), u.inverse()
@@ -474,7 +526,7 @@ def kernel_calls(monkeypatch):
 
 def test_twist_reduced_decomposes_as_often_as_twist_general(kernel_calls):
     # the gate reduces x once per side: one Bruhat reduction, then one
-    # Gauss-cell elimination of [x vbar' | ubar [ubar^-1 x]_-]; classify, which
+    # Gauss-cell elimination of [x vbar' | b1 ubar]; classify, which
     # would add two Bruhat reductions, only refuses
     data = json.loads((Path(__file__).parent / "data" / "reduced4.json").read_text())
     x = matrix_from_json(data)
