@@ -90,9 +90,11 @@ def product_map(word: DoubleWord, params, h=None) -> Matrix:
 
     All parameters must be nonzero exact scalars (a float or complex is a
     TypeError, as for a matrix entry); `h` may be a list of diagonal scalars
-    or a diagonal matrix, n x n for a word on GL_n.  A list, or the default
-    identity, starts the product with zeros and ones of its entries' type
-    (``_torus``), so quaternion letters never meet a rational.
+    or a diagonal matrix, n x n for a word on GL_n.  A list starts the
+    product with zeros of its entries' type, and the default identity with
+    zeros and ones of the parameters' type (``_torus``).  Only these two keep
+    rationals out of a quaternion product: a list of rationals, or a matrix
+    h, puts rationals into it.
     """
     params = [_exact(t) for t in params]
     if len(params) != word.length:

@@ -93,8 +93,8 @@ def _reduce_rows(rows: list, *, bottom: bool) -> list:
     Column j's pivot d is row j's entry (the Gauss rule, no exchange) or, with `bottom`,
     the bottom-most unused row's nonzero one (the Bruhat rule).  Every other unused row,
     zero left of j, with a != 0 in column j loses f = a d^-1 times the pivot row from
-    column j + 1 on, and its column j becomes zero: d - d for the first pivot d that
-    clears a row, shared by every cleared entry.  Pivot rows are not scaled.  Returns
+    column j + 1 on, and its column j becomes a zero of a's type: a - a, made again only
+    when a's type differs from the last cleared entry's.  Pivot rows are not scaled.  Returns
     (r, d^-1, column j as it was, [(i, f), ...]) per pivot row r, up to the first column
     without a pivot.
     """
@@ -109,10 +109,10 @@ def _reduce_rows(rows: list, *, bottom: bool) -> list:
         free.remove(r)
         p, pivot = inv(column[r]), rows[r][j + 1 :]
         multipliers = [(i, column[i] * p) for i in nonzero if i != r]
-        if multipliers and zero is None:
-            zero = column[r] - column[r]
         for i, f in multipliers:
-            row = rows[i]
+            a, row = column[i], rows[i]
+            if type(a) is not type(zero):
+                zero = a - a
             row[j:] = [zero] + [c - f * b for c, b in zip(row[j + 1 :], pivot)]
         steps.append((r, p, column, multipliers))
     return steps

@@ -143,27 +143,8 @@ class RationalQuaternion:
         return out
 
     def __rsub__(self, other):
-        # other - self, with the operands of __sub__ swapped
-        a2, b2, c2, d2, e2 = self._q
-        if type(other) is RationalQuaternion:
-            a1, b1, c1, d1, e1 = other._q
-        else:
-            o = self._coerce(other)
-            if o is None:
-                return NotImplemented
-            a1, b1, c1, d1, e1 = o
-        if e1 == e2:
-            a, b, c, d, e = a1 - a2, b1 - b2, c1 - c2, d1 - d2, e1
-        else:
-            a, b, c, d = a1 * e2 - a2 * e1, b1 * e2 - b2 * e1, c1 * e2 - c2 * e1, d1 * e2 - d2 * e1
-            e = e1 * e2
-        if e != 1:
-            g = math.gcd(a, b, c, d, e)
-            if g != 1:
-                a, b, c, d, e = a // g, b // g, c // g, d // g, e // g
-        out = object.__new__(RationalQuaternion)
-        _set_q(out, (a, b, c, d, e))
-        return out
+        diff = self.__sub__(other)
+        return diff if diff is NotImplemented else -diff
 
     def __neg__(self):
         a, b, c, d, e = self._q

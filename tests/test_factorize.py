@@ -205,6 +205,11 @@ def test_product_map_errors():
                 product_map(word, [Q(1), Q(1)], torus)
         with pytest.raises(ShapeMismatch):
             FactorizationOutput(h=tuple(h), t=(Q(1), Q(1))).replay(word)
+    # an empty torus
+    with pytest.raises(ShapeMismatch, match="an empty torus for a word on GL_3"):
+        product_map(word, [Q(1), Q(1)], [])
+    with pytest.raises(ShapeMismatch):
+        FactorizationOutput(h=(), t=(Q(1), Q(1))).replay(word)
 
 
 def test_product_map_refuses_inexact_parameters():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from qbruhat import gauss
+from qbruhat.cells import bruhat_factor
 from qbruhat.errors import NotGeneric, NotInGaussCell, ShapeMismatch
 from qbruhat.gauss import GaussTriple, gauss_parts, ldu, ldu_elimination
 from qbruhat.matrix import Matrix
@@ -14,6 +15,7 @@ from qbruhat.sampling import (
     upper_unitriangular,
     with_retries,
 )
+from qbruhat.scalars import RationalQuaternion as Q
 from qbruhat.scalars import inv
 
 
@@ -107,6 +109,19 @@ def _in_cell(x):
         return True
     except NotInGaussCell:
         return False
+
+
+def test_cleared_entries_keep_their_own_type():
+    # a matrix may mix rationals and quaternions; the zero left where the row reduction
+    # clears an entry has that entry's type, not the pivot's
+    x = Matrix([[Q(1, 1), 1], [1, Q(2)]])
+    plus = "Matrix[2x2](1+0*i+0*j+0*k 1/2-1/2*i+0*j+0*k; 0 1+0*i+0*j+0*k)"
+    assert repr(gauss_parts(x)[2]) == plus
+    assert repr(gauss.lower_solve(x, Matrix.identity(2))[0]) == plus
+    # the Bruhat rule clears the quaternion 1+i by the rational pivot 1 below it
+    assert repr(bruhat_factor(x)[2]) == "Matrix[2x2](1 2+0*i+0*j+0*k; 0+0*i+0*j+0*k 1+2*i+0*j+0*k)"
+    y = Matrix([[1, Q(1, 1)], [Q(2), 1]])
+    assert repr(bruhat_factor(y)[2]) == "Matrix[2x2](2+0*i+0*j+0*k 1; 0 -1/2-1*i+0*j+0*k)"
 
 
 def test_gauss_parts_outside_cell():

@@ -286,9 +286,6 @@ def test_each_quaternion_operation_runs_in_one_frame():
     assert _frames(lambda: x * y) == ["__mul__"]
     assert _frames(lambda: x - y) == ["__sub__"]
     assert _frames(lambda: x + y) == ["__add__"]
-    # a reverse subtraction computes its own result, the real operand read by _coerce
-    assert _frames(lambda: 2 - x) == ["__rsub__", "_coerce"]
-    assert _frames(lambda: x.__rsub__(y)) == ["__rsub__"] and x.__rsub__(y) == y - x
     assert _frames(lambda: is_zero(x)) == ["is_zero"]
     assert _frames(lambda: x.inverse()) == ["inverse"]
     # inv goes through the method, so a wrapper of RationalQuaternion.inverse sees it
