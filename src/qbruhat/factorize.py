@@ -13,14 +13,18 @@ Three families of factorization live here:
 * the block factorizations of cells against the longest element, each with
   a direct quasiminor route and a twisted route that must agree.  Every
   block parameter is a ratio |den|^{-1} |num| of two positive quasiminors
-  from one of four families a, b, c, d, stated once in ``BLOCK_FAMILIES``
-  and evaluated by ``block_ratio``: t_{ij} of ``factor_u_w0`` is b on x and
-  a on the twist y = psi(x); tau_{ij} of ``factor_w0_v`` is d on x and c on
-  y, and h_i is the numerator of d.  On the maximal cell the forms also
-  swap (a on x = b on y, c on x = d on y); ``verify_double_ratios`` checks
-  all four transfers.  Both factorizations read v with ``_opposite_datum``;
+  from one of four families a, b, c, d, stated once in ``BLOCK_FAMILIES``,
+  built once per (family, n, i, j) by ``_family_specs`` and evaluated by
+  ``block_ratio``: t_{ij} of ``factor_u_w0`` is b on x and a on the twist
+  y = psi(x); tau_{ij} of ``factor_w0_v`` is d on x and c on y, and h_i is
+  the numerator of d.  On the maximal cell the forms also swap (a on x =
+  b on y, c on x = d on y); ``verify_double_ratios`` checks all four
+  transfers.  Both factorizations read v with ``_opposite_datum``;
   ``factor_u_w0`` twists on its own ``bruhat_factor``, ``factor_w0_v`` runs
   the gate first, and the residue of its blocks inherits the gate's test.
+  The negative blocks of ``factor_w0_v`` act on rows: the division of x
+  by them and their replay are row operations, and their product is never
+  formed.
 
 Sign conventions follow the closed formulas, with stages defined by
 ``x(m, k) = x(m, k+1) (1 - t_{m,k} E_k)`` so that the ascending replay
@@ -29,13 +33,13 @@ Sign conventions follow the closed formulas, with stages defined by
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .cells import _opposite_datum, _twist, _twist_from_factor, _typed_parts, twist_general
 from .errors import IndexOutOfRange, NotGeneric, QBruhatError, ShapeMismatch, ZeroInverse
-from .gauss import lower_solve
-from .matrix import Matrix, interval
+from .matrix import Matrix, check_index_set, interval
 from .quasidet import MinorCache, MinorSpec, boxed_quasiminor
 from .scalars import _exact, inv, is_zero
 from .weyl import DoubleWord, Permutation, simple_representative
@@ -387,12 +391,29 @@ BLOCK_FAMILIES = {
 """Block family name -> (n, i, j) -> (den_spec, num_spec), 1 <= i <= j <= n-1."""
 
 
+# 2n(n-1) + 1 keys per n (four families on the pairs, and d at (n, n)): every n up to 11
+# fits at once, 890 keys.  The specs depend on n alone, never on a matrix.
+@functools.lru_cache(maxsize=1024)
+def _family_specs(family: str, n: int, i: int, j: int) -> tuple:
+    """``BLOCK_FAMILIES[family](n, i, j)``, built once; index sets are checked within [1, n].
+
+    The check runs den's rows and columns, then num's, in the order
+    ``MinorCache.spec`` would meet them; a pair that fails it raises and is
+    not kept.
+    """
+    specs = BLOCK_FAMILIES[family](n, i, j)
+    for spec in specs:
+        check_index_set(spec.I, n)
+        check_index_set(spec.J, n)
+    return specs
+
+
 def block_ratio(cache: MinorCache, family: str, i: int, j: int, label):
     """|den|^{-1} |num| of `family` at (i, j) on the cache's matrix.
 
     NotGeneric carries `label` as its witness when the denominator vanishes.
     """
-    den, num = BLOCK_FAMILIES[family](cache.x.rows, i, j)
+    den, num = _family_specs(family, cache.x.rows, i, j)
     return _ratio(cache.spec(den), cache.spec(num), label)
 
 
@@ -448,21 +469,46 @@ def factor_u_w0(x: Matrix) -> UW0Factorization:
     return UW0Factorization(t=dict(uf.t), x_minus=x_minus, u=u, v=v)
 
 
-def _negative_prefix(h, tau) -> Matrix:
-    """diag(h) * Xneg^(n-1) ... Xneg^(1), the product map of the block word.
+def _divide_negative_blocks(h, tau, x: Matrix) -> Matrix:
+    """P^{-1} x for P = diag(h) * Xneg^(n-1) ... Xneg^(1), as row operations on x.
 
-    Its letters -k for m = n-1, ..., 1 and k = m, ..., n-1 spell a reduced
-    word for the longest element on the negative side.
+    The letters of P are -k for m = n-1, ..., 1 and k = m, ..., n-1, a
+    reduced word for the longest element on the negative side.  diag(h)^{-1}
+    goes first; then each letter is undone in the word's order:
+    x_{-k}(t)^{-1} sets row k to t row k and row k+1 to t^{-1} row k+1 - row k.
     """
-    n = len(h)
-    blocks = upper_pairs(n)[::-1]
-    word = DoubleWord(n, tuple(-k for _, k in blocks))
-    return product_map(word, [tau[block] for block in blocks], h)
+    rows = list(x._scale_rows([inv(a) for a in h])._e)
+    for m, k in upper_pairs(x.rows)[::-1]:
+        t = tau[(m, k)]
+        t_inv = inv(t)
+        above, below = rows[k - 1], rows[k]
+        rows[k - 1] = tuple(t * a for a in above)
+        rows[k] = tuple(t_inv * b - a for a, b in zip(above, below))
+    return Matrix._wrap(tuple(rows))
+
+
+def _apply_negative_blocks(h, tau, y: Matrix) -> Matrix:
+    """P * y for the P of ``_divide_negative_blocks``, as row operations on y.
+
+    The letters act in reverse order: x_{-k}(t) sets row k to t^{-1} row k and
+    row k+1 to row k + t row k+1; diag(h) scales the rows last.
+    """
+    rows = list(y._e)
+    for m, k in upper_pairs(y.rows):
+        t = tau[(m, k)]
+        t_inv = inv(t)
+        above, below = rows[k - 1], rows[k]
+        rows[k - 1] = tuple(t_inv * a for a in above)
+        rows[k] = tuple(a + t * b for a, b in zip(above, below))
+    return Matrix._wrap(tuple(rows))._scale_rows(h)
 
 
 @dataclass(frozen=True)
 class W0VFactorization:
-    """x = diag(h) * Xneg^(n-1) ... Xneg^(1) * x_plus with Xneg^(m) = prod_k x_{-k}(tau[m,k])."""
+    """x = diag(h) * Xneg^(n-1) ... Xneg^(1) * x_plus with Xneg^(m) = prod_k x_{-k}(tau[m,k]).
+
+    ``replay`` applies the blocks and then diag(h) to the rows of x_plus.
+    """
 
     h: tuple
     tau: dict
@@ -470,7 +516,7 @@ class W0VFactorization:
     v: Permutation
 
     def replay(self) -> Matrix:
-        return _negative_prefix(self.h, self.tau) * self.x_plus
+        return _apply_negative_blocks(self.h, self.tau, self.x_plus)
 
 
 def factor_w0_v(x: Matrix) -> W0VFactorization:
@@ -479,17 +525,20 @@ def factor_w0_v(x: Matrix) -> W0VFactorization:
     The twist gate runs first, at (w0, v) with v the opposite datum of x,
     so a point with another row datum is WrongCell before any quasiminor
     is computed.  h and tau come from family d on x (h_m is its numerator
-    at row m), and x_plus = P^{-1} x for the negative prefix P, which must
-    be upper unitriangular.  x_plus then lies in the reduced cell of
-    (e, v) with no further test: P is lower triangular, so
-    [x_plus vbar']_+ = [x vbar']_+, whose support the gate has checked.
-    The twisted forms of tau (family c on y = psi(x)) must agree.
+    at row m).  x_plus = P^{-1} x for P = diag(h) * Xneg^(n-1) ... Xneg^(1)
+    comes from row operations on x, without forming P, and must be upper
+    unitriangular.  No zero reaches an inversion: a zero h_m with m < n
+    makes tau_(m,m) zero first, and h_n = x[n, 1] is nonzero past the gate.
+    x_plus then lies in the reduced cell of (e, v) with no further test:
+    P is lower triangular, so [x_plus vbar']_+ = [x vbar']_+, whose
+    support the gate has checked.  The twisted forms of tau (family c on
+    y = psi(x)) must agree.
     """
     n = x.rows
     v = _opposite_datum(x)
     cache_y = MinorCache(twist_general(x, Permutation.longest(n), v))
     cache_x = MinorCache(x)
-    h = tuple(cache_x.spec(BLOCK_FAMILIES["d"](n, m, m)[1]) for m in range(1, n + 1))
+    h = tuple(cache_x.spec(_family_specs("d", n, m, m)[1]) for m in range(1, n + 1))
     pairs = sorted(upper_pairs(n))
     tau = {}
     for m, k in pairs:
@@ -499,7 +548,7 @@ def factor_w0_v(x: Matrix) -> W0VFactorization:
                 f"tau_({m},{k}) is zero; x is degenerate for the negative blocks",
                 witness=("tau-zero", m, k),
             )
-    x_plus = lower_solve(_negative_prefix(h, tau), x)[1]
+    x_plus = _divide_negative_blocks(h, tau, x)
     if not x_plus.is_unitriangular("upper"):
         raise QBruhatError("residual of the negative blocks is not upper unitriangular")
     for i, j in pairs:
@@ -534,7 +583,7 @@ _TELESCOPED = (
 def _telescoped(cache: MinorCache, family: str, i: int, j: int, label):
     """|den(i, i)|^{-1} |den(i, j)| of `family`: the corollary's telescoped product."""
     n = cache.x.rows
-    first, last = (BLOCK_FAMILIES[family](n, i, k)[0] for k in (i, j))
+    first, last = (_family_specs(family, n, i, k)[0] for k in (i, j))
     return _ratio(cache.spec(first), cache.spec(last), label)
 
 
@@ -586,8 +635,8 @@ def verify_double_ratios(x: Matrix, include_extended: bool = False) -> DoubleRat
             lhs = block_ratio(cy, on_y, i, j, (on_y + mark, i, j))
             rhs = block_ratio(cx, on_x, i, j, (on_x + mark, i, j))
             record(family, (i, j), lhs, rhs)
-        c_den, c_num = BLOCK_FAMILIES["c"](n, i, j)
-        d_den, d_num = BLOCK_FAMILIES["d"](n, i, j)
+        c_den, c_num = _family_specs("c", n, i, j)
+        d_den, d_num = _family_specs("d", n, i, j)
         lhs = cy.spec(d_den)
         rhs = cx.spec(d_num) * inv(cx.spec(c_num)) * cx.spec(c_den)
         record("corollary-product", (i, j), lhs, rhs)

@@ -7,9 +7,12 @@ import sympy
 
 from oracles import det_minor
 from qbruhat.cells import classify, in_reduced_cell
-from qbruhat.errors import NotGeneric, ShapeMismatch, WrongCell, ZeroInverse
+from qbruhat.errors import IndexOutOfRange, NotGeneric, ShapeMismatch, WrongCell, ZeroInverse
 from qbruhat.factorize import (
+    BLOCK_FAMILIES,
     FactorizationOutput,
+    _family_specs,
+    block_ratio,
     Generator,
     commute_neg_pos,
     factor_u_w0,
@@ -27,7 +30,7 @@ from qbruhat.factorize import (
     verify_double_ratios,
 )
 from qbruhat.matrix import Matrix, interval
-from qbruhat.quasidet import boxed_quasiminor
+from qbruhat.quasidet import MinorCache, boxed_quasiminor
 from qbruhat.sampling import (
     cell_point,
     diagonal,
@@ -565,6 +568,48 @@ def test_a_singular_x_is_reported_at_its_own_column_from_either_side(x):
             factor(x)
         assert info.value.witness == ("column", j)
         assert str(info.value) == f"matrix is singular: column {j} has no usable pivot"
+
+
+# -- block families ---------------------------------------------------------------
+
+
+def test_family_specs_equal_the_block_families():
+    for n in range(2, 8):
+        pairs = [(i, j) for i in range(1, n) for j in range(i, n)]
+        for family in BLOCK_FAMILIES:
+            for i, j in pairs:
+                assert _family_specs(family, n, i, j) == BLOCK_FAMILIES[family](n, i, j)
+        for m in range(1, n + 1):
+            assert _family_specs("d", n, m, m) == BLOCK_FAMILIES["d"](n, m, m)
+
+
+@pytest.mark.parametrize(
+    "read, message",
+    [
+        (lambda x: upper_t_quasiminor(x, 2, 1), "index 0 outside [1, 4]"),
+        (
+            lambda x: block_ratio(MinorCache(x), "a", 4, 4, None),
+            "index set (1, 2, 3, 4, 4) is not strictly increasing",
+        ),
+        (lambda x: block_ratio(MinorCache(x), "a", 2, 1, None), "|I| = 2 != |J| = 1"),
+        (lambda x: block_ratio(MinorCache(x), "b", 0, 2, None), "mark (0, 2) not in () x ()"),
+        (lambda x: block_ratio(MinorCache(x), "c", 1, 5, None), "index 5 outside [1, 4]"),
+        (lambda x: block_ratio(MinorCache(x), "d", 3, 2, None), "mark (3, 0) not in () x ()"),
+    ],
+)
+def test_a_pair_outside_the_families_raises_and_is_not_kept(read, message):
+    x = maximal_cell_point(rnd(), 4)
+    before = _family_specs.cache_info().currsize
+    with pytest.raises(IndexOutOfRange) as info:
+        read(x)
+    assert str(info.value) == message
+    assert _family_specs.cache_info().currsize == before
+
+
+def test_c_and_d_at_n_n_are_one():
+    x = maximal_cell_point(rnd(), 4)
+    for family in ("c", "d"):
+        assert block_ratio(MinorCache(x), family, 4, 4, None) == 1
 
 
 # -- maximal twist report -------------------------------------------------------------

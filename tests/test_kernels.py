@@ -24,7 +24,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import rational_rank, real_form
-from qbruhat import cells, gauss, quasidet
+from qbruhat import cells, factorize, gauss, quasidet
 from qbruhat.cells import (
     bruhat_factor,
     classify,
@@ -36,11 +36,14 @@ from qbruhat.cells import (
 )
 from qbruhat.errors import NotGeneric, NotInGaussCell, WrongCell
 from qbruhat.factorize import (
+    _apply_negative_blocks,
+    _divide_negative_blocks,
     factor_u_w0,
     factor_w0_v,
     letter_matrix,
     product_map,
     recover_params,
+    upper_pairs,
 )
 from qbruhat.gauss import gauss_parts, ldu, lower_solve
 from qbruhat.matrix import Matrix, interval, matrix_from_json, rank
@@ -54,7 +57,7 @@ from qbruhat.quasidet import (
     sylvester_reduce,
 )
 from qbruhat.sampling import cell_point, reduced_cell_point
-from qbruhat.scalars import OppositeScalar, RationalQuaternion as Q, inv
+from qbruhat.scalars import OppositeScalar, RationalQuaternion as Q, inv, is_zero
 from qbruhat.verify import check_dodgson_grid
 from qbruhat.weyl import (
     DoubleWord,
@@ -382,6 +385,32 @@ def test_lower_solve_divides_by_the_lower_gauss_projection(data):
     assert lower_solve(lower, b)[1] == lower.inverse() * b
 
 
+def negative_prefix(h, tau):
+    """diag(h) * Xneg^(n-1) ... Xneg^(1) as the product map of the block word."""
+    n = len(h)
+    blocks = upper_pairs(n)[::-1]
+    word = DoubleWord(n, tuple(-k for _, k in blocks))
+    return product_map(word, [tau[block] for block in blocks], h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_negative_blocks_on_rows_equal_the_dense_prefix(data):
+    # quaternion, Fraction or mixed torus, parameters and x; the row operations
+    # must equal the division by, and the product with, the block word's product map
+    n = data.draw(st.integers(2, 6))
+    scalars = data.draw(st.sampled_from([quaternions, rationals, quaternions | rationals]))
+    nonzero = scalars.filter(lambda a: not is_zero(a))
+    h = [data.draw(nonzero) for _ in range(n)]
+    tau = {block: data.draw(nonzero) for block in upper_pairs(n)}
+    x = Matrix([[data.draw(scalars) for _ in range(n)] for _ in range(n)])
+    prefix = negative_prefix(h, tau)
+    divided = _divide_negative_blocks(h, tau, x)
+    assert divided == lower_solve(prefix, x)[1]
+    assert _apply_negative_blocks(h, tau, x) == prefix * x
+    assert _apply_negative_blocks(h, tau, divided) == x
+
+
 @st.composite
 def cell_pairs(draw):
     n = draw(st.integers(2, 6))
@@ -610,12 +639,29 @@ def test_the_gate_refuses_a_wrong_cell_on_either_side(point, data):
             assert info.value.witness == ("projection", label)
 
 
-def test_factor_w0_v_reduces_x_once_per_side_and_divides_once(kernel_calls):
-    # the opposite datum and the gate's Bruhat reduction; the gate's
-    # elimination and the division of x by the negative prefix
+def test_factor_w0_v_reduces_x_once_per_side_and_forms_no_product(kernel_calls, monkeypatch):
+    # the opposite datum and the gate's Bruhat reduction, and the gate's
+    # elimination; the negative blocks act on rows, so neither the division
+    # of x by them nor the replay builds a matrix to multiply by
     data = json.loads((Path(__file__).parent / "data" / "maximal4.json").read_text())
-    factor_w0_v(matrix_from_json(data))
-    assert sorted(kernel_calls) == ["bruhat"] * 2 + ["gauss"] * 2
+    x = matrix_from_json(data)
+    products = []
+    matmul = Matrix.__mul__
+
+    def counted_matmul(a, b):
+        products.append("matmul")
+        return matmul(a, b)
+
+    def counted_product_map(*args, **kwargs):
+        products.append("product_map")
+        return product_map(*args, **kwargs)
+
+    monkeypatch.setattr(Matrix, "__mul__", counted_matmul)
+    monkeypatch.setattr(factorize, "product_map", counted_product_map)
+    fac = factor_w0_v(x)
+    assert sorted(kernel_calls) == ["bruhat"] * 2 + ["gauss"]
+    assert fac.replay() == x
+    assert products == []
 
 
 @pytest.mark.parametrize(
