@@ -11,9 +11,9 @@ from qbruhat.errors import IndexOutOfRange, NotGeneric, ShapeMismatch, WrongCell
 from qbruhat.factorize import (
     BLOCK_FAMILIES,
     FactorizationOutput,
+    Generator,
     _family_specs,
     block_ratio,
-    Generator,
     commute_neg_pos,
     factor_u_w0,
     factor_w0_v,
