@@ -50,7 +50,6 @@ from .scalars import (
     format_scalar,
     parse_scalar,
     quat_inv,
-    quat_mul,
     sample_generic,
 )
 
@@ -99,7 +98,6 @@ __all__ = [
     "quasideterminant",
     "quasiminor_indexed",
     "quat_inv",
-    "quat_mul",
     "recover_params",
     "representative",
     "sample_generic",

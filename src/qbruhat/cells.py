@@ -33,7 +33,7 @@ scaling no pivot row, leaves row k as d_k times that of
 [[x vbar']_+ | [x vbar']_-^{-1} b1 ubar], d_k the k-th pivot: the zeros
 of the left block give that test, and psi[k, l] = +-(h_k d_k^{-1}) M[k, l] D_l
 with M the right block; no matrix is inverted.  b1 is built with the zeros
-and ones of x's own scalar type (``_typed_parts``), so the twist of a
+and ones of x's own scalar type (``_bruhat_parts``), so the twist of a
 quaternion x does only quaternion arithmetic.  ``_twist_from_factor`` is
 that v side (with h and psi(x)) on a given Bruhat factor.
 ``cross_checked_twist`` decomposes both sides afresh to check the form
@@ -101,27 +101,24 @@ def classify(x: Matrix) -> CellLabel:
     return CellLabel(_pivot_pattern(x)[0], _opposite_datum(x))
 
 
-def _bruhat_parts(x: Matrix, zero, one):
-    """``bruhat_factor(x)`` with b1 as row tuples whose other entries are `zero` and `one`.
+def _bruhat_parts(x: Matrix):
+    """``bruhat_factor(x)`` with b1 as row tuples.
 
-    b1 holds f at b1[i, r] for each row_i -= f row_r of the reduction.
+    b1 holds f at b1[i, r] for each row_i -= f row_r of the reduction and elsewhere the
+    zero a - a and the one a - a + 1 of x's first entry a.
     """
     u, m, steps = _pivot_pattern(x)
     b2 = left_by_representative(u, m, inverse=True)
     if not b2.is_upper_triangular():
         raise QBruhatError("pivot normal form did not reduce to an upper triangular factor")
+    a = x._e[0][0]
+    zero = a - a
+    one = zero + 1
     b1 = [[one if i == c else zero for c in range(x.rows)] for i in range(x.rows)]
     for r, _, _, multipliers in steps:
         for i, f in multipliers:
             b1[i][r] = f
     return tuple(map(tuple, b1)), u, b2
-
-
-def _typed_parts(x: Matrix):
-    """``_bruhat_parts`` with the zero and one of x's entries: one subtraction for the matrix."""
-    a = x._e[0][0]
-    zero = a - a
-    return _bruhat_parts(x, zero, zero + 1)
 
 
 def bruhat_factor(x: Matrix):
@@ -131,8 +128,8 @@ def bruhat_factor(x: Matrix):
     U(u), see ``bruhat_factor_schubert``); b2 = ubar^{-1} M, with M the
     reduced matrix, carries the torus part.
     """
-    b1, u, b2 = _bruhat_parts(x, 0, 1)
-    return Matrix(b1), u, b2
+    b1, u, b2 = _bruhat_parts(x)
+    return Matrix._wrap(b1), u, b2
 
 
 def in_bruhat_cell(x: Matrix, u: Permutation) -> bool:
@@ -213,7 +210,7 @@ def _torus_entries(u: Permutation, h: Matrix) -> list:
 def _twist_from_factor(x: Matrix, b1: tuple, u: Permutation, b2: Matrix, v: Permutation):
     """(psi(x), h) from x's Bruhat factor x = b1 ubar b2: the gate's v side, NotGeneric off it.
 
-    b1 comes as row tuples (``_typed_parts``).  The Gauss-rule elimination leaves row k of
+    b1 comes as row tuples (``_bruhat_parts``).  The Gauss-rule elimination leaves row k of
     [x vbar' | b1 ubar] as d_k times that of [[x vbar']_+ | [x vbar']_-^-1 b1 ubar], d_k the
     k-th pivot, so with D = diag(b2) psi[k, l] = +-(h_k d_k^-1) M[k, l] D[l].
     """
@@ -244,7 +241,7 @@ def _twist(x: Matrix, u: Permutation, v: Permutation, check: bool = True):
         )
     label = "[ubar^-1 x]"
     try:
-        b1, found, b2 = _typed_parts(x)
+        b1, found, b2 = _bruhat_parts(x)
         if found != u:
             raise NotGeneric(f"x lies in B {found!r} B")
         label = "[x vbar']_-"
@@ -265,13 +262,6 @@ def _twist(x: Matrix, u: Permutation, v: Permutation, check: bool = True):
 def in_reduced_cell(x: Matrix, u: Permutation, v: Permutation) -> bool:
     """True iff the torus (level quasiminors at (u, e)) is all 1; WrongCell off the double cell."""
     return all(is_zero(h - 1) for h in _twist(x, u, v)[1])
-
-
-def torus_twist(u: Permutation, h: Matrix) -> Matrix:
-    """u(h) = ubar h ubar^{-1}; permutes the diagonal entries by u."""
-    if not h.is_diagonal():
-        raise ShapeMismatch("torus_twist needs a diagonal matrix")
-    return Matrix.diagonal(_torus_entries(u, h))
 
 
 def twist_general(x: Matrix, u: Permutation, v: Permutation, check: bool = True) -> Matrix:

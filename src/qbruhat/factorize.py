@@ -37,7 +37,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cells import _opposite_datum, _twist, _twist_from_factor, _typed_parts, twist_general
+from .cells import _bruhat_parts, _opposite_datum, _twist, _twist_from_factor, twist_general
 from .errors import IndexOutOfRange, NotGeneric, QBruhatError, ShapeMismatch, ZeroInverse
 from .matrix import Matrix, check_index_set, interval
 from .quasidet import MinorCache, MinorSpec, boxed_quasiminor
@@ -80,13 +80,6 @@ def generator_matrix(gen: Generator, n: int) -> Matrix:
     if gen.kind == "sbar":
         return simple_representative(i, n)
     raise ValueError(f"unknown generator kind {gen.kind!r}")
-
-
-def letter_matrix(letter: int, t, n: int) -> Matrix:
-    """The factor for one signed letter: x_i(t) or x_{-i}(t)."""
-    if letter > 0:
-        return generator_matrix(Generator("x", letter, t), n)
-    return generator_matrix(Generator("xneg", -letter, t), n)
 
 
 def product_map(word: DoubleWord, params, h=None) -> Matrix:
@@ -276,11 +269,6 @@ def upper_factorize(x: Matrix) -> UpperFactorization:
     return UpperFactorization(x, upper_pairs(n), t, stages)
 
 
-def upper_t_quasiminor(x: Matrix, m: int, k: int):
-    """The closed form for t_{m,k}: block family b of x at (m, k)."""
-    return block_ratio(MinorCache(x), "b", m, k, ("upper-t", m, k))
-
-
 def stage_entry_formula(x: Matrix, m: int, k: int, i: int, j: int):
     """Closed form for entry (i, j) of stage (m, k), as a quasiminor of x.
 
@@ -441,7 +429,7 @@ def factor_u_w0(x: Matrix) -> UW0Factorization:
     and for v = w0 against the twisted forms (family a on y, the gate's v
     side on the same Bruhat factor); both agreements are exact.
     """
-    b1, u, b2 = _typed_parts(x)
+    b1, u, b2 = _bruhat_parts(x)
     v = _opposite_datum(x)
     uf = upper_factorize(x)
     x_minus = uf.final_stage()

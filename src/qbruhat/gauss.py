@@ -13,11 +13,13 @@ Both exist exactly on the Gauss cell: all principal quasiminors defined
 and invertible.  The projections [x]_- = L*D, [x]_0 = D, [x]_+ = U feed
 the Bruhat cell machinery; note [x]_- is lower *triangular* (it carries
 the diagonal), while the stored factors keep L unitriangular.  The
-elimination is ``_reduce_rows`` by the Gauss pivot rule, the row reduction
-that ``cells`` runs by the Bruhat rule.  On the rows [A | B] it leaves row
-k as d_k times row k of [[A]_+ | [A]_-^-1 B], d_k the k-th pivot
-(``_gauss_eliminate``, the twist's elimination); scaled by d_k^-1, the
-rows are the pair :func:`lower_solve` returns.
+projections and the oracle's factors take their zeros from x's first entry,
+so they carry x's scalar type; :func:`ldu` builds its units from int
+literals.  The elimination is ``_reduce_rows`` by the Gauss pivot rule,
+the row reduction that ``cells`` runs by the Bruhat rule.  On the rows
+[A | B] it leaves row k as d_k times row k of [[A]_+ | [A]_-^-1 B], d_k the
+k-th pivot (``_gauss_eliminate``, the twist's elimination); scaled by
+d_k^-1, the rows are the pair :func:`lower_solve` returns.
 """
 
 from __future__ import annotations
@@ -144,14 +146,19 @@ def _gauss_reduce(rows: list) -> list:
 
 
 def _projections(x: Matrix):
-    """``gauss_parts(x)`` and the inverses of the entries of [x]_0, from one elimination."""
+    """``gauss_parts(x)`` and the inverses of the entries of [x]_0, from one elimination.
+
+    The zeros of [x]_- and [x]_0 are a - a for x's first entry a.
+    """
     if not x.is_square:
         raise ShapeMismatch(f"gauss_parts needs a square matrix, got {x.shape_str()}")
     n = x.rows
+    a = x._e[0][0]
+    zero = a - a
     rows = x.to_lists()
     cols, inverses = zip(*_gauss_reduce(rows))
-    lower = Matrix([[cols[j][i] if j <= i else 0 for j in range(n)] for i in range(n)])
-    diag = Matrix.diagonal([cols[k][k] for k in range(n)])
+    lower = Matrix([[cols[j][i] if j <= i else zero for j in range(n)] for i in range(n)])
+    diag = Matrix([[cols[k][k] if j == k else zero for j in range(n)] for k in range(n)])
     return lower, diag, Matrix._wrap(tuple(map(tuple, rows))), inverses
 
 

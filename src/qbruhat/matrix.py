@@ -254,12 +254,19 @@ class Matrix:
     def inverse(self) -> "Matrix":
         """Exact inverse: ``_solve`` on [x | 1] solves x z = e_c for every unit column.
 
-        Raises NotGeneric with witness ("pivot", k), k the first column of x without a pivot.
+        The unit columns hold a - a and a - a + 1 for x's first entry a.  Raises
+        NotGeneric with witness ("pivot", k), k the first column of x without a pivot.
         """
         if not self.is_square:
             raise ShapeMismatch(f"cannot invert {self.shape_str()}")
         n = self.rows
-        e = [row + unit for row, unit in zip(self._e, Matrix.identity(n)._e)]
+        a = self._e[0][0]
+        zero = a - a
+        one = zero + 1
+        e = [
+            row + tuple(one if c == i else zero for c in range(n))
+            for i, row in enumerate(self._e)
+        ]
         units = interval(n + 1, 2 * n)
         Q, z = _solve(e, interval(1, n), interval(1, n), units)
         if len(Q) < n:
@@ -380,11 +387,6 @@ def sigma(x: Matrix) -> Matrix:
     if not x.is_square:
         raise ShapeMismatch("sigma needs a square matrix")
     return Matrix._wrap(tuple(row[::-1] for row in reversed(x._e)))
-
-
-def alternating_signs(n: int) -> Matrix:
-    """diag(-1, 1, -1, ..., (-1)^n), the sign matrix conjugating the inverse."""
-    return Matrix.diagonal([(-1) ** i for i in range(1, n + 1)])
 
 
 def iota(x: Matrix) -> Matrix:

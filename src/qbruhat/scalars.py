@@ -3,7 +3,9 @@
 Every algorithm in this package is generic over a scalar that supports
 ``+``, ``-``, ``*``, exact equality, and inversion of nonzero elements via
 :func:`inv`.  Multiplication is never assumed commutative.  Two concrete
-scalars ship here:
+scalars ship here; any other ring goes through the generic branch of
+:func:`is_zero` and :func:`inv`, so it needs ``a == 0`` for its zero test and
+``1 / a`` (``__rtruediv__`` with an int 1) for its inverse:
 
 * ``fractions.Fraction`` -- the commutative oracle scalar.  The stdlib type
   already guarantees lowest terms and a positive denominator.
@@ -20,7 +22,7 @@ scalars ship here:
 Python ints are accepted anywhere a scalar is (they behave as rationals),
 so identity matrices and generator matrices can be built from literals.
 ``bool``, ``float`` and ``complex`` are refused with TypeError (``_exact``,
-and the quaternion and opposite-scalar operators).
+and the quaternion operators).
 
 Text forms: rationals print as ``p`` or ``p/q``; quaternions print
 canonically as ``a+b*i+c*j+d*k`` with all four components present, e.g.
@@ -234,78 +236,6 @@ class RationalQuaternion:
 _set_q = RationalQuaternion.__dict__["_q"].__set__
 
 
-class OppositeScalar:
-    """A scalar of the opposite ring: same additive group, reversed products.
-
-    Wrapping every entry of x^T in this turns the literal transpose into a
-    genuine antiautomorphism over a noncommutative scalar, which is what the
-    transpose identity for quasiminors asserts.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OppositeScalar is immutable")
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, OppositeScalar):
-            return other
-        if type(other) is int or isinstance(other, (Fraction, RationalQuaternion)):
-            return OppositeScalar(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return OppositeScalar(self.value + o.value)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return OppositeScalar(self.value - o.value)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __neg__(self):
-        return OppositeScalar(-self.value)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return OppositeScalar(o.value * self.value)
-
-    def __rmul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.value == o.value
-
-    def __hash__(self):
-        return hash(("op", self.value))
-
-    def __repr__(self):
-        return f"OppositeScalar({self.value!r})"
-
-
 def is_zero(a) -> bool:
     """Exact zero test, usable for every supported scalar.
 
@@ -315,8 +245,6 @@ def is_zero(a) -> bool:
     if type(a) is RationalQuaternion:
         q = a._q
         return q[0] == 0 and q[1] == 0 and q[2] == 0 and q[3] == 0
-    if isinstance(a, OppositeScalar):
-        return is_zero(a.value)
     if isinstance(_exact(a), Fraction):
         return a == 0
     if type(a).__module__.split(".")[0] == "sympy":
@@ -331,16 +259,9 @@ def inv(a):
     # every quaternion inversion runs through the method, where perfbench's tracer counts it
     if type(a) is RationalQuaternion:
         return a.inverse()
-    if isinstance(a, OppositeScalar):
-        return OppositeScalar(inv(a.value))
     if is_zero(a):
         raise ZeroInverse(f"cannot invert {a}")
     return Fraction(1, a) if isinstance(a, int) else 1 / a
-
-
-def quat_mul(x: RationalQuaternion, y: RationalQuaternion) -> RationalQuaternion:
-    """Hamilton product (i^2 = j^2 = k^2 = ijk = -1), exact."""
-    return x * y
 
 
 def quat_inv(x: RationalQuaternion) -> RationalQuaternion:

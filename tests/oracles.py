@@ -1,9 +1,11 @@
-"""Independent commutative oracles for the test suite.
+"""Independent commutative oracles for the test suite, and a test-only ring.
 
 Deliberately naive and self-contained: cofactor expansion over plain
 Python lists, no shared code with the package's elimination or
 quasideterminant routines.  Ranks come from sympy's rational domain
 matrices, and a quaternion matrix's rank from the rank of its real form.
+``OppositeScalar`` is a ring the package does not know: it reaches the
+package's zero test and inversion only through their generic branch.
 """
 
 from fractions import Fraction
@@ -11,7 +13,7 @@ from fractions import Fraction
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
-from qbruhat.scalars import RationalQuaternion
+from qbruhat.scalars import RationalQuaternion, inv
 
 QUATERNION_BASIS = [RationalQuaternion(*(int(i == e) for i in range(4))) for e in range(4)]
 
@@ -70,3 +72,82 @@ def real_form(x):
         for row in x.to_lists()
         for r in range(4)
     ]
+
+
+class OppositeScalar:
+    """A scalar of the opposite ring: same additive group, reversed products.
+
+    Wrapping every entry of x^T in this turns the literal transpose into a
+    genuine antiautomorphism over a noncommutative scalar, which is what the
+    transpose identity for quasiminors asserts.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        object.__setattr__(self, "value", value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("OppositeScalar is immutable")
+
+    @staticmethod
+    def _coerce(other):
+        if isinstance(other, OppositeScalar):
+            return other
+        if type(other) is int or isinstance(other, (Fraction, RationalQuaternion)):
+            return OppositeScalar(other)
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return OppositeScalar(self.value + o.value)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return OppositeScalar(self.value - o.value)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __neg__(self):
+        return OppositeScalar(-self.value)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return OppositeScalar(o.value * self.value)
+
+    def __rmul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o * self
+
+    def __rtruediv__(self, other):
+        # other times the inverse of self, in the opposite ring; ``inv`` reaches it as 1 / a
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o * OppositeScalar(inv(self.value))
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.value == o.value
+
+    def __hash__(self):
+        return hash(("op", self.value))
+
+    def __repr__(self):
+        return f"OppositeScalar({self.value!r})"

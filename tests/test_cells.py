@@ -3,6 +3,7 @@ import random
 import pytest
 
 from qbruhat.cells import (
+    _torus_entries,
     bruhat_factor,
     bruhat_factor_schubert,
     classify,
@@ -11,7 +12,6 @@ from qbruhat.cells import (
     in_opposite_cell,
     in_reduced_cell,
     schubert_support,
-    torus_twist,
     twist_general,
     twist_reduced,
 )
@@ -206,11 +206,10 @@ def test_torus_twist_permutes_diagonal():
     rng = random.Random(15)
     h = diagonal(rng, 4)
     for u in (Permutation((2, 3, 4, 1)), Permutation((4, 3, 2, 1))):
-        out = torus_twist(u, h)
-        assert out.is_diagonal()
+        out = _torus_entries(u, h)
         uinv = u.inverse()
         for i in range(1, 5):
-            assert out[i, i] == h[uinv(i), uinv(i)]
+            assert out[i - 1] == h[uinv(i), uinv(i)]
 
 
 def test_twist_projection_failure_is_not_generic():

@@ -18,7 +18,6 @@ from qbruhat.factorize import (
     factor_u_w0,
     factor_w0_v,
     generator_matrix,
-    letter_matrix,
     product_map,
     recover_params,
     solve_standard_unipotent,
@@ -26,14 +25,12 @@ from qbruhat.factorize import (
     standard_word,
     stage_entry_formula,
     upper_factorize,
-    upper_t_quasiminor,
     verify_double_ratios,
 )
 from qbruhat.matrix import Matrix, interval
 from qbruhat.quasidet import MinorCache, boxed_quasiminor
 from qbruhat.sampling import (
     cell_point,
-    diagonal,
     maximal_cell_point,
     matrix as sample_matrix,
     quaternion,
@@ -41,7 +38,7 @@ from qbruhat.sampling import (
     with_retries,
 )
 from qbruhat.scalars import RationalQuaternion as Q, inv, is_zero
-from qbruhat.weyl import DoubleWord, Permutation, all_permutations, representative
+from qbruhat.weyl import DoubleWord, Permutation, all_permutations
 
 
 def rnd():
@@ -142,8 +139,12 @@ def test_commutation_lemma_all_parts():
                         commute_neg_pos(j, i, s, t)
                     continue
                 t2, s2 = commute_neg_pos(j, i, s, t)
-                lhs = letter_matrix(-j, s, n) * letter_matrix(i, t, n)
-                rhs = letter_matrix(i, t2, n) * letter_matrix(-j, s2, n)
+                lhs = generator_matrix(Generator("xneg", j, s), n) * generator_matrix(
+                    Generator("x", i, t), n
+                )
+                rhs = generator_matrix(Generator("x", i, t2), n) * generator_matrix(
+                    Generator("xneg", j, s2), n
+                )
                 assert lhs == rhs
                 if i == j:
                     assert t2 == inv(s) * t * inv(s + t) and s2 == s + t
@@ -167,11 +168,10 @@ def test_positive_negative_swap_through_representative():
         t = nonzero_quat(rng)
         for i, n in ((1, 2), (1, 3), (2, 3)):
             sbar = generator_matrix(Generator("sbar", i, None), n)
-            lhs = letter_matrix(-i, inv(t), n)
-            rhs = letter_matrix(i, t, n) * sbar * letter_matrix(i, inv(t), n)
-            assert lhs == rhs
-            halfway = letter_matrix(i, t, n) * sbar
-            assert halfway * letter_matrix(i, -inv(t), n) != lhs
+            lhs = generator_matrix(Generator("xneg", i, inv(t)), n)
+            halfway = generator_matrix(Generator("x", i, t), n) * sbar
+            assert halfway * generator_matrix(Generator("x", i, inv(t)), n) == lhs
+            assert halfway * generator_matrix(Generator("x", i, -inv(t)), n) != lhs
 
 
 # -- product map ----------------------------------------------------------------
@@ -338,7 +338,7 @@ def test_upper_factorize_closed_forms():
         x = sample_matrix(rng, n, n)
         uf = upper_factorize(x)
         for m, k in uf.pairs:
-            assert uf.t[(m, k)] == upper_t_quasiminor(x, m, k)
+            assert uf.t[(m, k)] == block_ratio(MinorCache(x), "b", m, k, ("upper-t", m, k))
             stage = uf.stage(m, k)
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
@@ -586,7 +586,7 @@ def test_family_specs_equal_the_block_families():
 @pytest.mark.parametrize(
     "read, message",
     [
-        (lambda x: upper_t_quasiminor(x, 2, 1), "index 0 outside [1, 4]"),
+        (lambda x: block_ratio(MinorCache(x), "b", 2, 1, None), "index 0 outside [1, 4]"),
         (
             lambda x: block_ratio(MinorCache(x), "a", 4, 4, None),
             "index set (1, 2, 3, 4, 4) is not strictly increasing",

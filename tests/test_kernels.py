@@ -2,7 +2,7 @@
 
 Every structured helper must equal, entry for entry and exactly, the dense
 product with the elementary, signed permutation or diagonal matrix built by
-the public constructors.  The Gauss-Jordan kernel behind the inverse,
+the public constructors.  The bordering kernel behind the inverse,
 rank and quasideterminants must agree with the textbook definitions and
 with rank oracles that do not run it (sympy, the real form), the
 Gauss-cell elimination behind the projections and the left division by
@@ -23,29 +23,29 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import rational_rank, real_form
+from oracles import OppositeScalar, rational_rank, real_form
 from qbruhat import cells, factorize, gauss, quasidet
 from qbruhat.cells import (
     bruhat_factor,
     classify,
     cross_checked_twist,
     in_reduced_cell,
-    torus_twist,
     twist_general,
     twist_reduced,
 )
 from qbruhat.errors import NotGeneric, NotInGaussCell, WrongCell
 from qbruhat.factorize import (
+    Generator,
     _apply_negative_blocks,
     _divide_negative_blocks,
     factor_u_w0,
     factor_w0_v,
-    letter_matrix,
+    generator_matrix,
     product_map,
     recover_params,
     upper_pairs,
 )
-from qbruhat.gauss import gauss_parts, ldu, lower_solve
+from qbruhat.gauss import gauss_parts, ldu, ldu_elimination, lower_solve
 from qbruhat.matrix import Matrix, interval, matrix_from_json, rank
 from qbruhat.quasidet import (
     MinorCache,
@@ -57,7 +57,7 @@ from qbruhat.quasidet import (
     sylvester_reduce,
 )
 from qbruhat.sampling import cell_point, reduced_cell_point
-from qbruhat.scalars import OppositeScalar, RationalQuaternion as Q, inv, is_zero
+from qbruhat.scalars import RationalQuaternion as Q, inv, is_zero
 from qbruhat.verify import check_dodgson_grid
 from qbruhat.weyl import (
     DoubleWord,
@@ -94,7 +94,8 @@ def test_letter_action_equals_dense_letter_product(data):
     n = x.rows
     letter = data.draw(st.integers(1, n - 1)) * data.draw(st.sampled_from((1, -1)))
     t = data.draw(nonzero_quaternions)
-    assert x._right_letter(letter, t) == x * letter_matrix(letter, t, n)
+    kind = "x" if letter > 0 else "xneg"
+    assert x._right_letter(letter, t) == x * generator_matrix(Generator(kind, abs(letter), t), n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -126,7 +127,7 @@ def test_torus_twist_equals_dense_conjugation(data):
     h = Matrix.diagonal([data.draw(nonzero_quaternions) for _ in range(n)])
     u = data.draw(permutations(n))
     ubar = representative(u)
-    assert torus_twist(u, h) == ubar * h * ubar.inverse()
+    assert Matrix.diagonal(cells._torus_entries(u, h)) == ubar * h * ubar.inverse()
 
 
 @settings(max_examples=40, deadline=None)
@@ -472,8 +473,9 @@ def quaternion_points():
 
 
 def test_recovery_stays_in_the_quaternions(monkeypatch):
-    # the twist, the product map and the replay keep x's scalar type: no rational zero or
-    # one of a torus or a Bruhat factor reaches a quaternion operator during the recovery
+    # the twist, its cross-check, the product map, the replay, the inverse and the Gauss
+    # and Bruhat factors keep x's scalar type: no rational zero or one of a torus or of a
+    # factor reaches a quaternion operator
     coerce, rationals = Q._coerce, []
 
     def counted(other):
@@ -481,20 +483,31 @@ def test_recovery_stays_in_the_quaternions(monkeypatch):
             rationals.append(other)
         return coerce(other)
 
+    gauss_points = 0
     for x, word, h, t in quaternion_points():
         u, v = word.u(), word.v()
         y = twist_general(x, u, v)
-        assert y == cross_checked_twist(x, u, v)
         with monkeypatch.context() as patch:
             patch.setattr(Q, "_coerce", staticmethod(counted))
             out = recover_params(x, word)
-        built = [y, out.replay(word)]
+            assert y == cross_checked_twist(x, u, v)
+            b1, _, b2 = bruhat_factor(x)
+            built = [y, out.replay(word), x.inverse(), b1, b2]
+            try:
+                lower, diag, upper = gauss_parts(x)
+                triple = ldu_elimination(x)
+            except NotInGaussCell:
+                pass
+            else:
+                gauss_points += 1
+                assert lower * upper == x
+                built += [lower, diag, upper, triple.lower, triple.diag, triple.upper]
         if h is not None:
             built.append(product_map(word, t, h))
             assert list(out.h) == h and list(out.t) == t
         for m in built:
             assert all(type(a) is Q for row in m.to_lists() for a in row)
-    assert rationals == []
+    assert rationals == [] and gauss_points > 0
 
 
 def level_quasiminors(x, u):

@@ -8,7 +8,6 @@ import sympy
 from qbruhat.errors import IndexOutOfRange, NotGeneric, ShapeMismatch
 from qbruhat.matrix import (
     Matrix,
-    alternating_signs,
     interval,
     iota,
     iota_inverse_free,
@@ -144,7 +143,6 @@ def test_iota_involution_and_antiautomorphism():
     assert iota(iota(x)) == x
     assert iota(x * y) == iota(y) * iota(x)
     assert iota_inverse_free(x) == iota(x).inverse()
-    assert alternating_signs(3) == Matrix.diagonal([-1, 1, -1])
 
 
 def test_rank():

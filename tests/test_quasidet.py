@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import det_minor, det_of, plucker_coordinate, plucker_row_coordinate
+from oracles import (
+    OppositeScalar,
+    det_minor,
+    det_of,
+    plucker_coordinate,
+    plucker_row_coordinate,
+)
 from qbruhat.errors import IndexOutOfRange, NotGeneric
 from qbruhat.matrix import Matrix, interval, iota, sigma
 from qbruhat.quasidet import (
@@ -28,7 +34,7 @@ from qbruhat.sampling import (
     matrix as sample_matrix,
     with_retries,
 )
-from qbruhat.scalars import OppositeScalar, RationalQuaternion as Q, inv, is_zero
+from qbruhat.scalars import RationalQuaternion as Q, inv, is_zero
 from qbruhat import verify
 from qbruhat.verify import (
     GRID_CHECKS,
