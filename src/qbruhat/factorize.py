@@ -20,11 +20,20 @@ Three families of factorization live here:
   the numerator of d.  On the maximal cell the forms also swap (a on x =
   b on y, c on x = d on y); ``verify_double_ratios`` checks all four
   transfers.  Both factorizations read v with ``_opposite_datum``;
-  ``factor_u_w0`` twists on its own ``bruhat_factor``, ``factor_w0_v`` runs
-  the gate first, and the residue of its blocks inherits the gate's test.
+  ``factor_u_w0`` twists on x's Bruhat factor, ``factor_w0_v`` runs the
+  gate first, and the residue of its blocks inherits the gate's test.
   The negative blocks of ``factor_w0_v`` act on rows: the division of x
   by them and their replay are row operations, and their product is never
   formed.
+
+These four computations, ``recover_params``, ``factor_u_w0``, ``factor_w0_v``
+and ``verify_double_ratios``, read the same pure functions of x: its Bruhat
+factor, its opposite datum, its twist and the quasiminors of x and of the
+twist.  ``_point`` keeps them for the last matrix seen, one entry keyed by
+identity, each made on first use and kept only on success, so the four calls
+on one point twist x once and compute no quasiminor twice.  Every check of
+each function still runs, in the same order, and a failure runs the
+function's own path afresh, raising what it raises without the record.
 
 Sign conventions follow the closed formulas, with stages defined by
 ``x(m, k) = x(m, k+1) (1 - t_{m,k} E_k)`` so that the ascending replay
@@ -37,7 +46,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cells import _bruhat_parts, _opposite_datum, _twist, _twist_from_factor, twist_general
+from .cells import _bruhat_parts, _opposite_datum, _twist, _twist_from_factor
 from .errors import IndexOutOfRange, NotGeneric, QBruhatError, ShapeMismatch, ZeroInverse
 from .matrix import Matrix, check_index_set, interval
 from .quasidet import MinorCache, MinorSpec, boxed_quasiminor
@@ -289,6 +298,82 @@ def stage_entry_formula(x: Matrix, m: int, k: int, i: int, j: int):
     return boxed_quasiminor(x, rows, cols, i, j)
 
 
+# -- the derived data of one point ----------------------------------------------
+
+
+class _Point:
+    """Pure functions of one matrix x, each made on first use and kept only on success.
+
+    The Bruhat factor and the opposite datum of x, the twist (psi(x), h) at each
+    (u, v) with u the Bruhat pattern of x, and one ``MinorCache`` of x and of each
+    twist.  A failure stores nothing and propagates, so a caller that retries
+    meets it again.
+    """
+
+    def __init__(self, x: Matrix):
+        self.x = x
+        self._bruhat = None
+        self._opposite = None
+        self._twists = {}
+        # id(m) -> MinorCache(m); the cache holds m, so its id is not reused meanwhile
+        self._minors = {}
+
+    def bruhat_parts(self):
+        if self._bruhat is None:
+            self._bruhat = _bruhat_parts(self.x)
+        return self._bruhat
+
+    def opposite_datum(self) -> Permutation:
+        if self._opposite is None:
+            self._opposite = _opposite_datum(self.x)
+        return self._opposite
+
+    def twist(self, v: Permutation):
+        """(psi(x), h) at (u, v), u the pattern of x: ``_twist_from_factor`` on x's factor."""
+        if v not in self._twists:
+            b1, u, b2 = self.bruhat_parts()
+            self._twists[v] = _twist_from_factor(self.x, b1, u, b2, v)
+        return self._twists[v]
+
+    def minors(self, m: Matrix) -> MinorCache:
+        """The one ``MinorCache`` of m, which is x or one of its twists."""
+        cache = self._minors.get(id(m))
+        if cache is None:
+            cache = self._minors[id(m)] = MinorCache(m)
+        return cache
+
+
+# The last point the four computations saw; they are separate public calls that take
+# only x, so the record lives here.  One entry, keyed by identity: a Matrix is immutable
+# but unhashable, and a structurally equal copy is another point.  Threads need no lock:
+# each keeps the point it took, and a field two threads fill holds equal values.
+_last_point = None
+
+
+def _point(x: Matrix) -> _Point:
+    global _last_point
+    point = _last_point
+    if point is None or point.x is not x:
+        point = _last_point = _Point(x)
+    return point
+
+
+def _gated_twist(point: _Point, u: Permutation, v: Permutation):
+    """``cells._twist(x, u, v)``, the cell gate, through the point's record.
+
+    The record serves x when u is its Bruhat pattern and the twist succeeds; on any
+    failure ``_twist`` runs afresh and raises what it raises without the record.
+    """
+    x = point.x
+    if u.n == v.n == x.rows:
+        try:
+            if point.bruhat_parts()[1] == u:
+                return point.twist(v)
+        except QBruhatError:
+            pass
+    return _twist(x, u, v)
+
+
 # -- parameter recovery through the twist ---------------------------------------
 
 
@@ -318,8 +403,9 @@ def recover_params(x: Matrix, word: DoubleWord) -> FactorizationOutput:
     Both equal forms of the branch are evaluated and must agree; every
     parameter must be nonzero and the replay must reproduce x exactly.
     """
-    y, h = _twist(x, word.u(), word.v())
-    cache = MinorCache(y)
+    point = _point(x)
+    y, h = _gated_twist(point, word.u(), word.v())
+    cache = point.minors(y)
     t = []
     for k in range(1, word.length + 1):
         letter = word.letters[k - 1]
@@ -429,13 +515,14 @@ def factor_u_w0(x: Matrix) -> UW0Factorization:
     and for v = w0 against the twisted forms (family a on y, the gate's v
     side on the same Bruhat factor); both agreements are exact.
     """
-    b1, u, b2 = _bruhat_parts(x)
-    v = _opposite_datum(x)
+    point = _point(x)
+    _, u, _ = point.bruhat_parts()
+    v = point.opposite_datum()
     uf = upper_factorize(x)
     x_minus = uf.final_stage()
     if not x_minus.is_lower_triangular():
         raise QBruhatError("upper factorization did not reach a lower triangular stage")
-    cache_x = MinorCache(x)
+    cache_x = point.minors(x)
     for m, k in uf.pairs:
         try:
             closed = block_ratio(cache_x, "b", m, k, ("upper-t", m, k))
@@ -447,7 +534,7 @@ def factor_u_w0(x: Matrix) -> UW0Factorization:
             )
     w0 = Permutation.longest(x.rows)
     if v == w0:
-        cache_y = MinorCache(_twist_from_factor(x, b1, u, b2, w0)[0])
+        cache_y = point.minors(point.twist(w0)[0])
         for i, j in sorted(uf.pairs):
             twisted = block_ratio(cache_y, "a", i, j, ("u-w0-twist", i, j))
             if not is_zero(twisted - uf.t[(i, j)]):
@@ -523,9 +610,10 @@ def factor_w0_v(x: Matrix) -> W0VFactorization:
     y = psi(x)) must agree.
     """
     n = x.rows
-    v = _opposite_datum(x)
-    cache_y = MinorCache(twist_general(x, Permutation.longest(n), v))
-    cache_x = MinorCache(x)
+    point = _point(x)
+    v = point.opposite_datum()
+    cache_y = point.minors(_gated_twist(point, Permutation.longest(n), v)[0])
+    cache_x = point.minors(x)
     h = tuple(cache_x.spec(_family_specs("d", n, m, m)[1]) for m in range(1, n + 1))
     pairs = sorted(upper_pairs(n))
     tau = {}
@@ -606,8 +694,9 @@ def verify_double_ratios(x: Matrix, include_extended: bool = False) -> DoubleRat
     """
     n = x.rows
     w0 = Permutation.longest(n)
-    y = twist_general(x, w0, w0)
-    cx, cy = MinorCache(x), MinorCache(y)
+    point = _point(x)
+    y = _gated_twist(point, w0, w0)[0]
+    cx, cy = point.minors(x), point.minors(y)
     counts: dict = {}
     failures: list = []
 
