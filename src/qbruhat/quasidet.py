@@ -42,6 +42,12 @@ with each row of I' in turn (``matrix._solve``), O(k^2 n).  Blocks come in
 chains too: the inner block of the level-(k+1) quasiminor at (u, v) is the
 whole level-k block, so ``MinorCache`` borders a new block once from a
 cached one-smaller parent when it has one.
+
+The two meet in one Schur entry: x[a, q] - x[a, Q'] z_q of a block
+(P', Q'), row a and column q is, up to sign, the quasiminor with inner
+block (P', Q') marked at (a, q), and it is the Schur row that bordering
+(P', Q') by row a reads.  ``MinorCache`` keeps these entries, so a member
+and the bordering of its family's child block compute each one once.
 """
 
 from __future__ import annotations
@@ -336,16 +342,23 @@ class MinorCache:
     the identity grids ask for the same quasiminor over and over, and a
     repeated failure costs nothing.  A miss reads the Schur-complement
     family of its inner block (I', J') = (I - {i}, J - {j}) (GGRW 2005,
-    Thm 1.5.2, see the module docstring): ``_blocks`` maps (I', J') to
-    x[I', J']^{-1} x[I', q] for every column q outside J', or to None when
-    x[I', J'] is singular, and the member is
+    Thm 1.5.2, see the module docstring): ``_blocks`` maps (I', J') to the
+    solutions z_q = x[I', J']^{-1} x[I', q] for every column q outside J'
+    and the Schur entries computed so far, or to None when x[I', J'] is
+    singular, and the member is
     (-1)^{d_i(I) + d_j(J)} (x[i, j] - x[i, J'] z_j).  A block is made when
     the first member of its family is asked for, never ahead: most families
     are read in one or two members.  ``_block`` borders it once from a
     cached, nonsingular one-smaller parent when there is one
     (Crabtree-Haynsworth 1969, ``matrix._border`` with the one candidate
     column b), and solves it cold with ``_schur_columns`` otherwise: 1x1
-    blocks, and blocks whose parents are missing or singular.
+    blocks, and blocks whose parents are missing or singular.  The member
+    and the bordering share their Schur entries (see the module docstring):
+    a block keeps {q: x[a, q] - x[a, Q'] z_q} per row a, which ``_member``
+    fills at row i of (I', J') and ``_border`` at the row a that borders a
+    child block, each entry computed the first time either one needs it.
+    A failed key raises a fresh NotGeneric with the kept one's message and
+    witness on every later read.
 
     A key is validated where it enters, so ``_member`` reads only valid,
     increasing I and J, and a bad key raises ``check_index_set``'s
@@ -383,26 +396,39 @@ class MinorCache:
             try:
                 hit = ("ok", self._member(*key))
             except NotGeneric as exc:
-                hit = ("err", exc)
+                # kept as a copy that is never raised, so it holds no reader's frames
+                self._memo[key] = ("err", type(exc)(*exc.args, witness=exc.witness))
+                raise
             self._memo[key] = hit
         if hit[0] == "err":
-            raise hit[1]
+            # a fresh error on every later read: raising one object again
+            # would append each read's frames to its traceback
+            exc = hit[1]
+            raise type(exc)(*exc.args, witness=exc.witness)
         return hit[1]
 
     def _block(self, P, Q):
-        """{q: x[P, Q]^{-1} x[P, q]} for q outside Q, bordered or cold; None if singular."""
+        """(z, rows) for x[P, Q], bordered or cold; None if x[P, Q] is singular.
+
+        z maps each column q outside Q to x[P, Q]^{-1} x[P, q]; rows maps a
+        row a of x to its Schur entries {q: x[a, q] - x[a, Q] z_q}, as far
+        as they have been computed.
+        """
         blocks, e = self._blocks, self.x._e
         if (P, Q) not in blocks:
             for s, a in enumerate(P):
+                inner_rows = P[:s] + P[s + 1 :]
                 for t, b in enumerate(Q):
                     inner_cols = Q[:t] + Q[t + 1 :]
-                    z = blocks.get((P[:s] + P[s + 1 :], inner_cols))
-                    if z is not None:
-                        step = _border(e[a - 1], inner_cols, z, (b,))
-                        blocks[P, Q] = None if step is None else step[1]
+                    parent = blocks.get((inner_rows, inner_cols))
+                    if parent is not None:
+                        z, rows = parent
+                        step = _border(e[a - 1], inner_cols, z, (b,), rows.setdefault(a, {}))
+                        blocks[P, Q] = None if step is None else (step[1], {})
                         return blocks[P, Q]
             outside = tuple(c for c in range(1, self.x.cols + 1) if c not in Q)
-            blocks[P, Q] = _schur_columns(e, P, Q, outside)
+            z = _schur_columns(e, P, Q, outside)
+            blocks[P, Q] = None if z is None else (z, {})
         return blocks[P, Q]
 
     def _member(self, I, J, i, j):
@@ -412,8 +438,12 @@ class MinorCache:
         # I and J increase: a = |{r in I : r < i}|, and d_i(I) = |I| - 1 - a
         a, b = I.index(i), J.index(j)
         inner_rows, inner_cols = I[:a] + I[a + 1 :], J[:b] + J[b + 1 :]
-        z = self._block(inner_rows, inner_cols)
-        if z is None:
+        block = self._block(inner_rows, inner_cols)
+        if block is None:
             raise _inner_singular(a + 1, b + 1, len(inner_rows))
-        value = _schur_entry(e, inner_cols, z, i, j)
+        z, rows = block
+        entries = rows.setdefault(i, {})
+        value = entries.get(j)
+        if value is None:
+            value = entries[j] = _schur_entry(e, inner_cols, z, i, j)
         return -value if (len(I) + len(J) - a - b) % 2 else value

@@ -226,20 +226,41 @@ def check_expansion(x: Matrix, rng: random.Random) -> int:
     return 1
 
 
+def _slots(reads, numbered: dict, first_reads: list) -> tuple:
+    """The slot of each (u, v, k) in `reads`: one per ``MinorCache`` key, numbered by first read.
+
+    A key is (u[1, k] sorted, u(k), v[1, k] sorted, v(k)) as ``MinorCache.uv``
+    reads it, held as its two level keys.  A new key gets the next slot, and
+    its (u, v, k) goes to `first_reads`, so slot s is first read as
+    ``first_reads[s]``.
+    """
+    out = []
+    for u, v, k in reads:
+        key = (_level_key(u.images, k), _level_key(v.images, k))
+        if key not in numbered:
+            numbered[key] = len(first_reads)
+            first_reads.append((u, v, k))
+        out.append(numbered[key])
+    return tuple(out)
+
+
 @functools.lru_cache(maxsize=1)
 def _dodgson_admissible(n: int) -> tuple:
-    """(u, u s_i, v, v s_i, i, m): each distinct instance of the admissible triples, once.
+    """(rows, first_reads): each distinct instance of the admissible triples once, and its slots.
 
     A triple (u, v, i) with l(u s_i) > l(u) and l(v s_i) > l(v) reads seven
     quasiminors.  Their ``MinorCache`` keys see u only through the level keys
     of u and u s_i at levels i and i + 1 (u[1, i-1] as a set, u(i) and
     u(i+1)), and v likewise, and these eight level keys are read back from the
     seven keys.  Triples that share them are one instance: the same five
-    identities on the same values.  An instance is listed at its first triple
-    in (i, u, v) order, with the number m of triples it stands for.  The
-    table depends on n alone: each product u s_i is built once per n, and
-    the table of the latest n is kept as a tuple of tuples for every later
-    grid at that n.
+    identities on the same values.  A row (slots, u, u s_i, v, v s_i, i, m) is
+    an instance at its first triple in (i, u, v) order, with the number m of
+    triples it stands for; ``slots`` holds the slots of its seven quasiminors
+    in read order d_uv, d_usv, d_uvs, d_usvs, e_uv, e_usv, e_uvs (``_slots``).
+    ``first_reads[s]`` is the (u, v, k) that first reads slot s: n = 4 has
+    216 rows over 319 slots.  The table depends on n alone: each product
+    u s_i is built once per n, and the table of the latest n is kept as
+    tuples for every later grid at that n.
     """
     perms = all_permutations(n)
     instances = {}
@@ -253,24 +274,54 @@ def _dodgson_admissible(n: int) -> tuple:
         for u, us, key_u in pairs:
             for v, vs, key_v in pairs:
                 instances.setdefault((key_u, key_v), [u, us, v, vs, i, 0])[-1] += 1
-    return tuple(tuple(entry) for entry in instances.values())
+    numbered, first_reads, rows = {}, [], []
+    for u, us, v, vs, i, m in instances.values():
+        reads = (
+            (u, v, i), (us, v, i), (u, vs, i), (us, vs, i),
+            (u, v, i + 1), (us, v, i + 1), (u, vs, i + 1),
+        )
+        rows.append((_slots(reads, numbered, first_reads), u, us, v, vs, i, m))
+    return tuple(rows), tuple(first_reads)
 
 
-def _grid_inv(value, u: Permutation, v: Permutation, k: int, inverses: dict):
-    """Inverse of the (u, v) grid quasiminor `value` at level k, kept in the grid's `inverses`.
+def _grid_inv(value, u: Permutation, v: Permutation, k: int, inverses: dict, key=None):
+    """Inverse of the (u, v) grid quasiminor `value` at level k, kept in `inverses` at `key`.
 
-    A zero quasiminor makes the sample non-generic, not a counterexample: it
-    is never stored, and it raises NotGeneric so the harness resamples.
+    The grids key an inverse by its quasiminor's slot, so each slot is
+    inverted once and no scalar is hashed; without a key it is kept at the
+    value itself.  A zero quasiminor makes the sample non-generic, not a
+    counterexample: it is never stored, and it raises NotGeneric so the
+    harness resamples.
     """
-    found = inverses.get(value)
+    if key is None:
+        key = value
+    found = inverses.get(key)
     if found is None:
         if is_zero(value):
             raise NotGeneric(
                 f"grid quasiminor at level {k} for ({u!r}, {v!r}) is zero",
                 witness=("grid-zero", u.images, v.images, k),
             )
-        found = inverses[value] = inv(value)
+        found = inverses[key] = inv(value)
     return found
+
+
+def _slot_reader(x: Matrix, first_reads):
+    """read(slots): the quasiminors of x in these slots, each computed once.
+
+    Slot s is filled on its first read, through ``MinorCache.uv`` at
+    ``first_reads[s]``.  Slots are numbered in the order a grid first reads
+    them, so the slot not yet filled that a grid reads is always the next one.
+    """
+    cache, values = MinorCache(x), []
+
+    def read(slots):
+        for s in slots:
+            if s == len(values):
+                values.append(cache.uv(*first_reads[s]))
+        return [values[s] for s in slots]
+
+    return read
 
 
 def check_dodgson_grid(x: Matrix) -> int:
@@ -279,25 +330,20 @@ def check_dodgson_grid(x: Matrix) -> int:
     Each distinct instance (``_dodgson_admissible``) is evaluated once, at its
     first triple, and counts 5 checks for each triple it stands for.  A
     failure or a NotGeneric witness is that of the first failing triple: a
-    triple fails exactly when its instance does.  Identities 1 and 4 read
+    triple fails exactly when its instance does.  Each quasiminor is read
+    and inverted at most once per grid, by slot.  Identities 1 and 4 read
     one product d_usv d_uv^{-1}.
     """
-    n = x.rows
-    cache, inverses = MinorCache(x), {}
+    rows, first_reads = _dodgson_admissible(x.rows)
+    read, inverses = _slot_reader(x, first_reads), {}
     checks = 0
-    for u, us, v, vs, i, m in _dodgson_admissible(n):
-        d_uv = cache.uv(u, v, i)
-        d_usv = cache.uv(us, v, i)
-        d_uvs = cache.uv(u, vs, i)
-        d_usvs = cache.uv(us, vs, i)
-        e_uv = cache.uv(u, v, i + 1)
-        e_usv = cache.uv(us, v, i + 1)
-        e_uvs = cache.uv(u, vs, i + 1)
-        inv_d_uv = _grid_inv(d_uv, u, v, i, inverses)
-        inv_d_usv = _grid_inv(d_usv, us, v, i, inverses)
-        inv_d_uvs = _grid_inv(d_uvs, u, vs, i, inverses)
-        inv_e_usv = _grid_inv(e_usv, us, v, i + 1, inverses)
-        inv_e_uvs = _grid_inv(e_uvs, u, vs, i + 1, inverses)
+    for slots, u, us, v, vs, i, m in rows:
+        d_uv, d_usv, d_uvs, d_usvs, e_uv, e_usv, e_uvs = read(slots)
+        inv_d_uv = _grid_inv(d_uv, u, v, i, inverses, slots[0])
+        inv_d_usv = _grid_inv(d_usv, us, v, i, inverses, slots[1])
+        inv_d_uvs = _grid_inv(d_uvs, u, vs, i, inverses, slots[2])
+        inv_e_usv = _grid_inv(e_usv, us, v, i + 1, inverses, slots[5])
+        inv_e_uvs = _grid_inv(e_uvs, u, vs, i + 1, inverses, slots[6])
         params = (u.images, v.images, i)
         ratio = d_usv * inv_d_uv
         if not is_zero(d_usvs - (ratio * d_uvs + e_uv)):
@@ -316,18 +362,22 @@ def check_dodgson_grid(x: Matrix) -> int:
 
 @functools.lru_cache(maxsize=1)
 def _plucker_admissible(n: int) -> tuple:
-    """(side, i, family, other, m): each distinct instance of the Plucker checks, once.
+    """(rows, first_reads): each distinct instance of the Plucker checks once, and its slots.
 
     The checks run over i = 1..n-2, then w with l(w s_i s_{i+1} s_i) = l(w) + 3,
     then every permutation `other`, the u check (u, v) = (w, other) before the
-    v check (u, v) = (other, w).  ``family`` is (w, w s_{i+1}, w s_i,
-    w s_i s_{i+1}, w s_{i+1} s_i).  A check reads five quasiminors, whose
+    v check (u, v) = (other, w).  With the family (w, w s_{i+1}, w s_i,
+    w s_i s_{i+1}, w s_{i+1} s_i), a check reads five quasiminors, whose
     ``MinorCache`` keys see w only through the level keys of its family (at
     levels i + 1, i + 1, i, i + 1, i) and `other` through its level keys at i
-    and i + 1.  Checks of one side that share them are one instance; it is
-    listed at its first check, with the number m of checks it stands for.
-    Like ``_dodgson_admissible``, the table depends on n alone and the
-    table of the latest n is kept, a tuple of tuples.
+    and i + 1.  Checks of one side that share them are one instance.  A row
+    (slots, check, u, v, i, pivot, m) is an instance at its first check, with
+    the number m of checks it stands for; ``slots`` holds the slots of its
+    five quasiminors (``_slots``) in read order, so that the check is
+    slot 0 = slot 1 + slot 2 slot 3^{-1} slot 4, and ``pivot`` is the (u, v)
+    of slot 3, the one inverted.  ``first_reads`` is as in
+    ``_dodgson_admissible``: n = 4 has 288 rows over 278 slots.  Like it,
+    the table depends on n alone and the table of the latest n is kept.
     """
     perms = all_permutations(n)
     instances = {}
@@ -345,7 +395,23 @@ def _plucker_admissible(n: int) -> tuple:
             for other, key_o in others:
                 for side in ("u", "v"):
                     instances.setdefault((side, key_w, key_o), [side, i, family, other, 0])[-1] += 1
-    return tuple(tuple(entry) for entry in instances.values())
+    numbered, first_reads, rows = {}, [], []
+    for side, i, (w, w_next, w_i, w_i_next, w_next_i), other, m in instances.values():
+        if side == "u":
+            u, v, pivot = w, other, (w_i, other)
+            reads = (
+                (w_next, v, i + 1), (w_i_next, v, i + 1), (w_next_i, v, i),
+                (w_i, v, i), (u, v, i + 1),
+            )
+        else:
+            u, v, pivot = other, w, (other, w_i)
+            reads = (
+                (u, w_next, i + 1), (u, w_i_next, i + 1), (u, v, i + 1),
+                (u, w_i, i), (u, w_next_i, i),
+            )
+        slots = _slots(reads, numbered, first_reads)
+        rows.append((slots, f"plucker-{side}", u, v, i, pivot, m))
+    return tuple(rows), tuple(first_reads)
 
 
 def check_minors_plucker_grid(x: Matrix) -> int:
@@ -354,25 +420,19 @@ def check_minors_plucker_grid(x: Matrix) -> int:
     Each distinct instance (``_plucker_admissible``) is evaluated once, at its
     first check, and counts 1 for each check it stands for.  A failure or a
     NotGeneric witness is that of the first failing check: a check fails
-    exactly when its instance does.
+    exactly when its instance does.  Each quasiminor is read and inverted at
+    most once per grid, by slot; the inverse is taken before the fifth read,
+    where the check has always taken it.
     """
-    cache, inverses = MinorCache(x), {}
+    rows, first_reads = _plucker_admissible(x.rows)
+    read, inverses = _slot_reader(x, first_reads), {}
     checks = 0
-    for side, i, (w, w_next, w_i, w_i_next, w_next_i), other, m in _plucker_admissible(x.rows):
-        if side == "u":
-            u, v = w, other
-            lhs = cache.uv(w_next, v, i + 1)
-            rhs = cache.uv(w_i_next, v, i + 1) + cache.uv(
-                w_next_i, v, i
-            ) * _grid_inv(cache.uv(w_i, v, i), w_i, v, i, inverses) * cache.uv(u, v, i + 1)
-        else:
-            u, v = other, w
-            lhs = cache.uv(u, w_next, i + 1)
-            rhs = cache.uv(u, w_i_next, i + 1) + cache.uv(
-                u, v, i + 1
-            ) * _grid_inv(cache.uv(u, w_i, i), u, w_i, i, inverses) * cache.uv(u, w_next_i, i)
-        if not is_zero(lhs - rhs):
-            _fail(f"plucker-{side}", x, params=(u.images, v.images, i))
+    for slots, check, u, v, i, (pivot_u, pivot_v), m in rows:
+        lhs, a, b, c = read(slots[:4])
+        inv_c = _grid_inv(c, pivot_u, pivot_v, i, inverses, slots[3])
+        (d,) = read(slots[4:])
+        if not is_zero(lhs - (a + b * inv_c * d)):
+            _fail(check, x, params=(u.images, v.images, i))
         checks += m
     return checks
 

@@ -1,4 +1,5 @@
 import random
+import traceback
 from fractions import Fraction
 
 import pytest
@@ -368,11 +369,22 @@ def test_zero_grid_quasiminor_is_resampled_not_raised():
     assert report.passed and report.trials == 1 and report.checks > 0
 
 
+def grid_key(u, v, k):
+    """The ``MinorCache`` key that ``MinorCache.uv(u, v, k)`` reads, as two level keys."""
+    return _level_key(u.images, k), _level_key(v.images, k)
+
+
 def test_grid_check_counts_are_the_admissible_counts():
     # each listed instance stands for m admissible triples (Plucker: m checks)
     for n in (2, 3, 4, 5):
-        assert GRID_CHECKS["dodgson"](n) == 5 * sum(m for *_, m in _dodgson_admissible(n))
-        assert GRID_CHECKS["plucker"](n) == sum(m for *_, m in _plucker_admissible(n))
+        dodgson, plucker = _dodgson_admissible(n), _plucker_admissible(n)
+        assert GRID_CHECKS["dodgson"](n) == 5 * sum(row[-1] for row in dodgson[0])
+        assert GRID_CHECKS["plucker"](n) == sum(row[-1] for row in plucker[0])
+        # one slot per distinct key, numbered in the order the rows first read them
+        for rows, first_reads in (dodgson, plucker):
+            assert len({grid_key(*read) for read in first_reads}) == len(first_reads)
+            first_seen = list(dict.fromkeys(slot for row in rows for slot in row[0]))
+            assert first_seen == list(range(len(first_reads)))
 
 
 def dodgson_reference(x):
@@ -494,12 +506,13 @@ def test_grouped_grid_reports_as_every_triple_would(monkeypatch, n, name, grid, 
 
 
 def test_grid_checks_evaluate_each_distinct_instance_once(monkeypatch):
-    # every evaluated Dodgson instance inverts five quasiminors, every Plucker one one
+    # every evaluated Dodgson instance asks for five inverses, every Plucker one one
     calls = []
     monkeypatch.setattr(verify, "_grid_inv", lambda *args: calls.append(args) or _grid_inv(*args))
     rng = random.Random(5)
     for n, dodgson, plucker in ((4, 216, 288), (5, 2_000, 4_000)):
-        assert (len(_dodgson_admissible(n)), len(_plucker_admissible(n))) == (dodgson, plucker)
+        tables = (_dodgson_admissible(n)[0], _plucker_admissible(n)[0])
+        assert tuple(map(len, tables)) == (dodgson, plucker)
 
         def evaluated():
             x = sample_matrix(rng, n, n)
@@ -510,6 +523,58 @@ def test_grid_checks_evaluate_each_distinct_instance_once(monkeypatch):
 
         expected = [GRID_CHECKS["dodgson"](n), 5 * dodgson, GRID_CHECKS["plucker"](n), plucker]
         assert with_retries(evaluated) == expected
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_one_grid_reads_each_key_once_and_inverts_each_slot_once(monkeypatch, n):
+    # the keys reach the cache in slot order; equal values in two slots are two inverses
+    reads, slots, inversions = [], [], []
+    uv, spec = MinorCache.uv, MinorCache.spec
+    monkeypatch.setattr(
+        MinorCache, "uv", lambda self, u, v, k: reads.append(grid_key(u, v, k)) or uv(self, u, v, k)
+    )
+    monkeypatch.setattr(MinorCache, "spec", lambda self, at: reads.append(at) or spec(self, at))
+    monkeypatch.setattr(
+        verify, "_grid_inv", lambda *args: slots.append(args[5]) or _grid_inv(*args)
+    )
+    monkeypatch.setattr(verify, "inv", lambda a: inversions.append(a) or inv(a))
+    rng = random.Random(30 + n)
+    for name, table, grid in (
+        ("dodgson", _dodgson_admissible, check_dodgson_grid),
+        ("plucker", _plucker_admissible, check_minors_plucker_grid),
+    ):
+
+        def once():
+            for log in (reads, slots, inversions):
+                log.clear()
+            return grid(sample_matrix(rng, n, n))
+
+        assert with_retries(once) == GRID_CHECKS[name](n)
+        assert reads == [grid_key(*read) for read in table(n)[1]]
+        assert len(inversions) == len(set(slots)) < len(slots)
+
+
+def test_minor_cache_raises_a_fresh_error_on_every_read_of_a_failed_key():
+    # the inner block x[{1, 2}, {1, 2}] is singular; raising the memoized error
+    # again grew its traceback by three frames a read
+    cache = MinorCache(Matrix([[1, 2, 0], [2, 4, 0], [0, 0, 1]]))
+    errors = []
+    for _ in range(4):
+        with pytest.raises(NotGeneric) as info:
+            cache.spec(MinorSpec((1, 2, 3), (1, 2, 3), 3, 3))
+        errors.append(info.value)
+    depths = [len(traceback.extract_tb(exc.__traceback__)) for exc in errors]
+    assert depths[1] == depths[2] == depths[3] <= depths[0]
+    assert len({id(exc) for exc in errors}) == 4 and len(cache._memo) == 1
+    # the memo keeps no reader's frames alive
+    assert [kept.__traceback__ for _, kept in cache._memo.values()] == [None]
+    assert {(type(exc), str(exc), exc.witness) for exc in errors} == {
+        (
+            NotGeneric,
+            "quasideterminant |A|_(3,3) undefined: inner 2x2 submatrix singular",
+            ("inner", 3, 3),
+        )
+    }
 
 
 def test_grid_budget_boundary_is_checked_before_any_trial(monkeypatch):
@@ -582,7 +647,8 @@ def test_grid_tables_are_built_once_per_n(monkeypatch):
             products.clear()
             first = table(n)
             assert products
-            assert type(first) is tuple and all(type(entry) is tuple for entry in first)
+            rows, first_reads = first
+            assert all(type(t) is tuple for t in (first, rows, first_reads, *rows, *first_reads))
             products.clear()
             assert table(n) is first
             with_retries(lambda: grid(sample_matrix(rng, n, n)))
@@ -591,7 +657,8 @@ def test_grid_tables_are_built_once_per_n(monkeypatch):
 
 def test_dodgson_grid_shares_the_ratio_of_identities_1_and_4(monkeypatch):
     # one n = 4 grid: 3,042 scalar products when identities 1 and 4 each built
-    # d_usv d_uv^-1, 216 fewer (one per instance) when they share it
+    # d_usv d_uv^-1, 216 fewer (one per instance) when they share it, and 168
+    # fewer again since MinorCache computes each Schur entry once
     x = sample_matrix(random.Random(0), 4, 4)
     _dodgson_admissible(4)
     products = []
@@ -601,7 +668,7 @@ def test_dodgson_grid_shares_the_ratio_of_identities_1_and_4(monkeypatch):
             Q, name, lambda a, b, method=method: products.append(1) or method(a, b)
         )
     assert check_dodgson_grid(x) == GRID_CHECKS["dodgson"](4)
-    assert len(products) == 3_042 - 216
+    assert len(products) == 3_042 - 216 - 168
 
 
 def test_level_key_table_holds_every_key_of_s6():
