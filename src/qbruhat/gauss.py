@@ -47,7 +47,9 @@ class GaussTriple:
             raise ShapeMismatch("upper factor must be upper unitriangular")
 
     def product(self) -> Matrix:
-        return self.lower * self.diag * self.upper
+        """lower * diag * upper, with one dense product: diag scales lower's columns."""
+        d = self.diag
+        return self.lower._scale_cols([d[i, i] for i in range(1, d.rows + 1)]) * self.upper
 
 
 def ldu(A: Matrix) -> GaussTriple:

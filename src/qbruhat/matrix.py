@@ -434,12 +434,15 @@ def matrix_from_json(payload: dict) -> Matrix:
     """Parse the wire form; the shape and entry types are checked before parsing.
 
     Malformed payloads raise ValueError (ShapeMismatch when the entries do
-    not match the declared n x m), never a TypeError or AttributeError.
+    not match the declared n x m), never a TypeError or AttributeError; n
+    and m must be JSON integers, not booleans or floats.
     """
     try:
         n, m, entries = payload["n"], payload["m"], payload["entries"]
     except (TypeError, KeyError) as exc:
         raise ValueError("matrix JSON needs keys n, m, entries") from exc
+    if not all(type(d) is int for d in (n, m)):
+        raise ValueError("matrix JSON n and m must be integers")
     if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
         raise ValueError("matrix JSON entries must be a list of rows")
     if not all(isinstance(a, str) for row in entries for a in row):

@@ -206,11 +206,6 @@ class RationalQuaternion:
         _set_q(out, (a, -b, -c, -d, e))
         return out
 
-    def norm(self):
-        """The reduced norm a^2 + b^2 + c^2 + d^2; zero only at q = 0."""
-        a, b, c, d, e = self._q
-        return Fraction(a * a + b * b + c * c + d * d, e * e)
-
     def inverse(self):
         a, b, c, d, e = self._q
         n = a * a + b * b + c * c + d * d

@@ -244,6 +244,14 @@ def _slots(reads, numbered: dict, first_reads: list) -> tuple:
     return tuple(out)
 
 
+def _groups(keyed) -> list:
+    """[first member, count] per distinct key of these (key, member) pairs, in first-seen order."""
+    groups = {}
+    for key, member in keyed:
+        groups.setdefault(key, [member, 0])[1] += 1
+    return list(groups.values())
+
+
 @functools.lru_cache(maxsize=1)
 def _dodgson_admissible(n: int) -> tuple:
     """(rows, first_reads): each distinct instance of the admissible triples once, and its slots.
@@ -253,67 +261,48 @@ def _dodgson_admissible(n: int) -> tuple:
     of u and u s_i at levels i and i + 1 (u[1, i-1] as a set, u(i) and
     u(i+1)), and v likewise, and these eight level keys are read back from the
     seven keys.  Triples that share them are one instance: the same five
-    identities on the same values.  A row (slots, u, u s_i, v, v s_i, i, m) is
-    an instance at its first triple in (i, u, v) order, with the number m of
-    triples it stands for; ``slots`` holds the slots of its seven quasiminors
-    in read order d_uv, d_usv, d_uvs, d_usvs, e_uv, e_usv, e_uvs (``_slots``).
+    identities on the same values.  So for each i the ascents are grouped
+    once by these four level keys, and an instance is a (u group, v group)
+    pair.  A row (slots, u, u s_i, v, v s_i, i, m) is an instance at its
+    first triple in (i, u, v) order, with the number m = m_u m_v of triples
+    it stands for; ``slots`` holds the slots of its seven quasiminors in read
+    order d_uv, d_usv, d_uvs, d_usvs, e_uv, e_usv, e_uvs (``_slots``).
     ``first_reads[s]`` is the (u, v, k) that first reads slot s: n = 4 has
     216 rows over 319 slots.  The table depends on n alone: each product
     u s_i is built once per n, and the table of the latest n is kept as
     tuples for every later grid at that n.
     """
     perms = all_permutations(n)
-    instances = {}
+    numbered, first_reads, rows = {}, [], []
     for i in range(1, n):
         s = Permutation.simple(i, n)
-        pairs = [
-            (u, us, tuple(_level_key(w.images, k) for w in (u, us) for k in (i, i + 1)))
+        groups = _groups(
+            (tuple(_level_key(w.images, k) for w in (u, us) for k in (i, i + 1)), (u, us))
             for u in perms
             if (us := u * s).length() == u.length() + 1
-        ]
-        for u, us, key_u in pairs:
-            for v, vs, key_v in pairs:
-                instances.setdefault((key_u, key_v), [u, us, v, vs, i, 0])[-1] += 1
-    numbered, first_reads, rows = {}, [], []
-    for u, us, v, vs, i, m in instances.values():
-        reads = (
-            (u, v, i), (us, v, i), (u, vs, i), (us, vs, i),
-            (u, v, i + 1), (us, v, i + 1), (u, vs, i + 1),
         )
-        rows.append((_slots(reads, numbered, first_reads), u, us, v, vs, i, m))
+        for (u, us), m_u in groups:
+            for (v, vs), m_v in groups:
+                reads = (
+                    (u, v, i), (us, v, i), (u, vs, i), (us, vs, i),
+                    (u, v, i + 1), (us, v, i + 1), (u, vs, i + 1),
+                )
+                rows.append((_slots(reads, numbered, first_reads), u, us, v, vs, i, m_u * m_v))
     return tuple(rows), tuple(first_reads)
 
 
-def _grid_inv(value, u: Permutation, v: Permutation, k: int, inverses: dict, key=None):
-    """Inverse of the (u, v) grid quasiminor `value` at level k, kept in `inverses` at `key`.
-
-    The grids key an inverse by its quasiminor's slot, so each slot is
-    inverted once and no scalar is hashed; without a key it is kept at the
-    value itself.  A zero quasiminor makes the sample non-generic, not a
-    counterexample: it is never stored, and it raises NotGeneric so the
-    harness resamples.
-    """
-    if key is None:
-        key = value
-    found = inverses.get(key)
-    if found is None:
-        if is_zero(value):
-            raise NotGeneric(
-                f"grid quasiminor at level {k} for ({u!r}, {v!r}) is zero",
-                witness=("grid-zero", u.images, v.images, k),
-            )
-        found = inverses[key] = inv(value)
-    return found
-
-
 def _slot_reader(x: Matrix, first_reads):
-    """read(slots): the quasiminors of x in these slots, each computed once.
+    """(read, inverse): x's quasiminors by slot, each computed and inverted at most once.
 
-    Slot s is filled on its first read, through ``MinorCache.uv`` at
-    ``first_reads[s]``.  Slots are numbered in the order a grid first reads
-    them, so the slot not yet filled that a grid reads is always the next one.
+    read(slots) gives the quasiminors in these slots; slot s is filled on its
+    first read, through ``MinorCache.uv`` at ``first_reads[s]``.  Slots are
+    numbered in the order a grid first reads them, so the slot not yet
+    filled that a grid reads is always the next one.  inverse(s, u, v, k)
+    inverts slot s, already read, as the (u, v) grid quasiminor at level k.
+    A zero one makes the sample non-generic, not a counterexample: it is
+    never stored, and it raises NotGeneric so the harness resamples.
     """
-    cache, values = MinorCache(x), []
+    cache, values, inverses = MinorCache(x), [], {}
 
     def read(slots):
         for s in slots:
@@ -321,7 +310,18 @@ def _slot_reader(x: Matrix, first_reads):
                 values.append(cache.uv(*first_reads[s]))
         return [values[s] for s in slots]
 
-    return read
+    def inverse(s, u, v, k):
+        found = inverses.get(s)
+        if found is None:
+            if is_zero(values[s]):
+                raise NotGeneric(
+                    f"grid quasiminor at level {k} for ({u!r}, {v!r}) is zero",
+                    witness=("grid-zero", u.images, v.images, k),
+                )
+            found = inverses[s] = inv(values[s])
+        return found
+
+    return read, inverse
 
 
 def check_dodgson_grid(x: Matrix) -> int:
@@ -335,15 +335,15 @@ def check_dodgson_grid(x: Matrix) -> int:
     one product d_usv d_uv^{-1}.
     """
     rows, first_reads = _dodgson_admissible(x.rows)
-    read, inverses = _slot_reader(x, first_reads), {}
+    read, inverse = _slot_reader(x, first_reads)
     checks = 0
     for slots, u, us, v, vs, i, m in rows:
         d_uv, d_usv, d_uvs, d_usvs, e_uv, e_usv, e_uvs = read(slots)
-        inv_d_uv = _grid_inv(d_uv, u, v, i, inverses, slots[0])
-        inv_d_usv = _grid_inv(d_usv, us, v, i, inverses, slots[1])
-        inv_d_uvs = _grid_inv(d_uvs, u, vs, i, inverses, slots[2])
-        inv_e_usv = _grid_inv(e_usv, us, v, i + 1, inverses, slots[5])
-        inv_e_uvs = _grid_inv(e_uvs, u, vs, i + 1, inverses, slots[6])
+        inv_d_uv = inverse(slots[0], u, v, i)
+        inv_d_usv = inverse(slots[1], us, v, i)
+        inv_d_uvs = inverse(slots[2], u, vs, i)
+        inv_e_usv = inverse(slots[5], us, v, i + 1)
+        inv_e_uvs = inverse(slots[6], u, vs, i + 1)
         params = (u.images, v.images, i)
         ratio = d_usv * inv_d_uv
         if not is_zero(d_usvs - (ratio * d_uvs + e_uv)):
@@ -370,47 +370,45 @@ def _plucker_admissible(n: int) -> tuple:
     w s_i s_{i+1}, w s_{i+1} s_i), a check reads five quasiminors, whose
     ``MinorCache`` keys see w only through the level keys of its family (at
     levels i + 1, i + 1, i, i + 1, i) and `other` through its level keys at i
-    and i + 1.  Checks of one side that share them are one instance.  A row
-    (slots, check, u, v, i, pivot, m) is an instance at its first check, with
-    the number m of checks it stands for; ``slots`` holds the slots of its
-    five quasiminors (``_slots``) in read order, so that the check is
+    and i + 1.  Checks of one side that share them are one instance: for each
+    i the families and the others are grouped once by these level keys, and
+    an instance is a (family group, other group, side).  A row (slots,
+    check, u, v, i, pivot, m) is an instance at its first check, with the
+    number m = m_w m_other of checks it stands for; ``slots`` holds the slots of
+    its five quasiminors (``_slots``) in read order, so that the check is
     slot 0 = slot 1 + slot 2 slot 3^{-1} slot 4, and ``pivot`` is the (u, v)
     of slot 3, the one inverted.  ``first_reads`` is as in
     ``_dodgson_admissible``: n = 4 has 288 rows over 278 slots.  Like it,
     the table depends on n alone and the table of the latest n is kept.
     """
     perms = all_permutations(n)
-    instances = {}
-    for i in range(1, n - 1):
-        s_i = Permutation.simple(i, n)
-        s_next = Permutation.simple(i + 1, n)
-        levels = (i + 1, i + 1, i, i + 1, i)
-        others = [(o, (_level_key(o.images, i), _level_key(o.images, i + 1))) for o in perms]
-        for w in perms:
-            if (w * s_i * s_next * s_i).length() != w.length() + 3:
-                continue
-            w_next, w_i = w * s_next, w * s_i
-            family = (w, w_next, w_i, w_i * s_next, w_next * s_i)
-            key_w = tuple(_level_key(f.images, k) for f, k in zip(family, levels))
-            for other, key_o in others:
-                for side in ("u", "v"):
-                    instances.setdefault((side, key_w, key_o), [side, i, family, other, 0])[-1] += 1
     numbered, first_reads, rows = {}, [], []
-    for side, i, (w, w_next, w_i, w_i_next, w_next_i), other, m in instances.values():
-        if side == "u":
-            u, v, pivot = w, other, (w_i, other)
-            reads = (
-                (w_next, v, i + 1), (w_i_next, v, i + 1), (w_next_i, v, i),
-                (w_i, v, i), (u, v, i + 1),
-            )
-        else:
-            u, v, pivot = other, w, (other, w_i)
-            reads = (
-                (u, w_next, i + 1), (u, w_i_next, i + 1), (u, v, i + 1),
-                (u, w_i, i), (u, w_next_i, i),
-            )
-        slots = _slots(reads, numbered, first_reads)
-        rows.append((slots, f"plucker-{side}", u, v, i, pivot, m))
+    for i in range(1, n - 1):
+        s_i, s_next = Permutation.simple(i, n), Permutation.simple(i + 1, n)
+        levels = (i + 1, i + 1, i, i + 1, i)
+        families = []
+        for w in perms:
+            if (w * s_i * s_next * s_i).length() == w.length() + 3:
+                w_next, w_i = w * s_next, w * s_i
+                family = (w, w_next, w_i, w_i * s_next, w_next * s_i)
+                key = tuple(_level_key(f.images, k) for f, k in zip(family, levels))
+                families.append((key, family))
+        others = _groups(((_level_key(o.images, i), _level_key(o.images, i + 1)), o) for o in perms)
+        for (w, w_next, w_i, w_i_next, w_next_i), m_w in _groups(families):
+            for o, m_other in others:
+                u_reads = (
+                    (w_next, o, i + 1), (w_i_next, o, i + 1), (w_next_i, o, i),
+                    (w_i, o, i), (w, o, i + 1),
+                )
+                v_reads = (
+                    (o, w_next, i + 1), (o, w_i_next, i + 1), (o, w, i + 1),
+                    (o, w_i, i), (o, w_next_i, i),
+                )
+                for check, u, v, reads in (
+                    ("plucker-u", w, o, u_reads), ("plucker-v", o, w, v_reads)
+                ):
+                    slots = _slots(reads, numbered, first_reads)
+                    rows.append((slots, check, u, v, i, reads[3][:2], m_w * m_other))
     return tuple(rows), tuple(first_reads)
 
 
@@ -425,11 +423,11 @@ def check_minors_plucker_grid(x: Matrix) -> int:
     where the check has always taken it.
     """
     rows, first_reads = _plucker_admissible(x.rows)
-    read, inverses = _slot_reader(x, first_reads), {}
+    read, inverse = _slot_reader(x, first_reads)
     checks = 0
     for slots, check, u, v, i, (pivot_u, pivot_v), m in rows:
         lhs, a, b, c = read(slots[:4])
-        inv_c = _grid_inv(c, pivot_u, pivot_v, i, inverses, slots[3])
+        inv_c = inverse(slots[3], pivot_u, pivot_v, i)
         (d,) = read(slots[4:])
         if not is_zero(lhs - (a + b * inv_c * d)):
             _fail(check, x, params=(u.images, v.images, i))

@@ -150,6 +150,18 @@ def test_malformed_entries_are_usage_errors(capsys):
         assert err.startswith("error: bad matrix input") and "Traceback" not in err
 
 
+def test_shape_fields_must_be_json_integers(capsys):
+    # true and 1.0 both equal the row count 1; only the integer 1 is a shape
+    for shape in (True, 1.0, "1", None):
+        for fields in ({"n": shape, "m": 1}, {"n": 1, "m": shape}):
+            blob = json.dumps({**fields, "entries": [["1"]]})
+            code, out, err = run(capsys, "classify", "--input", blob)
+            assert code == 2 and out == "", blob
+            assert err.startswith("error: bad matrix input") and "Traceback" not in err
+    blob = json.dumps({"n": 1, "m": 1, "entries": [["1"]]})
+    assert run(capsys, "classify", "--input", blob)[0] == 0
+
+
 def test_zero_denominator_entry_is_a_usage_error(capsys):
     for entry in ("1/0", "1/0*i", "2-1/0*k"):
         blob = json.dumps({"n": 1, "m": 1, "entries": [[entry]]})

@@ -41,8 +41,8 @@ from qbruhat.verify import (
     GRID_CHECKS,
     CheckFailed,
     _dodgson_admissible,
-    _grid_inv,
     _plucker_admissible,
+    _slots,
     check_dodgson_grid,
     check_minors_plucker_grid,
     run_suite,
@@ -374,6 +374,73 @@ def grid_key(u, v, k):
     return _level_key(u.images, k), _level_key(v.images, k)
 
 
+def dodgson_pair_walk(n):
+    """``_dodgson_admissible(n)`` by a walk over every admissible (u, v) pair at each i."""
+    perms = all_permutations(n)
+    instances = {}
+    for i in range(1, n):
+        s = Permutation.simple(i, n)
+        pairs = [
+            (u, us, tuple(_level_key(w.images, k) for w in (u, us) for k in (i, i + 1)))
+            for u in perms
+            if (us := u * s).length() == u.length() + 1
+        ]
+        for u, us, key_u in pairs:
+            for v, vs, key_v in pairs:
+                instances.setdefault((key_u, key_v), [u, us, v, vs, i, 0])[-1] += 1
+    numbered, first_reads, rows = {}, [], []
+    for u, us, v, vs, i, m in instances.values():
+        reads = (
+            (u, v, i), (us, v, i), (u, vs, i), (us, vs, i),
+            (u, v, i + 1), (us, v, i + 1), (u, vs, i + 1),
+        )
+        rows.append((_slots(reads, numbered, first_reads), u, us, v, vs, i, m))
+    return tuple(rows), tuple(first_reads)
+
+
+def plucker_pair_walk(n):
+    """``_plucker_admissible(n)`` by a walk over every (w, other) pair and side at each i."""
+    perms = all_permutations(n)
+    instances = {}
+    for i in range(1, n - 1):
+        s_i, s_next = Permutation.simple(i, n), Permutation.simple(i + 1, n)
+        levels = (i + 1, i + 1, i, i + 1, i)
+        others = [(o, (_level_key(o.images, i), _level_key(o.images, i + 1))) for o in perms]
+        for w in perms:
+            if (w * s_i * s_next * s_i).length() != w.length() + 3:
+                continue
+            w_next, w_i = w * s_next, w * s_i
+            family = (w, w_next, w_i, w_i * s_next, w_next * s_i)
+            key_w = tuple(_level_key(f.images, k) for f, k in zip(family, levels))
+            for other, key_o in others:
+                for side in ("u", "v"):
+                    instances.setdefault((side, key_w, key_o), [side, i, family, other, 0])[-1] += 1
+    numbered, first_reads, rows = {}, [], []
+    for side, i, (w, w_next, w_i, w_i_next, w_next_i), other, m in instances.values():
+        if side == "u":
+            u, v, pivot = w, other, (w_i, other)
+            reads = (
+                (w_next, v, i + 1), (w_i_next, v, i + 1), (w_next_i, v, i),
+                (w_i, v, i), (u, v, i + 1),
+            )
+        else:
+            u, v, pivot = other, w, (other, w_i)
+            reads = (
+                (u, w_next, i + 1), (u, w_i_next, i + 1), (u, v, i + 1),
+                (u, w_i, i), (u, w_next_i, i),
+            )
+        slots = _slots(reads, numbered, first_reads)
+        rows.append((slots, f"plucker-{side}", u, v, i, pivot, m))
+    return tuple(rows), tuple(first_reads)
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_tables_built_one_side_at_a_time_equal_the_pair_walk(n):
+    # same rows in the same order, same representatives, counts and slots
+    assert _dodgson_admissible(n) == dodgson_pair_walk(n)
+    assert _plucker_admissible(n) == plucker_pair_walk(n)
+
+
 def test_grid_check_counts_are_the_admissible_counts():
     # each listed instance stands for m admissible triples (Plucker: m checks)
     for n in (2, 3, 4, 5):
@@ -385,6 +452,22 @@ def test_grid_check_counts_are_the_admissible_counts():
             assert len({grid_key(*read) for read in first_reads}) == len(first_reads)
             first_seen = list(dict.fromkeys(slot for row in rows for slot in row[0]))
             assert first_seen == list(range(len(first_reads)))
+
+
+def reference_inv(value, u, v, k, inverses):
+    """The inverse of the (u, v) grid quasiminor `value` at level k, kept at its key.
+
+    As in the grids: a zero quasiminor raises NotGeneric and is never kept.
+    """
+    key = grid_key(u, v, k)
+    if key not in inverses:
+        if is_zero(value):
+            raise NotGeneric(
+                f"grid quasiminor at level {k} for ({u!r}, {v!r}) is zero",
+                witness=("grid-zero", u.images, v.images, k),
+            )
+        inverses[key] = inv(value)
+    return inverses[key]
 
 
 def dodgson_reference(x):
@@ -405,11 +488,11 @@ def dodgson_reference(x):
                 e_uv = cache.uv(u, v, i + 1)
                 e_usv = cache.uv(us, v, i + 1)
                 e_uvs = cache.uv(u, vs, i + 1)
-                inv_d_uv = _grid_inv(d_uv, u, v, i, inverses)
-                inv_d_usv = _grid_inv(d_usv, us, v, i, inverses)
-                inv_d_uvs = _grid_inv(d_uvs, u, vs, i, inverses)
-                inv_e_usv = _grid_inv(e_usv, us, v, i + 1, inverses)
-                inv_e_uvs = _grid_inv(e_uvs, u, vs, i + 1, inverses)
+                inv_d_uv = reference_inv(d_uv, u, v, i, inverses)
+                inv_d_usv = reference_inv(d_usv, us, v, i, inverses)
+                inv_d_uvs = reference_inv(d_uvs, u, vs, i, inverses)
+                inv_e_usv = reference_inv(e_usv, us, v, i + 1, inverses)
+                inv_e_uvs = reference_inv(e_uvs, u, vs, i + 1, inverses)
                 params = (u.images, v.images, i)
                 if not is_zero(d_usvs - (d_usv * inv_d_uv * d_uvs + e_uv)):
                     raise CheckFailed({"check": "dodgson-1", "params": params})
@@ -440,7 +523,7 @@ def plucker_reference(x):
             for other in all_permutations(n):
                 u, v = w, other
                 lhs = cache.uv(w_next, v, i + 1)
-                rhs = cache.uv(w_i_next, v, i + 1) + cache.uv(w_next_i, v, i) * _grid_inv(
+                rhs = cache.uv(w_i_next, v, i + 1) + cache.uv(w_next_i, v, i) * reference_inv(
                     cache.uv(w_i, v, i), w_i, v, i, inverses
                 ) * cache.uv(u, v, i + 1)
                 if not is_zero(lhs - rhs):
@@ -448,7 +531,7 @@ def plucker_reference(x):
                 checks += 1
                 u, v = other, w
                 lhs = cache.uv(u, w_next, i + 1)
-                rhs = cache.uv(u, w_i_next, i + 1) + cache.uv(u, v, i + 1) * _grid_inv(
+                rhs = cache.uv(u, w_i_next, i + 1) + cache.uv(u, v, i + 1) * reference_inv(
                     cache.uv(u, w_i, i), u, w_i, i, inverses
                 ) * cache.uv(u, w_next_i, i)
                 if not is_zero(lhs - rhs):
@@ -505,10 +588,31 @@ def test_grouped_grid_reports_as_every_triple_would(monkeypatch, n, name, grid, 
             assert grid_outcome(grid, x) == expected
 
 
+def log_slot_reader(monkeypatch, log):
+    """Make each grid's slot reader append ("read", slots) and ("inverse", slot) to `log`."""
+    slot_reader = verify._slot_reader
+
+    def logged(x, first_reads):
+        read, inverse = slot_reader(x, first_reads)
+
+        def logged_read(slots):
+            log.append(("read", slots))
+            return read(slots)
+
+        def logged_inverse(slot, *at):
+            log.append(("inverse", slot))
+            return inverse(slot, *at)
+
+        return logged_read, logged_inverse
+
+    monkeypatch.setattr(verify, "_slot_reader", logged)
+
+
 def test_grid_checks_evaluate_each_distinct_instance_once(monkeypatch):
-    # every evaluated Dodgson instance asks for five inverses, every Plucker one one
-    calls = []
-    monkeypatch.setattr(verify, "_grid_inv", lambda *args: calls.append(args) or _grid_inv(*args))
+    # an evaluated Dodgson instance reads once and asks for five inverses, a
+    # Plucker one reads twice (before and after its inverse) and asks for one
+    log = []
+    log_slot_reader(monkeypatch, log)
     rng = random.Random(5)
     for n, dodgson, plucker in ((4, 216, 288), (5, 2_000, 4_000)):
         tables = (_dodgson_admissible(n)[0], _plucker_admissible(n)[0])
@@ -516,42 +620,49 @@ def test_grid_checks_evaluate_each_distinct_instance_once(monkeypatch):
 
         def evaluated():
             x = sample_matrix(rng, n, n)
-            calls.clear()
-            got = [check_dodgson_grid(x), len(calls)]
-            calls.clear()
-            return got + [check_minors_plucker_grid(x), len(calls)]
+            got = []
+            for grid in (check_dodgson_grid, check_minors_plucker_grid):
+                log.clear()
+                checks = grid(x)
+                kinds = [kind for kind, _ in log]
+                got.append([checks, kinds.count("read"), kinds.count("inverse")])
+            return got
 
-        expected = [GRID_CHECKS["dodgson"](n), 5 * dodgson, GRID_CHECKS["plucker"](n), plucker]
+        expected = [
+            [GRID_CHECKS["dodgson"](n), dodgson, 5 * dodgson],
+            [GRID_CHECKS["plucker"](n), 2 * plucker, plucker],
+        ]
         assert with_retries(evaluated) == expected
 
 
 @pytest.mark.parametrize("n", (3, 4))
 def test_one_grid_reads_each_key_once_and_inverts_each_slot_once(monkeypatch, n):
-    # the keys reach the cache in slot order; equal values in two slots are two inverses
-    reads, slots, inversions = [], [], []
+    # the keys reach the cache in slot order, and each slot the table inverts is
+    # inverted once; equal values in two slots are two inverses
+    reads, inversions = [], []
     uv, spec = MinorCache.uv, MinorCache.spec
     monkeypatch.setattr(
         MinorCache, "uv", lambda self, u, v, k: reads.append(grid_key(u, v, k)) or uv(self, u, v, k)
     )
     monkeypatch.setattr(MinorCache, "spec", lambda self, at: reads.append(at) or spec(self, at))
-    monkeypatch.setattr(
-        verify, "_grid_inv", lambda *args: slots.append(args[5]) or _grid_inv(*args)
-    )
     monkeypatch.setattr(verify, "inv", lambda a: inversions.append(a) or inv(a))
     rng = random.Random(30 + n)
-    for name, table, grid in (
-        ("dodgson", _dodgson_admissible, check_dodgson_grid),
-        ("plucker", _plucker_admissible, check_minors_plucker_grid),
+    for name, table, grid, inverted in (
+        ("dodgson", _dodgson_admissible, check_dodgson_grid, (0, 1, 2, 5, 6)),
+        ("plucker", _plucker_admissible, check_minors_plucker_grid, (3,)),
     ):
+        # the slots each row inverts, by their place in the row's read order
+        rows, first_reads = table(n)
+        asked = [row[0][j] for row in rows for j in inverted]
 
         def once():
-            for log in (reads, slots, inversions):
+            for log in (reads, inversions):
                 log.clear()
             return grid(sample_matrix(rng, n, n))
 
         assert with_retries(once) == GRID_CHECKS[name](n)
-        assert reads == [grid_key(*read) for read in table(n)[1]]
-        assert len(inversions) == len(set(slots)) < len(slots)
+        assert reads == [grid_key(*read) for read in first_reads]
+        assert len(inversions) == len(set(asked)) < len(asked)
 
 
 def test_minor_cache_raises_a_fresh_error_on_every_read_of_a_failed_key():
