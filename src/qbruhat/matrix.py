@@ -327,7 +327,7 @@ def _dot(row, col):
     return acc
 
 
-def _border(row, Q, z, candidates, entries):
+def _border(row, Q, z, candidates):
     """Border x[P, Q] by one more row of x: (Q + b, z'), or None if no candidate pivots.
 
     z maps columns q to z_q = x[P, Q]^{-1} x[P, q] (empty tuples for the
@@ -336,30 +336,19 @@ def _border(row, Q, z, candidates, entries):
     (1969)), with the Schur row s_q = row[q] - row[Q] z_q and b the first
     candidate with s_b != 0, z'_q is z_q - z_b mu_q with mu_q = s_b^{-1} s_q
     inserted at b's sorted position, multiplied in exactly that order over a
-    skew field: O(|Q| |z|) scalar work.  `entries` maps q to s_q: each entry
-    is read from it when present and kept in it when computed, so one
-    s_q is computed once for every caller that shares the dict.
+    skew field: O(|Q| |z|) scalar work.
     """
     border = [row[c - 1] for c in Q]
-
-    def schur(q):
-        s_q = entries.get(q)
-        if s_q is None:
-            s_q = entries[q] = row[q - 1] - _dot(border, z[q]) if border else row[q - 1]
-        return s_q
-
-    for b in candidates:
-        sigma = schur(b)
-        if not is_zero(sigma):
-            break
-    else:
+    s = {q: row[q - 1] - _dot(border, z_q) if border else row[q - 1] for q, z_q in z.items()}
+    b = next((c for c in candidates if not is_zero(s[c])), None)
+    if b is None:
         return None
-    sigma_inv, z_b = inv(sigma), z[b]
+    sigma_inv, z_b = inv(s[b]), z[b]
     t = bisect.bisect(Q, b)
     out = {}
     for q, z_q in z.items():
         if q != b:
-            mu = sigma_inv * schur(q)
+            mu = sigma_inv * s[q]
             solved = [c - d * mu for c, d in zip(z_q, z_b)]
             solved.insert(t, mu)
             out[q] = tuple(solved)
@@ -377,7 +366,7 @@ def _solve(e, P, J, cols):
     """
     Q, z = (), dict.fromkeys(tuple(J) + tuple(cols), ())
     for a in P:
-        step = _border(e[a - 1], Q, z, [c for c in J if c in z], {})
+        step = _border(e[a - 1], Q, z, [c for c in J if c in z])
         if step is not None:
             Q, z = step
     return Q, z

@@ -27,27 +27,25 @@ turns (w, k) into (w[1, k] sorted, w(k)) for every one of them.
 Quasiminors come in families.  By the definition and heredity
 (Gelfand, Gelfand, Retakh, Wilson, *Quasideterminants*, Adv. Math. 193
 (2005), Thm 1.5.2), |x_{I'+p, J'+q}|_{p,q} is entry (p, q) of the Schur
-complement x[R, C] - x[R, J'] x[I', J']^{-1} x[I', C] of the inner block
-(I', J'), so every member of a family reads one solve
-z_q = x[I', J']^{-1} x[I', q] (``_schur_columns``).  ``MinorCache`` keeps
-that solve per inner block, made when the first member is asked for;
-``sylvester_reduce`` is the Schur complement of its pivot block, and
-``quasideterminant`` the one-member case.
+complement S = x[R, C] - x[R, J'] x[I', J']^{-1} x[I', C] of the inner
+block (I', J').  ``quasideterminant`` reads one such entry and
+``sylvester_reduce`` the whole Schur complement, both through one solve
+z_q = x[I', J']^{-1} x[I', q] (``_schur_columns``), a chain of bordering
+steps (``matrix._solve``) from the empty block.
 
-Every solve is a chain of bordering steps (``matrix._border``): by the
-quotient property of Schur complements (Crabtree, Haynsworth, Proc. AMS 22
-(1969)) the solutions of x[P, Q] follow from those of x[P - a, Q - b] and
-one Schur row, O(k n) scalar work.  A cold solve borders the empty block
-with each row of I' in turn (``matrix._solve``), O(k^2 n).  Blocks come in
-chains too: the inner block of the level-(k+1) quasiminor at (u, v) is the
-whole level-k block, so ``MinorCache`` borders a new block once from a
-cached one-smaller parent when it has one.
+``MinorCache`` keeps no solves.  By the quotient property of Schur
+complements (Crabtree, Haynsworth, Proc. AMS 22 (1969)) the Schur
+complement of a block (P, Q) is one 1x1 pivot step on that of a
+one-smaller parent (P - a, Q - b):
 
-The two meet in one Schur entry: x[a, q] - x[a, Q'] z_q of a block
-(P', Q'), row a and column q is, up to sign, the quasiminor with inner
-block (P', Q') marked at (a, q), and it is the Schur row that bordering
-(P', Q') by row a reads.  ``MinorCache`` keeps these entries, so a member
-and the bordering of its family's child block compute each one once.
+    S[r, q] = S_par[r, q] - S_par[r, b] S_par[a, b]^{-1} S_par[a, q],
+
+and the empty block's Schur complement is x itself.  Blocks come in chains:
+the inner block of the level-(k+1) quasiminor at (u, v) is the whole
+level-k block.  So ``MinorCache`` makes each block once, as a pivot step on
+a parent it holds (see its docstring for the choice), and computes a Schur
+entry only when a member, or the pivot step of a later block, first reads
+it.
 """
 
 from __future__ import annotations
@@ -56,7 +54,7 @@ import functools
 from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, NotGeneric, QBruhatError
-from .matrix import Matrix, _border, _dot, _solve, check_index_set, interval
+from .matrix import Matrix, _dot, _solve, check_index_set, interval
 from .scalars import inv, is_zero
 from .weyl import Permutation, left_by_representative, right_by_representative
 
@@ -335,30 +333,64 @@ def sylvester_reduce(A: Matrix, I0, J0) -> Matrix:
     return Matrix([[_schur_entry(A._e, J0, z, p, q) for q in comp_cols] for p in comp_rows])
 
 
+class _Block:
+    """x[P, Q] as one pivot step on its parent block (P - a, Q - b).
+
+    By the quotient property (Crabtree-Haynsworth 1969) the Schur complement
+    of (P, Q) is a 1x1 pivot step on the parent's, with pivot
+    s = S_par[a, b]:
+
+        S[r, q] = S_par[r, q] - S_par[r, b] s^{-1} S_par[a, q].
+
+    A block keeps s^{-1}, mu_q = s^{-1} S_par[a, q] for each column asked so
+    far, and its Schur entries ``rows[r][q]`` = S_par[r, q] - S_par[r, b] mu_q,
+    each computed on its first read; over a skew field the factors keep that
+    order.  The empty block has no parent: its entries are x's own, all
+    filled at the start.
+    """
+
+    __slots__ = ("parent", "a", "b", "pivot_inv", "mu", "rows")
+
+    def __init__(self, parent, a, b, pivot_inv, rows):
+        self.parent, self.a, self.b, self.pivot_inv = parent, a, b, pivot_inv
+        self.mu, self.rows = {}, rows
+
+    def entry(self, r: int, q: int):
+        """S[r, q] for a row r outside P and a column q outside Q, 1-based."""
+        row = self.rows.get(r)
+        if row is None:
+            row = self.rows[r] = {}
+        value = row.get(q)
+        if value is None:
+            parent, mu = self.parent, self.mu.get(q)
+            if mu is None:
+                mu = self.mu[q] = self.pivot_inv * parent.entry(self.a, q)
+            value = row[q] = parent.entry(r, q) - parent.entry(r, self.b) * mu
+        return value
+
+
 class MinorCache:
     """Memoizes the positive quasiminors of one fixed matrix x.
 
     ``_memo`` maps (I, J, i, j) to ("ok", value) or ("err", NotGeneric):
     the identity grids ask for the same quasiminor over and over, and a
-    repeated failure costs nothing.  A miss reads the Schur-complement
-    family of its inner block (I', J') = (I - {i}, J - {j}) (GGRW 2005,
-    Thm 1.5.2, see the module docstring): ``_blocks`` maps (I', J') to the
-    solutions z_q = x[I', J']^{-1} x[I', q] for every column q outside J'
-    and the Schur entries computed so far, or to None when x[I', J'] is
-    singular, and the member is
-    (-1)^{d_i(I) + d_j(J)} (x[i, j] - x[i, J'] z_j).  A block is made when
-    the first member of its family is asked for, never ahead: most families
-    are read in one or two members.  ``_block`` borders it once from a
-    cached, nonsingular one-smaller parent when there is one
-    (Crabtree-Haynsworth 1969, ``matrix._border`` with the one candidate
-    column b), and solves it cold with ``_schur_columns`` otherwise: 1x1
-    blocks, and blocks whose parents are missing or singular.  The member
-    and the bordering share their Schur entries (see the module docstring):
-    a block keeps {q: x[a, q] - x[a, Q'] z_q} per row a, which ``_member``
-    fills at row i of (I', J') and ``_border`` at the row a that borders a
-    child block, each entry computed the first time either one needs it.
-    A failed key raises a fresh NotGeneric with the kept one's message and
-    witness on every later read.
+    repeated failure costs nothing.  A miss reads entry (i, j) of the Schur
+    complement of its inner block (I', J') = (I - {i}, J - {j}) (GGRW 2005,
+    Thm 1.5.2, see the module docstring), with the sign
+    (-1)^{d_i(I) + d_j(J)}.  ``_blocks`` maps (I', J') to a ``_Block``, or
+    to None when x[I', J'] is singular; it starts with the empty block.
+
+    A block is made when it is first needed, never ahead, as one pivot step
+    on a one-smaller parent (P - a, Q - b): the first cached nonsingular
+    parent in (a, b) scan order, and else, with a the last row of P, each b
+    of Q in turn, every such parent resolved the same way.  The block is
+    singular when that parent's pivot S_par[a, b] is zero, and when every
+    one of those parents is singular: over a division ring the rank of
+    x[P, Q] is the parent's rank plus that of the pivot, and an invertible
+    x[P, Q] has an invertible (P - a, Q - b) for every row a.  A member
+    and the pivot steps of later blocks read the same Schur entries, each
+    computed once.  A failed key raises a fresh NotGeneric with the kept
+    one's message and witness on every later read.
 
     A key is validated where it enters, so ``_member`` reads only valid,
     increasing I and J, and a bad key raises ``check_index_set``'s
@@ -371,7 +403,8 @@ class MinorCache:
     def __init__(self, x: Matrix):
         self.x = x
         self._memo = {}
-        self._blocks = {}
+        own = {r: dict(enumerate(row, start=1)) for r, row in enumerate(x._e, start=1)}
+        self._blocks = {((), ()): _Block(None, 0, 0, None, own)}
 
     def spec(self, spec: MinorSpec):
         key = (spec.I, spec.J, spec.i, spec.j)
@@ -408,42 +441,37 @@ class MinorCache:
         return hit[1]
 
     def _block(self, P, Q):
-        """(z, rows) for x[P, Q], bordered or cold; None if x[P, Q] is singular.
+        """The ``_Block`` of x[P, Q], made on first use; None if x[P, Q] is singular."""
+        blocks = self._blocks
+        if (P, Q) in blocks:
+            return blocks[P, Q]
+        for s, a in enumerate(P):
+            inner_rows = P[:s] + P[s + 1 :]
+            for t, b in enumerate(Q):
+                parent = blocks.get((inner_rows, Q[:t] + Q[t + 1 :]))
+                if parent is not None:
+                    return self._pivot(P, Q, parent, a, b)
+        inner_rows = P[:-1]
+        for t, b in enumerate(Q):
+            parent = self._block(inner_rows, Q[:t] + Q[t + 1 :])
+            if parent is not None:
+                return self._pivot(P, Q, parent, P[-1], b)
+        blocks[P, Q] = None
+        return None
 
-        z maps each column q outside Q to x[P, Q]^{-1} x[P, q]; rows maps a
-        row a of x to its Schur entries {q: x[a, q] - x[a, Q] z_q}, as far
-        as they have been computed.
-        """
-        blocks, e = self._blocks, self.x._e
-        if (P, Q) not in blocks:
-            for s, a in enumerate(P):
-                inner_rows = P[:s] + P[s + 1 :]
-                for t, b in enumerate(Q):
-                    inner_cols = Q[:t] + Q[t + 1 :]
-                    parent = blocks.get((inner_rows, inner_cols))
-                    if parent is not None:
-                        z, rows = parent
-                        step = _border(e[a - 1], inner_cols, z, (b,), rows.setdefault(a, {}))
-                        blocks[P, Q] = None if step is None else (step[1], {})
-                        return blocks[P, Q]
-            outside = tuple(c for c in range(1, self.x.cols + 1) if c not in Q)
-            z = _schur_columns(e, P, Q, outside)
-            blocks[P, Q] = None if z is None else (z, {})
-        return blocks[P, Q]
+    def _pivot(self, P, Q, parent, a, b):
+        """Record x[P, Q] as the pivot step at (a, b) on its nonsingular parent."""
+        pivot = parent.entry(a, b)
+        block = None if is_zero(pivot) else _Block(parent, a, b, inv(pivot), {})
+        self._blocks[P, Q] = block
+        return block
 
     def _member(self, I, J, i, j):
-        e = self.x._e
-        if len(I) == 1:
-            return e[i - 1][j - 1]
         # I and J increase: a = |{r in I : r < i}|, and d_i(I) = |I| - 1 - a
         a, b = I.index(i), J.index(j)
         inner_rows, inner_cols = I[:a] + I[a + 1 :], J[:b] + J[b + 1 :]
         block = self._block(inner_rows, inner_cols)
         if block is None:
             raise _inner_singular(a + 1, b + 1, len(inner_rows))
-        z, rows = block
-        entries = rows.setdefault(i, {})
-        value = entries.get(j)
-        if value is None:
-            value = entries[j] = _schur_entry(e, inner_cols, z, i, j)
+        value = block.entry(i, j)
         return -value if (len(I) + len(J) - a - b) % 2 else value

@@ -768,8 +768,10 @@ def test_grid_tables_are_built_once_per_n(monkeypatch):
 
 def test_dodgson_grid_shares_the_ratio_of_identities_1_and_4(monkeypatch):
     # one n = 4 grid: 3,042 scalar products when identities 1 and 4 each built
-    # d_usv d_uv^-1, 216 fewer (one per instance) when they share it, and 168
-    # fewer again since MinorCache computes each Schur entry once
+    # d_usv d_uv^-1, 216 fewer (one per instance) when they share it, 168
+    # fewer again since MinorCache computes each Schur entry once, and 276
+    # fewer since a block keeps Schur entries, one pivot step on its parent's,
+    # instead of solved columns
     x = sample_matrix(random.Random(0), 4, 4)
     _dodgson_admissible(4)
     products = []
@@ -779,7 +781,7 @@ def test_dodgson_grid_shares_the_ratio_of_identities_1_and_4(monkeypatch):
             Q, name, lambda a, b, method=method: products.append(1) or method(a, b)
         )
     assert check_dodgson_grid(x) == GRID_CHECKS["dodgson"](4)
-    assert len(products) == 3_042 - 216 - 168
+    assert len(products) == 3_042 - 216 - 168 - 276
 
 
 def test_level_key_table_holds_every_key_of_s6():
