@@ -827,10 +827,11 @@ def cold_blocks():
         yield blocks
 
 
-def test_no_block_of_a_maximal_recovery_is_made_cold():
+def test_recover_params_borders_every_block_but_the_first_of_each_chain():
     # a (w0, w0) recovery at n = 6 reads 35 blocks; each chain of level
     # blocks starts at a 1x1 block, a pivot step on the empty block, and
-    # every later link is one pivot step on a block read before it
+    # every later link is one pivot step on a block read before it, so
+    # no block is made cold, not even the first of a chain
     w0 = Permutation.longest(6)
     x, word, h, t = cell_point(random.Random(3), w0, w0)
     with cold_blocks() as cold:
