@@ -13,7 +13,6 @@ row operations multiply on the left, column operations on the right.
 
 from __future__ import annotations
 
-import bisect
 from fractions import Fraction
 
 from .errors import IndexOutOfRange, NotGeneric, ShapeMismatch, ZeroInverse
@@ -33,10 +32,10 @@ def interval(a: int, b: int) -> tuple:
 
 
 def check_index_set(indices, bound: int) -> tuple:
-    """Validate a strictly increasing 1-based index set within [1, bound]."""
+    """Validate a strictly increasing 1-based index set within [1, bound]; bools are refused."""
     out = tuple(indices)
     for pos, idx in enumerate(out):
-        if not isinstance(idx, int):
+        if type(idx) is not int:
             raise IndexOutOfRange(f"index {idx!r} is not an integer")
         if idx < 1 or idx > bound:
             raise IndexOutOfRange(f"index {idx} outside [1, {bound}]")
@@ -252,10 +251,12 @@ class Matrix:
         return self.submatrix(I, J)
 
     def inverse(self) -> "Matrix":
-        """Exact inverse: ``_solve`` on [x | 1] solves x z = e_c for every unit column.
+        """Exact inverse: minus the Schur complement of x in [[x, 1], [1, 0]].
 
-        The unit columns hold a - a and a - a + 1 for x's first entry a.  Raises
-        NotGeneric with witness ("pivot", k), k the first column of x without a pivot.
+        ``_schur_chain`` pivots the top n rows of that 2n x 2n matrix, built
+        from a - a and a - a + 1 for x's first entry a, and x^-1[i, j] is
+        -S[n+i, n+j].  Raises NotGeneric with witness ("pivot", k), k the
+        first column of x without a pivot.
         """
         if not self.is_square:
             raise ShapeMismatch(f"cannot invert {self.shape_str()}")
@@ -263,16 +264,14 @@ class Matrix:
         a = self._e[0][0]
         zero = a - a
         one = zero + 1
-        e = [
-            row + tuple(one if c == i else zero for c in range(n))
-            for i, row in enumerate(self._e)
-        ]
-        units = interval(n + 1, 2 * n)
-        Q, z = _solve(e, interval(1, n), interval(1, n), units)
+        units = [tuple(one if c == i else zero for c in range(n)) for i in range(n)]
+        e = [row + u for row, u in zip(self._e, units)] + [u + (zero,) * n for u in units]
+        Q, block = _schur_chain(e, interval(1, n), interval(1, n))
         if len(Q) < n:
             k = next((i for i, c in enumerate(Q, start=1) if i != c), len(Q) + 1)
             raise NotGeneric(f"matrix is singular: no pivot in column {k}", witness=("pivot", k))
-        return Matrix._wrap(tuple(zip(*(z[c] for c in units))))
+        tail = interval(n + 1, 2 * n)
+        return Matrix._wrap(tuple(tuple(-block.entry(i, j) for j in tail) for i in tail))
 
     # -- shape predicates -----------------------------------------------------
 
@@ -327,49 +326,65 @@ def _dot(row, col):
     return acc
 
 
-def _border(row, Q, z, candidates):
-    """Border x[P, Q] by one more row of x: (Q + b, z'), or None if no candidate pivots.
+class _Block:
+    """x[P, Q] as one pivot step on its parent block (P - a, Q - b).
 
-    z maps columns q to z_q = x[P, Q]^{-1} x[P, q] (empty tuples for the
-    empty block), and `row` is the new row of x, 0-based.  By the quotient
-    property of Schur complements (Crabtree, Haynsworth, Proc. AMS 22
-    (1969)), with the Schur row s_q = row[q] - row[Q] z_q and b the first
-    candidate with s_b != 0, z'_q is z_q - z_b mu_q with mu_q = s_b^{-1} s_q
-    inserted at b's sorted position, multiplied in exactly that order over a
-    skew field: O(|Q| |z|) scalar work.
+    By the quotient property (Crabtree-Haynsworth 1969) the Schur complement
+    of (P, Q) is a 1x1 pivot step on the parent's, with pivot
+    s = S_par[a, b]:
+
+        S[r, q] = S_par[r, q] - S_par[r, b] s^{-1} S_par[a, q].
+
+    A block keeps s^{-1}, mu_q = s^{-1} S_par[a, q] for each column asked so
+    far, and its Schur entries ``rows[r][q]`` = S_par[r, q] - S_par[r, b] mu_q,
+    each computed on its first read; over a skew field the factors keep that
+    order.  The empty block has no parent: its entries are x's own, all
+    filled at the start.
     """
-    border = [row[c - 1] for c in Q]
-    s = {q: row[q - 1] - _dot(border, z_q) if border else row[q - 1] for q, z_q in z.items()}
-    b = next((c for c in candidates if not is_zero(s[c])), None)
-    if b is None:
-        return None
-    sigma_inv, z_b = inv(s[b]), z[b]
-    t = bisect.bisect(Q, b)
-    out = {}
-    for q, z_q in z.items():
-        if q != b:
-            mu = sigma_inv * s[q]
-            solved = [c - d * mu for c, d in zip(z_q, z_b)]
-            solved.insert(t, mu)
-            out[q] = tuple(solved)
-    return Q[:t] + (b,) + Q[t:], out
+
+    __slots__ = ("parent", "a", "b", "pivot_inv", "mu", "rows")
+
+    def __init__(self, parent, a, b, pivot_inv, rows):
+        self.parent, self.a, self.b, self.pivot_inv = parent, a, b, pivot_inv
+        self.mu, self.rows = {}, rows
+
+    @classmethod
+    def empty(cls, e):
+        """The empty block of the matrix whose rows are the 0-based tuples `e`."""
+        own = {r: dict(enumerate(row, start=1)) for r, row in enumerate(e, start=1)}
+        return cls(None, 0, 0, None, own)
+
+    def entry(self, r: int, q: int):
+        """S[r, q] for a row r outside P and a column q outside Q, 1-based."""
+        row = self.rows.get(r)
+        if row is None:
+            row = self.rows[r] = {}
+        value = row.get(q)
+        if value is None:
+            parent, mu = self.parent, self.mu.get(q)
+            if mu is None:
+                mu = self.mu[q] = self.pivot_inv * parent.entry(self.a, q)
+            value = row[q] = parent.entry(r, q) - parent.entry(r, self.b) * mu
+        return value
 
 
-def _solve(e, P, J, cols):
-    """(Q, z): x[P', Q] bordered from the empty block by each independent row P' of P.
+def _schur_chain(e, P, J):
+    """(Q, block): the block x[P', Q] reached by pivot steps from the empty block.
 
-    `e` holds the rows of x as 0-based tuples; P, J and cols are 1-based, J
-    increasing and disjoint from cols.  Each row pivots on its first column
-    of J with a nonzero Schur entry and is skipped when it has none, so Q is
-    the column rank profile of x[P, J] (the leading columns of any echelon
-    form), and z maps each column of J - Q and cols to x[P', Q]^{-1} x[P', q].
+    `e` holds the rows of x as 0-based tuples; P and J are 1-based.  Each row
+    a of P in turn pivots on the first column of J not yet pivoted whose
+    Schur entry ``block.entry(a, c)`` is nonzero, and is skipped when it has
+    none; P' are the rows that pivot.  So Q, sorted, is the column rank
+    profile of x[P, J] (the leading columns of any echelon form) when J
+    increases, and ``block`` holds the Schur complement of x[P', Q].
     """
-    Q, z = (), dict.fromkeys(tuple(J) + tuple(cols), ())
+    block, Q = _Block.empty(e), []
     for a in P:
-        step = _border(e[a - 1], Q, z, [c for c in J if c in z])
-        if step is not None:
-            Q, z = step
-    return Q, z
+        b = next((c for c in J if c not in Q and not is_zero(block.entry(a, c))), None)
+        if b is not None:
+            block = _Block(block, a, b, inv(block.entry(a, b)), {})
+            Q.append(b)
+    return tuple(sorted(Q)), block
 
 
 def _formattable(a):
@@ -403,8 +418,8 @@ def iota_inverse_free(x: Matrix) -> Matrix:
 
 
 def rank(x: Matrix) -> int:
-    """Rank over the scalar's division ring: the size of the pivot set ``_solve`` finds."""
-    return len(_solve(x._e, interval(1, x.rows), interval(1, x.cols), ())[0])
+    """Rank over the scalar's division ring: the number of rows ``_schur_chain`` pivots."""
+    return len(_schur_chain(x._e, interval(1, x.rows), interval(1, x.cols))[0])
 
 
 # -- JSON wire format ---------------------------------------------------------

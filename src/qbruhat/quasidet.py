@@ -28,24 +28,24 @@ Quasiminors come in families.  By the definition and heredity
 (Gelfand, Gelfand, Retakh, Wilson, *Quasideterminants*, Adv. Math. 193
 (2005), Thm 1.5.2), |x_{I'+p, J'+q}|_{p,q} is entry (p, q) of the Schur
 complement S = x[R, C] - x[R, J'] x[I', J']^{-1} x[I', C] of the inner
-block (I', J').  ``quasideterminant`` reads one such entry and
-``sylvester_reduce`` the whole Schur complement, both through one solve
-z_q = x[I', J']^{-1} x[I', q] (``_schur_columns``), a chain of bordering
-steps (``matrix._solve``) from the empty block.
-
-``MinorCache`` keeps no solves.  By the quotient property of Schur
-complements (Crabtree, Haynsworth, Proc. AMS 22 (1969)) the Schur
-complement of a block (P, Q) is one 1x1 pivot step on that of a
-one-smaller parent (P - a, Q - b):
+block (I', J').  By the quotient property of Schur complements
+(Crabtree, Haynsworth, Proc. AMS 22 (1969)) the Schur complement of a
+block (P, Q) is one 1x1 pivot step on that of a one-smaller parent
+(P - a, Q - b):
 
     S[r, q] = S_par[r, q] - S_par[r, b] S_par[a, b]^{-1} S_par[a, q],
 
-and the empty block's Schur complement is x itself.  Blocks come in chains:
-the inner block of the level-(k+1) quasiminor at (u, v) is the whole
-level-k block.  So ``MinorCache`` makes each block once, as a pivot step on
-a parent it holds (see its docstring for the choice), and computes a Schur
-entry only when a member, or the pivot step of a later block, first reads
-it.
+and the empty block's Schur complement is x itself.  ``matrix._Block`` is
+that step, and ``matrix._schur_chain`` runs it from the empty block, one
+row at a time: ``quasideterminant`` reads one entry and
+``sylvester_reduce`` the whole Schur complement off the chain on the inner
+block.
+
+Blocks of quasiminors come in chains too: the inner block of the
+level-(k+1) quasiminor at (u, v) is the whole level-k block.  So
+``MinorCache`` makes each block once, as a pivot step on a parent it
+holds (see its docstring for the choice), and computes a Schur entry only
+when a member, or the pivot step of a later block, first reads it.
 """
 
 from __future__ import annotations
@@ -54,26 +54,9 @@ import functools
 from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, NotGeneric, QBruhatError
-from .matrix import Matrix, _dot, _solve, check_index_set, interval
+from .matrix import Matrix, _Block, _schur_chain, check_index_set, interval
 from .scalars import inv, is_zero
 from .weyl import Permutation, left_by_representative, right_by_representative
-
-
-def _schur_columns(e, I, J, cols):
-    """{q: x[I, J]^{-1} x[I, q]} for q in cols; None when x[I, J] is singular.
-
-    `e` holds the rows of x as 0-based tuples; I, J and cols are 1-based,
-    with |I| = |J| >= 1 and J increasing: ``_solve`` borders the block one
-    row of I at a time.
-    """
-    Q, z = _solve(e, I, J, cols)
-    return z if len(Q) == len(J) else None
-
-
-def _schur_entry(e, J, z, p: int, q: int):
-    """Entry (p, q) of the Schur complement of x[I, J]: x[p, q] - x[p, J] z_q."""
-    row = e[p - 1]
-    return row[q - 1] - _dot([row[c - 1] for c in J], z[q])
 
 
 def _inner_singular(p: int, q: int, size: int) -> NotGeneric:
@@ -86,21 +69,20 @@ def _inner_singular(p: int, q: int, size: int) -> NotGeneric:
 def quasideterminant(A: Matrix, p: int, q: int):
     """|A|_pq, exact; NotGeneric when the inner submatrix A^pq is singular.
 
-    The Schur complement a_pq - r_p z of the inner block, with
-    z = (A^pq)^{-1} c_q from ``_schur_columns``; r_p multiplies z from the left.
+    Entry (p, q) of the Schur complement a_pq - r_p (A^pq)^{-1} c_q of the
+    inner block, read off ``_schur_chain`` on A's rows other than p and
+    columns other than q.
     """
     if not A.is_square:
         raise IndexOutOfRange(f"quasideterminant needs a square matrix, got {A.shape_str()}")
     n = A.rows
-    a_pq = A[p, q]
-    if n == 1:
-        return a_pq
+    A[p, q]  # the mark must lie inside A
     rows = [r for r in range(1, n + 1) if r != p]
     cols = [c for c in range(1, n + 1) if c != q]
-    z = _schur_columns(A._e, rows, cols, (q,))
-    if z is None:
+    Q, block = _schur_chain(A._e, rows, cols)
+    if len(Q) < n - 1:
         raise _inner_singular(p, q, n - 1)
-    return _schur_entry(A._e, cols, z, p, q)
+    return block.entry(p, q)
 
 
 def quasidet_expansion(A: Matrix, p: int, q: int):
@@ -307,8 +289,8 @@ def sylvester_reduce(A: Matrix, I0, J0) -> Matrix:
     Returns B indexed by the complements of I0 and J0 in their original
     order, with b_pq the quasideterminant of the bordered pivot block
     marked at (p, q); |A|_st = |B|_st for every surviving position.  B is
-    the Schur complement of A_{I0,J0}, read off one ``_schur_columns``
-    solve.  An empty pivot returns A itself; the pivot {2..n-1} is
+    the Schur complement of A_{I0,J0}, read off ``_schur_chain`` on the
+    pivot block.  An empty pivot returns A itself; the pivot {2..n-1} is
     the noncommutative Lewis Carroll setup.
     """
     if not A.is_square:
@@ -324,49 +306,13 @@ def sylvester_reduce(A: Matrix, I0, J0) -> Matrix:
         return A
     comp_rows = tuple(r for r in range(1, n + 1) if r not in I0)
     comp_cols = tuple(c for c in range(1, n + 1) if c not in J0)
-    z = _schur_columns(A._e, I0, J0, comp_cols)
-    if z is None:
+    Q, block = _schur_chain(A._e, I0, J0)
+    if len(Q) < len(J0):
         raise NotGeneric(
             f"pivot submatrix A_{I0},{J0} is singular",
             witness=("pivot-block", I0, J0),
         )
-    return Matrix([[_schur_entry(A._e, J0, z, p, q) for q in comp_cols] for p in comp_rows])
-
-
-class _Block:
-    """x[P, Q] as one pivot step on its parent block (P - a, Q - b).
-
-    By the quotient property (Crabtree-Haynsworth 1969) the Schur complement
-    of (P, Q) is a 1x1 pivot step on the parent's, with pivot
-    s = S_par[a, b]:
-
-        S[r, q] = S_par[r, q] - S_par[r, b] s^{-1} S_par[a, q].
-
-    A block keeps s^{-1}, mu_q = s^{-1} S_par[a, q] for each column asked so
-    far, and its Schur entries ``rows[r][q]`` = S_par[r, q] - S_par[r, b] mu_q,
-    each computed on its first read; over a skew field the factors keep that
-    order.  The empty block has no parent: its entries are x's own, all
-    filled at the start.
-    """
-
-    __slots__ = ("parent", "a", "b", "pivot_inv", "mu", "rows")
-
-    def __init__(self, parent, a, b, pivot_inv, rows):
-        self.parent, self.a, self.b, self.pivot_inv = parent, a, b, pivot_inv
-        self.mu, self.rows = {}, rows
-
-    def entry(self, r: int, q: int):
-        """S[r, q] for a row r outside P and a column q outside Q, 1-based."""
-        row = self.rows.get(r)
-        if row is None:
-            row = self.rows[r] = {}
-        value = row.get(q)
-        if value is None:
-            parent, mu = self.parent, self.mu.get(q)
-            if mu is None:
-                mu = self.mu[q] = self.pivot_inv * parent.entry(self.a, q)
-            value = row[q] = parent.entry(r, q) - parent.entry(r, self.b) * mu
-        return value
+    return Matrix([[block.entry(p, q) for q in comp_cols] for p in comp_rows])
 
 
 class MinorCache:
@@ -403,8 +349,7 @@ class MinorCache:
     def __init__(self, x: Matrix):
         self.x = x
         self._memo = {}
-        own = {r: dict(enumerate(row, start=1)) for r, row in enumerate(x._e, start=1)}
-        self._blocks = {((), ()): _Block(None, 0, 0, None, own)}
+        self._blocks = {((), ()): _Block.empty(x._e)}
 
     def spec(self, spec: MinorSpec):
         key = (spec.I, spec.J, spec.i, spec.j)

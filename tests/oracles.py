@@ -6,10 +6,13 @@ quasideterminant routines.  Ranks come from sympy's rational domain
 matrices, and a quaternion matrix's rank from the rank of its real form.
 ``OppositeScalar`` is a ring the package does not know: it reaches the
 package's zero test and inversion only through their generic branch.
+``counted_products`` counts the quaternion products a block of code makes.
 """
 
+import contextlib
 from fractions import Fraction
 
+import pytest
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
@@ -72,6 +75,24 @@ def real_form(x):
         for row in x.to_lists()
         for r in range(4)
     ]
+
+
+@contextlib.contextmanager
+def counted_products():
+    """Yield a list that grows by one entry per quaternion product made inside the block.
+
+    Both ``__mul__`` and ``__rmul__`` are counted, and restored on exit.
+    """
+    products = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("__mul__", "__rmul__"):
+            method = getattr(RationalQuaternion, name)
+            patch.setattr(
+                RationalQuaternion,
+                name,
+                lambda a, b, method=method: products.append(1) or method(a, b),
+            )
+        yield products
 
 
 class OppositeScalar:

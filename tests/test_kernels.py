@@ -2,7 +2,7 @@
 
 Every structured helper must equal, entry for entry and exactly, the dense
 product with the elementary, signed permutation or diagonal matrix built by
-the public constructors.  The bordering kernel behind the inverse,
+the public constructors.  The Schur-complement kernel behind the inverse,
 rank and quasideterminants must agree with the textbook definitions and
 with rank oracles that do not run it (sympy, the real form), the
 Gauss-cell elimination behind the projections and the left division by
@@ -23,8 +23,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import OppositeScalar, rational_rank, real_form
-from qbruhat import cells, factorize, gauss, quasidet
+from oracles import OppositeScalar, counted_products, rational_rank, real_form
+from qbruhat import cells, factorize, gauss
 from qbruhat.cells import (
     bruhat_factor,
     classify,
@@ -46,7 +46,7 @@ from qbruhat.factorize import (
     upper_pairs,
 )
 from qbruhat.gauss import gauss_parts, ldu, ldu_elimination, lower_solve
-from qbruhat.matrix import Matrix, interval, matrix_from_json, rank
+from qbruhat.matrix import Matrix, _schur_chain, interval, matrix_from_json, rank
 from qbruhat.quasidet import (
     MinorCache,
     MinorSpec,
@@ -56,7 +56,7 @@ from qbruhat.quasidet import (
     quasiminor_uv,
     sylvester_reduce,
 )
-from qbruhat.sampling import cell_point, reduced_cell_point
+from qbruhat.sampling import cell_point, matrix as sample_matrix, reduced_cell_point
 from qbruhat.scalars import RationalQuaternion as Q, inv, is_zero
 from qbruhat.verify import check_dodgson_grid
 from qbruhat.weyl import (
@@ -156,14 +156,25 @@ def test_closed_form_representative_equals_every_reduced_word_product():
             assert acc == closed
 
 
+def checked_inverse(x):
+    """x.inverse(), first checked to be a two-sided inverse by dense products.
+
+    ``Matrix.inverse`` runs the kernel the quasideterminant oracles check, so
+    they rest on the dense products alone.
+    """
+    y = x.inverse()
+    assert (x * y).is_identity() and (y * x).is_identity()
+    return y
+
+
 def definition_route(A, p, q):
-    """a_pq - r_p (A^pq)^{-1} c_q with the dense inverse and dense products."""
+    """a_pq - r_p (A^pq)^{-1} c_q with a checked inverse and dense products."""
     n = A.rows
     if n == 1:
         return A[p, q]
     row = Matrix([[A[p, c] for c in range(1, n + 1) if c != q]])
     col = Matrix([[A[r, q]] for r in range(1, n + 1) if r != p])
-    return A[p, q] - (row * A.delete(p, q).inverse() * col)[1, 1]
+    return A[p, q] - (row * checked_inverse(A.delete(p, q)) * col)[1, 1]
 
 
 def marks(data, n):
@@ -301,7 +312,7 @@ def test_inverse_witness_is_the_first_column_dependent_in_the_real_form(data):
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_schur_columns_solve_their_block(data):
+def test_schur_chain_pivots_the_rank_profile_and_holds_the_schur_complement(data):
     x = data.draw(dependent_matrices(quaternions))
     # leave a column outside the block when there is one to leave
     k = data.draw(st.integers(1, max(1, min(x.rows, x.cols - 1))))
@@ -311,15 +322,17 @@ def test_schur_columns_solve_their_block(data):
         rows = x.to_lists()
         rows[I[0] - 1][J[0] - 1] = Q(0)
         x = Matrix(rows)
-    cols = tuple(c for c in interval(1, x.cols) if c not in J)
-    z = quasidet._schur_columns(x._e, I, J, cols)
-    block = x.submatrix(I, J)
-    if z is None:
-        assert rational_rank(real_form(block)) < 4 * k
+    pivots, block = _schur_chain(x._e, I, J)
+    # column c of J is in the profile when it raises the rank of the columns before it
+    ranks = [0] + [rational_rank(real_form(x.submatrix(I, J[:t]))) // 4 for t in interval(1, k)]
+    assert pivots == tuple(c for t, c in enumerate(J) if ranks[t + 1] > ranks[t])
+    if len(pivots) < k:
         return
-    assert sorted(z) == list(cols)
-    for q in cols:
-        assert block * Matrix([[a] for a in z[q]]) == x.submatrix(I, (q,))
+    inner = checked_inverse(x.submatrix(I, J))
+    for r in (r for r in interval(1, x.rows) if r not in I):
+        for q in (q for q in interval(1, x.cols) if q not in J):
+            dense = x.submatrix((r,), J) * inner * x.submatrix(I, (q,))
+            assert block.entry(r, q) == x[r, q] - dense[1, 1]
 
 
 @settings(max_examples=60, deadline=None)
@@ -918,12 +931,8 @@ def test_maximal_recovery_products_at_n8():
     # quaternion products of a (w0, w0) recovery at n = 8, replay included,
     # median over seeds 0-2: 3,272 when each block kept its solved columns
     w0 = Permutation.longest(8)
-    products = []
     counts = []
-    with pytest.MonkeyPatch.context() as patch:
-        for name in ("__mul__", "__rmul__"):
-            method = getattr(Q, name)
-            patch.setattr(Q, name, lambda a, b, method=method: products.append(1) or method(a, b))
+    with counted_products() as products:
         for seed in range(3):
             x, word, h, t = cell_point(random.Random(seed), w0, w0)
             products.clear()
@@ -931,6 +940,28 @@ def test_maximal_recovery_products_at_n8():
             counts.append(len(products))
             assert list(out.h) == h and list(out.t) == t
     assert sorted(counts)[1] == 2_305
+
+
+def test_quasideterminant_rank_and_sylvester_products():
+    # quaternion products per call of quasideterminant(x, 1, n), rank(x) and
+    # sylvester_reduce(x, 2..n-1, 2..n-1) on seeded bound-2 quaternion matrices
+    expected = {4: (20, 20, 18), 6: (70, 70, 68), 8: (168, 168, 166)}
+    with counted_products() as products:
+        for n, counts in expected.items():
+            middle = interval(2, n - 1)
+            for seed in range(3):
+                x = sample_matrix(random.Random(seed), n, n)
+                calls = (
+                    lambda: quasideterminant(x, 1, n),
+                    lambda: rank(x),
+                    lambda: sylvester_reduce(x, middle, middle),
+                )
+                seen = []
+                for call in calls:
+                    products.clear()
+                    call()
+                    seen.append(len(products))
+                assert tuple(seen) == counts
 
 
 def test_parent_search_stays_small_on_mostly_singular_inputs():

@@ -6,6 +6,7 @@ import pytest
 
 from oracles import (
     OppositeScalar,
+    counted_products,
     det_minor,
     det_of,
     plucker_coordinate,
@@ -702,6 +703,21 @@ def test_grid_budget_boundary_is_checked_before_any_trial(monkeypatch):
     assert f"{4 * per_trial:,}" in str(info.value) and "dodgson" in str(info.value)
 
 
+def test_index_sets_refuse_booleans():
+    # True == 1, but a boolean is no index; marks read through x[p, q] are not index sets
+    x = sample_matrix(random.Random(11), 3, 3)
+    reads = [
+        lambda: positive_quasiminor(x, MinorSpec((True, 2), (1, 2), True, 2)),
+        lambda: MinorCache(x).spec(MinorSpec((1, 2), (True, 2), 1, True)),
+        lambda: sylvester_reduce(x, (True,), (True,)),
+        lambda: boxed_quasiminor(x, (1, 2), (False, 1), 1, 1),
+        lambda: x.submatrix((1, True), (1, 2)),
+    ]
+    for read in reads:
+        with pytest.raises(IndexOutOfRange, match=r"^index (True|False) is not an integer$"):
+            read()
+
+
 def test_minor_cache_refuses_bad_keys_on_every_call():
     # a bad key raises check_index_set's IndexOutOfRange on every read, before and
     # after valid reads, and is never memoized; x is 3 x 4, so rows and columns differ
@@ -766,7 +782,7 @@ def test_grid_tables_are_built_once_per_n(monkeypatch):
             assert not products
 
 
-def test_dodgson_grid_shares_the_ratio_of_identities_1_and_4(monkeypatch):
+def test_dodgson_grid_shares_the_ratio_of_identities_1_and_4():
     # one n = 4 grid: 3,042 scalar products when identities 1 and 4 each built
     # d_usv d_uv^-1, 216 fewer (one per instance) when they share it, 168
     # fewer again since MinorCache computes each Schur entry once, and 276
@@ -774,13 +790,8 @@ def test_dodgson_grid_shares_the_ratio_of_identities_1_and_4(monkeypatch):
     # instead of solved columns
     x = sample_matrix(random.Random(0), 4, 4)
     _dodgson_admissible(4)
-    products = []
-    for name in ("__mul__", "__rmul__"):
-        method = getattr(Q, name)
-        monkeypatch.setattr(
-            Q, name, lambda a, b, method=method: products.append(1) or method(a, b)
-        )
-    assert check_dodgson_grid(x) == GRID_CHECKS["dodgson"](4)
+    with counted_products() as products:
+        assert check_dodgson_grid(x) == GRID_CHECKS["dodgson"](4)
     assert len(products) == 3_042 - 216 - 168 - 276
 
 
