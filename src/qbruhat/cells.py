@@ -212,7 +212,8 @@ def _twist_from_factor(x: Matrix, b1: tuple, u: Permutation, b2: Matrix, v: Perm
 
     b1 comes as row tuples (``_bruhat_parts``).  The Gauss-rule elimination leaves row k of
     [x vbar' | b1 ubar] as d_k times that of [[x vbar']_+ | [x vbar']_-^-1 b1 ubar], d_k the
-    k-th pivot, so with D = diag(b2) psi[k, l] = +-(h_k d_k^-1) M[k, l] D[l].
+    k-th pivot, so with D = diag(b2) psi[k, l] = +-(h_k d_k^-1) M[k, l] D[l]; an exact zero
+    M[k, l] is kept as it is, with no product.
     """
     n = x.rows
     rhs = right_by_representative(Matrix._wrap(b1), u)
@@ -225,8 +226,13 @@ def _twist_from_factor(x: Matrix, b1: tuple, u: Permutation, b2: Matrix, v: Perm
     psi = []
     for k, (row, (_, p, _, _)) in enumerate(zip(rows, steps)):
         c = h[k] * p
-        products = (c * a * s for a, s in zip(row[n:], d))
-        psi.append(tuple(m if (k + l) % 2 == 0 else -m for l, m in enumerate(products)))
+        signed = (c, -c)
+        psi.append(
+            tuple(
+                a if is_zero(a) else signed[(k + l) % 2] * a * s
+                for l, (a, s) in enumerate(zip(row[n:], d))
+            )
+        )
     return Matrix._wrap(tuple(psi)), h
 
 

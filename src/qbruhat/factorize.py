@@ -551,14 +551,17 @@ def _divide_negative_blocks(h, tau, x: Matrix) -> Matrix:
     reduced word for the longest element on the negative side.  diag(h)^{-1}
     goes first; then each letter is undone in the word's order:
     x_{-k}(t)^{-1} sets row k to t row k and row k+1 to t^{-1} row k+1 - row k.
+    A term with an exact zero entry is skipped: a zero entry is kept with no product
+    (``_scaled``), and t^{-1} b - a is t^{-1} b where a is zero and -a where b is.
     """
     rows = list(x._scale_rows([inv(a) for a in h])._e)
     for m, k in upper_pairs(x.rows)[::-1]:
         t = tau[(m, k)]
-        t_inv = inv(t)
-        above, below = rows[k - 1], rows[k]
-        rows[k - 1] = tuple(t * a for a in above)
-        rows[k] = tuple(t_inv * b - a for a, b in zip(above, below))
+        above, below = rows[k - 1], _scaled(inv(t), rows[k])
+        rows[k - 1] = _scaled(t, above)
+        rows[k] = tuple(
+            b if is_zero(a) else -a if is_zero(b) else b - a for a, b in zip(above, below)
+        )
     return Matrix._wrap(tuple(rows))
 
 
@@ -566,16 +569,23 @@ def _apply_negative_blocks(h, tau, y: Matrix) -> Matrix:
     """P * y for the P of ``_divide_negative_blocks``, as row operations on y.
 
     The letters act in reverse order: x_{-k}(t) sets row k to t^{-1} row k and
-    row k+1 to row k + t row k+1; diag(h) scales the rows last.
+    row k+1 to row k + t row k+1; diag(h) scales the rows last.  A term with an exact
+    zero entry is skipped, as there.
     """
     rows = list(y._e)
     for m, k in upper_pairs(y.rows):
         t = tau[(m, k)]
-        t_inv = inv(t)
-        above, below = rows[k - 1], rows[k]
-        rows[k - 1] = tuple(t_inv * a for a in above)
-        rows[k] = tuple(a + t * b for a, b in zip(above, below))
+        above, below = rows[k - 1], _scaled(t, rows[k])
+        rows[k - 1] = _scaled(inv(t), above)
+        rows[k] = tuple(
+            b if is_zero(a) else a if is_zero(b) else a + b for a, b in zip(above, below)
+        )
     return Matrix._wrap(tuple(rows))._scale_rows(h)
+
+
+def _scaled(s, row) -> tuple:
+    """s times each entry of row from the left, an exact zero kept as it is, with no product."""
+    return tuple(a if is_zero(a) else s * a for a in row)
 
 
 @dataclass(frozen=True)

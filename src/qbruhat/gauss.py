@@ -98,7 +98,8 @@ def _reduce_rows(rows: list, *, bottom: bool) -> list:
     the bottom-most unused row's nonzero one (the Bruhat rule).  Every other unused row,
     zero left of j, with a != 0 in column j loses f = a d^-1 times the pivot row from
     column j + 1 on, and its column j becomes a zero of a's type: a - a, made again only
-    when a's type differs from the last cleared entry's.  Pivot rows are not scaled.  Returns
+    when a's type differs from the last cleared entry's.  An entry c above an exact zero b
+    of the pivot row is kept as it is, with no c - f b.  Pivot rows are not scaled.  Returns
     (r, d^-1, column j as it was, [(i, f), ...]) per pivot row r, up to the first column
     without a pivot.
     """
@@ -111,13 +112,16 @@ def _reduce_rows(rows: list, *, bottom: bool) -> list:
         if r not in nonzero:
             break
         free.remove(r)
-        p, pivot = inv(column[r]), rows[r][j + 1 :]
+        p, pivot = inv(column[r]), rows[r]
+        live = [(q, pivot[q]) for q in range(j + 1, len(pivot)) if not is_zero(pivot[q])]
         multipliers = [(i, column[i] * p) for i in nonzero if i != r]
         for i, f in multipliers:
             a, row = column[i], rows[i]
             if type(a) is not type(zero):
                 zero = a - a
-            row[j:] = [zero] + [c - f * b for c, b in zip(row[j + 1 :], pivot)]
+            row[j] = zero
+            for q, b in live:
+                row[q] = row[q] - f * b
         steps.append((r, p, column, multipliers))
     return steps
 

@@ -175,21 +175,32 @@ class Matrix:
         x_i(t) = 1 + t E_{i,i+1} adds column i times t to column i+1;
         x_{-i}(t) has the block [[t^-1, 0], [1, t]] at rows and columns
         i, i+1, so column i becomes col_i t^-1 + col_{i+1} and column i+1
-        becomes col_{i+1} t.
+        becomes col_{i+1} t.  A term with an exact zero entry of columns i,
+        i+1 is skipped, so a zero makes no product or sum: a row with a zero
+        in column i is kept as it is by x_i(t).
         """
         k = abs(letter)
         if not 1 <= k <= self.cols - 1:
             raise IndexOutOfRange(f"generator index {k} outside [1, {self.cols - 1}]")
-        if letter > 0:
-            rows = tuple(r[:k] + (r[k] + r[k - 1] * t,) + r[k + 1 :] for r in self._e)
-        else:
+        if letter < 0:
             if is_zero(t):
                 raise ZeroInverse(f"x_-{k}(t) needs invertible t")
             t_inv = inv(t)
-            rows = tuple(
-                r[: k - 1] + (r[k - 1] * t_inv + r[k], r[k] * t) + r[k + 1 :] for r in self._e
-            )
-        return Matrix._wrap(rows)
+        rows = []
+        for r in self._e:
+            a, b = r[k - 1], r[k]
+            if letter > 0:
+                if not is_zero(a):
+                    r = r[:k] + (a * t if is_zero(b) else b + a * t,) + r[k + 1 :]
+            elif is_zero(b):
+                if not is_zero(a):
+                    r = r[: k - 1] + (a * t_inv,) + r[k:]
+            elif is_zero(a):
+                r = r[: k - 1] + (b, b * t) + r[k + 1 :]
+            else:
+                r = r[: k - 1] + (a * t_inv + b, b * t) + r[k + 1 :]
+            rows.append(r)
+        return Matrix._wrap(tuple(rows))
 
     def _permute_rows(self, src, signs) -> "Matrix":
         """P * x for P with signs[i] (+-1) at (i, src[i]): row i is +-row src[i]."""

@@ -124,7 +124,11 @@ def boxed_quasiminor(x: Matrix, rows, cols, p: int, q: int):
 
 @dataclass(frozen=True)
 class MinorSpec:
-    """A positioned quasiminor: row set I, column set J, mark (i, j)."""
+    """A positioned quasiminor: row set I, column set J, mark (i, j).
+
+    Every index must be an int; a bool is refused here, as by ``check_index_set``, since
+    True == 1 would otherwise find the memo of an int key in ``MinorCache.spec``.
+    """
 
     I: tuple
     J: tuple
@@ -134,6 +138,9 @@ class MinorSpec:
     def __post_init__(self):
         object.__setattr__(self, "I", tuple(self.I))
         object.__setattr__(self, "J", tuple(self.J))
+        for idx in (*self.I, *self.J, self.i, self.j):
+            if type(idx) is not int:
+                raise IndexOutOfRange(f"index {idx!r} is not an integer")
         if len(self.I) != len(self.J):
             raise IndexOutOfRange(f"|I| = {len(self.I)} != |J| = {len(self.J)}")
         if self.i not in self.I or self.j not in self.J:

@@ -6,7 +6,8 @@ quasideterminant routines.  Ranks come from sympy's rational domain
 matrices, and a quaternion matrix's rank from the rank of its real form.
 ``OppositeScalar`` is a ring the package does not know: it reaches the
 package's zero test and inversion only through their generic branch.
-``counted_products`` counts the quaternion products a block of code makes.
+``counted_products`` counts the quaternion products a block of code makes,
+``counted_sums`` its quaternion sums and differences.
 """
 
 import contextlib
@@ -78,21 +79,34 @@ def real_form(x):
 
 
 @contextlib.contextmanager
+def _counted(names):
+    """Yield a list that grows by one entry per call of the named quaternion operators."""
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in names:
+            method = getattr(RationalQuaternion, name)
+            patch.setattr(
+                RationalQuaternion,
+                name,
+                lambda a, b, method=method: calls.append(1) or method(a, b),
+            )
+        yield calls
+
+
 def counted_products():
     """Yield a list that grows by one entry per quaternion product made inside the block.
 
     Both ``__mul__`` and ``__rmul__`` are counted, and restored on exit.
     """
-    products = []
-    with pytest.MonkeyPatch.context() as patch:
-        for name in ("__mul__", "__rmul__"):
-            method = getattr(RationalQuaternion, name)
-            patch.setattr(
-                RationalQuaternion,
-                name,
-                lambda a, b, method=method: products.append(1) or method(a, b),
-            )
-        yield products
+    return _counted(("__mul__", "__rmul__"))
+
+
+def counted_sums():
+    """Yield a list that grows by one entry per quaternion sum or difference made inside the block.
+
+    ``__add__``, ``__radd__``, ``__sub__`` and ``__rsub__`` are counted, and restored on exit.
+    """
+    return _counted(("__add__", "__radd__", "__sub__", "__rsub__"))
 
 
 class OppositeScalar:

@@ -9,7 +9,9 @@ Gauss-cell elimination behind the projections and the left division by
 [a]_- with the closed-form LDU and the dense inverse, the row-only Bruhat
 reduction must factor x = b1 * ubar * b2,
 the inverse-free twist must agree with the paper's forms, and the one
-torus of [ubar^-1 x]_0 must equal the level quasiminors at (u, e).
+torus of [ubar^-1 x]_0 must equal the level quasiminors at (u, e).  The
+kernels that skip exact-zero terms must equal their dense definitions on
+sparse matrices, in value and in each entry's type.
 """
 
 import contextlib
@@ -23,7 +25,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import OppositeScalar, counted_products, rational_rank, real_form
+from oracles import OppositeScalar, counted_products, counted_sums, rational_rank, real_form
 from qbruhat import cells, factorize, gauss
 from qbruhat.cells import (
     bruhat_factor,
@@ -56,7 +58,12 @@ from qbruhat.quasidet import (
     quasiminor_uv,
     sylvester_reduce,
 )
-from qbruhat.sampling import cell_point, matrix as sample_matrix, reduced_cell_point
+from qbruhat.sampling import (
+    cell_point,
+    matrix as sample_matrix,
+    nonzero_scalar,
+    reduced_cell_point,
+)
 from qbruhat.scalars import RationalQuaternion as Q, inv, is_zero
 from qbruhat.verify import check_dodgson_grid
 from qbruhat.weyl import (
@@ -423,6 +430,78 @@ def test_negative_blocks_on_rows_equal_the_dense_prefix(data):
     assert divided == lower_solve(prefix, x)[1]
     assert _apply_negative_blocks(h, tau, x) == prefix * x
     assert _apply_negative_blocks(h, tau, divided) == x
+
+
+def assert_same(result, expected):
+    """Equal in value, and each entry of the type the dense route gives it."""
+    assert result == expected
+    assert [list(map(type, row)) for row in result._e] == [
+        list(map(type, row)) for row in expected._e
+    ]
+
+
+def half_zero(x):
+    return 2 * sum(is_zero(a) for row in x._e for a in row) >= x.rows * x.cols
+
+
+def masked(rng, n, m, lower=False):
+    """A bound-2 quaternion n x m matrix, at least half of its entries exact zeros.
+
+    With `lower`, it is lower triangular with a nonzero diagonal, and the zeros
+    fall below it as well.
+    """
+    places = [(i, j) for i in range(n) for j in range(m) if not lower or i > j]
+    zeros = set(rng.sample(places, (len(places) + 1) // 2))
+    rows = [
+        [
+            Q(0) if (i, j) in zeros or (lower and j > i) else nonzero_scalar(rng, "quat")
+            for j in range(m)
+        ]
+        for i in range(n)
+    ]
+    return Matrix(rows)
+
+
+def sparse_points():
+    """Points of the double cells with l(u) + l(v) <= n / 2, and masked matrices, at n = 4..6."""
+    rng = random.Random(29)
+    for n in (4, 5, 6):
+        short = [(w, w.length()) for w in all_permutations(n) if 2 * w.length() <= n]
+        pairs = [(u, v) for u, a in short for v, b in short if 2 * (a + b) <= n]
+        for u, v in rng.sample(pairs, 6):
+            yield cell_point(rng, u, v)[0], (u, v)
+        for _ in range(6):
+            yield masked(rng, n, n), None
+
+
+def test_zero_skipping_kernels_equal_their_dense_definitions():
+    # the letter actions, the row reduction, the negative-block row operations and the
+    # twist skip exact-zero terms; on quaternion matrices with at least half their entries
+    # zero, each must equal its dense definition in value and in each entry's type
+    rng = random.Random(7)
+    points = list(sparse_points())
+    assert all(half_zero(x) for x, _ in points)
+    for x, pair in points:
+        n = x.rows
+        for k in range(1, n):
+            t = nonzero_scalar(rng, "quat")
+            assert_same(x._right_letter(k, t), x * generator_matrix(Generator("x", k, t), n))
+            assert_same(x._right_letter(-k, t), x * generator_matrix(Generator("xneg", k, t), n))
+        a = masked(rng, n, n, lower=True)
+        z = lower_solve(a, x)[1]
+        assert a * z == x
+        assert_same(z, a.inverse() * x)
+        h = [nonzero_scalar(rng, "quat") for _ in range(n)]
+        tau = {block: nonzero_scalar(rng, "quat") for block in upper_pairs(n)}
+        prefix = negative_prefix(h, tau)
+        divided = _divide_negative_blocks(h, tau, x)
+        assert_same(divided, prefix.inverse() * x)
+        assert_same(_apply_negative_blocks(h, tau, divided), x)
+        assert_same(_apply_negative_blocks(h, tau, x), prefix * x)
+        if pair is not None:
+            psi = twist_general(x, *pair)
+            assert_same(psi, cross_checked_twist(x, *pair))
+            assert all(type(e) is Q for row in psi._e for e in row)
 
 
 @st.composite
@@ -929,7 +1008,8 @@ def test_minor_cache_reads_any_order_on_rank_deficient_matrices(x, rng):
 
 def test_maximal_recovery_products_at_n8():
     # quaternion products of a (w0, w0) recovery at n = 8, replay included,
-    # median over seeds 0-2: 3,272 when each block kept its solved columns
+    # median over seeds 0-2: 3,272 when each block kept its solved columns,
+    # 2,305 before the kernels skipped exact-zero terms
     w0 = Permutation.longest(8)
     counts = []
     with counted_products() as products:
@@ -939,7 +1019,27 @@ def test_maximal_recovery_products_at_n8():
             out = recover_params(x, word)
             counts.append(len(products))
             assert list(out.h) == h and list(out.t) == t
-    assert sorted(counts)[1] == 2_305
+    assert sorted(counts)[1] == 2_090
+
+
+def test_recovery_products_and_sums_over_s4_cells():
+    # quaternion products and sums of recover_params, replay included, on one seeded
+    # point of each double cell of GL_4; most entries of a short cell's point are exact
+    # zeros, so a kernel that stops skipping them raises both totals
+    rng = random.Random(0)
+    totals = [0, 0]
+    with counted_products() as products, counted_sums() as sums:
+        for u in all_permutations(4):
+            for v in all_permutations(4):
+                x, word, h, t = cell_point(rng, u, v)
+                products.clear()
+                sums.clear()
+                out = recover_params(x, word)
+                totals[0] += len(products)
+                totals[1] += len(sums)
+                assert list(out.h) == h and list(out.t) == t
+    # 98,669 products and 57,850 sums before the kernels skipped exact-zero terms
+    assert totals == [75_942, 40_649]
 
 
 def test_quasideterminant_rank_and_sylvester_products():

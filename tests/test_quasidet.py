@@ -718,6 +718,25 @@ def test_index_sets_refuse_booleans():
             read()
 
 
+def test_a_boolean_spec_is_refused_after_its_int_key_is_memoized():
+    # (True, 2) == (1, 2) and both hash alike, so a boolean spec would find the memo of
+    # the int key; the spec itself refuses it, before any cache is asked
+    x = sample_matrix(random.Random(11), 3, 3)
+    cache = MinorCache(x)
+    value = cache.spec(MinorSpec((1, 2), (1, 2), 1, 2))
+    assert value == positive_quasiminor(x, MinorSpec((1, 2), (1, 2), 1, 2))
+    builds = [
+        lambda: MinorSpec((True, 2), (1, 2), True, 2),
+        lambda: MinorSpec((1, 2), (1, 2), True, 2),
+        lambda: MinorSpec((1, 2), (1, 2), 1, Fraction(2)),
+        lambda: MinorSpec((1, 2), (1.0, 2), 1, 2),
+    ]
+    for build in builds:
+        with pytest.raises(IndexOutOfRange, match=r"^index .+ is not an integer$"):
+            cache.spec(build())
+    assert len(cache._memo) == 1
+
+
 def test_minor_cache_refuses_bad_keys_on_every_call():
     # a bad key raises check_index_set's IndexOutOfRange on every read, before and
     # after valid reads, and is never memoized; x is 3 x 4, so rows and columns differ
