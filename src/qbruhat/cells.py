@@ -9,8 +9,7 @@ with x in B u B.  Column operations from B would only rewrite pivot rows, so
 they could not change the pattern and none are done.  The opposite cell
 datum comes from the same procedure applied to the 180-degree rotation of x,
 conjugating by the longest permutation; ``_opposite_datum`` is that v side
-alone, for the block factorizations ``factor_u_w0`` and ``factor_w0_v``,
-which take the other side from a Bruhat factor or the twist gate.
+alone, which ``factor_w0_v`` reads before the gate.
 
 The twist of a reduced cell point is
 
@@ -40,6 +39,12 @@ that v side (with h and psi(x)) on a given Bruhat factor.
 above and those through [(vbar x^iota)^{-1}]_+ and [ubar' (x^iota)^{-1}]_-
 against it.
 
+x is reduced only through ``_point``, a record of the last matrix seen (keyed
+by identity): its Bruhat factor, opposite datum, twist at each v and one
+``MinorCache`` of x and of each twist, each made on first use and kept only on
+success.  ``classify``, ``bruhat_factor`` and the gate read it, so calls on
+one point, a refusal's ``classify`` included, reduce x once per side.
+
 Errors distinguish "wrong cell" (WrongCell) from "a Gauss projection
 failed" (NotGeneric), because the harness treats them differently.  With
 `check`, x off the double cell is WrongCell naming the cell ``classify``
@@ -53,6 +58,7 @@ from typing import NamedTuple
 from .errors import NotGeneric, QBruhatError, ShapeMismatch, WrongCell
 from .gauss import _gauss_eliminate, _reduce_rows, gauss_parts
 from .matrix import Matrix, iota, iota_inverse_free, rank, sigma
+from .quasidet import MinorCache
 from .scalars import is_zero
 from .weyl import Permutation, left_by_representative, right_by_representative
 
@@ -97,8 +103,9 @@ def _opposite_datum(x: Matrix) -> Permutation:
 
 
 def classify(x: Matrix) -> CellLabel:
-    """The unique (u, v) with x in BuB and x in B^- v B^-."""
-    return CellLabel(_pivot_pattern(x)[0], _opposite_datum(x))
+    """The unique (u, v) with x in BuB and x in B^- v B^-, read off x's record."""
+    point = _point(x)
+    return CellLabel(point.bruhat_parts()[1], point.opposite_datum())
 
 
 def _bruhat_parts(x: Matrix):
@@ -128,7 +135,7 @@ def bruhat_factor(x: Matrix):
     U(u), see ``bruhat_factor_schubert``); b2 = ubar^{-1} M, with M the
     reduced matrix, carries the torus part.
     """
-    b1, u, b2 = _bruhat_parts(x)
+    b1, u, b2 = _point(x).bruhat_parts()
     return Matrix._wrap(b1), u, b2
 
 
@@ -236,6 +243,66 @@ def _twist_from_factor(x: Matrix, b1: tuple, u: Permutation, b2: Matrix, v: Perm
     return Matrix._wrap(tuple(psi)), h
 
 
+# -- the derived data of one point ----------------------------------------------
+
+
+class _Point:
+    """Pure functions of one matrix x, each made on first use and kept only on success.
+
+    The Bruhat factor and the opposite datum of x, the twist (psi(x), h) at each
+    (u, v) with u the Bruhat pattern of x, and one ``MinorCache`` of x and of each
+    twist.  A failure stores nothing and propagates, so a caller that retries
+    meets it again.
+    """
+
+    def __init__(self, x: Matrix):
+        self.x = x
+        self._bruhat = None
+        self._opposite = None
+        self._twists = {}
+        # id(m) -> MinorCache(m); the cache holds m, so its id is not reused meanwhile
+        self._minors = {}
+
+    def bruhat_parts(self):
+        if self._bruhat is None:
+            self._bruhat = _bruhat_parts(self.x)
+        return self._bruhat
+
+    def opposite_datum(self) -> Permutation:
+        if self._opposite is None:
+            self._opposite = _opposite_datum(self.x)
+        return self._opposite
+
+    def twist(self, v: Permutation):
+        """(psi(x), h) at (u, v), u the pattern of x: ``_twist_from_factor`` on x's factor."""
+        if v not in self._twists:
+            b1, u, b2 = self.bruhat_parts()
+            self._twists[v] = _twist_from_factor(self.x, b1, u, b2, v)
+        return self._twists[v]
+
+    def minors(self, m: Matrix) -> MinorCache:
+        """The one ``MinorCache`` of m, which is x or one of its twists."""
+        cache = self._minors.get(id(m))
+        if cache is None:
+            cache = self._minors[id(m)] = MinorCache(m)
+        return cache
+
+
+# The last point the gate's entry points saw; they are separate public calls that take
+# only x, so the record lives here.  One entry, keyed by identity: a Matrix is immutable
+# but unhashable, and a structurally equal copy is another point.  Threads need no lock:
+# each keeps the point it took, and a field two threads fill holds equal values.
+_last_point = None
+
+
+def _point(x: Matrix) -> _Point:
+    global _last_point
+    point = _last_point
+    if point is None or point.x is not x:
+        point = _last_point = _Point(x)
+    return point
+
+
 def _twist(x: Matrix, u: Permutation, v: Permutation, check: bool = True):
     """(psi(x), h) from one reduction of x per side: the cell gate (see the module docstring).
 
@@ -245,13 +312,14 @@ def _twist(x: Matrix, u: Permutation, v: Permutation, check: bool = True):
         raise ShapeMismatch(
             f"permutations of sizes ({u.n}, {v.n}) against a {x.shape_str()} matrix"
         )
+    point = _point(x)
     label = "[ubar^-1 x]"
     try:
-        b1, found, b2 = _bruhat_parts(x)
+        found = point.bruhat_parts()[1]
         if found != u:
             raise NotGeneric(f"x lies in B {found!r} B")
         label = "[x vbar']_-"
-        return _twist_from_factor(x, b1, u, b2, v)
+        return point.twist(v)
     except NotGeneric as exc:
         if not check:
             raise NotGeneric(

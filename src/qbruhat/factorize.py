@@ -19,9 +19,10 @@ Three families of factorization live here:
   y = psi(x); tau_{ij} of ``factor_w0_v`` is d on x and c on y, and h_i is
   the numerator of d.  On the maximal cell the forms also swap (a on x =
   b on y, c on x = d on y); ``verify_double_ratios`` checks all four
-  transfers.  Both factorizations read v with ``_opposite_datum``;
-  ``factor_u_w0`` twists on x's Bruhat factor, ``factor_w0_v`` runs the
-  gate first, and the residue of its blocks inherits the gate's test.
+  transfers.  Both factorizations read v, the opposite datum of x, off
+  its record (``cells._point``); ``factor_u_w0`` twists at x's own Bruhat
+  pattern, ``factor_w0_v`` runs the gate first, and the residue of its
+  blocks inherits the gate's test.
   The negative blocks of ``factor_w0_v`` act on rows: the division of x
   by them and their replay are row operations, and their product is never
   formed.
@@ -29,11 +30,11 @@ Three families of factorization live here:
 These four computations, ``recover_params``, ``factor_u_w0``, ``factor_w0_v``
 and ``verify_double_ratios``, read the same pure functions of x: its Bruhat
 factor, its opposite datum, its twist and the quasiminors of x and of the
-twist.  ``_point`` keeps them for the last matrix seen, one entry keyed by
-identity, each made on first use and kept only on success, so the four calls
-on one point twist x once and compute no quasiminor twice.  Every check of
-each function still runs, in the same order, and a failure runs the
-function's own path afresh, raising what it raises without the record.
+twist.  They take them from the cell gate's record of the last matrix seen
+(``cells._point``, which ``cells._twist`` reads too), so the four calls on one
+point twist x once and compute no quasiminor twice.  Every check of each
+function still runs, in the same order, and a failure is kept by no record,
+so a retry meets it again.
 
 Sign conventions follow the closed formulas, with stages defined by
 ``x(m, k) = x(m, k+1) (1 - t_{m,k} E_k)`` so that the ascending replay
@@ -46,7 +47,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cells import _bruhat_parts, _opposite_datum, _twist, _twist_from_factor
+from .cells import _point, _twist
 from .errors import IndexOutOfRange, NotGeneric, QBruhatError, ShapeMismatch, ZeroInverse
 from .matrix import Matrix, check_index_set, interval
 from .quasidet import MinorCache, MinorSpec, boxed_quasiminor
@@ -143,9 +144,13 @@ def _torus(n: int, h, params) -> Matrix:
 def commute_neg_pos(j: int, i: int, s, t):
     """Rewrite x_{-j}(s) x_i(t) as x_i(t') x_{-j}(s'); returns (t', s').
 
-    The same-index case hits the singular locus s + t = 0, where the
-    rewrite does not exist.
+    s and t must be exact scalars and s invertible, as for x_{-j}(s) itself,
+    in every case.  The same-index case also hits the singular locus
+    s + t = 0, where the rewrite does not exist.
     """
+    s, t = _exact(s), _exact(t)
+    if is_zero(s):
+        raise ZeroInverse(f"x_-{j}(s) needs invertible s")
     if abs(i - j) > 1:
         return t, s
     if i - j == 1:
@@ -155,8 +160,6 @@ def commute_neg_pos(j: int, i: int, s, t):
     total = s + t
     if is_zero(total):
         raise ZeroInverse(f"x_-{j}(s) x_{i}(t) with s + t = 0 cannot be rewritten")
-    if is_zero(s):
-        raise ZeroInverse("x_-j(s) needs invertible s")
     return inv(s) * t * inv(total), total
 
 
@@ -298,82 +301,6 @@ def stage_entry_formula(x: Matrix, m: int, k: int, i: int, j: int):
     return boxed_quasiminor(x, rows, cols, i, j)
 
 
-# -- the derived data of one point ----------------------------------------------
-
-
-class _Point:
-    """Pure functions of one matrix x, each made on first use and kept only on success.
-
-    The Bruhat factor and the opposite datum of x, the twist (psi(x), h) at each
-    (u, v) with u the Bruhat pattern of x, and one ``MinorCache`` of x and of each
-    twist.  A failure stores nothing and propagates, so a caller that retries
-    meets it again.
-    """
-
-    def __init__(self, x: Matrix):
-        self.x = x
-        self._bruhat = None
-        self._opposite = None
-        self._twists = {}
-        # id(m) -> MinorCache(m); the cache holds m, so its id is not reused meanwhile
-        self._minors = {}
-
-    def bruhat_parts(self):
-        if self._bruhat is None:
-            self._bruhat = _bruhat_parts(self.x)
-        return self._bruhat
-
-    def opposite_datum(self) -> Permutation:
-        if self._opposite is None:
-            self._opposite = _opposite_datum(self.x)
-        return self._opposite
-
-    def twist(self, v: Permutation):
-        """(psi(x), h) at (u, v), u the pattern of x: ``_twist_from_factor`` on x's factor."""
-        if v not in self._twists:
-            b1, u, b2 = self.bruhat_parts()
-            self._twists[v] = _twist_from_factor(self.x, b1, u, b2, v)
-        return self._twists[v]
-
-    def minors(self, m: Matrix) -> MinorCache:
-        """The one ``MinorCache`` of m, which is x or one of its twists."""
-        cache = self._minors.get(id(m))
-        if cache is None:
-            cache = self._minors[id(m)] = MinorCache(m)
-        return cache
-
-
-# The last point the four computations saw; they are separate public calls that take
-# only x, so the record lives here.  One entry, keyed by identity: a Matrix is immutable
-# but unhashable, and a structurally equal copy is another point.  Threads need no lock:
-# each keeps the point it took, and a field two threads fill holds equal values.
-_last_point = None
-
-
-def _point(x: Matrix) -> _Point:
-    global _last_point
-    point = _last_point
-    if point is None or point.x is not x:
-        point = _last_point = _Point(x)
-    return point
-
-
-def _gated_twist(point: _Point, u: Permutation, v: Permutation):
-    """``cells._twist(x, u, v)``, the cell gate, through the point's record.
-
-    The record serves x when u is its Bruhat pattern and the twist succeeds; on any
-    failure ``_twist`` runs afresh and raises what it raises without the record.
-    """
-    x = point.x
-    if u.n == v.n == x.rows:
-        try:
-            if point.bruhat_parts()[1] == u:
-                return point.twist(v)
-        except QBruhatError:
-            pass
-    return _twist(x, u, v)
-
-
 # -- parameter recovery through the twist ---------------------------------------
 
 
@@ -403,9 +330,8 @@ def recover_params(x: Matrix, word: DoubleWord) -> FactorizationOutput:
     Both equal forms of the branch are evaluated and must agree; every
     parameter must be nonzero and the replay must reproduce x exactly.
     """
-    point = _point(x)
-    y, h = _gated_twist(point, word.u(), word.v())
-    cache = point.minors(y)
+    y, h = _twist(x, word.u(), word.v())
+    cache = _point(x).minors(y)
     t = []
     for k in range(1, word.length + 1):
         letter = word.letters[k - 1]
@@ -534,7 +460,7 @@ def factor_u_w0(x: Matrix) -> UW0Factorization:
             )
     w0 = Permutation.longest(x.rows)
     if v == w0:
-        cache_y = point.minors(point.twist(w0)[0])
+        cache_y = point.minors(_twist(x, u, w0)[0])
         for i, j in sorted(uf.pairs):
             twisted = block_ratio(cache_y, "a", i, j, ("u-w0-twist", i, j))
             if not is_zero(twisted - uf.t[(i, j)]):
@@ -622,7 +548,7 @@ def factor_w0_v(x: Matrix) -> W0VFactorization:
     n = x.rows
     point = _point(x)
     v = point.opposite_datum()
-    cache_y = point.minors(_gated_twist(point, Permutation.longest(n), v)[0])
+    cache_y = point.minors(_twist(x, Permutation.longest(n), v)[0])
     cache_x = point.minors(x)
     h = tuple(cache_x.spec(_family_specs("d", n, m, m)[1]) for m in range(1, n + 1))
     pairs = sorted(upper_pairs(n))
@@ -704,8 +630,8 @@ def verify_double_ratios(x: Matrix, include_extended: bool = False) -> DoubleRat
     """
     n = x.rows
     w0 = Permutation.longest(n)
+    y = _twist(x, w0, w0)[0]
     point = _point(x)
-    y = _gated_twist(point, w0, w0)[0]
     cx, cy = point.minors(x), point.minors(y)
     counts: dict = {}
     failures: list = []

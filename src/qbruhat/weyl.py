@@ -43,7 +43,7 @@ class Permutation:
     def __init__(self, images):
         images = tuple(images)
         n = len(images)
-        if sorted(images) != list(range(1, n + 1)):
+        if any(type(a) is not int for a in images) or sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"{images} is not a permutation of 1..{n}")
         object.__setattr__(self, "images", images)
 
@@ -255,7 +255,7 @@ class DoubleWord:
     def __post_init__(self):
         object.__setattr__(self, "letters", tuple(self.letters))
         for l in self.letters:
-            if not isinstance(l, int) or l == 0 or abs(l) > self.n - 1:
+            if type(l) is not int or l == 0 or abs(l) > self.n - 1:
                 raise NotReducedWord(
                     f"letter {l!r} outside +-[1, {self.n - 1}] for n = {self.n}"
                 )

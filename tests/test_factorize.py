@@ -160,6 +160,25 @@ def test_commutation_singular_locus():
         commute_neg_pos(2, 2, s, -s)
 
 
+@pytest.mark.parametrize("j, i", [(1, 3), (1, 2), (2, 1), (2, 2)], ids=["far", "+1", "-1", "=0"])
+def test_commutation_checks_its_inputs_in_every_branch(j, i):
+    # each branch of i - j takes only exact scalars and an invertible s, as x_-j(s) does
+    for s, t in ((0.5, Fraction(1, 4)), (Fraction(1, 2), 0.25), (True, Fraction(1))):
+        with pytest.raises(TypeError):
+            commute_neg_pos(j, i, s, t)
+    for zero in (Fraction(0), Q(0)):
+        with pytest.raises(ZeroInverse, match="needs invertible s"):
+            commute_neg_pos(j, i, zero, Fraction(3))
+    t2, s2 = commute_neg_pos(j, i, 2, 3)
+    assert type(t2) is Fraction and type(s2) is Fraction
+    lhs = generator_matrix(Generator("xneg", j, Fraction(2)), 4) * generator_matrix(
+        Generator("x", i, Fraction(3)), 4
+    )
+    assert lhs == generator_matrix(Generator("x", i, t2), 4) * generator_matrix(
+        Generator("xneg", j, s2), 4
+    )
+
+
 def test_positive_negative_swap_through_representative():
     # x_{-i}(t^-1) = x_i(t) sbar_i x_i(t^-1); the sign of the last factor
     # is fixed by the displayed 2x2 product (t, -1; 1, 0)

@@ -4,7 +4,9 @@ Each module of the package (except ``__init__.py``, whose imports are its
 public surface) and each test module is parsed with ``ast``; a name bound
 by an import and never read is an error.  So is a function, class or
 non-dunder method of the package that no package, test or benchmark module
-reads by name outside its own definition.
+reads by name outside its own definition.  And x reaches its Bruhat factor,
+opposite datum and twist only through the cell gate's record: the functions
+that reduce it are called only inside ``cells._Point`` and imported nowhere.
 """
 
 import ast
@@ -121,3 +123,48 @@ def test_every_package_definition_is_read():
         for paths in (PACKAGE, READERS)
     )
     assert unread_definitions(package, readers) == []
+
+
+CELLS = "src/qbruhat/cells.py"
+REDUCTIONS = ("_bruhat_parts", "_opposite_datum", "_twist_from_factor")
+
+
+def gate_bypasses(sources: dict) -> list:
+    """(path, line, name) for each import of a reduction of x and each call of one that is
+    not inside the methods of ``_Point`` in `CELLS`; `sources` maps a path to its source."""
+    out = []
+    for path, source in sources.items():
+        tree = ast.parse(source)
+        allowed = set()
+        if path == CELLS:
+            for node in tree.body:
+                if isinstance(node, ast.ClassDef) and node.name == "_Point":
+                    allowed = {id(sub) for sub in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                out += [(path, node.lineno, a.name) for a in node.names if a.name in REDUCTIONS]
+            elif isinstance(node, ast.Call) and id(node) not in allowed:
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in REDUCTIONS:
+                    out.append((path, node.lineno, name))
+    return out
+
+
+def test_the_check_sees_a_second_path_to_a_reduction():
+    sources = {
+        CELLS: "class _Point:\n    def f(self):\n        return _bruhat_parts(self.x)\n\n\n"
+        "def g(x):\n    return _opposite_datum(x)\n",
+        "m.py": "from cells import _twist_from_factor\nimport cells\ncells._bruhat_parts(1)\n",
+    }
+    assert gate_bypasses(sources) == [
+        (CELLS, 7, "_opposite_datum"),
+        ("m.py", 1, "_twist_from_factor"),
+        ("m.py", 3, "_bruhat_parts"),
+    ]
+
+
+def test_x_is_reduced_only_through_the_record():
+    sources = {
+        path.relative_to(ROOT).as_posix(): path.read_text(encoding="utf-8") for path in READERS
+    }
+    assert gate_bypasses(sources) == []

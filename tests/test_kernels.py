@@ -658,13 +658,18 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-def test_twist_reduced_decomposes_as_often_as_twist_general(kernel_calls):
-    # the gate reduces x once per side: one Bruhat reduction, then one
-    # Gauss-cell elimination of [x vbar' | b1 ubar]; classify, which
-    # would add two Bruhat reductions, only refuses
+def reduced4():
+    """The reduced-cell point of ``tests/data/reduced4.json`` and its double word."""
     data = json.loads((Path(__file__).parent / "data" / "reduced4.json").read_text())
-    x = matrix_from_json(data)
-    word = DoubleWord(4, (-1, 2, -3, 1, -2, 3, 2))
+    return matrix_from_json(data), DoubleWord(4, (-1, 2, -3, 1, -2, 3, 2))
+
+
+def test_twist_reduced_decomposes_as_often_as_twist_general(kernel_calls, monkeypatch):
+    # from cold, the gate reduces x once per side: one Bruhat reduction, then
+    # one Gauss-cell elimination of [x vbar' | b1 ubar]; classify, which
+    # would add a Bruhat reduction of the rotation, only refuses.  A warm
+    # repeat reads the point's record and reduces nothing
+    x, word = reduced4()
     u, v = word.u(), word.v()
     calls = kernel_calls
     gated = (
@@ -674,9 +679,35 @@ def test_twist_reduced_decomposes_as_often_as_twist_general(kernel_calls):
         lambda: recover_params(x, word),
     )
     for run in gated:
+        monkeypatch.setattr(cells, "_last_point", None)
         calls.clear()
         run()
         assert sorted(calls) == ["bruhat", "gauss"]
+        calls.clear()
+        run()
+        assert calls == []
+
+
+def test_the_gate_functions_on_one_point_share_its_reductions(kernel_calls):
+    # the twist reduces x once per side, in_reduced_cell reads that twist and
+    # classify adds only the Bruhat reduction of the rotation
+    x, word = reduced4()
+    u, v = word.u(), word.v()
+    twist_general(x, u, v)
+    assert in_reduced_cell(x, u, v)
+    assert classify(x) == (u, v)
+    assert kernel_calls == ["bruhat", "gauss", "bruhat"]
+
+
+def test_a_refused_recovery_reduces_x_once_per_side(kernel_calls):
+    # the gate's Bruhat reduction refuses the (w0, w0) word; the refusal's
+    # classify reads that reduction and adds the rotation's
+    x, _ = reduced4()
+    w0 = Permutation.longest(4)
+    with pytest.raises(WrongCell) as info:
+        recover_params(x, random_double_word(w0, w0, random.Random(0)))
+    assert info.value.actual != (w0, w0)
+    assert kernel_calls == ["bruhat", "bruhat"]
 
 
 SWAP = Matrix([[0, 1], [1, 0]])

@@ -1,11 +1,13 @@
-"""The derived data that the four maximal-cell computations share on one point.
+"""The derived data that the cell gate and the four maximal-cell computations share.
 
-``factorize._point`` keeps, for the last matrix it saw, the Bruhat factor,
-the opposite datum, the twists and one ``MinorCache`` per matrix.  These
-tests pin what the sharing saves (one twist, no quasiminor computed twice),
-that the record holds one identity-keyed entry, that a first call, a repeat
-and a fresh copy give the same result or the same error, and that two
-threads sharing the record get what a sequential run gets.
+``cells._point`` keeps, for the last matrix it saw, the Bruhat factor, the
+opposite datum, the twists and one ``MinorCache`` per matrix; ``classify``,
+``bruhat_factor``, the twists, ``in_reduced_cell`` and the four computations
+read it.  These tests pin what the sharing saves (one twist, no quasiminor
+computed twice), that the record holds one identity-keyed entry, that a
+first call, a repeat and a fresh copy give the same result or the same
+error, and that two threads sharing the record get what a sequential run
+gets.
 """
 
 import random
@@ -16,7 +18,13 @@ from fractions import Fraction
 import pytest
 
 import qbruhat.cells as cells
-import qbruhat.factorize as factorize
+from qbruhat.cells import (
+    bruhat_factor,
+    classify,
+    in_reduced_cell,
+    twist_general,
+    twist_reduced,
+)
 from qbruhat.errors import NotGeneric, QBruhatError, ShapeMismatch, WrongCell
 from qbruhat.factorize import (
     factor_u_w0,
@@ -47,8 +55,8 @@ def w0_point(rng, n, bound=2):
     return x, word
 
 
-def counting(monkeypatch, modules, name):
-    """Replace the cells function `name` in each module by one that logs its arguments."""
+def counting(monkeypatch, name):
+    """Replace the cells function `name` by one that logs its arguments."""
     log = []
     original = getattr(cells, name)
 
@@ -56,15 +64,14 @@ def counting(monkeypatch, modules, name):
         log.append(args)
         return original(*args, **kwargs)
 
-    for module in modules:
-        monkeypatch.setattr(module, name, wrapper)
+    monkeypatch.setattr(cells, name, wrapper)
     return log
 
 
 def test_one_twist_and_no_quasiminor_computed_twice(monkeypatch):
     x, word = w0_point(random.Random(11), 5)
-    twists = counting(monkeypatch, (cells, factorize), "_twist_from_factor")
-    patterns = counting(monkeypatch, (cells,), "_pivot_pattern")
+    twists = counting(monkeypatch, "_twist_from_factor")
+    patterns = counting(monkeypatch, "_pivot_pattern")
     members = []
     member = MinorCache._member
 
@@ -87,7 +94,7 @@ def test_one_twist_and_no_quasiminor_computed_twice(monkeypatch):
 def test_the_record_holds_one_entry_keyed_by_identity(monkeypatch):
     rng = random.Random(12)
     (x1, _), (x2, _) = w0_point(rng, 4), w0_point(rng, 4)
-    twists = counting(monkeypatch, (cells, factorize), "_twist_from_factor")
+    twists = counting(monkeypatch, "_twist_from_factor")
     first = factor_w0_v(x1)
     assert factor_w0_v(x1) == first and verify_double_ratios(x1).all_passed
     assert len(twists) == 1
@@ -98,7 +105,7 @@ def test_the_record_holds_one_entry_keyed_by_identity(monkeypatch):
     copy = Matrix(x1.to_lists())
     assert factor_w0_v(copy) == first
     assert len(twists) == 4
-    assert factorize._last_point.x is copy
+    assert cells._last_point.x is copy
 
 
 # -- one outcome, whatever the record holds ---------------------------------------
@@ -115,6 +122,21 @@ def computations(word):
         ("factor_w0_v", factor_w0_v),
         ("verify_double_ratios", verify_double_ratios),
     )
+
+
+def gate_functions(word):
+    """The gate's entry points, which read the record too, at the word's (u, v); the twists
+    with and without `check`."""
+    u, v = word.u(), word.v()
+    steps = [
+        ("classify", classify),
+        ("bruhat_factor", bruhat_factor),
+        ("in_reduced_cell", lambda x: in_reduced_cell(x, u, v)),
+    ]
+    for check in (True, False):
+        for f in (twist_general, twist_reduced):
+            steps.append((f"{f.__name__}-{check}", lambda x, f=f, c=check: f(x, u, v, c)))
+    return tuple(steps)
 
 
 def outcome(f, x):
@@ -192,10 +214,10 @@ def test_the_points_meet_every_blocked_computation(blocked):
 def test_a_first_call_a_repeat_and_a_fresh_copy_agree(blocked):
     points, _ = blocked
     for x, word in points + special_points():
-        steps = computations(word)
+        steps = computations(word) + gate_functions(word)
         cold = {}
         for name, f in steps:
-            factorize._last_point = None
+            cells._last_point = None
             cold[name] = outcome(f, Matrix(x.to_lists()))
         # in the maximal op's order, so each call meets what the others left
         for target in (x, x, Matrix(x.to_lists())):
@@ -261,4 +283,4 @@ def test_two_threads_get_what_a_sequential_run_gets(shared):
 
 @pytest.fixture(autouse=True)
 def _forget_the_record(monkeypatch):
-    monkeypatch.setattr(factorize, "_last_point", None)
+    monkeypatch.setattr(cells, "_last_point", None)

@@ -127,6 +127,16 @@ def test_double_word_validation():
     DoubleWord(3, (1, -1, 2, -2))  # shuffles of distinct letters are fine
 
 
+def test_a_bool_is_neither_a_letter_nor_an_image():
+    # True == 1, so a bool would pass the range tests and print as "True"
+    for letters in ((True, 2), (-2, False), (1.0, 2)):
+        with pytest.raises(NotReducedWord, match="letter"):
+            DoubleWord(3, letters)
+    for images in ((True, 2), (2, True), (1.0, 2)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            Permutation(images)
+
+
 def test_double_word_text_round_trip():
     word = DoubleWord(4, (-2, 1, -3, 3, 2, -1, -2, 1, -1))
     assert DoubleWord.from_text(word.to_text(), 4) == word
