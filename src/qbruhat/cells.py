@@ -41,9 +41,11 @@ against it.
 
 x is reduced only through ``_point``, a record of the last matrix seen (keyed
 by identity): its Bruhat factor, opposite datum, twist at each v and one
-``MinorCache`` of x and of each twist, each made on first use and kept only on
-success.  ``classify``, ``bruhat_factor`` and the gate read it, so calls on
-one point, a refusal's ``classify`` included, reduce x once per side.
+``MinorCache`` of x and of each twist, each made on first use.  It keeps a
+NotGeneric as ``MinorCache`` does (``quasidet._kept``) and raises a fresh copy
+on every later read.  ``classify``, ``bruhat_factor`` and the gate read it, so
+calls on one point, a refusal's ``classify`` included, reduce x once per side,
+and a singular x once in all.
 
 Errors distinguish "wrong cell" (WrongCell) from "a Gauss projection
 failed" (NotGeneric), because the harness treats them differently.  With
@@ -58,7 +60,7 @@ from typing import NamedTuple
 from .errors import NotGeneric, QBruhatError, ShapeMismatch, WrongCell
 from .gauss import _gauss_eliminate, _reduce_rows, gauss_parts
 from .matrix import Matrix, iota, iota_inverse_free, rank, sigma
-from .quasidet import MinorCache
+from .quasidet import MinorCache, _kept
 from .scalars import is_zero
 from .weyl import Permutation, left_by_representative, right_by_representative
 
@@ -247,45 +249,37 @@ def _twist_from_factor(x: Matrix, b1: tuple, u: Permutation, b2: Matrix, v: Perm
 
 
 class _Point:
-    """Pure functions of one matrix x, each made on first use and kept only on success.
+    """Pure functions of one matrix x, each made on first use and kept in one memo.
 
     The Bruhat factor and the opposite datum of x, the twist (psi(x), h) at each
     (u, v) with u the Bruhat pattern of x, and one ``MinorCache`` of x and of each
-    twist.  A failure stores nothing and propagates, so a caller that retries
-    meets it again.
+    twist.  The memo follows ``MinorCache``'s rule (``quasidet._kept``): a NotGeneric
+    is kept, and every later read raises a fresh copy of it; any other error
+    propagates and is not kept.
     """
 
     def __init__(self, x: Matrix):
         self.x = x
-        self._bruhat = None
-        self._opposite = None
-        self._twists = {}
-        # id(m) -> MinorCache(m); the cache holds m, so its id is not reused meanwhile
-        self._minors = {}
+        self._memo = {}
 
     def bruhat_parts(self):
-        if self._bruhat is None:
-            self._bruhat = _bruhat_parts(self.x)
-        return self._bruhat
+        return _kept(self._memo, "bruhat", _bruhat_parts, (self.x,))
 
     def opposite_datum(self) -> Permutation:
-        if self._opposite is None:
-            self._opposite = _opposite_datum(self.x)
-        return self._opposite
+        return _kept(self._memo, "opposite", _opposite_datum, (self.x,))
 
     def twist(self, v: Permutation):
         """(psi(x), h) at (u, v), u the pattern of x: ``_twist_from_factor`` on x's factor."""
-        if v not in self._twists:
-            b1, u, b2 = self.bruhat_parts()
-            self._twists[v] = _twist_from_factor(self.x, b1, u, b2, v)
-        return self._twists[v]
+        return _kept(self._memo, ("twist", v), self._twist_at, (v,))
+
+    def _twist_at(self, v: Permutation):
+        b1, u, b2 = self.bruhat_parts()
+        return _twist_from_factor(self.x, b1, u, b2, v)
 
     def minors(self, m: Matrix) -> MinorCache:
         """The one ``MinorCache`` of m, which is x or one of its twists."""
-        cache = self._minors.get(id(m))
-        if cache is None:
-            cache = self._minors[id(m)] = MinorCache(m)
-        return cache
+        # keyed by id(m): the cache holds m, so its id is not reused meanwhile
+        return _kept(self._memo, ("minors", id(m)), MinorCache, (m,))
 
 
 # The last point the gate's entry points saw; they are separate public calls that take

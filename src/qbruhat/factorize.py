@@ -33,8 +33,8 @@ factor, its opposite datum, its twist and the quasiminors of x and of the
 twist.  They take them from the cell gate's record of the last matrix seen
 (``cells._point``, which ``cells._twist`` reads too), so the four calls on one
 point twist x once and compute no quasiminor twice.  Every check of each
-function still runs, in the same order, and a failure is kept by no record,
-so a retry meets it again.
+function still runs, in the same order; the record keeps a NotGeneric and
+raises a fresh copy of it on a repeat, so a retry on the same x meets it again.
 
 Sign conventions follow the closed formulas, with stages defined by
 ``x(m, k) = x(m, k+1) (1 - t_{m,k} E_k)`` so that the ascending replay

@@ -66,6 +66,13 @@ def _inner_singular(p: int, q: int, size: int) -> NotGeneric:
     )
 
 
+def _check_marks(*marks):
+    """Refuse an index that is not an int, a bool or a float equal to one included."""
+    for idx in marks:
+        if type(idx) is not int:
+            raise IndexOutOfRange(f"index {idx!r} is not an integer")
+
+
 def quasideterminant(A: Matrix, p: int, q: int):
     """|A|_pq, exact; NotGeneric when the inner submatrix A^pq is singular.
 
@@ -73,6 +80,7 @@ def quasideterminant(A: Matrix, p: int, q: int):
     inner block, read off ``_schur_chain`` on A's rows other than p and
     columns other than q.
     """
+    _check_marks(p, q)
     if not A.is_square:
         raise IndexOutOfRange(f"quasideterminant needs a square matrix, got {A.shape_str()}")
     n = A.rows
@@ -91,6 +99,7 @@ def quasidet_expansion(A: Matrix, p: int, q: int):
     Cross-check only: needs every |A^pq|_{p',q'} defined and invertible,
     a much stronger genericity requirement than the definition itself.
     """
+    _check_marks(p, q)
     n = A.rows
     if n == 1:
         return A[p, q]
@@ -112,6 +121,7 @@ def quasidet_expansion(A: Matrix, p: int, q: int):
 
 def boxed_quasiminor(x: Matrix, rows, cols, p: int, q: int):
     """|x_{rows,cols}|_{p,q} with the mark given in global coordinates."""
+    _check_marks(p, q)
     rows = check_index_set(rows, x.rows)
     cols = check_index_set(cols, x.cols)
     try:
@@ -138,9 +148,7 @@ class MinorSpec:
     def __post_init__(self):
         object.__setattr__(self, "I", tuple(self.I))
         object.__setattr__(self, "J", tuple(self.J))
-        for idx in (*self.I, *self.J, self.i, self.j):
-            if type(idx) is not int:
-                raise IndexOutOfRange(f"index {idx!r} is not an integer")
+        _check_marks(*self.I, *self.J, self.i, self.j)
         if len(self.I) != len(self.J):
             raise IndexOutOfRange(f"|I| = {len(self.I)} != |J| = {len(self.J)}")
         if self.i not in self.I or self.j not in self.J:
@@ -160,6 +168,7 @@ def positive_quasiminor(x: Matrix, spec: MinorSpec):
 
 def principal_quasiminor(x: Matrix, i: int):
     """The principal i x i quasiminor, marked at its lower-right corner."""
+    _check_marks(i)
     return boxed_quasiminor(x, interval(1, i), interval(1, i), i, i)
 
 
@@ -322,6 +331,28 @@ def sylvester_reduce(A: Matrix, I0, J0) -> Matrix:
     return Matrix([[block.entry(p, q) for q in comp_cols] for p in comp_rows])
 
 
+def _kept(memo, key, make, args):
+    """memo[key], made as make(*args) on a miss; a NotGeneric is kept and raised afresh.
+
+    The entry is ("ok", value) or ("err", copy).  The copy holds the error's message and
+    witness and is never raised, so it keeps no reader's frames; each later read of the
+    key raises a fresh one, since raising one object again would append each read's
+    frames to its traceback.  Any other error propagates and is not kept.
+    """
+    hit = memo.get(key)
+    if hit is None:
+        try:
+            hit = ("ok", make(*args))
+        except NotGeneric as exc:
+            memo[key] = ("err", type(exc)(*exc.args, witness=exc.witness))
+            raise
+        memo[key] = hit
+    if hit[0] == "err":
+        exc = hit[1]
+        raise type(exc)(*exc.args, witness=exc.witness)
+    return hit[1]
+
+
 class MinorCache:
     """Memoizes the positive quasiminors of one fixed matrix x.
 
@@ -342,8 +373,8 @@ class MinorCache:
     x[P, Q] is the parent's rank plus that of the pivot, and an invertible
     x[P, Q] has an invertible (P - a, Q - b) for every row a.  A member
     and the pivot steps of later blocks read the same Schur entries, each
-    computed once.  A failed key raises a fresh NotGeneric with the kept
-    one's message and witness on every later read.
+    computed once.  ``_kept`` keeps a failed key's NotGeneric and raises a
+    fresh copy, with its message and witness, on every later read.
 
     A key is validated where it enters, so ``_member`` reads only valid,
     increasing I and J, and a bad key raises ``check_index_set``'s
@@ -363,7 +394,7 @@ class MinorCache:
         if key not in self._memo:
             check_index_set(spec.I, self.x.rows)
             check_index_set(spec.J, self.x.cols)
-        return self._lookup(key)
+        return _kept(self._memo, key, self._member, key)
 
     def uv(self, u: Permutation, v: Permutation, k: int):
         I, i = _level_key(u.images, k)
@@ -373,24 +404,8 @@ class MinorCache:
         if len(u.images) > x.rows or len(v.images) > x.cols:
             check_index_set(I, x.rows)
             check_index_set(J, x.cols)
-        return self._lookup((I, J, i, j))
-
-    def _lookup(self, key):
-        hit = self._memo.get(key)
-        if hit is None:
-            try:
-                hit = ("ok", self._member(*key))
-            except NotGeneric as exc:
-                # kept as a copy that is never raised, so it holds no reader's frames
-                self._memo[key] = ("err", type(exc)(*exc.args, witness=exc.witness))
-                raise
-            self._memo[key] = hit
-        if hit[0] == "err":
-            # a fresh error on every later read: raising one object again
-            # would append each read's frames to its traceback
-            exc = hit[1]
-            raise type(exc)(*exc.args, witness=exc.witness)
-        return hit[1]
+        key = (I, J, i, j)
+        return _kept(self._memo, key, self._member, key)
 
     def _block(self, P, Q):
         """The ``_Block`` of x[P, Q], made on first use; None if x[P, Q] is singular."""

@@ -11,7 +11,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from .cells import classify
 from .errors import NotGeneric, RetriesExhausted
+from .factorize import product_map
 from .matrix import Matrix, rank
 from .scalars import RationalQuaternion, random_quaternion
 from .weyl import Permutation, random_double_word
@@ -108,8 +110,6 @@ def random_permutation(rng: random.Random, n: int) -> Permutation:
 
 def reduced_cell_point(rng: random.Random, u: Permutation, v: Permutation, bound: int = 2):
     """(x, word, t) with x = product over a random double word; x lies in L^{u,v}."""
-    from .factorize import product_map
-
     word = random_double_word(u, v, rng)
     params = [quaternion(rng, bound) for _ in range(word.length)]
     return product_map(word, params), word, params
@@ -117,8 +117,6 @@ def reduced_cell_point(rng: random.Random, u: Permutation, v: Permutation, bound
 
 def cell_point(rng: random.Random, u: Permutation, v: Permutation, bound: int = 2):
     """(x, word, h, t) with x = diag(h) * product; x lies in G^{u,v}."""
-    from .factorize import product_map
-
     word = random_double_word(u, v, rng)
     params = [quaternion(rng, bound) for _ in range(word.length)]
     h = [quaternion(rng, bound) for _ in range(u.n)]
@@ -127,8 +125,6 @@ def cell_point(rng: random.Random, u: Permutation, v: Permutation, bound: int = 
 
 def maximal_cell_point(rng: random.Random, n: int, bound: int = 2) -> Matrix:
     """A generic point of the maximal double cell, sampled densely."""
-    from .cells import classify
-
     w0 = Permutation.longest(n)
 
     def attempt():

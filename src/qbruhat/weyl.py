@@ -124,16 +124,7 @@ class Permutation:
 
         Replaying the word left to right through ``simple`` recovers w.
         """
-        w = self
-        collected = []
-        while True:
-            descents = w.right_descents()
-            if not descents:
-                break
-            i = descents[0]
-            collected.append(i)
-            w = w.right_multiply_simple(i)
-        return tuple(reversed(collected))
+        return _descent_word(self, min)
 
     def matrix(self) -> Matrix:
         """The plain (unsigned) permutation matrix, 1 at (w(j), j)."""
@@ -158,16 +149,18 @@ def reduced_words(w: Permutation):
     return out
 
 
-def random_reduced_word(w: Permutation, rng: random.Random) -> tuple:
+def _descent_word(w: Permutation, pick) -> tuple:
+    """A reduced word of w: strip the right descent `pick` chooses until none is left."""
     collected = []
-    while True:
-        descents = w.right_descents()
-        if not descents:
-            break
-        i = rng.choice(descents)
+    while descents := w.right_descents():
+        i = pick(descents)
         collected.append(i)
         w = w.right_multiply_simple(i)
     return tuple(reversed(collected))
+
+
+def random_reduced_word(w: Permutation, rng: random.Random) -> tuple:
+    return _descent_word(w, rng.choice)
 
 
 def simple_representative(i: int, n: int) -> Matrix:

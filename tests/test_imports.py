@@ -6,7 +6,8 @@ by an import and never read is an error.  So is a function, class or
 non-dunder method of the package that no package, test or benchmark module
 reads by name outside its own definition.  And x reaches its Bruhat factor,
 opposite datum and twist only through the cell gate's record: the functions
-that reduce it are called only inside ``cells._Point`` and imported nowhere.
+that reduce it are read only inside ``cells._Point`` and imported nowhere.
+No package module imports another inside a function.
 """
 
 import ast
@@ -130,8 +131,9 @@ REDUCTIONS = ("_bruhat_parts", "_opposite_datum", "_twist_from_factor")
 
 
 def gate_bypasses(sources: dict) -> list:
-    """(path, line, name) for each import of a reduction of x and each call of one that is
-    not inside the methods of ``_Point`` in `CELLS`; `sources` maps a path to its source."""
+    """(path, line, name) for each import of a reduction of x and each read of one, a call
+    or a reference, that is not inside ``_Point`` in `CELLS`; `sources` maps a path to its
+    source."""
     out = []
     for path, source in sources.items():
         tree = ast.parse(source)
@@ -140,26 +142,34 @@ def gate_bypasses(sources: dict) -> list:
             for node in tree.body:
                 if isinstance(node, ast.ClassDef) and node.name == "_Point":
                     allowed = {id(sub) for sub in ast.walk(node)}
+        found = []
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
-                out += [(path, node.lineno, a.name) for a in node.names if a.name in REDUCTIONS]
-            elif isinstance(node, ast.Call) and id(node) not in allowed:
-                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                found += [(node.lineno, a.name) for a in node.names if a.name in REDUCTIONS]
+            elif isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in allowed:
+                name = getattr(node, "id", getattr(node, "attr", None))
                 if name in REDUCTIONS:
-                    out.append((path, node.lineno, name))
+                    found.append((node.lineno, name))
+        out += [(path, *item) for item in sorted(found)]
     return out
 
 
 def test_the_check_sees_a_second_path_to_a_reduction():
+    # a maker passed by reference, as ``_Point`` passes them to ``quasidet._kept``, is a
+    # path too
     sources = {
         CELLS: "class _Point:\n    def f(self):\n        return _bruhat_parts(self.x)\n\n\n"
-        "def g(x):\n    return _opposite_datum(x)\n",
-        "m.py": "from cells import _twist_from_factor\nimport cells\ncells._bruhat_parts(1)\n",
+        "def g(x):\n    return _opposite_datum(x)\n\n\n"
+        "def h(x):\n    return _kept({}, 'k', _bruhat_parts, (x,))\n",
+        "m.py": "from cells import _twist_from_factor\nimport cells\ncells._bruhat_parts(1)\n"
+        "make = cells._twist_from_factor\n",
     }
     assert gate_bypasses(sources) == [
         (CELLS, 7, "_opposite_datum"),
+        (CELLS, 11, "_bruhat_parts"),
         ("m.py", 1, "_twist_from_factor"),
         ("m.py", 3, "_bruhat_parts"),
+        ("m.py", 4, "_twist_from_factor"),
     ]
 
 
@@ -168,3 +178,44 @@ def test_x_is_reduced_only_through_the_record():
         path.relative_to(ROOT).as_posix(): path.read_text(encoding="utf-8") for path in READERS
     }
     assert gate_bypasses(sources) == []
+
+
+def lazy_package_imports(source: str) -> list:
+    """(line, module) for each import of a package module inside a function.
+
+    A package module imported at a module's top level loads with it, so an import cycle
+    shows at once; an import of another library (``scalars``' lazy sympy) is allowed.
+    """
+    out = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.ImportFrom):
+                names = ["." * node.level + (node.module or "")]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            out.update((node.lineno, m) for m in names if re.match(r"\.|qbruhat(\.|$)", m))
+    return sorted(out)
+
+
+def test_the_check_sees_an_import_inside_a_function():
+    source = (
+        "import sympy\nfrom .matrix import Matrix\n\n\ndef f():\n    import sympy\n"
+        "    from .cells import classify\n    from qbruhat import weyl\n"
+        "    import qbruhat.gauss, qbruhatx\n\n    def g():\n        from . import sampling\n"
+        "\n    return classify, Matrix, weyl, g\n"
+    )
+    assert lazy_package_imports(source) == [
+        (7, ".cells"),
+        (8, "qbruhat"),
+        (9, "qbruhat.gauss"),
+        (12, "."),
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.relative_to(ROOT).as_posix())
+def test_no_package_module_is_imported_inside_a_function(path):
+    assert lazy_package_imports(path.read_text(encoding="utf-8")) == []

@@ -710,7 +710,18 @@ def test_a_refused_recovery_reduces_x_once_per_side(kernel_calls):
     assert kernel_calls == ["bruhat", "bruhat"]
 
 
-SWAP = Matrix([[0, 1], [1, 0]])
+def test_a_refused_singular_point_is_reduced_once(kernel_calls):
+    # the gate's Bruhat reduction finds column 2 singular and the record keeps that
+    # NotGeneric, so the refusal's classify and a repeat reduce nothing more
+    x, s1 = Matrix([[1, 2], [2, 4]]), Permutation((2, 1))
+    for expected in (["bruhat"], []):
+        kernel_calls.clear()
+        with pytest.raises(NotGeneric, match="column 2 has no usable pivot"):
+            twist_general(x, s1, s1)
+        assert kernel_calls == expected
+
+
+SWAP =Matrix([[0, 1], [1, 0]])
 S1, E2 = Permutation((2, 1)), Permutation.identity(2)
 
 

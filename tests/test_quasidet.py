@@ -718,6 +718,32 @@ def test_index_sets_refuse_booleans():
             read()
 
 
+def test_marks_and_levels_refuse_a_non_int():
+    # True == 1 and 1.0 == 1, but neither is an index: quasideterminant(x, True, 2) read
+    # |x|_12 and principal_quasiminor(x, 2.0) raised a raw TypeError
+    x = sample_matrix(random.Random(11), 3, 3)
+    reads = [
+        (lambda: quasideterminant(x, True, 2), True),
+        (lambda: quasideterminant(x, 1.0, 2), 1.0),
+        (lambda: quasideterminant(x, 1, Fraction(2)), Fraction(2)),
+        (lambda: quasidet_expansion(Matrix([[5]]), True, 1), True),
+        (lambda: quasidet_expansion(x, 1.0, 2), 1.0),
+        (lambda: boxed_quasiminor(x, (1, 2), (1, 2), 1.0, 2), 1.0),
+        (lambda: boxed_quasiminor(x, (1, 2), (1, 2), 1, False), False),
+        (lambda: principal_quasiminor(x, 2.0), 2.0),
+        (lambda: principal_quasiminor(x, True), True),
+    ]
+    for read, mark in reads:
+        with pytest.raises(IndexOutOfRange) as info:
+            read()
+        assert str(info.value) == f"index {mark!r} is not an integer"
+    # an int mark keeps its range message
+    with pytest.raises(IndexOutOfRange, match=r"^entry \(4, 1\) outside \[1, 3\] x \[1, 3\]$"):
+        quasideterminant(x, 4, 1)
+    with pytest.raises(IndexOutOfRange, match=r"^index 4 outside \[1, 3\]$"):
+        principal_quasiminor(x, 4)
+
+
 def test_a_boolean_spec_is_refused_after_its_int_key_is_memoized():
     # (True, 2) == (1, 2) and both hash alike, so a boolean spec would find the memo of
     # the int key; the spec itself refuses it, before any cache is asked

@@ -6,13 +6,14 @@ opposite datum, the twists and one ``MinorCache`` per matrix; ``classify``,
 read it.  These tests pin what the sharing saves (one twist, no quasiminor
 computed twice), that the record holds one identity-keyed entry, that a
 first call, a repeat and a fresh copy give the same result or the same
-error, and that two threads sharing the record get what a sequential run
-gets.
+error, that a kept failure is raised afresh on every read, and that two
+threads sharing the record get what a sequential run gets.
 """
 
 import random
 import sys
 import threading
+import traceback
 from fractions import Fraction
 
 import pytest
@@ -240,6 +241,26 @@ def test_the_special_points_fail_as_stated():
         )
     for name, f in computations(word2):
         assert outcome(f, wide)[0] is ShapeMismatch, name
+
+
+def test_the_record_raises_a_fresh_error_on_every_read_of_a_kept_failure():
+    # as in MinorCache: the record keeps a copy of the Bruhat reduction's NotGeneric
+    # that is never raised, so it holds no reader's frames, and every read raises anew
+    singular = Matrix([[1, 2], [2, 4]])
+    errors = []
+    for _ in range(4):
+        with pytest.raises(NotGeneric) as info:
+            classify(singular)
+        errors.append(info.value)
+    depths = [len(traceback.extract_tb(exc.__traceback__)) for exc in errors]
+    assert depths[1] == depths[2] == depths[3] <= depths[0]
+    assert len({id(exc) for exc in errors}) == 4
+    assert {(type(exc), str(exc), exc.witness) for exc in errors} == {
+        (NotGeneric, "matrix is singular: column 2 has no usable pivot", ("column", 2))
+    }
+    memo = cells._last_point._memo
+    assert list(memo) == ["bruhat"] and memo["bruhat"][0] == "err"
+    assert memo["bruhat"][1].__traceback__ is None
 
 
 # -- two threads ------------------------------------------------------------------
