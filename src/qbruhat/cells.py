@@ -111,7 +111,7 @@ def classify(x: Matrix) -> CellLabel:
 
 
 def _bruhat_parts(x: Matrix):
-    """``bruhat_factor(x)`` with b1 as row tuples.
+    """``bruhat_factor(x)``, made once per point by its record.
 
     b1 holds f at b1[i, r] for each row_i -= f row_r of the reduction and elsewhere the
     zero a - a and the one a - a + 1 of x's first entry a.
@@ -127,7 +127,7 @@ def _bruhat_parts(x: Matrix):
     for r, _, _, multipliers in steps:
         for i, f in multipliers:
             b1[i][r] = f
-    return tuple(map(tuple, b1)), u, b2
+    return Matrix._wrap(tuple(map(tuple, b1))), u, b2
 
 
 def bruhat_factor(x: Matrix):
@@ -137,8 +137,7 @@ def bruhat_factor(x: Matrix):
     U(u), see ``bruhat_factor_schubert``); b2 = ubar^{-1} M, with M the
     reduced matrix, carries the torus part.
     """
-    b1, u, b2 = _point(x).bruhat_parts()
-    return Matrix._wrap(b1), u, b2
+    return _point(x).bruhat_parts()
 
 
 def in_bruhat_cell(x: Matrix, u: Permutation) -> bool:
@@ -216,16 +215,16 @@ def _torus_entries(u: Permutation, h: Matrix) -> list:
     return [h[j, j] for j in u.inverse().images]
 
 
-def _twist_from_factor(x: Matrix, b1: tuple, u: Permutation, b2: Matrix, v: Permutation):
+def _twist_from_factor(x: Matrix, b1: Matrix, u: Permutation, b2: Matrix, v: Permutation):
     """(psi(x), h) from x's Bruhat factor x = b1 ubar b2: the gate's v side, NotGeneric off it.
 
-    b1 comes as row tuples (``_bruhat_parts``).  The Gauss-rule elimination leaves row k of
-    [x vbar' | b1 ubar] as d_k times that of [[x vbar']_+ | [x vbar']_-^-1 b1 ubar], d_k the
-    k-th pivot, so with D = diag(b2) psi[k, l] = +-(h_k d_k^-1) M[k, l] D[l]; an exact zero
-    M[k, l] is kept as it is, with no product.
+    The Gauss-rule elimination leaves row k of [x vbar' | b1 ubar] as d_k times that of
+    [[x vbar']_+ | [x vbar']_-^-1 b1 ubar], d_k the k-th pivot, so with D = diag(b2)
+    psi[k, l] = +-(h_k d_k^-1) M[k, l] D[l]; an exact zero M[k, l] is kept as it is, with no
+    product.
     """
     n = x.rows
-    rhs = right_by_representative(Matrix._wrap(b1), u)
+    rhs = right_by_representative(b1, u)
     rows = [list(a + b) for a, b in zip(right_by_representative(x, v.inverse())._e, rhs._e)]
     steps = _gauss_eliminate(rows)
     if not _within_support(rows, v):

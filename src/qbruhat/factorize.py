@@ -48,8 +48,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cells import _point, _twist
-from .errors import IndexOutOfRange, NotGeneric, QBruhatError, ShapeMismatch, ZeroInverse
-from .matrix import Matrix, check_index_set, interval
+from .errors import NotGeneric, QBruhatError, ShapeMismatch, ZeroInverse
+from .matrix import Matrix, check_index, check_index_set, interval
 from .quasidet import MinorCache, MinorSpec, boxed_quasiminor
 from .scalars import _exact, inv, is_zero
 from .weyl import DoubleWord, Permutation, simple_representative
@@ -65,9 +65,7 @@ class Generator:
 
 
 def generator_matrix(gen: Generator, n: int) -> Matrix:
-    if not 1 <= gen.i <= n - 1:
-        raise IndexOutOfRange(f"generator index {gen.i} outside [1, {n - 1}]")
-    i, t = gen.i, gen.t
+    i, t = check_index(gen.i, n - 1, "generator index"), gen.t
     if gen.kind == "x":
         return Matrix.identity(n) + Matrix.unit(n, i, i + 1, t)
     if gen.kind == "y":
@@ -175,9 +173,9 @@ def standard_word(n: int) -> DoubleWord:
 
 
 def standard_position(i: int, j: int, n: int) -> int:
-    """1-based position of the parameter t_{ij} inside the standard word."""
-    if not 1 <= i < j <= n:
-        raise IndexOutOfRange(f"need 1 <= i < j <= n, got ({i}, {j})")
+    """1-based position of the parameter t_{ij}, 1 <= i < j <= n, inside the standard word."""
+    check_index(j, n)
+    check_index(i, j - 1)
     return n * (i - 1) - (i + 1) * i // 2 + j
 
 
@@ -231,7 +229,9 @@ class UpperFactorization:
     stages: dict
 
     def stage(self, m: int, k: int) -> Matrix:
-        return self.stages[(m, k)]
+        """Stage (m, k), 1 <= m <= k <= n-1."""
+        check_index(k, self.source.rows - 1)
+        return self.stages[check_index(m, k), k]
 
     def final_stage(self) -> Matrix:
         return self.stages[self.pairs[-1]] if self.pairs else self.source
@@ -392,15 +392,18 @@ BLOCK_FAMILIES = {
 
 
 # 2n(n-1) + 1 keys per n (four families on the pairs, and d at (n, n)): every n up to 11
-# fits at once, 890 keys.  The specs depend on n alone, never on a matrix.
-@functools.lru_cache(maxsize=1024)
+# fits at once, 890 keys.  The specs depend on n alone, never on a matrix.  Typed, so
+# that a bool or float i or j (True == 1.0 == 1) misses the int pair's entry.
+@functools.lru_cache(maxsize=1024, typed=True)
 def _family_specs(family: str, n: int, i: int, j: int) -> tuple:
     """``BLOCK_FAMILIES[family](n, i, j)``, built once; index sets are checked within [1, n].
 
-    The check runs den's rows and columns, then num's, in the order
-    ``MinorCache.spec`` would meet them; a pair that fails it raises and is
-    not kept.
+    i and j must be ints; their range is what the specs' own checks allow.  The
+    check runs den's rows and columns, then num's, in the order ``MinorCache.spec``
+    would meet them; a pair that fails it raises and is not kept.
     """
+    check_index(i, None)
+    check_index(j, None)
     specs = BLOCK_FAMILIES[family](n, i, j)
     for spec in specs:
         check_index_set(spec.I, n)

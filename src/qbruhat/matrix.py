@@ -31,14 +31,20 @@ def interval(a: int, b: int) -> tuple:
     return tuple(range(a, b + 1))
 
 
+def check_index(i, bound: int | None, what: str = "index") -> int:
+    """The one rule for a 1-based index: an int, not a bool, in [1, bound] unless bound is None."""
+    if type(i) is not int:
+        raise IndexOutOfRange(f"{what} {i!r} is not an integer")
+    if bound is not None and not 1 <= i <= bound:
+        raise IndexOutOfRange(f"{what} {i} outside [1, {bound}]")
+    return i
+
+
 def check_index_set(indices, bound: int) -> tuple:
-    """Validate a strictly increasing 1-based index set within [1, bound]; bools are refused."""
+    """Validate a strictly increasing 1-based index set within [1, bound] by ``check_index``."""
     out = tuple(indices)
     for pos, idx in enumerate(out):
-        if type(idx) is not int:
-            raise IndexOutOfRange(f"index {idx!r} is not an integer")
-        if idx < 1 or idx > bound:
-            raise IndexOutOfRange(f"index {idx} outside [1, {bound}]")
+        check_index(idx, bound)
         if pos > 0 and out[pos - 1] >= idx:
             raise IndexOutOfRange(f"index set {out} is not strictly increasing")
     return out
@@ -94,8 +100,8 @@ class Matrix:
     @classmethod
     def unit(cls, n: int, i: int, j: int, value=1) -> "Matrix":
         """The matrix unit E_{ij}: `value` at (i, j), zero elsewhere."""
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise IndexOutOfRange(f"unit position ({i}, {j}) outside [1, {n}]^2")
+        check_index(i, n)
+        check_index(j, n)
         return cls(
             [[value if (r, c) == (i - 1, j - 1) else 0 for c in range(n)] for r in range(n)]
         )
@@ -103,7 +109,11 @@ class Matrix:
     # -- access ---------------------------------------------------------------
 
     def __getitem__(self, key):
+        if type(key) is not tuple or len(key) != 2:
+            raise IndexOutOfRange(f"entry key {key!r} is not a pair (i, j)")
         i, j = key
+        check_index(i, None)
+        check_index(j, None)
         if not (1 <= i <= self.rows and 1 <= j <= self.cols):
             raise IndexOutOfRange(
                 f"entry ({i}, {j}) outside [1, {self.rows}] x [1, {self.cols}]"
@@ -179,9 +189,8 @@ class Matrix:
         i+1 is skipped, so a zero makes no product or sum: a row with a zero
         in column i is kept as it is by x_i(t).
         """
-        k = abs(letter)
-        if not 1 <= k <= self.cols - 1:
-            raise IndexOutOfRange(f"generator index {k} outside [1, {self.cols - 1}]")
+        check_index(letter, None, "generator index")
+        k = check_index(abs(letter), self.cols - 1, "generator index")
         if letter < 0:
             if is_zero(t):
                 raise ZeroInverse(f"x_-{k}(t) needs invertible t")
@@ -257,6 +266,8 @@ class Matrix:
 
     def delete(self, i: int, j: int) -> "Matrix":
         """The submatrix with row i and column j removed."""
+        check_index(i, self.rows)
+        check_index(j, self.cols)
         I = tuple(r for r in range(1, self.rows + 1) if r != i)
         J = tuple(c for c in range(1, self.cols + 1) if c != j)
         return self.submatrix(I, J)

@@ -53,8 +53,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .errors import IndexOutOfRange, NotGeneric, QBruhatError
-from .matrix import Matrix, _Block, _schur_chain, check_index_set, interval
+from .errors import IndexOutOfRange, NotGeneric, QBruhatError, ShapeMismatch
+from .matrix import Matrix, _Block, _schur_chain, check_index, check_index_set, interval
 from .scalars import inv, is_zero
 from .weyl import Permutation, left_by_representative, right_by_representative
 
@@ -66,13 +66,6 @@ def _inner_singular(p: int, q: int, size: int) -> NotGeneric:
     )
 
 
-def _check_marks(*marks):
-    """Refuse an index that is not an int, a bool or a float equal to one included."""
-    for idx in marks:
-        if type(idx) is not int:
-            raise IndexOutOfRange(f"index {idx!r} is not an integer")
-
-
 def quasideterminant(A: Matrix, p: int, q: int):
     """|A|_pq, exact; NotGeneric when the inner submatrix A^pq is singular.
 
@@ -80,11 +73,10 @@ def quasideterminant(A: Matrix, p: int, q: int):
     inner block, read off ``_schur_chain`` on A's rows other than p and
     columns other than q.
     """
-    _check_marks(p, q)
     if not A.is_square:
-        raise IndexOutOfRange(f"quasideterminant needs a square matrix, got {A.shape_str()}")
+        raise ShapeMismatch(f"quasideterminant needs a square matrix, got {A.shape_str()}")
     n = A.rows
-    A[p, q]  # the mark must lie inside A
+    A[p, q]  # the mark must be an index pair inside A
     rows = [r for r in range(1, n + 1) if r != p]
     cols = [c for c in range(1, n + 1) if c != q]
     Q, block = _schur_chain(A._e, rows, cols)
@@ -99,14 +91,13 @@ def quasidet_expansion(A: Matrix, p: int, q: int):
     Cross-check only: needs every |A^pq|_{p',q'} defined and invertible,
     a much stronger genericity requirement than the definition itself.
     """
-    _check_marks(p, q)
+    acc = A[p, q]
     n = A.rows
     if n == 1:
-        return A[p, q]
+        return acc
     inner = A.delete(p, q)
     rows = [r for r in range(1, n + 1) if r != p]
     cols = [c for c in range(1, n + 1) if c != q]
-    acc = A[p, q]
     for pr, r in enumerate(rows, start=1):
         for pc, c in enumerate(cols, start=1):
             m = quasideterminant(inner, pr, pc)
@@ -121,7 +112,8 @@ def quasidet_expansion(A: Matrix, p: int, q: int):
 
 def boxed_quasiminor(x: Matrix, rows, cols, p: int, q: int):
     """|x_{rows,cols}|_{p,q} with the mark given in global coordinates."""
-    _check_marks(p, q)
+    check_index(p, x.rows)
+    check_index(q, x.cols)
     rows = check_index_set(rows, x.rows)
     cols = check_index_set(cols, x.cols)
     try:
@@ -136,8 +128,9 @@ def boxed_quasiminor(x: Matrix, rows, cols, p: int, q: int):
 class MinorSpec:
     """A positioned quasiminor: row set I, column set J, mark (i, j).
 
-    Every index must be an int; a bool is refused here, as by ``check_index_set``, since
-    True == 1 would otherwise find the memo of an int key in ``MinorCache.spec``.
+    Every index must be an int (``matrix.check_index`` with no bound, since the spec knows no
+    matrix): a bool is refused here, as True == 1 would otherwise find the memo of an int key
+    in ``MinorCache.spec``; the range is checked against x where the spec is read.
     """
 
     I: tuple
@@ -148,7 +141,8 @@ class MinorSpec:
     def __post_init__(self):
         object.__setattr__(self, "I", tuple(self.I))
         object.__setattr__(self, "J", tuple(self.J))
-        _check_marks(*self.I, *self.J, self.i, self.j)
+        for idx in (*self.I, *self.J, self.i, self.j):
+            check_index(idx, None)
         if len(self.I) != len(self.J):
             raise IndexOutOfRange(f"|I| = {len(self.I)} != |J| = {len(self.J)}")
         if self.i not in self.I or self.j not in self.J:
@@ -168,7 +162,7 @@ def positive_quasiminor(x: Matrix, spec: MinorSpec):
 
 def principal_quasiminor(x: Matrix, i: int):
     """The principal i x i quasiminor, marked at its lower-right corner."""
-    _check_marks(i)
+    check_index(i, min(x.rows, x.cols))
     return boxed_quasiminor(x, interval(1, i), interval(1, i), i, i)
 
 
@@ -189,11 +183,11 @@ class SnMinorSpec:
 # Room for every (w, k) of S_1 ... S_6: the sum of n * n! is 7! - 1 = 5,039 keys.  n = 6
 # is the largest grid the check budget accepts, and it reads S_6's 4,320 keys once per
 # pass, in the same order; a smaller LRU table would evict each key before its next read.
-@functools.lru_cache(maxsize=5039)
+# Typed, so that a bool or float level (True == 1.0 == 1) misses the int key's entry.
+@functools.lru_cache(maxsize=5039, typed=True)
 def _level_key(images: tuple, k: int) -> tuple:
     """(w[1, k] in increasing order, w(k)) for the permutation with these images."""
-    if not 1 <= k <= len(images):
-        raise IndexOutOfRange(f"level {k} outside [1, {len(images)}]")
+    check_index(k, len(images), "level")
     return tuple(sorted(images[:k])), images[k - 1]
 
 
@@ -233,10 +227,10 @@ def quasi_plucker_left(A: Matrix, i: int, j: int, I):
     I = check_index_set(I, A.cols)
     if len(I) != k - 1:
         raise IndexOutOfRange(f"need |I| = {k - 1}, got {len(I)}")
+    check_index(i, A.cols)
+    check_index(j, A.cols)
     if i in I:
         raise IndexOutOfRange(f"column {i} must avoid I = {I}")
-    if not (1 <= i <= A.cols and 1 <= j <= A.cols):
-        raise IndexOutOfRange(f"columns ({i}, {j}) outside [1, {A.cols}]")
     first = Matrix([[A[r, c] for c in (i,) + I] for r in range(1, k + 1)])
     second = Matrix([[A[r, c] for c in (j,) + I] for r in range(1, k + 1)])
     found = []
@@ -269,10 +263,10 @@ def quasi_plucker_right(B: Matrix, i: int, j: int, I):
     I = check_index_set(I, B.rows)
     if len(I) != k - 1:
         raise IndexOutOfRange(f"need |I| = {k - 1}, got {len(I)}")
+    check_index(i, B.rows)
+    check_index(j, B.rows)
     if j in I:
         raise IndexOutOfRange(f"row {j} must avoid I = {I}")
-    if not (1 <= i <= B.rows and 1 <= j <= B.rows):
-        raise IndexOutOfRange(f"rows ({i}, {j}) outside [1, {B.rows}]")
     first = Matrix([[B[r, c] for c in range(1, k + 1)] for r in (i,) + I])
     second = Matrix([[B[r, c] for c in range(1, k + 1)] for r in (j,) + I])
     found = []
@@ -310,7 +304,7 @@ def sylvester_reduce(A: Matrix, I0, J0) -> Matrix:
     the noncommutative Lewis Carroll setup.
     """
     if not A.is_square:
-        raise IndexOutOfRange("sylvester_reduce needs a square matrix")
+        raise ShapeMismatch("sylvester_reduce needs a square matrix")
     n = A.rows
     I0 = check_index_set(I0, n)
     J0 = check_index_set(J0, n)

@@ -32,8 +32,8 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from .errors import IndexOutOfRange, NotReducedWord
-from .matrix import Matrix
+from .errors import NotReducedWord
+from .matrix import Matrix, check_index
 from .scalars import parse_int
 
 
@@ -57,8 +57,7 @@ class Permutation:
     @classmethod
     def simple(cls, i: int, n: int) -> "Permutation":
         """The simple transposition s_i = (i, i+1)."""
-        if not 1 <= i <= n - 1:
-            raise IndexOutOfRange(f"simple reflection index {i} outside [1, {n - 1}]")
+        check_index(i, n - 1, "simple reflection index")
         images = list(range(1, n + 1))
         images[i - 1], images[i] = images[i], images[i - 1]
         return cls(images)
@@ -72,8 +71,7 @@ class Permutation:
         return len(self.images)
 
     def __call__(self, i: int) -> int:
-        if not 1 <= i <= self.n:
-            raise IndexOutOfRange(f"{i} outside [1, {self.n}]")
+        check_index(i, len(self.images))
         return self.images[i - 1]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
@@ -165,14 +163,7 @@ def random_reduced_word(w: Permutation, rng: random.Random) -> tuple:
 
 def simple_representative(i: int, n: int) -> Matrix:
     """The signed representative of s_i (a 2x2 rotation block)."""
-    if not 1 <= i <= n - 1:
-        raise IndexOutOfRange(f"simple reflection index {i} outside [1, {n - 1}]")
-    entries = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    entries[i - 1][i - 1] = 0
-    entries[i][i] = 0
-    entries[i - 1][i] = -1
-    entries[i][i - 1] = 1
-    return Matrix(entries)
+    return representative(Permutation.simple(i, n))
 
 
 @functools.lru_cache(maxsize=4096)
@@ -222,8 +213,7 @@ def longest_in_range(i: int, n: int) -> Permutation:
 
     Reverses the interval [i, n] and fixes everything before it.
     """
-    if not 1 <= i <= n:
-        raise IndexOutOfRange(f"{i} outside [1, {n}]")
+    check_index(i, n)
     return Permutation([j if j < i else n + i - j for j in range(1, n + 1)])
 
 
@@ -283,9 +273,7 @@ class DoubleWord:
         The u-side products run from the last letter down to k; letters of
         the wrong sign contribute the identity.
         """
-        m = len(self.letters)
-        if not 1 <= k <= m:
-            raise IndexOutOfRange(f"position {k} outside [1, {m}]")
+        check_index(k, len(self.letters), "position")
         return self.u_from[k], self.u_from[k + 1], self.v_upto[k], self.v_upto[k - 1]
 
     @classmethod

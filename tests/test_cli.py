@@ -122,6 +122,13 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+def test_a_non_square_quasideterminant_exits_2(capsys):
+    wide = json.dumps(matrix_to_json(Matrix([[1, 2, 3], [4, 5, 6]])))
+    code, out, err = run(capsys, "quasidet", "--input", wide, "--row", "1", "--col", "1")
+    assert code == 2 and out == ""
+    assert err == "error: quasideterminant needs a square matrix, got 2x3\n"
+
+
 def test_not_generic_exit(capsys):
     singular = json.dumps({"n": 2, "m": 2, "entries": [["1", "1"], ["1", "1"]]})
     code, _, err = run(capsys, "classify", "--input", singular)

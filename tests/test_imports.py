@@ -7,7 +7,8 @@ non-dunder method of the package that no package, test or benchmark module
 reads by name outside its own definition.  And x reaches its Bruhat factor,
 opposite datum and twist only through the cell gate's record: the functions
 that reduce it are read only inside ``cells._Point`` and imported nowhere.
-No package module imports another inside a function.
+No package module imports another inside a function, and only ``matrix.py`` writes out
+the rule for a valid 1-based index.
 """
 
 import ast
@@ -219,3 +220,71 @@ def test_the_check_sees_an_import_inside_a_function():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.relative_to(ROOT).as_posix())
 def test_no_package_module_is_imported_inside_a_function(path):
     assert lazy_package_imports(path.read_text(encoding="utf-8")) == []
+
+
+MATRIX = "src/qbruhat/matrix.py"
+# (class, method) pairs whose ``type(...) is not int`` tests a value, not an index: the
+# images of a permutation and the letters of a double word
+VALUE_TYPE_TESTS = {("Permutation", "__init__"), ("DoubleWord", "__post_init__")}
+
+
+def private_index_rules(source: str) -> list:
+    """(line, kind) for each index rule a module outside `MATRIX` writes out for itself.
+
+    An ``IndexOutOfRange`` message with ``outside [1,`` in it is a "range"; a
+    ``type(...) is not int`` test outside `VALUE_TYPE_TESTS` is a "type".  Both belong
+    to ``matrix.check_index``.
+    """
+    tree = ast.parse(source)
+    allowed = set()
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for item in cls.body:
+                if isinstance(item, ast.FunctionDef) and (cls.name, item.name) in VALUE_TYPE_TESTS:
+                    allowed |= {id(sub) for sub in ast.walk(item)}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "id", getattr(func, "attr", None)) != "IndexOutOfRange":
+                continue
+            text = "".join(
+                sub.value
+                for arg in node.args
+                for sub in ast.walk(arg)
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+            )
+            if "outside [1," in text:
+                out.append((node.lineno, "range"))
+        elif isinstance(node, ast.Compare) and id(node) not in allowed:
+            left = node.left
+            if (
+                isinstance(left, ast.Call)
+                and getattr(left.func, "id", None) == "type"
+                and isinstance(node.ops[0], ast.IsNot)
+                and getattr(node.comparators[0], "id", None) == "int"
+            ):
+                out.append((node.lineno, "type"))
+    return sorted(out)
+
+
+def test_the_check_sees_a_private_index_rule():
+    source = (
+        "def f(i, n):\n    if type(i) is not int:\n        raise IndexOutOfRange(f'{i}')\n"
+        "    if not 1 <= i <= n:\n        raise errors.IndexOutOfRange(f'row {i} outside [1, {n}]')\n"
+        "    raise ValueError(f'{i} outside [1, {n}]')\n\n\n"
+        "class Permutation:\n    def __init__(self, a):\n        if type(a) is not int:\n"
+        "            pass\n\n    def __call__(self, i):\n        return type(i) is not int\n\n\n"
+        "class DoubleWord:\n    def __post_init__(self):\n"
+        "        return any(type(l) is not int for l in self.letters)\n"
+    )
+    assert private_index_rules(source) == [(2, "type"), (5, "range"), (15, "type")]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [path for path in PACKAGE if path.relative_to(ROOT).as_posix() != MATRIX],
+    ids=lambda path: path.relative_to(ROOT).as_posix(),
+)
+def test_every_index_is_checked_in_matrix(path):
+    assert private_index_rules(path.read_text(encoding="utf-8")) == []

@@ -5,7 +5,10 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from qbruhat.cells import classify
 from qbruhat.errors import IndexOutOfRange, NotGeneric, ShapeMismatch
+from qbruhat.factorize import solve_standard_unipotent, upper_factorize
+from qbruhat.gauss import gauss_parts, ldu
 from qbruhat.matrix import (
     Matrix,
     interval,
@@ -16,7 +19,7 @@ from qbruhat.matrix import (
     rank,
     sigma,
 )
-from qbruhat.quasidet import quasideterminant
+from qbruhat.quasidet import quasideterminant, sylvester_reduce
 from qbruhat.sampling import invertible_matrix, matrix as sample_matrix
 from qbruhat.scalars import RationalQuaternion as Q, inv
 
@@ -197,3 +200,22 @@ def test_arithmetic_shape_errors():
     assert (-a + a) == Matrix.zeros(1, 2)
     assert a.scale_left(2) == Matrix([[2, 4]])
     assert a.scale_right(Fraction(1, 2)) == Matrix([[Fraction(1, 2), 1]])
+
+
+def test_a_non_square_matrix_is_a_shape_mismatch_everywhere():
+    # quasideterminant and sylvester_reduce raised IndexOutOfRange for it, with these messages
+    x = Matrix([[1, 2, 3], [4, 5, 6]])
+    reads = [
+        (lambda: quasideterminant(x, 1, 1), "quasideterminant needs a square matrix, got 2x3"),
+        (lambda: sylvester_reduce(x, (1,), (1,)), "sylvester_reduce needs a square matrix"),
+        (lambda: gauss_parts(x), "gauss_parts needs a square matrix, got 2x3"),
+        (lambda: ldu(x), "ldu needs a square matrix, got 2x3"),
+        (lambda: classify(x), "classification needs a square matrix"),
+        (lambda: upper_factorize(x), "upper_factorize needs a square matrix"),
+        (lambda: solve_standard_unipotent(x), "solve_standard_unipotent needs a square matrix"),
+        (lambda: sigma(x), "sigma needs a square matrix"),
+    ]
+    for read, message in reads:
+        with pytest.raises(ShapeMismatch) as info:
+            read()
+        assert str(info.value) == message

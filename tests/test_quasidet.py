@@ -13,6 +13,13 @@ from oracles import (
     plucker_row_coordinate,
 )
 from qbruhat.errors import IndexOutOfRange, NotGeneric
+from qbruhat.factorize import (
+    Generator,
+    block_ratio,
+    generator_matrix,
+    standard_position,
+    upper_factorize,
+)
 from qbruhat.matrix import Matrix, interval, iota, sigma
 from qbruhat.quasidet import (
     MinorCache,
@@ -34,6 +41,7 @@ from qbruhat.sampling import (
     diagonal,
     invertible_matrix,
     matrix as sample_matrix,
+    maximal_cell_point,
     with_retries,
 )
 from qbruhat.scalars import RationalQuaternion as Q, inv, is_zero
@@ -49,7 +57,14 @@ from qbruhat.verify import (
     run_suite,
     validate_run,
 )
-from qbruhat.weyl import Permutation, all_permutations, representative
+from qbruhat.weyl import (
+    DoubleWord,
+    Permutation,
+    all_permutations,
+    longest_in_range,
+    representative,
+    simple_representative,
+)
 
 
 def rational_matrix(rng, n):
@@ -742,6 +757,63 @@ def test_marks_and_levels_refuse_a_non_int():
         quasideterminant(x, 4, 1)
     with pytest.raises(IndexOutOfRange, match=r"^index 4 outside \[1, 3\]$"):
         principal_quasiminor(x, 4)
+    # every public entry that takes a 1-based index: (site, read of the index, largest valid
+    # index); a bool, a float, a Fraction, 0 and the bound + 1 are each IndexOutOfRange, never a
+    # raw TypeError or KeyError, and never a value
+    y = maximal_cell_point(random.Random(11), 4)
+    wide, tall = sample_matrix(random.Random(12), 2, 4), sample_matrix(random.Random(13), 4, 2)
+    e4, w = Permutation.identity(4), Permutation((2, 4, 1, 3))
+    stages = upper_factorize(y)
+    table = [
+        ("Matrix[i, 1]", lambda i: y[i, 1], 4),
+        ("Matrix[1, j]", lambda j: y[1, j], 4),
+        ("Matrix.unit row", lambda i: Matrix.unit(4, i, 1), 4),
+        ("Matrix.unit column", lambda j: Matrix.unit(4, 1, j), 4),
+        ("Matrix.delete row", lambda i: y.delete(i, 1), 4),
+        ("Matrix.delete column", lambda j: y.delete(1, j), 4),
+        ("Matrix._right_letter", lambda k: y._right_letter(k, Q(1, 1)), 3),
+        ("quasideterminant p", lambda p: quasideterminant(y, p, 1), 4),
+        ("quasideterminant q", lambda q: quasideterminant(y, 1, q), 4),
+        ("quasidet_expansion", lambda p: quasidet_expansion(y, p, 2), 4),
+        ("boxed_quasiminor", lambda p: boxed_quasiminor(y, interval(1, 4), (1, 2, 3, 4), p, 1), 4),
+        ("principal_quasiminor", lambda i: principal_quasiminor(y, i), 4),
+        ("MinorSpec", lambda i: MinorSpec((1, 2), (1, 2), i, 1), 2),
+        ("MinorCache.uv", lambda k: MinorCache(y).uv(w, e4, k), 4),
+        ("quasi_plucker_left i", lambda i: quasi_plucker_left(wide, i, 3, (2,)), 4),
+        ("quasi_plucker_left j", lambda j: quasi_plucker_left(wide, 1, j, (2,)), 4),
+        ("quasi_plucker_right i", lambda i: quasi_plucker_right(tall, i, 1, (2,)), 4),
+        ("quasi_plucker_right j", lambda j: quasi_plucker_right(tall, 3, j, (2,)), 4),
+        ("Permutation.__call__", lambda i: w(i), 4),
+        ("Permutation.simple", lambda i: Permutation.simple(i, 4), 3),
+        ("simple_representative", lambda i: simple_representative(i, 4), 3),
+        ("longest_in_range", lambda i: longest_in_range(i, 4), 4),
+        ("DoubleWord.subword_perms", lambda k: DoubleWord(4, (1, -2, 3)).subword_perms(k), 3),
+        ("generator_matrix", lambda i: generator_matrix(Generator("x", i, Q(1)), 4), 3),
+        ("standard_position i", lambda i: standard_position(i, 4, 4), 3),
+        ("standard_position j", lambda j: standard_position(1, j, 4), 4),
+        ("UpperFactorization.stage m", lambda m: stages.stage(m, 3), 3),
+        ("UpperFactorization.stage k", lambda k: stages.stage(1, k), 3),
+        ("block_ratio", lambda j: block_ratio(MinorCache(y), "c", 1, j, None), 4),
+    ]
+    for site, read, bound in table:
+        read(bound)  # the largest index is valid
+        for idx in (True, 1.0, Fraction(1), 0, bound + 1):
+            with pytest.raises(IndexOutOfRange) as info:
+                read(idx)
+            if type(idx) is not int:
+                assert str(info.value).endswith(f" {idx!r} is not an integer"), site
+    # a bool or float key is refused after its int key is kept: True == 1.0 == 1 hash alike
+    cache = MinorCache(y)
+    cache.uv(w, e4, 1)
+    block_ratio(cache, "b", 1, 2, None)
+    for read in (
+        lambda: cache.uv(w, e4, True),
+        lambda: cache.uv(w, e4, 1.0),
+        lambda: block_ratio(cache, "b", True, 2, None),
+        lambda: block_ratio(cache, "b", 1.0, 2.0, None),
+    ):
+        with pytest.raises(IndexOutOfRange, match=r" is not an integer$"):
+            read()
 
 
 def test_a_boolean_spec_is_refused_after_its_int_key_is_memoized():
