@@ -61,7 +61,7 @@ from .errors import NotGeneric, QBruhatError, ShapeMismatch, WrongCell
 from .gauss import _gauss_eliminate, _reduce_rows, gauss_parts
 from .matrix import Matrix, iota, iota_inverse_free, rank, sigma
 from .quasidet import MinorCache, _kept
-from .scalars import is_zero
+from .scalars import equal, is_zero
 from .weyl import Permutation, left_by_representative, right_by_representative
 
 
@@ -328,7 +328,7 @@ def _twist(x: Matrix, u: Permutation, v: Permutation, check: bool = True):
 
 def in_reduced_cell(x: Matrix, u: Permutation, v: Permutation) -> bool:
     """True iff the torus (level quasiminors at (u, e)) is all 1; WrongCell off the double cell."""
-    return all(is_zero(h - 1) for h in _twist(x, u, v)[1])
+    return all(equal(h, 1) for h in _twist(x, u, v)[1])
 
 
 def twist_general(x: Matrix, u: Permutation, v: Permutation, check: bool = True) -> Matrix:
@@ -346,7 +346,7 @@ def twist_reduced(x: Matrix, u: Permutation, v: Permutation, check: bool = True)
     with `check`, a torus that is not all 1 is WrongCell too.
     """
     psi, h = _twist(x, u, v, check)
-    if check and not all(is_zero(t - 1) for t in h):
+    if check and not all(equal(t, 1) for t in h):
         raise WrongCell(
             f"x is in the double cell of ({u!r}, {v!r}) but not in its reduced cell"
         )

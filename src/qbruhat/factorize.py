@@ -49,9 +49,9 @@ from fractions import Fraction
 
 from .cells import _point, _twist
 from .errors import NotGeneric, QBruhatError, ShapeMismatch, ZeroInverse
-from .matrix import Matrix, check_index, check_index_set, interval
-from .quasidet import MinorCache, MinorSpec, boxed_quasiminor
-from .scalars import _exact, inv, is_zero
+from .matrix import Matrix, check_index, interval
+from .quasidet import MinorCache, MinorSpec, _checked_sets, boxed_quasiminor
+from .scalars import _exact, equal, inv, is_zero
 from .weyl import DoubleWord, Permutation, simple_representative
 
 
@@ -347,7 +347,7 @@ def recover_params(x: Matrix, word: DoubleWord) -> FactorizationOutput:
             second = _ratio(
                 cache.uv(v_lt, u_gt, i), cache.uv(v_le, u_gt, i + 1), ("branch+", k)
             )
-        if not is_zero(first - second):
+        if not equal(first, second):
             raise NotGeneric(
                 f"the two forms for t_{k} disagree; x is not factorizable along this word",
                 witness=("branch-agreement", k),
@@ -398,16 +398,15 @@ BLOCK_FAMILIES = {
 def _family_specs(family: str, n: int, i: int, j: int) -> tuple:
     """``BLOCK_FAMILIES[family](n, i, j)``, built once; index sets are checked within [1, n].
 
-    i and j must be ints; their range is what the specs' own checks allow.  The
-    check runs den's rows and columns, then num's, in the order ``MinorCache.spec``
-    would meet them; a pair that fails it raises and is not kept.
+    i and j must be ints; their range is what the specs' own checks allow.  The check,
+    ``MinorCache.spec``'s own (``quasidet._checked_sets``), runs den's rows and columns,
+    then num's, as ``spec`` would; a pair that fails it raises and is not kept.
     """
     check_index(i, None)
     check_index(j, None)
     specs = BLOCK_FAMILIES[family](n, i, j)
     for spec in specs:
-        check_index_set(spec.I, n)
-        check_index_set(spec.J, n)
+        _checked_sets(spec.I, spec.J, n, n)
     return specs
 
 
@@ -457,7 +456,7 @@ def factor_u_w0(x: Matrix) -> UW0Factorization:
             closed = block_ratio(cache_x, "b", m, k, ("upper-t", m, k))
         except NotGeneric:
             continue
-        if not is_zero(closed - uf.t[(m, k)]):
+        if not equal(closed, uf.t[(m, k)]):
             raise QBruhatError(
                 f"stage parameter ({m}, {k}) disagrees with its quasiminor form"
             )
@@ -466,7 +465,7 @@ def factor_u_w0(x: Matrix) -> UW0Factorization:
         cache_y = point.minors(_twist(x, u, w0)[0])
         for i, j in sorted(uf.pairs):
             twisted = block_ratio(cache_y, "a", i, j, ("u-w0-twist", i, j))
-            if not is_zero(twisted - uf.t[(i, j)]):
+            if not equal(twisted, uf.t[(i, j)]):
                 raise QBruhatError(
                     f"twisted expression for t_({i},{j}) disagrees with the direct one"
                 )
@@ -568,7 +567,7 @@ def factor_w0_v(x: Matrix) -> W0VFactorization:
         raise QBruhatError("residual of the negative blocks is not upper unitriangular")
     for i, j in pairs:
         twisted = block_ratio(cache_y, "c", i, j, ("w0-v-twist", i, j))
-        if not is_zero(twisted - tau[(i, j)]):
+        if not equal(twisted, tau[(i, j)]):
             raise QBruhatError(
                 f"twisted expression for tau_({i},{j}) disagrees with the direct one"
             )
@@ -641,7 +640,7 @@ def verify_double_ratios(x: Matrix, include_extended: bool = False) -> DoubleRat
 
     def record(family, params, lhs, rhs):
         counts[family] = counts.get(family, 0) + 1
-        if not is_zero(lhs - rhs):
+        if not equal(lhs, rhs):
             failures.append({"family": family, "params": params})
 
     for i in range(1, n + 1):

@@ -27,7 +27,7 @@ from .factorize import (
 from .gauss import ldu, lower_solve
 from .matrix import Matrix, interval
 from .quasidet import MinorSpec, boxed_quasiminor, positive_quasiminor
-from .scalars import inv, is_zero
+from .scalars import equal, inv
 from .weyl import DoubleWord
 
 
@@ -41,7 +41,7 @@ class FixtureReport:
         if isinstance(lhs, Matrix):
             ok = lhs == rhs
         else:
-            ok = is_zero(lhs - rhs)
+            ok = equal(lhs, rhs)
         self.checks.append((label, bool(ok)))
 
     @property

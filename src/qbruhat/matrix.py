@@ -19,6 +19,7 @@ from .errors import IndexOutOfRange, NotGeneric, ShapeMismatch, ZeroInverse
 from .scalars import (
     RationalQuaternion,
     _exact,
+    equal,
     format_scalar,
     inv,
     is_zero,
@@ -135,15 +136,12 @@ class Matrix:
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             return False
-        # `a == b` is exact for the shipped scalars; is_zero(a - b) decides
-        # what structural equality cannot (e.g. uncancelled sympy forms).
+        # entrywise ``scalars.equal``: ``==`` on stored forms, else is_zero(a - b)
         return all(
-            a == b or is_zero(a - b)
-            for ra, rb in zip(self._e, other._e)
-            for a, b in zip(ra, rb)
+            equal(a, b) for ra, rb in zip(self._e, other._e) for a, b in zip(ra, rb)
         )
 
-    __hash__ = None  # no hash of the entries follows the is_zero(a - b) equality
+    __hash__ = None  # no hash of the entries follows ``equal``'s fallback to is_zero(a - b)
 
     def __add__(self, other):
         if not isinstance(other, Matrix):
@@ -316,7 +314,7 @@ class Matrix:
         if not self.is_square:
             return False
         shape_ok = self.is_upper_triangular() if kind == "upper" else self.is_lower_triangular()
-        return shape_ok and all(is_zero(self._e[i][i] - 1) for i in range(self.rows))
+        return shape_ok and all(equal(self._e[i][i], 1) for i in range(self.rows))
 
     def is_identity(self) -> bool:
         return self.is_square and self == Matrix.identity(self.rows)

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, NotGeneric, QBruhatError, ShapeMismatch
 from .matrix import Matrix, _Block, _schur_chain, check_index, check_index_set, interval
-from .scalars import inv, is_zero
+from .scalars import equal, inv, is_zero
 from .weyl import Permutation, left_by_representative, right_by_representative
 
 
@@ -209,7 +209,7 @@ def quasiminor_indexed(x: Matrix, spec: SnMinorSpec):
         right_by_representative(left_by_representative(spec.u, x, inverse=True), spec.v),
         spec.k,
     )
-    if not is_zero(direct - conj):
+    if not equal(direct, conj):
         raise QBruhatError(
             f"quasiminor routes disagree at level {spec.k}: {direct!r} vs {conj!r}"
         )
@@ -250,7 +250,7 @@ def quasi_plucker_left(A: Matrix, i: int, j: int, I):
             f"left quasi-Plucker q^{I}_({i},{j}) undefined for every auxiliary row",
             witness=("plucker-left", I, i, j),
         )
-    if len(found) == 2 and not is_zero(found[0][1] - found[1][1]):
+    if len(found) == 2 and not equal(found[0][1], found[1][1]):
         raise QBruhatError(
             f"left quasi-Plucker depends on the auxiliary row: {found!r}"
         )
@@ -286,7 +286,7 @@ def quasi_plucker_right(B: Matrix, i: int, j: int, I):
             f"right quasi-Plucker r^{I}_({i},{j}) undefined for every auxiliary column",
             witness=("plucker-right", I, i, j),
         )
-    if len(found) == 2 and not is_zero(found[0][1] - found[1][1]):
+    if len(found) == 2 and not equal(found[0][1], found[1][1]):
         raise QBruhatError(
             f"right quasi-Plucker depends on the auxiliary column: {found!r}"
         )
@@ -323,6 +323,15 @@ def sylvester_reduce(A: Matrix, I0, J0) -> Matrix:
             witness=("pivot-block", I0, J0),
         )
     return Matrix([[block.entry(p, q) for q in comp_cols] for p in comp_rows])
+
+
+# Specs recur on every matrix of one shape, so a valid (I, J) is checked once per shape; a bad
+# one raises, is not kept and raises on every read.  Room for every block family spec to n = 11.
+@functools.lru_cache(maxsize=4096)
+def _checked_sets(I: tuple, J: tuple, rows: int, cols: int) -> None:
+    """Check I within [1, rows] and J within [1, cols] by ``check_index_set``, rows first."""
+    check_index_set(I, rows)
+    check_index_set(J, cols)
 
 
 def _kept(memo, key, make, args):
@@ -373,7 +382,7 @@ class MinorCache:
     A key is validated where it enters, so ``_member`` reads only valid,
     increasing I and J, and a bad key raises ``check_index_set``'s
     IndexOutOfRange on every read and is never memoized.  ``spec`` checks
-    I and J against x on a key's miss.  ``uv`` reads its key off
+    I and J on a miss, once per shape of x (``_checked_sets``).  ``uv`` reads its key off
     ``_level_key``, strictly increasing within [1, n] for permutations of
     n, so it checks I and J only when u or v is larger than x.
     """
@@ -386,8 +395,7 @@ class MinorCache:
     def spec(self, spec: MinorSpec):
         key = (spec.I, spec.J, spec.i, spec.j)
         if key not in self._memo:
-            check_index_set(spec.I, self.x.rows)
-            check_index_set(spec.J, self.x.cols)
+            _checked_sets(spec.I, spec.J, self.x.rows, self.x.cols)
         return _kept(self._memo, key, self._member, key)
 
     def uv(self, u: Permutation, v: Permutation, k: int):
@@ -396,8 +404,7 @@ class MinorCache:
         x = self.x
         # a level key is strictly increasing within [1, len(images)]
         if len(u.images) > x.rows or len(v.images) > x.cols:
-            check_index_set(I, x.rows)
-            check_index_set(J, x.cols)
+            _checked_sets(I, J, x.rows, x.cols)
         key = (I, J, i, j)
         return _kept(self._memo, key, self._member, key)
 

@@ -21,8 +21,9 @@ scalars ship here; any other ring goes through the generic branch of
 
 Python ints are accepted anywhere a scalar is (they behave as rationals),
 so identity matrices and generator matrices can be built from literals.
-``bool``, ``float`` and ``complex`` are refused with TypeError (``_exact``,
-and the quaternion operators).
+``bool``, ``float``, ``complex`` and a missing value (``None``) are refused
+with TypeError (``_exact``, and the quaternion operators).  Two scalars are
+compared with :func:`equal`, which builds no difference where ``==`` decides.
 
 Text forms: rationals print as ``p`` or ``p/q``; quaternions print
 canonically as ``a+b*i+c*j+d*k`` with all four components present, e.g.
@@ -51,8 +52,8 @@ _INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 
 def _exact(a):
-    """a as an exact scalar, an int as a Fraction; a bool, float or complex is a TypeError."""
-    if isinstance(a, (bool, float, complex)):
+    """a as an exact scalar, an int as a Fraction; a bool, float, complex or None is a TypeError."""
+    if a is None or isinstance(a, (bool, float, complex)):
         raise TypeError(f"{type(a).__name__} is not an exact scalar")
     return Fraction(a) if isinstance(a, int) else a
 
@@ -247,6 +248,12 @@ def is_zero(a) -> bool:
 
         return sympy.cancel(sympy.together(a)) == 0
     return a == 0
+
+
+def equal(a, b) -> bool:
+    """Exact equality: ``a == b`` compares the one stored form of a quaternion, Fraction or int,
+    and ``is_zero(a - b)`` settles what ``==`` cannot match (an uncancelled sympy form)."""
+    return a == b or is_zero(a - b)
 
 
 def inv(a):

@@ -47,7 +47,7 @@ from .sampling import (
     upper_unitriangular,
     with_retries,
 )
-from .scalars import inv, is_zero
+from .scalars import equal, inv, is_zero
 from .weyl import Permutation, all_permutations
 
 
@@ -99,7 +99,7 @@ def check_elementary_properties(x: Matrix, rng: random.Random) -> int:
     rng.shuffle(rows)
     rng.shuffle(cols)
     shuffled = x._permute_rows(rows, [1] * n)._permute_cols(cols, [1] * n)
-    if not is_zero(quasideterminant(shuffled, rows.index(p) + 1, cols.index(q) + 1) - base):
+    if not equal(quasideterminant(shuffled, rows.index(p) + 1, cols.index(q) + 1), base):
         _fail("permutation-invariance", x, p=p, q=q, rows=rows, cols=cols)
     checks += 1
 
@@ -107,7 +107,7 @@ def check_elementary_properties(x: Matrix, rng: random.Random) -> int:
     r = rng.randint(1, n)
     scaled = x._scale_rows([lam if i == r else 1 for i in range(1, n + 1)])
     expect = lam * base if r == p else base
-    if not is_zero(quasideterminant(scaled, p, q) - expect):
+    if not equal(quasideterminant(scaled, p, q), expect):
         _fail("row-scaling", x, p=p, q=q, row=r)
     checks += 1
 
@@ -115,7 +115,7 @@ def check_elementary_properties(x: Matrix, rng: random.Random) -> int:
     c = rng.randint(1, n)
     scaled = x._scale_cols([mu if j == c else 1 for j in range(1, n + 1)])
     expect = base * mu if c == q else base
-    if not is_zero(quasideterminant(scaled, p, q) - expect):
+    if not equal(quasideterminant(scaled, p, q), expect):
         _fail("column-scaling", x, p=p, q=q, col=c)
     checks += 1
 
@@ -128,7 +128,7 @@ def check_elementary_properties(x: Matrix, rng: random.Random) -> int:
         ]
     )
     if p != src:
-        if not is_zero(quasideterminant(bumped, p, q) - base):
+        if not equal(quasideterminant(bumped, p, q), base):
             _fail("row-addition-invariance", x, p=p, q=q, src=src, dst=dst)
         checks += 1
 
@@ -141,7 +141,7 @@ def check_elementary_properties(x: Matrix, rng: random.Random) -> int:
         ]
     )
     if q != srcc:
-        if not is_zero(quasideterminant(bumped, p, q) - base):
+        if not equal(quasideterminant(bumped, p, q), base):
             _fail("column-addition-invariance", x, p=p, q=q, src=srcc, dst=dstc)
         checks += 1
     return checks
@@ -162,7 +162,7 @@ def check_homological(x: Matrix, rng: random.Random) -> int:
             continue
         lhs = -a_ij * inv(boxed_quasiminor(x, others[i], others[ell], s, j))
         rhs = a_il * inv(boxed_quasiminor(x, others[i], others[j], s, ell))
-        if not is_zero(lhs - rhs):
+        if not equal(lhs, rhs):
             _fail("homological-row", x, i=i, j=j, ell=ell, s=s)
         checks += 1
     k = rng.choice([r for r in range(1, n + 1) if r != i])
@@ -172,7 +172,7 @@ def check_homological(x: Matrix, rng: random.Random) -> int:
             continue
         lhs = -inv(boxed_quasiminor(x, others[k], others[j], i, t)) * a_ij
         rhs = inv(boxed_quasiminor(x, others[i], others[j], k, t)) * a_kj
-        if not is_zero(lhs - rhs):
+        if not equal(lhs, rhs):
             _fail("homological-column", x, i=i, j=j, k=k, t=t)
         checks += 1
     return checks
@@ -197,7 +197,7 @@ def check_sylvester(x: Matrix, rng: random.Random) -> int:
             for t in comp_cols:
                 lhs = quasideterminant(x, s, t)
                 rhs = quasideterminant(reduced, comp_rows.index(s) + 1, comp_cols.index(t) + 1)
-                if not is_zero(lhs - rhs):
+                if not equal(lhs, rhs):
                     _fail("sylvester", x, I0=I0, J0=J0, s=s, t=t)
                 checks += 1
     return checks
@@ -213,7 +213,7 @@ def check_inverse_entries(x: Matrix) -> int:
             entry = inverse[i, j]
             if is_zero(entry):
                 continue
-            if not is_zero(inv(entry) - quasideterminant(x, j, i)):
+            if not equal(inv(entry), quasideterminant(x, j, i)):
                 _fail("inverse-entries", x, i=i, j=j)
             checks += 1
     return checks
@@ -221,7 +221,7 @@ def check_inverse_entries(x: Matrix) -> int:
 
 def check_expansion(x: Matrix, rng: random.Random) -> int:
     p, q = rng.randint(1, x.rows), rng.randint(1, x.rows)
-    if not is_zero(quasidet_expansion(x, p, q) - quasideterminant(x, p, q)):
+    if not equal(quasidet_expansion(x, p, q), quasideterminant(x, p, q)):
         _fail("expansion", x, p=p, q=q)
     return 1
 
@@ -346,15 +346,15 @@ def check_dodgson_grid(x: Matrix) -> int:
         inv_e_uvs = inverse(slots[6], u, vs, i + 1)
         params = (u.images, v.images, i)
         ratio = d_usv * inv_d_uv
-        if not is_zero(d_usvs - (ratio * d_uvs + e_uv)):
+        if not equal(d_usvs, ratio * d_uvs + e_uv):
             _fail("dodgson-1", x, params=params)
-        if not is_zero(inv_d_usv * e_uv - inv_d_uv * e_usv):
+        if not equal(inv_d_usv * e_uv, inv_d_uv * e_usv):
             _fail("dodgson-2", x, params=params)
-        if not is_zero(e_uv * inv_d_uvs - e_uvs * inv_d_uv):
+        if not equal(e_uv * inv_d_uvs, e_uvs * inv_d_uv):
             _fail("dodgson-3", x, params=params)
-        if not is_zero(e_uv * inv_e_usv - ratio):
+        if not equal(e_uv * inv_e_usv, ratio):
             _fail("dodgson-4", x, params=params)
-        if not is_zero(inv_e_uvs * e_uv - inv_d_uv * d_uvs):
+        if not equal(inv_e_uvs * e_uv, inv_d_uv * d_uvs):
             _fail("dodgson-5", x, params=params)
         checks += 5 * m
     return checks
@@ -429,7 +429,7 @@ def check_minors_plucker_grid(x: Matrix) -> int:
         lhs, a, b, c = read(slots[:4])
         inv_c = inverse(slots[3], pivot_u, pivot_v, i)
         (d,) = read(slots[4:])
-        if not is_zero(lhs - (a + b * inv_c * d)):
+        if not equal(lhs, a + b * inv_c * d):
             _fail(check, x, params=(u.images, v.images, i))
         checks += m
     return checks
@@ -444,13 +444,11 @@ def check_quasi_plucker_coords(rng: random.Random, n: int) -> int:
     outside = [c for c in range(1, n + 1) if c not in I]
     i = rng.choice(outside)
     j = rng.choice(outside)
-    if not is_zero(quasi_plucker_left(wide, i, i, I) - 1):
+    if not equal(quasi_plucker_left(wide, i, i, I), 1):
         _fail("plucker-left-unit", wide, I=I, i=i)
     checks += 1
     g = invertible_matrix(rng, k)
-    if not is_zero(
-        quasi_plucker_left(g * wide, i, j, I) - quasi_plucker_left(wide, i, j, I)
-    ):
+    if not equal(quasi_plucker_left(g * wide, i, j, I), quasi_plucker_left(wide, i, j, I)):
         _fail("plucker-left-invariance", wide, I=I, i=i, j=j)
     checks += 1
     tall = sample_matrix(rng, n, k, "quat")
@@ -458,13 +456,11 @@ def check_quasi_plucker_coords(rng: random.Random, n: int) -> int:
     outside = [r for r in range(1, n + 1) if r not in J]
     i = rng.choice(outside)
     j = rng.choice(outside)
-    if not is_zero(quasi_plucker_right(tall, i, i, J) - 1):
+    if not equal(quasi_plucker_right(tall, i, i, J), 1):
         _fail("plucker-right-unit", tall, J=J, i=i)
     checks += 1
     g = invertible_matrix(rng, k)
-    if not is_zero(
-        quasi_plucker_right(tall * g, i, j, J) - quasi_plucker_right(tall, i, j, J)
-    ):
+    if not equal(quasi_plucker_right(tall * g, i, j, J), quasi_plucker_right(tall, i, j, J)):
         _fail("plucker-right-invariance", tall, J=J, i=i, j=j)
     checks += 1
     return checks
@@ -486,14 +482,14 @@ def check_gauss(x: Matrix, rng: random.Random) -> int:
         _fail("gauss-parts-diagonal-law", x)
     checks = 4
     for i in range(1, n + 1):
-        if not is_zero(principal_quasiminor(x, i) - diag[i, i]):
+        if not equal(principal_quasiminor(x, i), diag[i, i]):
             _fail("principal-vs-diagonal", x, level=i)
         checks += 1
     x_minus = upper_unitriangular(rng, n).transpose()
     x_plus = upper_unitriangular(rng, n)
     sandwich = x_minus * x * x_plus
     for i in range(1, n + 1):
-        if not is_zero(principal_quasiminor(sandwich, i) - principal_quasiminor(x, i)):
+        if not equal(principal_quasiminor(sandwich, i), principal_quasiminor(x, i)):
             _fail("principal-invariance", x, level=i)
         checks += 1
     return checks

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from oracles import det_minor
+from oracles import OppositeScalar, det_minor
 from qbruhat.cells import classify, in_reduced_cell
 from qbruhat.errors import IndexOutOfRange, NotGeneric, ShapeMismatch, WrongCell, ZeroInverse
 from qbruhat.factorize import (
@@ -70,6 +70,23 @@ def test_generator_errors():
         generator_matrix(Generator("xneg", 1, Fraction(0)), 2)
     with pytest.raises(Exception):
         generator_matrix(Generator("x", 5, Q(1)), 3)
+
+
+def test_a_missing_generator_parameter_is_refused_as_a_non_scalar():
+    # Generator.t defaults to None; each kind that reads t refuses it where it enters, as a
+    # matrix entry refuses any non-scalar (``scalars._exact``), and still takes a foreign ring
+    kinds = ("x", "y", "h", "xneg")
+    refused = [lambda kind=kind: generator_matrix(Generator(kind, 1), 3) for kind in kinds]
+    for call in [*refused, lambda: Matrix([[None]]), lambda: Matrix.diagonal([1, None])]:
+        with pytest.raises(TypeError, match=r"^NoneType is not an exact scalar$"):
+            call()
+    for t in (sympy.Symbol("a"), OppositeScalar(Q(1, 2))):
+        assert generator_matrix(Generator("x", 2, t), 3)[2, 3] == t
+        assert generator_matrix(Generator("y", 2, t), 3)[3, 2] == t
+        h = generator_matrix(Generator("h", 1, t), 3)
+        assert (h[1, 1], h[2, 2], h[3, 3]) == (t, inv(t), 1)
+        xneg = generator_matrix(Generator("xneg", 1, t), 3)
+        assert (xneg[1, 1], xneg[2, 1], xneg[2, 2]) == (inv(t), 1, t)
 
 
 def test_negative_generator_identities():

@@ -7,8 +7,9 @@ non-dunder method of the package that no package, test or benchmark module
 reads by name outside its own definition.  And x reaches its Bruhat factor,
 opposite datum and twist only through the cell gate's record: the functions
 that reduce it are read only inside ``cells._Point`` and imported nowhere.
-No package module imports another inside a function, and only ``matrix.py`` writes out
-the rule for a valid 1-based index.
+No package module imports another inside a function, only ``matrix.py`` writes out
+the rule for a valid 1-based index, and no package module tests a difference of two
+scalars for zero outside ``scalars.equal``.
 """
 
 import ast
@@ -288,3 +289,47 @@ def test_the_check_sees_a_private_index_rule():
 )
 def test_every_index_is_checked_in_matrix(path):
     assert private_index_rules(path.read_text(encoding="utf-8")) == []
+
+
+SCALARS = "src/qbruhat/scalars.py"
+
+
+def zero_tested_differences(source: str, allowed: str | None = None) -> list:
+    """The line of each zero test of a difference, ``is_zero(a - b)`` or ``(a - b).is_zero()``.
+
+    Two scalars are compared with ``scalars.equal``, which compares stored forms and
+    makes a difference only where ``==`` cannot settle it; the top-level function named
+    `allowed` is that fallback, and its tests are not listed.
+    """
+    tree = ast.parse(source)
+    skip = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == allowed:
+            skip = {id(sub) for sub in ast.walk(node)}
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in skip:
+            continue
+        func = node.func
+        if getattr(func, "id", getattr(func, "attr", None)) != "is_zero":
+            continue
+        tested = node.args[0] if node.args else getattr(func, "value", None)
+        if isinstance(tested, ast.BinOp) and isinstance(tested.op, ast.Sub):
+            out.append(node.lineno)
+    return sorted(out)
+
+
+def test_the_check_sees_a_difference_tested_for_zero():
+    source = (
+        "def equal(a, b):\n    return a == b or is_zero(a - b)\n\n\n"
+        "def f(a, b, c):\n    if not is_zero(a - (b + c)):\n        pass\n"
+        "    return scalars.is_zero(a - b), (a - b).is_zero(), is_zero(a + b), is_zero(a) - b\n"
+    )
+    assert zero_tested_differences(source, "equal") == [6, 8, 8]
+    assert zero_tested_differences(source) == [2, 6, 8, 8]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.relative_to(ROOT).as_posix())
+def test_scalars_are_compared_with_equal(path):
+    allowed = "equal" if path.relative_to(ROOT).as_posix() == SCALARS else None
+    assert zero_tested_differences(path.read_text(encoding="utf-8"), allowed) == []

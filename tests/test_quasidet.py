@@ -7,6 +7,7 @@ import pytest
 from oracles import (
     OppositeScalar,
     counted_products,
+    counted_sums,
     det_minor,
     det_of,
     plucker_coordinate,
@@ -15,10 +16,13 @@ from oracles import (
 from qbruhat.errors import IndexOutOfRange, NotGeneric
 from qbruhat.factorize import (
     Generator,
+    _anti_spec,
     block_ratio,
     generator_matrix,
+    recover_params,
     standard_position,
     upper_factorize,
+    verify_double_ratios,
 )
 from qbruhat.matrix import Matrix, interval, iota, sigma
 from qbruhat.quasidet import (
@@ -38,6 +42,7 @@ from qbruhat.quasidet import (
     sylvester_reduce,
 )
 from qbruhat.sampling import (
+    cell_point,
     diagonal,
     invertible_matrix,
     matrix as sample_matrix,
@@ -910,6 +915,110 @@ def test_dodgson_grid_shares_the_ratio_of_identities_1_and_4():
     with counted_products() as products:
         assert check_dodgson_grid(x) == GRID_CHECKS["dodgson"](4)
     assert len(products) == 3_042 - 216 - 168 - 276
+
+
+def test_a_grid_makes_the_sums_of_its_fill_and_one_per_instance():
+    # one seeded n = 4 matrix: a grid's quaternion sums are those of filling its slots
+    # through MinorCache.uv, and one per instance, the sum in its identity (Dodgson's
+    # d_usv d_uv^-1 d_uvs + e_uv, Plucker's a + b c^-1 d); its comparisons make none.  Made
+    # as differences tested for zero, they cost 5 more per Dodgson instance and 1 more
+    # per Plucker one
+    x = sample_matrix(random.Random(0), 4, 4)
+    for table, grid, slots, instances in (
+        (_dodgson_admissible, check_dodgson_grid, 319, 216),
+        (_plucker_admissible, check_minors_plucker_grid, 278, 288),
+    ):
+        rows, first_reads = table(4)
+        assert (len(first_reads), len(rows)) == (slots, instances)
+        with counted_sums() as sums:
+            cache = MinorCache(x)
+            for read in first_reads:
+                cache.uv(*read)
+            fill = len(sums)
+            sums.clear()
+            assert grid(x) > 0
+        assert len(sums) == fill + instances
+
+
+def test_each_identity_reports_a_shifted_quasiminor_under_its_own_label(monkeypatch):
+    # one quasiminor read through MinorCache.uv or .spec is shifted by 1, and the check
+    # that reads it first must fail under its own label.  Every quasiminor of Dodgson
+    # identities 4 and 5 takes part in an earlier identity of the instance; they alone
+    # read the inverses of e_usv and e_uvs, so shifting only that inverse reaches them
+    def shifted_uv(patch, at, marked=None):
+        uv = MinorCache.uv
+
+        def read(cache, u, v, k):
+            value = uv(cache, u, v, k)
+            if (u.images, v.images, k) != at:
+                return value
+            if marked is None:
+                return value + 1
+            marked.append(value)
+            return value
+
+        patch.setattr(MinorCache, "uv", read)
+
+    def failure(grid, x):
+        with pytest.raises(CheckFailed) as info:
+            grid(x)
+        return info.value.detail["check"], info.value.detail["params"]
+
+    x = sample_matrix(random.Random(0), 4, 4)
+    rows, first_reads = _dodgson_admissible(4)
+    slots, u, _, v, _, i, _ = rows[0]
+    at = {role: first_reads[slots[role]] for role in (3, 5, 6)}  # d_usvs, e_usv, e_uvs
+    for role, label, inverse_only in (
+        (3, "dodgson-1", False),
+        (5, "dodgson-2", False),
+        (6, "dodgson-3", False),
+        (5, "dodgson-4", True),
+        (6, "dodgson-5", True),
+    ):
+        u_at, v_at, k = at[role]
+        with monkeypatch.context() as patch:
+            marked = [] if inverse_only else None
+            shifted_uv(patch, (u_at.images, v_at.images, k), marked)
+            if inverse_only:
+                patch.setattr(
+                    verify, "inv", lambda a, m=marked: inv(a) + 1 if m and a is m[0] else inv(a)
+                )
+            assert failure(check_dodgson_grid, x) == (label, (u.images, v.images, i))
+    # a Plucker check whose left side no earlier instance reads
+    rows, first_reads = _plucker_admissible(4)
+    seen = set()
+    for slots, check, u, v, i, _, _ in rows[:2]:
+        assert slots[0] not in seen
+        seen.update(slots)
+        u_at, v_at, k = first_reads[slots[0]]
+        with monkeypatch.context() as patch:
+            shifted_uv(patch, (u_at.images, v_at.images, k))
+            assert failure(check_minors_plucker_grid, x) == (check, (u.images, v.images, i))
+    assert [row[1] for row in rows[:2]] == ["plucker-u", "plucker-v"]
+    # the first letter of a (w0, w0) word: the numerator of its first form
+    w0 = Permutation.longest(4)
+    point, word, _, _ = cell_point(random.Random(0), w0, w0)
+    assert word.letters[0] == -1
+    _, u_gt, _, v_lt = word.subword_perms(1)
+    with monkeypatch.context() as patch:
+        shifted_uv(patch, (v_lt.images, u_gt.images, 1))
+        with pytest.raises(NotGeneric) as info:
+            recover_params(point, word)
+        assert info.value.witness == ("branch-agreement", 1)
+    # an anti-diagonal quasiminor of the twist alone; the twist's block families read it too
+    point = maximal_cell_point(random.Random(0), 4)
+    spec, target = MinorCache.spec, _anti_spec(4, 2)
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            MinorCache,
+            "spec",
+            lambda cache, at: spec(cache, at) + (cache.x is not point and at == target) * 1,
+        )
+        assert verify_double_ratios(point).failures == [
+            {"family": "anti-diagonal", "params": (2,)},
+            {"family": "negative-transfer-swapped", "params": (3, 3)},
+        ]
+    assert verify_double_ratios(point).all_passed
 
 
 def test_level_key_table_holds_every_key_of_s6():

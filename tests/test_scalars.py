@@ -14,6 +14,7 @@ from qbruhat.factorize import commute_neg_pos
 from qbruhat.matrix import Matrix
 from qbruhat.scalars import (
     RationalQuaternion as Q,
+    equal,
     format_scalar,
     inv,
     is_zero,
@@ -191,6 +192,36 @@ def test_the_scalar_layer_refuses_inexact_numbers():
     a = sympy.Symbol("a")
     assert inv(a) == 1 / a and is_zero(a - a) and not is_zero(a)
     assert Q(Fraction(1, 2), "1/3", 0, 5) == Q(3, 2, 0, 30) * Fraction(1, 6)
+
+
+def test_equal_decides_as_the_zero_test_of_the_difference():
+    # (a, b, equal or not): `equal` compares stored forms, and must give the answer
+    # is_zero(a - b) gives on every kind of scalar, a foreign ring's included
+    a = sympy.Symbol("a")
+    table = [
+        (Q(1, 2, 3, 4) * Fraction(1, 6), Q(Fraction(1, 6), Fraction(1, 3), Fraction(1, 2), "2/3"), True),
+        (Q(1, 2, 3, 4), Q(1, 2, 3, 5), False),
+        (Q(Fraction(3, 4)), Fraction(3, 4), True),
+        (Fraction(3, 4), Q(Fraction(3, 4)), True),
+        (Q(Fraction(3, 4), 1), Fraction(3, 4), False),
+        (Fraction(3, 4), Q(Fraction(3, 4), 0, 0, 1), False),
+        (Q(2) * Q(0, 1) * Q(0, 1), -2, True),
+        (-2, Q(-2), True),
+        (Q(2), 3, False),
+        (5, Q(5, 0, 1), False),
+        (Fraction(6, 8), Fraction(3, 4), True),
+        (Fraction(1, 3), Fraction(1, 4), False),
+        (Fraction(4, 2), 2, True),
+        ((a**2 - 1) / (a - 1), a + 1, True),
+        ((a**2 - 1) / (a - 1), a - 1, False),
+        (OppositeScalar(Q(1, 1)), OppositeScalar(Q(1, 1) * 1), True),
+        (OppositeScalar(Q(1, 1)), OppositeScalar(Q(1, -1)), False),
+        (OppositeScalar(Q(2)), 2, True),
+    ]
+    for x, y, expected in table:
+        assert equal(x, y) is expected == is_zero(x - y), (x, y)
+    # the sympy pair differs in form: only the zero test of its difference settles it
+    assert (a**2 - 1) / (a - 1) != a + 1
 
 
 def test_opposite_scalar_reverses_products():
