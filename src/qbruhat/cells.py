@@ -59,7 +59,7 @@ from typing import NamedTuple
 
 from .errors import NotGeneric, QBruhatError, ShapeMismatch, WrongCell
 from .gauss import _gauss_eliminate, _reduce_rows, gauss_parts
-from .matrix import Matrix, iota, iota_inverse_free, rank, sigma
+from .matrix import Matrix, _schur_chain, interval, iota, iota_inverse_free, sigma
 from .quasidet import MinorCache, _kept
 from .scalars import equal, is_zero
 from .weyl import Permutation, left_by_representative, right_by_representative
@@ -144,15 +144,14 @@ def in_bruhat_cell(x: Matrix, u: Permutation) -> bool:
     """Rank-profile membership oracle for x in BuB.
 
     x lies in BuB iff every lower-left corner block has the rank forced by
-    the pivot pattern of u; computed by row reduction, independently of
-    the classification routine.
+    the pivot pattern of u: the pivot count of ``_schur_chain`` on that
+    corner of x, independently of the classification routine.
     """
     n = x.rows
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             expected = sum(1 for k in range(1, j + 1) if u(k) >= i)
-            block = x.submatrix(tuple(range(i, n + 1)), tuple(range(1, j + 1)))
-            if rank(block) != expected:
+            if len(_schur_chain(x._e, interval(i, n), interval(1, j))[0]) != expected:
                 return False
     return True
 

@@ -144,8 +144,10 @@ def commute_neg_pos(j: int, i: int, s, t):
 
     s and t must be exact scalars and s invertible, as for x_{-j}(s) itself,
     in every case.  The same-index case also hits the singular locus
-    s + t = 0, where the rewrite does not exist.
+    s + t = 0, where the rewrite does not exist.  j and i must be ints.
     """
+    check_index(j, None)
+    check_index(i, None)
     s, t = _exact(s), _exact(t)
     if is_zero(s):
         raise ZeroInverse(f"x_-{j}(s) needs invertible s")

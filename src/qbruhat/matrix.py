@@ -28,8 +28,8 @@ from .scalars import (
 
 
 def interval(a: int, b: int) -> tuple:
-    """The index interval {a, a+1, ..., b}; empty when a > b."""
-    return tuple(range(a, b + 1))
+    """The index interval {a, a+1, ..., b}; empty when a > b.  Both ends must be ints."""
+    return tuple(range(check_index(a, None), check_index(b, None) + 1))
 
 
 def check_index(i, bound: int | None, what: str = "index") -> int:

@@ -37,9 +37,11 @@ block (P, Q) is one 1x1 pivot step on that of a one-smaller parent
 
 and the empty block's Schur complement is x itself.  ``matrix._Block`` is
 that step, and ``matrix._schur_chain`` runs it from the empty block, one
-row at a time: ``quasideterminant`` reads one entry and
-``sylvester_reduce`` the whole Schur complement off the chain on the inner
-block.
+row at a time, on any rows and columns of x, so no reader copies a box:
+``boxed_quasiminor`` reads one entry off the chain on its inner block, a
+quasi-Plucker coordinate its numerator and denominator off one chain on
+their shared inner block per auxiliary index, and ``sylvester_reduce`` the
+whole Schur complement.
 
 Blocks of quasiminors come in chains too: the inner block of the
 level-(k+1) quasiminor at (u, v) is the whole level-k block.  So
@@ -69,20 +71,13 @@ def _inner_singular(p: int, q: int, size: int) -> NotGeneric:
 def quasideterminant(A: Matrix, p: int, q: int):
     """|A|_pq, exact; NotGeneric when the inner submatrix A^pq is singular.
 
-    Entry (p, q) of the Schur complement a_pq - r_p (A^pq)^{-1} c_q of the
-    inner block, read off ``_schur_chain`` on A's rows other than p and
-    columns other than q.
+    The boxed quasiminor of A on all its rows and columns.
     """
     if not A.is_square:
         raise ShapeMismatch(f"quasideterminant needs a square matrix, got {A.shape_str()}")
-    n = A.rows
     A[p, q]  # the mark must be an index pair inside A
-    rows = [r for r in range(1, n + 1) if r != p]
-    cols = [c for c in range(1, n + 1) if c != q]
-    Q, block = _schur_chain(A._e, rows, cols)
-    if len(Q) < n - 1:
-        raise _inner_singular(p, q, n - 1)
-    return block.entry(p, q)
+    whole = interval(1, A.rows)
+    return boxed_quasiminor(A, whole, whole, p, q)
 
 
 def quasidet_expansion(A: Matrix, p: int, q: int):
@@ -91,16 +86,17 @@ def quasidet_expansion(A: Matrix, p: int, q: int):
     Cross-check only: needs every |A^pq|_{p',q'} defined and invertible,
     a much stronger genericity requirement than the definition itself.
     """
+    if not A.is_square:
+        raise ShapeMismatch(f"quasidet_expansion needs a square matrix, got {A.shape_str()}")
     acc = A[p, q]
     n = A.rows
     if n == 1:
         return acc
-    inner = A.delete(p, q)
-    rows = [r for r in range(1, n + 1) if r != p]
-    cols = [c for c in range(1, n + 1) if c != q]
-    for pr, r in enumerate(rows, start=1):
-        for pc, c in enumerate(cols, start=1):
-            m = quasideterminant(inner, pr, pc)
+    rows = tuple(r for r in range(1, n + 1) if r != p)
+    cols = tuple(c for c in range(1, n + 1) if c != q)
+    for r in rows:
+        for c in cols:
+            m = boxed_quasiminor(A, rows, cols, r, c)
             if is_zero(m):
                 raise NotGeneric(
                     f"expansion term |A^({p}{q})|_({r},{c}) is zero",
@@ -111,17 +107,24 @@ def quasidet_expansion(A: Matrix, p: int, q: int):
 
 
 def boxed_quasiminor(x: Matrix, rows, cols, p: int, q: int):
-    """|x_{rows,cols}|_{p,q} with the mark given in global coordinates."""
+    """|x_{rows,cols}|_{p,q}, the mark in global coordinates: entry (p, q) of the Schur
+    complement of x[rows - p, cols - q]."""
     check_index(p, x.rows)
     check_index(q, x.cols)
     rows = check_index_set(rows, x.rows)
     cols = check_index_set(cols, x.cols)
     try:
-        pi = rows.index(p) + 1
-        qi = cols.index(q) + 1
+        a = rows.index(p)
+        b = cols.index(q)
     except ValueError:
         raise IndexOutOfRange(f"mark ({p}, {q}) not inside {rows} x {cols}") from None
-    return quasideterminant(x.submatrix(rows, cols), pi, qi)
+    if len(rows) != len(cols):
+        raise ShapeMismatch(f"quasideterminant needs a square matrix, got {len(rows)}x{len(cols)}")
+    inner_cols = cols[:b] + cols[b + 1 :]
+    Q, block = _schur_chain(x._e, rows[:a] + rows[a + 1 :], inner_cols)
+    if len(Q) < len(inner_cols):
+        raise _inner_singular(a + 1, b + 1, len(inner_cols))
+    return block.entry(p, q)
 
 
 @dataclass(frozen=True)
@@ -149,15 +152,12 @@ class MinorSpec:
             raise IndexOutOfRange(f"mark ({self.i}, {self.j}) not in {self.I} x {self.J}")
 
 
-def count_greater(indices, pivot: int) -> int:
-    return sum(1 for a in indices if a > pivot)
-
-
 def positive_quasiminor(x: Matrix, spec: MinorSpec):
     """(-1)^{d_i(I) + d_j(J)} |x_{I,J}|_{i,j}."""
-    sign = (-1) ** (count_greater(spec.I, spec.i) + count_greater(spec.J, spec.j))
     value = boxed_quasiminor(x, spec.I, spec.J, spec.i, spec.j)
-    return value if sign == 1 else -value
+    # I and J increase: a = |{r in I : r < i}|, and d_i(I) = |I| - 1 - a
+    a, b = spec.I.index(spec.i), spec.J.index(spec.j)
+    return -value if (len(spec.I) + len(spec.J) - a - b) % 2 else value
 
 
 def principal_quasiminor(x: Matrix, i: int):
@@ -221,7 +221,8 @@ def quasi_plucker_left(A: Matrix, i: int, j: int, I):
 
     Ratio of two column-selected quasideterminants sharing the auxiliary
     row s; the value does not depend on s, and this is asserted by
-    evaluating at the two smallest usable choices.
+    evaluating at the two smallest usable choices.  Both are entries of the
+    Schur complement of A[rows - s, I], the denominator (s, i) and the numerator (s, j).
     """
     k = A.rows
     I = check_index_set(I, A.cols)
@@ -231,18 +232,15 @@ def quasi_plucker_left(A: Matrix, i: int, j: int, I):
     check_index(j, A.cols)
     if i in I:
         raise IndexOutOfRange(f"column {i} must avoid I = {I}")
-    first = Matrix([[A[r, c] for c in (i,) + I] for r in range(1, k + 1)])
-    second = Matrix([[A[r, c] for c in (j,) + I] for r in range(1, k + 1)])
     found = []
     for s in range(1, k + 1):
-        try:
-            denom = quasideterminant(first, s, 1)
-            if is_zero(denom):
-                continue
-            value = inv(denom) * quasideterminant(second, s, 1)
-        except NotGeneric:
+        Q, block = _schur_chain(A._e, [r for r in range(1, k + 1) if r != s], I)
+        if len(Q) < len(I):
             continue
-        found.append((s, value))
+        denom = block.entry(s, i)
+        if is_zero(denom):
+            continue
+        found.append((s, inv(denom) * block.entry(s, j)))
         if len(found) == 2:
             break
     if not found:
@@ -258,7 +256,10 @@ def quasi_plucker_left(A: Matrix, i: int, j: int, I):
 
 
 def quasi_plucker_right(B: Matrix, i: int, j: int, I):
-    """Right quasi-Plucker coordinate r^I_{ij} of an n x k matrix, k < n."""
+    """Right quasi-Plucker coordinate r^I_{ij} of an n x k matrix, k < n.
+
+    The mirror of the left one, on the Schur complement of B[I, columns - t].
+    """
     k = B.cols
     I = check_index_set(I, B.rows)
     if len(I) != k - 1:
@@ -267,18 +268,15 @@ def quasi_plucker_right(B: Matrix, i: int, j: int, I):
     check_index(j, B.rows)
     if j in I:
         raise IndexOutOfRange(f"row {j} must avoid I = {I}")
-    first = Matrix([[B[r, c] for c in range(1, k + 1)] for r in (i,) + I])
-    second = Matrix([[B[r, c] for c in range(1, k + 1)] for r in (j,) + I])
     found = []
     for t in range(1, k + 1):
-        try:
-            denom = quasideterminant(second, 1, t)
-            if is_zero(denom):
-                continue
-            value = quasideterminant(first, 1, t) * inv(denom)
-        except NotGeneric:
+        Q, block = _schur_chain(B._e, I, [c for c in range(1, k + 1) if c != t])
+        if len(Q) < len(I):
             continue
-        found.append((t, value))
+        denom = block.entry(j, t)
+        if is_zero(denom):
+            continue
+        found.append((t, block.entry(i, t) * inv(denom)))
         if len(found) == 2:
             break
     if not found:

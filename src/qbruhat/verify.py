@@ -121,12 +121,7 @@ def check_elementary_properties(x: Matrix, rng: random.Random) -> int:
 
     src = rng.randint(1, n)
     dst = rng.choice([i for i in range(1, n + 1) if i != src])
-    bumped = Matrix(
-        [
-            [x[i, j] + lam * x[src, j] if i == dst else x[i, j] for j in range(1, n + 1)]
-            for i in range(1, n + 1)
-        ]
-    )
+    bumped = (Matrix.identity(n) + Matrix.unit(n, dst, src, lam)) * x
     if p != src:
         if not equal(quasideterminant(bumped, p, q), base):
             _fail("row-addition-invariance", x, p=p, q=q, src=src, dst=dst)
@@ -134,12 +129,7 @@ def check_elementary_properties(x: Matrix, rng: random.Random) -> int:
 
     srcc = rng.randint(1, n)
     dstc = rng.choice([j for j in range(1, n + 1) if j != srcc])
-    bumped = Matrix(
-        [
-            [x[i, j] + x[i, srcc] * mu if j == dstc else x[i, j] for j in range(1, n + 1)]
-            for i in range(1, n + 1)
-        ]
-    )
+    bumped = x * (Matrix.identity(n) + Matrix.unit(n, srcc, dstc, mu))
     if q != srcc:
         if not equal(quasideterminant(bumped, p, q), base):
             _fail("column-addition-invariance", x, p=p, q=q, src=srcc, dst=dstc)

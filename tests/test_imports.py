@@ -9,7 +9,8 @@ opposite datum and twist only through the cell gate's record: the functions
 that reduce it are read only inside ``cells._Point`` and imported nowhere.
 No package module imports another inside a function, only ``matrix.py`` writes out
 the rule for a valid 1-based index, and no package module tests a difference of two
-scalars for zero outside ``scalars.equal``.
+scalars for zero outside ``scalars.equal``.  ``quasidet.py`` reads each quasiminor off
+the matrix that holds it and copies no matrix to take one.
 """
 
 import ast
@@ -333,3 +334,57 @@ def test_the_check_sees_a_difference_tested_for_zero():
 def test_scalars_are_compared_with_equal(path):
     allowed = "equal" if path.relative_to(ROOT).as_posix() == SCALARS else None
     assert zero_tested_differences(path.read_text(encoding="utf-8"), allowed) == []
+
+
+QUASIDET = "src/qbruhat/quasidet.py"
+
+
+def matrix_copies(source: str) -> list:
+    """(line, call) for each matrix a module makes.
+
+    A quasiminor is an entry of the Schur complement of its inner block, and
+    ``_schur_chain`` reads that block on any rows and columns of the matrix that holds it.
+    So a ``.submatrix`` or ``.delete`` call is listed wherever it stands, and a ``Matrix(``
+    call or a ``Matrix.`` constructor everywhere but in ``sylvester_reduce``, whose result
+    is a new matrix.
+    """
+    tree = ast.parse(source)
+    allowed = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == "sylvester_reduce":
+            allowed = {id(sub) for sub in ast.walk(node)}
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in ("submatrix", "delete"):
+            out.append((node.lineno, func.attr))
+        elif id(node) in allowed:
+            continue
+        elif getattr(func, "id", None) == "Matrix":
+            out.append((node.lineno, "Matrix"))
+        elif isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "Matrix":
+            out.append((node.lineno, f"Matrix.{func.attr}"))
+    return sorted(out)
+
+
+def test_the_check_sees_a_matrix_copy():
+    source = (
+        "def read(x, rows, cols):\n    box = x.submatrix(rows, cols)\n"
+        "    return quasideterminant(box.delete(1, 1), 1, 1), Matrix([[x[1, 1]]])\n\n\n"
+        "def sylvester_reduce(A):\n    return Matrix([[A[1, 1]]]), A.delete(1, 1)\n\n\n"
+        "def spare(x):\n    return Matrix._wrap(x._e), Matrix.identity(2), x.entry(1, 1)\n"
+    )
+    assert matrix_copies(source) == [
+        (2, "submatrix"),
+        (3, "Matrix"),
+        (3, "delete"),
+        (7, "delete"),
+        (11, "Matrix._wrap"),
+        (11, "Matrix.identity"),
+    ]
+
+
+def test_quasiminors_are_read_without_a_copy():
+    assert matrix_copies((ROOT / QUASIDET).read_text(encoding="utf-8")) == []

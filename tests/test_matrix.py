@@ -19,7 +19,12 @@ from qbruhat.matrix import (
     rank,
     sigma,
 )
-from qbruhat.quasidet import quasideterminant, sylvester_reduce
+from qbruhat.quasidet import (
+    boxed_quasiminor,
+    quasideterminant,
+    quasidet_expansion,
+    sylvester_reduce,
+)
 from qbruhat.sampling import invertible_matrix, matrix as sample_matrix
 from qbruhat.scalars import RationalQuaternion as Q, inv
 
@@ -205,8 +210,29 @@ def test_arithmetic_shape_errors():
 def test_a_non_square_matrix_is_a_shape_mismatch_everywhere():
     # quasideterminant and sylvester_reduce raised IndexOutOfRange for it, with these messages
     x = Matrix([[1, 2, 3], [4, 5, 6]])
+    y = Matrix([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
     reads = [
         (lambda: quasideterminant(x, 1, 1), "quasideterminant needs a square matrix, got 2x3"),
+        # quasidet_expansion returned A[1, 1] for a 1x3 A and named its inner block's shape
+        # for a 2x3 A
+        (
+            lambda: quasidet_expansion(Matrix([[1, 2, 3]]), 1, 1),
+            "quasidet_expansion needs a square matrix, got 1x3",
+        ),
+        (lambda: quasidet_expansion(x, 1, 1), "quasidet_expansion needs a square matrix, got 2x3"),
+        # a box of a square matrix is read in place, and must be square itself
+        (
+            lambda: boxed_quasiminor(y, (1, 2), (1, 2, 3), 1, 1),
+            "quasideterminant needs a square matrix, got 2x3",
+        ),
+        (
+            lambda: boxed_quasiminor(y, (1, 2, 3), (1, 2), 3, 2),
+            "quasideterminant needs a square matrix, got 3x2",
+        ),
+        (
+            lambda: boxed_quasiminor(y, (2,), (1, 3), 2, 3),
+            "quasideterminant needs a square matrix, got 1x2",
+        ),
         (lambda: sylvester_reduce(x, (1,), (1,)), "sylvester_reduce needs a square matrix"),
         (lambda: gauss_parts(x), "gauss_parts needs a square matrix, got 2x3"),
         (lambda: ldu(x), "ldu needs a square matrix, got 2x3"),

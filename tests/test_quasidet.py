@@ -13,11 +13,14 @@ from oracles import (
     plucker_coordinate,
     plucker_row_coordinate,
 )
+from qbruhat import quasidet
+from qbruhat.cells import in_bruhat_cell
 from qbruhat.errors import IndexOutOfRange, NotGeneric
 from qbruhat.factorize import (
     Generator,
     _anti_spec,
     block_ratio,
+    commute_neg_pos,
     generator_matrix,
     recover_params,
     standard_position,
@@ -306,6 +309,59 @@ def test_quasi_plucker_not_generic():
         quasi_plucker_left(zero, 1, 2, (3,))
     with pytest.raises(NotGeneric):
         quasi_plucker_right(zero.transpose(), 1, 2, (3,))
+
+
+def test_quasiminors_are_read_where_they_live(monkeypatch):
+    # each reader takes its Schur entries off the matrix that holds them, so it returns the
+    # same value with every way of making a Matrix refused
+    x = sample_matrix(random.Random(19), 4, 4)
+    wide, tall = sample_matrix(random.Random(20), 2, 4), sample_matrix(random.Random(21), 4, 2)
+    reads = [
+        lambda: boxed_quasiminor(x, (1, 3), (2, 4), 3, 2),
+        lambda: positive_quasiminor(x, MinorSpec((1, 2, 4), (1, 3, 4), 2, 3)),
+        lambda: principal_quasiminor(x, 3),
+        lambda: quasideterminant(x, 2, 3),
+        lambda: quasidet_expansion(x, 2, 3),
+        lambda: quasi_plucker_left(wide, 1, 3, (2,)),
+        lambda: quasi_plucker_right(tall, 3, 1, (2,)),
+        lambda: in_bruhat_cell(x, Permutation.longest(4)),
+    ]
+    before = [read() for read in reads]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a quasiminor read made a matrix")
+
+    for name in ("__init__", "_wrap", "submatrix", "delete"):
+        monkeypatch.setattr(Matrix, name, refuse)
+    assert [read() for read in reads] == before
+    assert before[-1] is True
+
+
+def test_quasi_plucker_runs_one_chain_per_auxiliary_index(monkeypatch):
+    # the numerator and the denominator share their inner block: one chain per auxiliary index
+    calls = []
+    chain = quasidet._schur_chain
+    monkeypatch.setattr(quasidet, "_schur_chain", lambda *args: calls.append(args) or chain(*args))
+    a = sample_matrix(random.Random(23), 3, 5, "rat", 4)
+    value = quasi_plucker_left(a, 1, 2, (3, 5))
+    assert value == plucker_coordinate(a, (2, 3, 5)) / plucker_coordinate(a, (1, 3, 5))
+    assert len(calls) == 2
+    calls.clear()
+    value = quasi_plucker_right(a.transpose(), 2, 1, (3, 5))
+    assert value == plucker_row_coordinate(a.transpose(), (2, 3, 5)) / plucker_row_coordinate(
+        a.transpose(), (1, 3, 5)
+    )
+    assert len(calls) == 2
+    # rows 2 and 3 are proportional on the columns I = (3, 4): the chain for s = 1 is short,
+    # so s = 1 is unusable and s = 2, 3 are read
+    calls.clear()
+    b = Matrix([[1, 2, 3, 4], [5, 7, 1, 2], [6, 1, 2, 4]])
+    value = quasi_plucker_left(b, 1, 2, (3, 4))
+    assert value == plucker_coordinate(b, (2, 3, 4)) / plucker_coordinate(b, (1, 3, 4))
+    assert [len(args[1]) for args in calls] == [2, 2, 2]
+    calls.clear()
+    assert quasi_plucker_right(b.transpose(), 2, 1, (3, 4)) == value
+    assert len(calls) == 3
 
 
 def test_sylvester_empty_pivot():
@@ -752,6 +808,14 @@ def test_marks_and_levels_refuse_a_non_int():
         (lambda: boxed_quasiminor(x, (1, 2), (1, 2), 1, False), False),
         (lambda: principal_quasiminor(x, 2.0), 2.0),
         (lambda: principal_quasiminor(x, True), True),
+        # commute_neg_pos and interval know no bound, yet an index is still an int: a float
+        # or a bool was read as the int it equals, and interval(1.0, 3) raised a raw TypeError
+        (lambda: commute_neg_pos(1, 1.5, 1, 1), 1.5),
+        (lambda: commute_neg_pos(True, 1, 1, 1), True),
+        (lambda: commute_neg_pos(2.0, 1, 1, 1), 2.0),
+        (lambda: interval(1.0, 3), 1.0),
+        (lambda: interval(True, 2), True),
+        (lambda: interval(1, Fraction(3)), Fraction(3)),
     ]
     for read, mark in reads:
         with pytest.raises(IndexOutOfRange) as info:
