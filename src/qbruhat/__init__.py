@@ -50,7 +50,6 @@ from .scalars import (
     format_scalar,
     parse_scalar,
     quat_inv,
-    sample_generic,
 )
 
 __version__ = "0.1.0"
@@ -100,7 +99,6 @@ __all__ = [
     "quat_inv",
     "recover_params",
     "representative",
-    "sample_generic",
     "sigma",
     "solve_standard_unipotent",
     "sylvester_reduce",

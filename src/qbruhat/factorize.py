@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cells import _point, _twist
-from .errors import NotGeneric, QBruhatError, ShapeMismatch, ZeroInverse
+from .errors import IndexOutOfRange, NotGeneric, QBruhatError, ShapeMismatch, ZeroInverse
 from .matrix import Matrix, check_index, interval
 from .quasidet import MinorCache, MinorSpec, _checked_sets, boxed_quasiminor
 from .scalars import _exact, equal, inv, is_zero
@@ -144,10 +144,10 @@ def commute_neg_pos(j: int, i: int, s, t):
 
     s and t must be exact scalars and s invertible, as for x_{-j}(s) itself,
     in every case.  The same-index case also hits the singular locus
-    s + t = 0, where the rewrite does not exist.  j and i must be ints.
+    s + t = 0, where the rewrite does not exist.  j and i must be positive ints.
     """
-    check_index(j, None)
-    check_index(i, None)
+    if min(check_index(j, None), check_index(i, None)) < 1:
+        raise IndexOutOfRange(f"index {min(j, i)} is below 1")
     s, t = _exact(s), _exact(t)
     if is_zero(s):
         raise ZeroInverse(f"x_-{j}(s) needs invertible s")

@@ -239,16 +239,6 @@ class Matrix:
             raise ShapeMismatch(f"{len(d)} column scales for {self.shape_str()}")
         return Matrix._wrap(tuple(tuple(a * s for a, s in zip(r, d)) for r in self._e))
 
-    def scale_left(self, s) -> "Matrix":
-        """s * x, the scalar acting from the left on every entry."""
-        s = _exact(s)
-        return Matrix([[s * a for a in row] for row in self._e])
-
-    def scale_right(self, s) -> "Matrix":
-        """x * s, the scalar acting from the right on every entry."""
-        s = _exact(s)
-        return Matrix([[a * s for a in row] for row in self._e])
-
     def transpose(self) -> "Matrix":
         return Matrix(list(zip(*self._e)))
 

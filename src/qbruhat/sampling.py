@@ -4,6 +4,13 @@ Everything is driven by an explicit ``random.Random`` so that reports are
 reproducible from (seed, flags) alone.  Genericity failures are expected
 with small integer samples; ``with_retries`` resamples a NotGeneric
 computation up to a budget and only then gives up.
+
+A ring is named once, as a key of :data:`RINGS`, whose value draws one of its
+scalars with integer components in [-bound, bound], possibly zero.  Every
+sampler reaches a ring through that table: :func:`scalar` looks the draw up,
+and :func:`nonzero_scalar` draws again while :func:`scalars.is_zero` holds.  A
+new ring is one entry here, plus a branch for its scalar in ``scalars.is_zero``
+and ``scalars.inv`` or their generic fallback.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from .cells import classify
 from .errors import NotGeneric, RetriesExhausted
 from .factorize import product_map
 from .matrix import Matrix, rank
-from .scalars import RationalQuaternion, random_quaternion
+from .scalars import RationalQuaternion, is_zero
 from .weyl import Permutation, random_double_word
 
 DEFAULT_RETRY_BUDGET = 100
@@ -33,34 +40,36 @@ def with_retries(fn, budget: int | None = None):
     raise RetriesExhausted(f"still NotGeneric after {budget} attempts: {last}")
 
 
-def rational(rng: random.Random, bound: int = 3) -> Fraction:
+def _rational(rng: random.Random, bound: int) -> Fraction:
     return Fraction(rng.randint(-bound, bound))
 
 
-def nonzero_rational(rng: random.Random, bound: int = 3) -> Fraction:
+def _quaternion(rng: random.Random, bound: int) -> RationalQuaternion:
+    return RationalQuaternion(*[rng.randint(-bound, bound) for _ in range(4)])
+
+
+# Each ring's draw: one scalar with integer components in [-bound, bound], possibly zero.
+RINGS = {"rat": _rational, "quat": _quaternion}
+
+
+def scalar(rng: random.Random, kind: str, bound: int = 2):
+    if kind not in RINGS:
+        raise ValueError(f"unknown scalar kind {kind!r}")
+    return RINGS[kind](rng, bound)
+
+
+def nonzero_scalar(rng: random.Random, kind: str, bound: int = 2):
+    """A draw of `kind` that is not zero; every draw redraws all components."""
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
     while True:
-        value = rational(rng, bound)
-        if value != 0:
+        value = scalar(rng, kind, bound)
+        if not is_zero(value):
             return value
 
 
 def quaternion(rng: random.Random, bound: int = 2) -> RationalQuaternion:
-    return random_quaternion(rng, bound)
-
-
-def scalar(rng: random.Random, kind: str, bound: int = 2):
-    if kind == "rat":
-        return rational(rng, bound)
-    if kind == "quat":
-        comps = [rng.randint(-bound, bound) for _ in range(4)]
-        return RationalQuaternion(*comps)
-    raise ValueError(f"unknown scalar kind {kind!r}")
-
-
-def nonzero_scalar(rng: random.Random, kind: str, bound: int = 2):
-    if kind == "rat":
-        return nonzero_rational(rng, bound)
-    return quaternion(rng, bound)
+    return nonzero_scalar(rng, "quat", bound)
 
 
 def matrix(rng: random.Random, n: int, m: int | None = None, kind: str = "quat", bound: int = 2) -> Matrix:

@@ -33,7 +33,6 @@ canonically as ``a+b*i+c*j+d*k`` with all four components present, e.g.
 from __future__ import annotations
 
 import math
-import random
 import re
 from fractions import Fraction
 
@@ -269,26 +268,6 @@ def inv(a):
 def quat_inv(x: RationalQuaternion) -> RationalQuaternion:
     """Two-sided inverse conj(x)/norm(x); raises ZeroInverse at x = 0."""
     return x.inverse()
-
-
-def sample_generic(seed: int, bound: int = 3) -> RationalQuaternion:
-    """Deterministic nonzero quaternion with integer components in [-bound, bound].
-
-    Small components keep the coefficient growth of quasiminor towers
-    tractable while staying generic enough for the identity harness.
-    """
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    rng = random.Random(seed)
-    return random_quaternion(rng, bound)
-
-
-def random_quaternion(rng: random.Random, bound: int = 3) -> RationalQuaternion:
-    """Nonzero quaternion with integer components drawn from rng."""
-    while True:
-        comps = [rng.randint(-bound, bound) for _ in range(4)]
-        if any(comps):
-            return RationalQuaternion(*comps)
 
 
 def format_scalar(x) -> str:

@@ -10,7 +10,8 @@ that reduce it are read only inside ``cells._Point`` and imported nowhere.
 No package module imports another inside a function, only ``matrix.py`` writes out
 the rule for a valid 1-based index, and no package module tests a difference of two
 scalars for zero outside ``scalars.equal``.  ``quasidet.py`` reads each quasiminor off
-the matrix that holds it and copies no matrix to take one.
+the matrix that holds it and copies no matrix to take one.  No package module compares a
+value with a ring name: a ring is a key of ``sampling.RINGS``, and is reached through it.
 """
 
 import ast
@@ -388,3 +389,46 @@ def test_the_check_sees_a_matrix_copy():
 
 def test_quasiminors_are_read_without_a_copy():
     assert matrix_copies((ROOT / QUASIDET).read_text(encoding="utf-8")) == []
+
+
+RING_NAMES = ("rat", "quat")
+
+
+def ring_name_tests(source: str) -> list:
+    """The line of each comparison with a ring name: ``kind == "rat"``, ``kind in ("rat",
+    "quat")`` or ``case "quat":``.
+
+    A ring is named once, as a key of ``sampling.RINGS``, and each sampler looks its draw
+    up there; a module that compares a value with a ring name branches on the ring.  A ring
+    name passed as an argument or used as a key is not a comparison.
+    """
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+        elif isinstance(node, ast.MatchValue):
+            operands = [node.value]
+        else:
+            continue
+        if any(
+            isinstance(sub, ast.Constant) and sub.value in RING_NAMES
+            for operand in operands
+            for sub in ast.walk(operand)
+        ):
+            out.append(node.lineno)
+    return sorted(out)
+
+
+def test_the_check_sees_a_branch_on_a_ring_name():
+    source = (
+        "def f(kind, x):\n    if kind == 'rat':\n        pass\n"
+        "    if 'quat' != kind or x in ('a', 'quat'):\n        pass\n"
+        "    match kind:\n        case 'rat':\n            pass\n"
+        "    return {'rat': f}[kind], g(kind, 'quat'), kind == 'rational', kind is RINGS\n"
+    )
+    assert ring_name_tests(source) == [2, 4, 4, 7]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.relative_to(ROOT).as_posix())
+def test_no_module_branches_on_a_ring_name(path):
+    assert ring_name_tests(path.read_text(encoding="utf-8")) == []

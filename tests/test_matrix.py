@@ -203,8 +203,6 @@ def test_arithmetic_shape_errors():
         a * a
     assert (a * b)[1, 1] == 5
     assert (-a + a) == Matrix.zeros(1, 2)
-    assert a.scale_left(2) == Matrix([[2, 4]])
-    assert a.scale_right(Fraction(1, 2)) == Matrix([[Fraction(1, 2), 1]])
 
 
 def test_a_non_square_matrix_is_a_shape_mismatch_everywhere():

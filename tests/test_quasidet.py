@@ -813,6 +813,10 @@ def test_marks_and_levels_refuse_a_non_int():
         (lambda: commute_neg_pos(1, 1.5, 1, 1), 1.5),
         (lambda: commute_neg_pos(True, 1, 1, 1), True),
         (lambda: commute_neg_pos(2.0, 1, 1, 1), 2.0),
+        # nor is an int below 1: no x_0 or x_{-(-1)} exists, yet commute_neg_pos(0, 3, 1, 1)
+        # returned (1, 1) and commute_neg_pos(-1, -1, 1, 2) the same-index rewrite (2/3, 3)
+        (lambda: commute_neg_pos(0, 3, 1, 1), 0),
+        (lambda: commute_neg_pos(-1, -1, 1, 2), -1),
         (lambda: interval(1.0, 3), 1.0),
         (lambda: interval(True, 2), True),
         (lambda: interval(1, Fraction(3)), Fraction(3)),
@@ -820,7 +824,10 @@ def test_marks_and_levels_refuse_a_non_int():
     for read, mark in reads:
         with pytest.raises(IndexOutOfRange) as info:
             read()
-        assert str(info.value) == f"index {mark!r} is not an integer"
+        if type(mark) is int:
+            assert str(info.value) == f"index {mark} is below 1"
+        else:
+            assert str(info.value) == f"index {mark!r} is not an integer"
     # an int mark keeps its range message
     with pytest.raises(IndexOutOfRange, match=r"^entry \(4, 1\) outside \[1, 3\] x \[1, 3\]$"):
         quasideterminant(x, 4, 1)
