@@ -7,15 +7,17 @@ Three families of factorization live here:
 * parameter recovery through the twist: the diagonal part is the torus of
   the twist, the one-parameter factors are quasiminor ratios of y = psi(x)
   indexed by subwords of the double word.
-  Each parameter has two stated equal forms per branch; both are evaluated
-  and must agree, and the recovered parameters are replayed through the
-  product map and must reproduce x exactly;
+  Each parameter has two stated equal forms per branch, which must agree:
+  the first is evaluated, and the second, a ratio den^{-1} num, is compared
+  with it as den first = num, with no inversion.  The recovered parameters
+  are replayed through the product map and must reproduce x exactly;
 * the block factorizations of cells against the longest element, each with
   a direct quasiminor route and a twisted route that must agree.  Every
   block parameter is a ratio |den|^{-1} |num| of two positive quasiminors
   from one of four families a, b, c, d, stated once in ``BLOCK_FAMILIES``,
   built once per (family, n, i, j) by ``_family_specs`` and evaluated by
-  ``block_ratio``: t_{ij} of ``factor_u_w0`` is b on x and a on the twist
+  ``block_ratio``, or compared with a value v in hand as |den| v = |num|
+  (``_block_terms``): t_{ij} of ``factor_u_w0`` is b on x and a on the twist
   y = psi(x); tau_{ij} of ``factor_w0_v`` is d on x and c on y, and h_i is
   the numerator of d.  On the maximal cell the forms also swap (a on x =
   b on y, c on x = d on y); ``verify_double_ratios`` checks all four
@@ -317,10 +319,15 @@ class FactorizationOutput:
         return product_map(word, list(self.t), list(self.h))
 
 
-def _ratio(den, num, label):
+def _nonzero(den, label):
+    """den itself; a zero den raises NotGeneric carrying `label` as its witness."""
     if is_zero(den):
         raise NotGeneric(f"quasiminor denominator vanished at {label}", witness=label)
-    return inv(den) * num
+    return den
+
+
+def _ratio(den, num, label):
+    return inv(_nonzero(den, label)) * num
 
 
 def recover_params(x: Matrix, word: DoubleWord) -> FactorizationOutput:
@@ -329,8 +336,10 @@ def recover_params(x: Matrix, word: DoubleWord) -> FactorizationOutput:
     h is the twist's torus, h_i = [ubar^{-1} x]_0 at u^{-1}(i), which equals
     the level-u^{-1}(i) quasiminor of x at (u, e); each t_k is a quasiminor
     ratio of the twist y, indexed by the subword permutations at position k.
-    Both equal forms of the branch are evaluated and must agree; every
-    parameter must be nonzero and the replay must reproduce x exactly.
+    Both equal forms of the branch must agree: the first form is evaluated,
+    and the second, den^{-1} num, is compared with it as den first = num
+    once den is tested nonzero.  Every parameter must be nonzero and the
+    replay must reproduce x exactly.
     """
     y, h = _twist(x, word.u(), word.v())
     cache = _point(x).minors(y)
@@ -340,16 +349,14 @@ def recover_params(x: Matrix, word: DoubleWord) -> FactorizationOutput:
         i = abs(letter)
         u_ge, u_gt, v_le, v_lt = word.subword_perms(k)
         if letter < 0:
-            first = _ratio(cache.uv(v_lt, u_gt, i), cache.uv(v_lt, u_ge, i), ("branch-", k))
-            second = _ratio(
-                cache.uv(v_lt, u_ge, i + 1), cache.uv(v_lt, u_gt, i + 1), ("branch-", k)
-            )
+            label = ("branch-", k)
+            first = _ratio(cache.uv(v_lt, u_gt, i), cache.uv(v_lt, u_ge, i), label)
+            den, num = cache.uv(v_lt, u_ge, i + 1), cache.uv(v_lt, u_gt, i + 1)
         else:
-            first = _ratio(cache.uv(v_le, u_gt, i), cache.uv(v_lt, u_gt, i + 1), ("branch+", k))
-            second = _ratio(
-                cache.uv(v_lt, u_gt, i), cache.uv(v_le, u_gt, i + 1), ("branch+", k)
-            )
-        if not equal(first, second):
+            label = ("branch+", k)
+            first = _ratio(cache.uv(v_le, u_gt, i), cache.uv(v_lt, u_gt, i + 1), label)
+            den, num = cache.uv(v_lt, u_gt, i), cache.uv(v_le, u_gt, i + 1)
+        if not equal(_nonzero(den, label) * first, num):
             raise NotGeneric(
                 f"the two forms for t_{k} disagree; x is not factorizable along this word",
                 witness=("branch-agreement", k),
@@ -412,13 +419,25 @@ def _family_specs(family: str, n: int, i: int, j: int) -> tuple:
     return specs
 
 
+def _block_terms(cache: MinorCache, family: str, i: int, j: int, label) -> tuple:
+    """(|den|, |num|) of `family` at (i, j) on the cache's matrix, read in that order.
+
+    NotGeneric carries `label` as its witness when the denominator vanishes.
+    A check that a value v equals the ratio |den|^{-1} |num| tests
+    |den| v = |num| on these, with no inversion.
+    """
+    den, num = _family_specs(family, cache.x.rows, i, j)
+    den, num = cache.spec(den), cache.spec(num)
+    return _nonzero(den, label), num
+
+
 def block_ratio(cache: MinorCache, family: str, i: int, j: int, label):
     """|den|^{-1} |num| of `family` at (i, j) on the cache's matrix.
 
     NotGeneric carries `label` as its witness when the denominator vanishes.
     """
-    den, num = _family_specs(family, cache.x.rows, i, j)
-    return _ratio(cache.spec(den), cache.spec(num), label)
+    den, num = _block_terms(cache, family, i, j, label)
+    return inv(den) * num
 
 
 # -- block factorizations against the longest element ---------------------------
@@ -443,7 +462,8 @@ def factor_u_w0(x: Matrix) -> UW0Factorization:
     u and v come from one reduction of x per side.  The stage parameters
     are verified against their closed quasiminor forms (family b on x),
     and for v = w0 against the twisted forms (family a on y, the gate's v
-    side on the same Bruhat factor); both agreements are exact.
+    side on the same Bruhat factor); both agreements are exact, each
+    tested as |den| t = |num| (``_block_terms``).
     """
     point = _point(x)
     _, u, _ = point.bruhat_parts()
@@ -455,10 +475,10 @@ def factor_u_w0(x: Matrix) -> UW0Factorization:
     cache_x = point.minors(x)
     for m, k in uf.pairs:
         try:
-            closed = block_ratio(cache_x, "b", m, k, ("upper-t", m, k))
+            den, num = _block_terms(cache_x, "b", m, k, ("upper-t", m, k))
         except NotGeneric:
             continue
-        if not equal(closed, uf.t[(m, k)]):
+        if not equal(den * uf.t[(m, k)], num):
             raise QBruhatError(
                 f"stage parameter ({m}, {k}) disagrees with its quasiminor form"
             )
@@ -466,8 +486,8 @@ def factor_u_w0(x: Matrix) -> UW0Factorization:
     if v == w0:
         cache_y = point.minors(_twist(x, u, w0)[0])
         for i, j in sorted(uf.pairs):
-            twisted = block_ratio(cache_y, "a", i, j, ("u-w0-twist", i, j))
-            if not equal(twisted, uf.t[(i, j)]):
+            den, num = _block_terms(cache_y, "a", i, j, ("u-w0-twist", i, j))
+            if not equal(den * uf.t[(i, j)], num):
                 raise QBruhatError(
                     f"twisted expression for t_({i},{j}) disagrees with the direct one"
                 )
@@ -547,7 +567,7 @@ def factor_w0_v(x: Matrix) -> W0VFactorization:
     x_plus then lies in the reduced cell of (e, v) with no further test:
     P is lower triangular, so [x_plus vbar']_+ = [x vbar']_+, whose
     support the gate has checked.  The twisted forms of tau (family c on
-    y = psi(x)) must agree.
+    y = psi(x)) must agree, tested as |den| tau = |num| (``_block_terms``).
     """
     n = x.rows
     point = _point(x)
@@ -568,8 +588,8 @@ def factor_w0_v(x: Matrix) -> W0VFactorization:
     if not x_plus.is_unitriangular("upper"):
         raise QBruhatError("residual of the negative blocks is not upper unitriangular")
     for i, j in pairs:
-        twisted = block_ratio(cache_y, "c", i, j, ("w0-v-twist", i, j))
-        if not equal(twisted, tau[(i, j)]):
+        den, num = _block_terms(cache_y, "c", i, j, ("w0-v-twist", i, j))
+        if not equal(den * tau[(i, j)], num):
             raise QBruhatError(
                 f"twisted expression for tau_({i},{j}) disagrees with the direct one"
             )
@@ -628,6 +648,8 @@ def verify_double_ratios(x: Matrix, include_extended: bool = False) -> DoubleRat
 
     Families: anti-diagonal invariance, the two block-parameter transfers,
     and their involution images, plus the product formula of the corollary.
+    A transfer |den_y|^{-1} |num_y| = ratio on x is tested as
+    |den_y| ratio = |num_y|, with |den_y| tested nonzero before x is read.
     The two remaining corollary displays carry suspected misprints; their
     best-read interpretations run only under `include_extended` and are
     excluded from acceptance.
@@ -649,9 +671,9 @@ def verify_double_ratios(x: Matrix, include_extended: bool = False) -> DoubleRat
         record("anti-diagonal", (i,), cy.spec(_anti_spec(n, i)), cx.spec(_anti_spec(n, i)))
     for i, j in sorted(upper_pairs(n)):
         for family, on_y, on_x, mark in _TRANSFERS:
-            lhs = block_ratio(cy, on_y, i, j, (on_y + mark, i, j))
+            den, num = _block_terms(cy, on_y, i, j, (on_y + mark, i, j))
             rhs = block_ratio(cx, on_x, i, j, (on_x + mark, i, j))
-            record(family, (i, j), lhs, rhs)
+            record(family, (i, j), den * rhs, num)
         c_den, c_num = _family_specs("c", n, i, j)
         d_den, d_num = _family_specs("d", n, i, j)
         lhs = cy.spec(d_den)

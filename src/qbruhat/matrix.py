@@ -252,14 +252,6 @@ class Matrix:
             raise ShapeMismatch("empty submatrix")
         return Matrix([[self._e[i - 1][j - 1] for j in J] for i in I])
 
-    def delete(self, i: int, j: int) -> "Matrix":
-        """The submatrix with row i and column j removed."""
-        check_index(i, self.rows)
-        check_index(j, self.cols)
-        I = tuple(r for r in range(1, self.rows + 1) if r != i)
-        J = tuple(c for c in range(1, self.cols + 1) if c != j)
-        return self.submatrix(I, J)
-
     def inverse(self) -> "Matrix":
         """Exact inverse: minus the Schur complement of x in [[x, 1], [1, 0]].
 

@@ -281,18 +281,41 @@ def _dodgson_admissible(n: int) -> tuple:
     return tuple(rows), tuple(first_reads)
 
 
+def _product_slots(rows, forms) -> tuple:
+    """Per row, the product slot of each two-slot product in `forms`, numbered by first use.
+
+    A form (a, b, left) is the product of the quasiminors at places a and b
+    of a row's slots: a^{-1} b when `left` holds, a b^{-1} otherwise.  Rows
+    that name the same two slots in the same form share one product slot.
+    Slots are numbered in row order, and within a row in the order of
+    `forms`, which is the order in which a grid first uses them.
+    """
+    numbered = {}
+    return tuple(
+        tuple(
+            numbered.setdefault((slots[a], slots[b], left), len(numbered))
+            for a, b, left in forms
+        )
+        for slots, *_ in rows
+    )
+
+
 def _slot_reader(x: Matrix, first_reads):
-    """(read, inverse): x's quasiminors by slot, each computed and inverted at most once.
+    """(read, nonzero, inverse, product): x's quasiminors by slot, and the products they share.
 
     read(slots) gives the quasiminors in these slots; slot s is filled on its
     first read, through ``MinorCache.uv`` at ``first_reads[s]``.  Slots are
     numbered in the order a grid first reads them, so the slot not yet
-    filled that a grid reads is always the next one.  inverse(s, u, v, k)
-    inverts slot s, already read, as the (u, v) grid quasiminor at level k.
-    A zero one makes the sample non-generic, not a counterexample: it is
-    never stored, and it raises NotGeneric so the harness resamples.
+    filled that a grid reads is always the next one.  nonzero(s, u, v, k)
+    tests slot s, already read, as the (u, v) grid quasiminor at level k: a
+    zero one makes the sample non-generic, not a counterexample, and raises
+    NotGeneric so the harness resamples.  inverse(s, u, v, k) inverts slot s
+    after that test, at most once per slot.  product(p, a, b) is a b, made
+    once, at the first use of product slot p; product slots are numbered in
+    the order a grid first uses them (``_product_slots``), so the one not
+    yet made is always the next one.  All of these live for one grid call.
     """
-    cache, values, inverses = MinorCache(x), [], {}
+    cache, values, inverses, made = MinorCache(x), [], {}, []
 
     def read(slots):
         for s in slots:
@@ -300,18 +323,39 @@ def _slot_reader(x: Matrix, first_reads):
                 values.append(cache.uv(*first_reads[s]))
         return [values[s] for s in slots]
 
+    def nonzero(s, u, v, k):
+        if is_zero(values[s]):
+            raise NotGeneric(
+                f"grid quasiminor at level {k} for ({u!r}, {v!r}) is zero",
+                witness=("grid-zero", u.images, v.images, k),
+            )
+
     def inverse(s, u, v, k):
         found = inverses.get(s)
         if found is None:
-            if is_zero(values[s]):
-                raise NotGeneric(
-                    f"grid quasiminor at level {k} for ({u!r}, {v!r}) is zero",
-                    witness=("grid-zero", u.images, v.images, k),
-                )
+            nonzero(s, u, v, k)
             found = inverses[s] = inv(values[s])
         return found
 
-    return read, inverse
+    def product(p, a, b):
+        if p == len(made):
+            made.append(a * b)
+        return made[p]
+
+    return read, nonzero, inverse, product
+
+
+@functools.lru_cache(maxsize=1)
+def _dodgson_products(n: int) -> tuple:
+    """Per row of ``_dodgson_admissible(n)``, the product slots it uses (``_product_slots``).
+
+    In order of first use: d_usv d_uv^{-1}, d_uv^{-1} d_uvs, e_uv e_usv^{-1}
+    and e_uvs^{-1} e_uv.  n = 4 has 150 distinct products of each of the
+    four over its 216 rows.  Like the table, it is kept for the latest n.
+    """
+    return _product_slots(
+        _dodgson_admissible(n)[0], ((1, 0, False), (0, 2, True), (4, 5, False), (6, 4, True))
+    )
 
 
 def check_dodgson_grid(x: Matrix) -> int:
@@ -321,30 +365,41 @@ def check_dodgson_grid(x: Matrix) -> int:
     first triple, and counts 5 checks for each triple it stands for.  A
     failure or a NotGeneric witness is that of the first failing triple: a
     triple fails exactly when its instance does.  Each quasiminor is read
-    and inverted at most once per grid, by slot.  Identities 1 and 4 read
-    one product d_usv d_uv^{-1}.
+    at most once per grid, by slot, and each instance zero-tests d_uv,
+    d_usv, d_uvs, e_usv and e_uvs in that order.  Identity 2,
+    d_usv^{-1} e_uv = d_uv^{-1} e_usv, is checked as e_uv = ratio e_usv with
+    ratio = d_usv d_uv^{-1}, identity 1's product; identity 3,
+    e_uv d_uvs^{-1} = e_uvs d_uv^{-1}, as e_uv = e_uvs back with
+    back = d_uv^{-1} d_uvs, identity 5's right side.  Each is the same
+    equation times a quasiminor tested nonzero, so only d_uv, e_usv and
+    e_uvs are inverted.  The two-slot products ratio, back, e_uv e_usv^{-1}
+    and e_uvs^{-1} e_uv are made once per grid, by product slot
+    (``_dodgson_products``).
     """
     rows, first_reads = _dodgson_admissible(x.rows)
-    read, inverse = _slot_reader(x, first_reads)
+    read, nonzero, inverse, product = _slot_reader(x, first_reads)
     checks = 0
-    for slots, u, us, v, vs, i, m in rows:
+    for (slots, u, us, v, vs, i, m), (p_ratio, p_back, p_e_usv, p_e_uvs) in zip(
+        rows, _dodgson_products(x.rows)
+    ):
         d_uv, d_usv, d_uvs, d_usvs, e_uv, e_usv, e_uvs = read(slots)
         inv_d_uv = inverse(slots[0], u, v, i)
-        inv_d_usv = inverse(slots[1], us, v, i)
-        inv_d_uvs = inverse(slots[2], u, vs, i)
+        nonzero(slots[1], us, v, i)
+        nonzero(slots[2], u, vs, i)
         inv_e_usv = inverse(slots[5], us, v, i + 1)
         inv_e_uvs = inverse(slots[6], u, vs, i + 1)
         params = (u.images, v.images, i)
-        ratio = d_usv * inv_d_uv
+        ratio = product(p_ratio, d_usv, inv_d_uv)
         if not equal(d_usvs, ratio * d_uvs + e_uv):
             _fail("dodgson-1", x, params=params)
-        if not equal(inv_d_usv * e_uv, inv_d_uv * e_usv):
+        if not equal(e_uv, ratio * e_usv):
             _fail("dodgson-2", x, params=params)
-        if not equal(e_uv * inv_d_uvs, e_uvs * inv_d_uv):
+        back = product(p_back, inv_d_uv, d_uvs)
+        if not equal(e_uv, e_uvs * back):
             _fail("dodgson-3", x, params=params)
-        if not equal(e_uv * inv_e_usv, ratio):
+        if not equal(product(p_e_usv, e_uv, inv_e_usv), ratio):
             _fail("dodgson-4", x, params=params)
-        if not equal(inv_e_uvs * e_uv, inv_d_uv * d_uvs):
+        if not equal(product(p_e_uvs, inv_e_uvs, e_uv), back):
             _fail("dodgson-5", x, params=params)
         checks += 5 * m
     return checks
@@ -402,6 +457,16 @@ def _plucker_admissible(n: int) -> tuple:
     return tuple(rows), tuple(first_reads)
 
 
+@functools.lru_cache(maxsize=1)
+def _plucker_products(n: int) -> tuple:
+    """Per row of ``_plucker_admissible(n)``, the product slot of its b c^{-1} (``_product_slots``).
+
+    b and c are slots 2 and 3 of the row: n = 4 has 192 distinct b c^{-1}
+    over its 288 rows.  Like the table, it is kept for the latest n.
+    """
+    return _product_slots(_plucker_admissible(n)[0], ((2, 3, False),))
+
+
 def check_minors_plucker_grid(x: Matrix) -> int:
     """Both generalized exchange identities with a three-step length condition.
 
@@ -410,16 +475,19 @@ def check_minors_plucker_grid(x: Matrix) -> int:
     NotGeneric witness is that of the first failing check: a check fails
     exactly when its instance does.  Each quasiminor is read and inverted at
     most once per grid, by slot; the inverse is taken before the fifth read,
-    where the check has always taken it.
+    where the check has always taken it.  The product b c^{-1} is made once
+    per grid, by product slot (``_plucker_products``).
     """
     rows, first_reads = _plucker_admissible(x.rows)
-    read, inverse = _slot_reader(x, first_reads)
+    read, _, inverse, product = _slot_reader(x, first_reads)
     checks = 0
-    for slots, check, u, v, i, (pivot_u, pivot_v), m in rows:
+    for (slots, check, u, v, i, (pivot_u, pivot_v), m), (p_b_c,) in zip(
+        rows, _plucker_products(x.rows)
+    ):
         lhs, a, b, c = read(slots[:4])
         inv_c = inverse(slots[3], pivot_u, pivot_v, i)
         (d,) = read(slots[4:])
-        if not equal(lhs, a + b * inv_c * d):
+        if not equal(lhs, a + product(p_b_c, b, inv_c) * d):
             _fail(check, x, params=(u.images, v.images, i))
         checks += m
     return checks

@@ -7,7 +7,9 @@ matrices, and a quaternion matrix's rank from the rank of its real form.
 ``OppositeScalar`` is a ring the package does not know: it reaches the
 package's zero test and inversion only through their generic branch.
 ``counted_products`` counts the quaternion products a block of code makes,
-``counted_sums`` its quaternion sums and differences.
+``counted_sums`` its quaternion sums and differences, ``counted_inversions``
+its quaternion inversions.  ``delete`` is the A^{pq} of the definition, a
+copy of x without one row and one column.
 """
 
 import contextlib
@@ -88,7 +90,7 @@ def _counted(names):
             patch.setattr(
                 RationalQuaternion,
                 name,
-                lambda a, b, method=method: calls.append(1) or method(a, b),
+                lambda *args, method=method: calls.append(1) or method(*args),
             )
         yield calls
 
@@ -107,6 +109,21 @@ def counted_sums():
     ``__add__``, ``__radd__``, ``__sub__`` and ``__rsub__`` are counted, and restored on exit.
     """
     return _counted(("__add__", "__radd__", "__sub__", "__rsub__"))
+
+
+def counted_inversions():
+    """Yield a list that grows by one entry per quaternion inversion made inside the block.
+
+    Every quaternion inversion runs through ``RationalQuaternion.inverse``, which is counted.
+    """
+    return _counted(("inverse",))
+
+
+def delete(x, i, j):
+    """The submatrix of x with row i and column j removed."""
+    rows = tuple(r for r in range(1, x.rows + 1) if r != i)
+    cols = tuple(c for c in range(1, x.cols + 1) if c != j)
+    return x.submatrix(rows, cols)
 
 
 class OppositeScalar:

@@ -25,7 +25,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import OppositeScalar, counted_products, counted_sums, rational_rank, real_form
+from oracles import (
+    OppositeScalar,
+    counted_inversions,
+    counted_products,
+    counted_sums,
+    delete,
+    rational_rank,
+    real_form,
+)
 from qbruhat import cells, factorize, gauss
 from qbruhat.cells import (
     bruhat_factor,
@@ -46,6 +54,7 @@ from qbruhat.factorize import (
     product_map,
     recover_params,
     upper_pairs,
+    verify_double_ratios,
 )
 from qbruhat.gauss import gauss_parts, ldu, ldu_elimination, lower_solve
 from qbruhat.matrix import Matrix, _schur_chain, interval, matrix_from_json, rank
@@ -65,7 +74,7 @@ from qbruhat.sampling import (
     reduced_cell_point,
 )
 from qbruhat.scalars import RationalQuaternion as Q, inv, is_zero
-from qbruhat.verify import check_dodgson_grid
+from qbruhat.verify import check_dodgson_grid, run_suite
 from qbruhat.weyl import (
     DoubleWord,
     Permutation,
@@ -181,7 +190,7 @@ def definition_route(A, p, q):
         return A[p, q]
     row = Matrix([[A[p, c] for c in range(1, n + 1) if c != q]])
     col = Matrix([[A[r, q]] for r in range(1, n + 1) if r != p])
-    return A[p, q] - (row * checked_inverse(A.delete(p, q)) * col)[1, 1]
+    return A[p, q] - (row * checked_inverse(delete(A, p, q)) * col)[1, 1]
 
 
 def marks(data, n):
@@ -1062,6 +1071,34 @@ def test_maximal_recovery_products_at_n8():
             counts.append(len(products))
             assert list(out.h) == h and list(out.t) == t
     assert sorted(counts)[1] == 2_090
+
+
+def test_operation_budget_of_a_minor_grid_op_and_a_maximal_op():
+    # quaternion products and inversions of one seeded minor-grid op (a dodgson and a
+    # plucker trial at n = 4), and inversions of the four computations of one seeded
+    # maximal op on a (w0, w0) point at n = 5, in the order that op runs them.  The grid
+    # made 3,421 products and 535 inversions before it checked Dodgson's identities 2
+    # and 3 in product forms and made each shared two-slot product once; the maximal
+    # op made 84, 53, 54 and 111 inversions before its cross-checks tested
+    # den value = num instead of den^-1 num = value.  Its products are unchanged
+    with counted_products() as products, counted_inversions() as inversions:
+        for suite in ("dodgson", "plucker"):
+            assert run_suite(suite, 4, trials=1, seed=1).passed
+        assert (len(products), len(inversions)) == (2_629, 489)
+        w0 = Permutation.longest(5)
+        x, word, _, _ = cell_point(random.Random(1), w0, w0)
+        counts = []
+        for compute in (
+            lambda: recover_params(x, word),
+            lambda: factor_u_w0(x),
+            lambda: factor_w0_v(x),
+            lambda: verify_double_ratios(x),
+        ):
+            products.clear()
+            inversions.clear()
+            compute()
+            counts.append((len(inversions), len(products)))
+    assert counts == [(64, 472), (33, 249), (44, 246), (71, 273)]
 
 
 def test_recovery_products_and_sums_over_s4_cells():

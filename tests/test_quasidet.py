@@ -8,6 +8,7 @@ from oracles import (
     OppositeScalar,
     counted_products,
     counted_sums,
+    delete,
     det_minor,
     det_of,
     plucker_coordinate,
@@ -58,7 +59,9 @@ from qbruhat.verify import (
     GRID_CHECKS,
     CheckFailed,
     _dodgson_admissible,
+    _dodgson_products,
     _plucker_admissible,
+    _plucker_products,
     _slots,
     check_dodgson_grid,
     check_minors_plucker_grid,
@@ -331,7 +334,7 @@ def test_quasiminors_are_read_where_they_live(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a quasiminor read made a matrix")
 
-    for name in ("__init__", "_wrap", "submatrix", "delete"):
+    for name in ("__init__", "_wrap", "submatrix"):
         monkeypatch.setattr(Matrix, name, refuse)
     assert [read() for read in reads] == before
     assert before[-1] is True
@@ -427,8 +430,8 @@ def test_homological_relations_directly():
             for s in range(1, n + 1):
                 if s == i:
                     continue
-                lhs = -a_ij * inv(quasideterminant(x.delete(i, ell), s - (s > i), j - (j > ell)))
-                rhs = a_il * inv(quasideterminant(x.delete(i, j), s - (s > i), ell - (ell > j)))
+                lhs = -a_ij * inv(quasideterminant(delete(x, i, ell), s - (s > i), j - (j > ell)))
+                rhs = a_il * inv(quasideterminant(delete(x, i, j), s - (s > i), ell - (ell > j)))
                 assert lhs == rhs
             return 1
 
@@ -666,28 +669,32 @@ def test_grouped_grid_reports_as_every_triple_would(monkeypatch, n, name, grid, 
 
 
 def log_slot_reader(monkeypatch, log):
-    """Make each grid's slot reader append ("read", slots) and ("inverse", slot) to `log`."""
+    """Make each grid's slot reader append (kind, slot) to `log` for each of its calls.
+
+    The kinds are "read" (with the slots read), "nonzero", "inverse" and "product".
+    """
     slot_reader = verify._slot_reader
 
     def logged(x, first_reads):
-        read, inverse = slot_reader(x, first_reads)
+        calls = dict(zip(("read", "nonzero", "inverse", "product"), slot_reader(x, first_reads)))
 
-        def logged_read(slots):
-            log.append(("read", slots))
-            return read(slots)
+        def logger(kind):
+            def call(slot, *args):
+                log.append((kind, slot))
+                return calls[kind](slot, *args)
 
-        def logged_inverse(slot, *at):
-            log.append(("inverse", slot))
-            return inverse(slot, *at)
+            return call
 
-        return logged_read, logged_inverse
+        return tuple(map(logger, calls))
 
     monkeypatch.setattr(verify, "_slot_reader", logged)
 
 
 def test_grid_checks_evaluate_each_distinct_instance_once(monkeypatch):
-    # an evaluated Dodgson instance reads once and asks for five inverses, a
-    # Plucker one reads twice (before and after its inverse) and asks for one
+    # an evaluated Dodgson instance reads once, zero-tests d_usv and d_uvs, asks
+    # for three inverses (d_uv, e_usv, e_uvs) and four products; a Plucker one
+    # reads twice (before and after its inverse), asks for one inverse and one
+    # product.  Before the product forms, Dodgson asked for five inverses
     log = []
     log_slot_reader(monkeypatch, log)
     rng = random.Random(5)
@@ -702,12 +709,13 @@ def test_grid_checks_evaluate_each_distinct_instance_once(monkeypatch):
                 log.clear()
                 checks = grid(x)
                 kinds = [kind for kind, _ in log]
-                got.append([checks, kinds.count("read"), kinds.count("inverse")])
+                counts = [kinds.count(k) for k in ("read", "nonzero", "inverse", "product")]
+                got.append([checks, *counts])
             return got
 
         expected = [
-            [GRID_CHECKS["dodgson"](n), dodgson, 5 * dodgson],
-            [GRID_CHECKS["plucker"](n), 2 * plucker, plucker],
+            [GRID_CHECKS["dodgson"](n), dodgson, 2 * dodgson, 3 * dodgson, 4 * dodgson],
+            [GRID_CHECKS["plucker"](n), 2 * plucker, 0, plucker, plucker],
         ]
         assert with_retries(evaluated) == expected
 
@@ -715,7 +723,8 @@ def test_grid_checks_evaluate_each_distinct_instance_once(monkeypatch):
 @pytest.mark.parametrize("n", (3, 4))
 def test_one_grid_reads_each_key_once_and_inverts_each_slot_once(monkeypatch, n):
     # the keys reach the cache in slot order, and each slot the table inverts is
-    # inverted once; equal values in two slots are two inverses
+    # inverted once; equal values in two slots are two inverses.  Dodgson inverts
+    # d_uv, e_usv and e_uvs; it zero-tests d_usv and d_uvs but no longer inverts them
     reads, inversions = [], []
     uv, spec = MinorCache.uv, MinorCache.spec
     monkeypatch.setattr(
@@ -725,7 +734,7 @@ def test_one_grid_reads_each_key_once_and_inverts_each_slot_once(monkeypatch, n)
     monkeypatch.setattr(verify, "inv", lambda a: inversions.append(a) or inv(a))
     rng = random.Random(30 + n)
     for name, table, grid, inverted in (
-        ("dodgson", _dodgson_admissible, check_dodgson_grid, (0, 1, 2, 5, 6)),
+        ("dodgson", _dodgson_admissible, check_dodgson_grid, (0, 5, 6)),
         ("plucker", _plucker_admissible, check_minors_plucker_grid, (3,)),
     ):
         # the slots each row inverts, by their place in the row's read order
@@ -740,6 +749,142 @@ def test_one_grid_reads_each_key_once_and_inverts_each_slot_once(monkeypatch, n)
         assert with_retries(once) == GRID_CHECKS[name](n)
         assert reads == [grid_key(*read) for read in first_reads]
         assert len(inversions) == len(set(asked)) < len(asked)
+
+
+# the two-slot products each grid shares, as (place a, place b, a inverted) in a row's
+# slots: Dodgson's d_usv d_uv^-1, d_uv^-1 d_uvs, e_uv e_usv^-1 and e_uvs^-1 e_uv over
+# (d_uv, d_usv, d_uvs, d_usvs, e_uv, e_usv, e_uvs), and Plucker's b c^-1 over
+# (lhs, a, b, c, d)
+PRODUCT_FORMS = (
+    (
+        _dodgson_admissible,
+        _dodgson_products,
+        ((1, 0, False), (0, 2, True), (4, 5, False), (6, 4, True)),
+    ),
+    (_plucker_admissible, _plucker_products, ((2, 3, False),)),
+)
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_product_slots_are_distinct_keys_numbered_by_first_use(n):
+    # rows share a product slot exactly when they name the same two slots in the same
+    # form, and the rows, in order, first use the product slots in slot order
+    for table, products, forms in PRODUCT_FORMS:
+        rows, _ = table(n)
+        assert len(products(n)) == len(rows)
+        keys = {}
+        for (slots, *_), made in zip(rows, products(n)):
+            assert len(made) == len(forms)
+            for (a, b, left), p in zip(forms, made):
+                assert keys.setdefault(p, (slots[a], slots[b], left)) == (slots[a], slots[b], left)
+        assert len(set(keys.values())) == len(keys)
+        first_seen = list(dict.fromkeys(p for made in products(n) for p in made))
+        assert first_seen == list(range(len(keys)))
+        if n == 4:
+            # 150 distinct products of each Dodgson form over 216 rows, 192 b c^-1 over 288
+            per_form = [len({made[f] for made in products(n)}) for f in range(len(forms))]
+            assert per_form == ([150] * 4 if len(forms) == 4 else [192])
+
+
+def test_each_product_slot_is_made_once_per_grid_call(monkeypatch):
+    # product(p, a, b) makes one quaternion product at the first use of slot p and none
+    # at a later one, and returns a b each time; a second grid call makes them afresh
+    x = sample_matrix(random.Random(0), 4, 4)
+    calls = []
+    slot_reader = verify._slot_reader
+    with counted_products() as made:
+
+        def logged(x, first_reads):
+            read, nonzero, inverse, product = slot_reader(x, first_reads)
+
+            def logged_product(p, a, b):
+                before = len(made)
+                value = product(p, a, b)
+                calls.append((p, len(made) - before, value == a * b))
+                return value
+
+            return read, nonzero, inverse, logged_product
+
+        monkeypatch.setattr(verify, "_slot_reader", logged)
+        grids = (check_dodgson_grid, check_minors_plucker_grid)
+        for (_, products, _), grid in zip(PRODUCT_FORMS, grids):
+            slots = max(p for row in products(4) for p in row) + 1
+            for _ in range(2):
+                calls.clear()
+                assert grid(x) > 0
+                first = {}
+                for k, (p, _, _) in enumerate(calls):
+                    first.setdefault(p, k)
+                assert len(first) == slots
+                expected = [int(first[p] == k) for k, (p, _, _) in enumerate(calls)]
+                assert [count for _, count, _ in calls] == expected
+                assert all(equal for _, _, equal in calls)
+
+
+@pytest.mark.parametrize("role", (1, 2))
+def test_a_zero_d_usv_or_d_uvs_gives_its_witness_without_an_inversion(monkeypatch, role):
+    # d_usv (place 1) and d_uvs (place 2) are zero-tested where they were inverted, after
+    # d_uv, so a zero one names the same quasiminor as the reference, which inverts all
+    # five; only d_uv of the first row has been inverted by then
+    x = sample_matrix(random.Random(0), 4, 4)
+    rows, first_reads = _dodgson_admissible(4)
+    slots, u, us, v, vs, i, _ = rows[0]
+    target = grid_key(*first_reads[slots[role]])
+    uv = MinorCache.uv
+
+    def zeroed(cache, a, b, k):
+        value = uv(cache, a, b, k)
+        return value - value if grid_key(a, b, k) == target else value
+
+    monkeypatch.setattr(MinorCache, "uv", zeroed)
+    inversions = []
+    monkeypatch.setattr(verify, "inv", lambda a: inversions.append(a) or inv(a))
+    at = (us, v) if role == 1 else (u, vs)
+    expected = ("not-generic", ("grid-zero", at[0].images, at[1].images, i))
+    assert grid_outcome(check_dodgson_grid, x) == expected
+    assert len(inversions) == 1 and not is_zero(inversions[0])
+    assert grid_outcome(dodgson_reference, x) == expected
+
+
+def test_each_shifted_product_slot_fails_under_the_label_of_its_first_use(monkeypatch):
+    # a product slot shifted by 1 fails the first check that uses it, in the row that
+    # makes it: Dodgson's d_usv d_uv^-1 identity 1, d_uv^-1 d_uvs identity 3,
+    # e_uv e_usv^-1 identity 4 and e_uvs^-1 e_uv identity 5; Plucker's b c^-1 fails
+    # its row's own side, plucker-u or plucker-v
+    x = sample_matrix(random.Random(0), 4, 4)
+    slot_reader = verify._slot_reader
+
+    def failure(grid, target):
+        def shifted(x, first_reads):
+            read, nonzero, inverse, product = slot_reader(x, first_reads)
+
+            def shifted_product(p, a, b):
+                value = product(p, a, b)
+                return value + 1 if p == target else value
+
+            return read, nonzero, inverse, shifted_product
+
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "_slot_reader", shifted)
+            with pytest.raises(CheckFailed) as info:
+                grid(x)
+        return info.value.detail["check"], info.value.detail["params"]
+
+    rows = _dodgson_admissible(4)[0]
+    _, u, _, v, _, i, _ = rows[0]
+    labels = ("dodgson-1", "dodgson-3", "dodgson-4", "dodgson-5")
+    for p, label in zip(_dodgson_products(4)[0], labels):
+        assert failure(check_dodgson_grid, p) == (label, (u.images, v.images, i))
+    rows = _plucker_admissible(4)[0]
+    first_use = {}
+    for row, (p,) in zip(rows, _plucker_products(4)):
+        first_use.setdefault(p, row)
+    sides = {}
+    for p, (_, check, u, v, i, _, _) in first_use.items():
+        sides.setdefault(check, (p, (u.images, v.images, i)))
+    assert sorted(sides) == ["plucker-u", "plucker-v"]
+    for check, (p, params) in sides.items():
+        assert failure(check_minors_plucker_grid, p) == (check, params)
 
 
 def test_minor_cache_raises_a_fresh_error_on_every_read_of_a_failed_key():
@@ -845,8 +990,6 @@ def test_marks_and_levels_refuse_a_non_int():
         ("Matrix[1, j]", lambda j: y[1, j], 4),
         ("Matrix.unit row", lambda i: Matrix.unit(4, i, 1), 4),
         ("Matrix.unit column", lambda j: Matrix.unit(4, 1, j), 4),
-        ("Matrix.delete row", lambda i: y.delete(i, 1), 4),
-        ("Matrix.delete column", lambda j: y.delete(1, j), 4),
         ("Matrix._right_letter", lambda k: y._right_letter(k, Q(1, 1)), 3),
         ("quasideterminant p", lambda p: quasideterminant(y, p, 1), 4),
         ("quasideterminant q", lambda q: quasideterminant(y, 1, q), 4),
@@ -980,12 +1123,16 @@ def test_dodgson_grid_shares_the_ratio_of_identities_1_and_4():
     # d_usv d_uv^-1, 216 fewer (one per instance) when they share it, 168
     # fewer again since MinorCache computes each Schur entry once, and 276
     # fewer since a block keeps Schur entries, one pivot step on its parent's,
-    # instead of solved columns
+    # instead of solved columns.  Identities 2 and 3 in their product forms
+    # (e_uv = ratio e_usv, e_uv = e_uvs back) make 2 fewer per instance, and
+    # the four two-slot products, made once per product slot, 4 x (216 - 150)
+    # fewer again
     x = sample_matrix(random.Random(0), 4, 4)
     _dodgson_admissible(4)
+    _dodgson_products(4)
     with counted_products() as products:
         assert check_dodgson_grid(x) == GRID_CHECKS["dodgson"](4)
-    assert len(products) == 3_042 - 216 - 168 - 276
+    assert len(products) == 3_042 - 216 - 168 - 276 - 2 * 216 - 4 * (216 - 150) == 1_686
 
 
 def test_a_grid_makes_the_sums_of_its_fill_and_one_per_instance():
