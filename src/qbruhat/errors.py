@@ -35,7 +35,7 @@ class NotGeneric(QBruhatError):
       side), ``("principal", k)``, ``("projection", label)``,
       ``("pivot-block", I0, J0)``, ``("expansion", r, c)``,
       ``("plucker-left", I, i, j)``, ``("plucker-right", I, i, j)``,
-      ``("grid-zero", u, v, k)``;
+      ``("grid-zero", u, v, k)``, ``("homological", r, c, p, q)`` (|x^{rc}|_pq);
     * factorizations: ``("standard", i, j)``, ``("stage", m, k)``,
       ``("upper-t", m, k)``, ``("branch+", k)``, ``("branch-", k)``,
       ``("branch-agreement", k)``, ``("zero-parameter",)``, ``("replay",)``,

@@ -152,12 +152,16 @@ class MinorSpec:
             raise IndexOutOfRange(f"mark ({self.i}, {self.j}) not in {self.I} x {self.J}")
 
 
+def _signed(value, I, J, a: int, b: int):
+    """(-1)^{d_i(I) + d_j(J)} value, for the mark (i, j) = (I[a], J[b])."""
+    # I and J increase: a = |{r in I : r < i}|, and d_i(I) = |I| - 1 - a
+    return -value if (len(I) + len(J) - a - b) % 2 else value
+
+
 def positive_quasiminor(x: Matrix, spec: MinorSpec):
     """(-1)^{d_i(I) + d_j(J)} |x_{I,J}|_{i,j}."""
     value = boxed_quasiminor(x, spec.I, spec.J, spec.i, spec.j)
-    # I and J increase: a = |{r in I : r < i}|, and d_i(I) = |I| - 1 - a
-    a, b = spec.I.index(spec.i), spec.J.index(spec.j)
-    return -value if (len(spec.I) + len(spec.J) - a - b) % 2 else value
+    return _signed(value, spec.I, spec.J, spec.I.index(spec.i), spec.J.index(spec.j))
 
 
 def principal_quasiminor(x: Matrix, i: int):
@@ -433,11 +437,9 @@ class MinorCache:
         return block
 
     def _member(self, I, J, i, j):
-        # I and J increase: a = |{r in I : r < i}|, and d_i(I) = |I| - 1 - a
         a, b = I.index(i), J.index(j)
         inner_rows, inner_cols = I[:a] + I[a + 1 :], J[:b] + J[b + 1 :]
         block = self._block(inner_rows, inner_cols)
         if block is None:
             raise _inner_singular(a + 1, b + 1, len(inner_rows))
-        value = block.entry(i, j)
-        return -value if (len(I) + len(J) - a - b) % 2 else value
+        return _signed(block.entry(i, j), I, J, a, b)

@@ -17,6 +17,7 @@ from math import factorial
 from .cells import cross_checked_twist, twist_general, twist_reduced
 from .errors import NotGeneric, WrongCell
 from .factorize import (
+    _nonzero,
     factor_u_w0,
     factor_w0_v,
     recover_params,
@@ -138,21 +139,32 @@ def check_elementary_properties(x: Matrix, rng: random.Random) -> int:
 
 
 def check_homological(x: Matrix, rng: random.Random) -> int:
-    """Row and column homological relations, all free indices for one setup."""
+    """Row and column homological relations, all free indices for one setup.
+
+    Each relation -a_ij q1^{-1} = a_il q2^{-1} (row) or -q1^{-1} a_ij =
+    q2^{-1} a_kj (column) is checked times q2, so q2 is not inverted:
+    -a_ij q1^{-1} q2 = a_il, -q2 q1^{-1} a_ij = a_kj.  A zero q1 or q2 =
+    |x^{rc}|_pq is NotGeneric, witness ("homological", r, c, p, q).
+    """
     n = x.rows
     i = rng.randint(1, n)
     j, ell = rng.sample(range(1, n + 1), 2)
     checks = 0
     # others[d] is 1..n without d: the quasiminors below delete one row and one column
     others = {d: tuple(r for r in interval(1, n) if r != d) for d in interval(1, n)}
+
+    def deleted(r, c, p, q):
+        """|x^{rc}|_pq, x without row r and column c, tested nonzero."""
+        value = boxed_quasiminor(x, others[r], others[c], p, q)
+        return _nonzero(value, ("homological", r, c, p, q))
+
     a_ij = quasideterminant(x, i, j)
     a_il = quasideterminant(x, i, ell)
     for s in range(1, n + 1):
         if s == i:
             continue
-        lhs = -a_ij * inv(boxed_quasiminor(x, others[i], others[ell], s, j))
-        rhs = a_il * inv(boxed_quasiminor(x, others[i], others[j], s, ell))
-        if not equal(lhs, rhs):
+        q1 = deleted(i, ell, s, j)
+        if not equal(-a_ij * inv(q1) * deleted(i, j, s, ell), a_il):
             _fail("homological-row", x, i=i, j=j, ell=ell, s=s)
         checks += 1
     k = rng.choice([r for r in range(1, n + 1) if r != i])
@@ -160,9 +172,8 @@ def check_homological(x: Matrix, rng: random.Random) -> int:
     for t in range(1, n + 1):
         if t == j:
             continue
-        lhs = -inv(boxed_quasiminor(x, others[k], others[j], i, t)) * a_ij
-        rhs = inv(boxed_quasiminor(x, others[i], others[j], k, t)) * a_kj
-        if not equal(lhs, rhs):
+        q1 = deleted(k, j, i, t)
+        if not equal(-deleted(i, j, k, t) * inv(q1) * a_ij, a_kj):
             _fail("homological-column", x, i=i, j=j, k=k, t=t)
         checks += 1
     return checks
@@ -194,7 +205,7 @@ def check_sylvester(x: Matrix, rng: random.Random) -> int:
 
 
 def check_inverse_entries(x: Matrix) -> int:
-    """Entries of the inverse against inverted quasideterminants."""
+    """Entries of the inverse against quasideterminants: x^{-1}[i, j] |x|_ji = 1."""
     n = x.rows
     inverse = x.inverse()
     checks = 0
@@ -203,7 +214,7 @@ def check_inverse_entries(x: Matrix) -> int:
             entry = inverse[i, j]
             if is_zero(entry):
                 continue
-            if not equal(inv(entry), quasideterminant(x, j, i)):
+            if not equal(entry * quasideterminant(x, j, i), 1):
                 _fail("inverse-entries", x, i=i, j=j)
             checks += 1
     return checks
@@ -235,11 +246,24 @@ def _slots(reads, numbered: dict, first_reads: list) -> tuple:
 
 
 def _groups(keyed) -> list:
-    """[first member, count] per distinct key of these (key, member) pairs, in first-seen order."""
+    """The first member of each distinct key of these (key, member) pairs, in first-seen order."""
     groups = {}
     for key, member in keyed:
-        groups.setdefault(key, [member, 0])[1] += 1
+        groups.setdefault(key, member)
     return list(groups.values())
+
+
+def _products(slots, forms, numbered: dict) -> tuple:
+    """The product slot of each form (a, b, left) over these slots, numbered by first use.
+
+    A form is the product of the quasiminors at places a and b of `slots`,
+    a^{-1} b when `left` holds and a b^{-1} otherwise.  Rows that name the
+    same two slots in the same form share one product slot; a new one takes
+    the next number in `numbered`, the order in which the grid first uses it.
+    """
+    return tuple(
+        numbered.setdefault((slots[a], slots[b], left), len(numbered)) for a, b, left in forms
+    )
 
 
 @functools.lru_cache(maxsize=1)
@@ -253,17 +277,19 @@ def _dodgson_admissible(n: int) -> tuple:
     seven keys.  Triples that share them are one instance: the same five
     identities on the same values.  So for each i the ascents are grouped
     once by these four level keys, and an instance is a (u group, v group)
-    pair.  A row (slots, u, u s_i, v, v s_i, i, m) is an instance at its
-    first triple in (i, u, v) order, with the number m = m_u m_v of triples
-    it stands for; ``slots`` holds the slots of its seven quasiminors in read
-    order d_uv, d_usv, d_uvs, d_usvs, e_uv, e_usv, e_uvs (``_slots``).
+    pair.  A row (slots, products, u, u s_i, v, v s_i, i) is an instance at
+    its first triple in (i, u, v) order.  ``slots`` holds the slots of its
+    seven quasiminors in read order d_uv, d_usv, d_uvs, d_usvs, e_uv, e_usv,
+    e_uvs (``_slots``), and ``products`` the product slots (``_products``)
+    of d_usv d_uv^{-1}, d_uv^{-1} d_uvs, e_uv e_usv^{-1} and e_uvs^{-1} e_uv.
     ``first_reads[s]`` is the (u, v, k) that first reads slot s: n = 4 has
-    216 rows over 319 slots.  The table depends on n alone: each product
-    u s_i is built once per n, and the table of the latest n is kept as
-    tuples for every later grid at that n.
+    216 rows over 319 slots and 150 products of each form.  The table
+    depends on n alone: each product u s_i is built once per n, and the
+    table of the latest n is kept as tuples for every later grid at that n.
     """
     perms = all_permutations(n)
-    numbered, first_reads, rows = {}, [], []
+    forms = ((1, 0, False), (0, 2, True), (4, 5, False), (6, 4, True))
+    numbered, products, first_reads, rows = {}, {}, [], []
     for i in range(1, n):
         s = Permutation.simple(i, n)
         groups = _groups(
@@ -271,33 +297,15 @@ def _dodgson_admissible(n: int) -> tuple:
             for u in perms
             if (us := u * s).length() == u.length() + 1
         )
-        for (u, us), m_u in groups:
-            for (v, vs), m_v in groups:
+        for u, us in groups:
+            for v, vs in groups:
                 reads = (
                     (u, v, i), (us, v, i), (u, vs, i), (us, vs, i),
                     (u, v, i + 1), (us, v, i + 1), (u, vs, i + 1),
                 )
-                rows.append((_slots(reads, numbered, first_reads), u, us, v, vs, i, m_u * m_v))
+                slots = _slots(reads, numbered, first_reads)
+                rows.append((slots, _products(slots, forms, products), u, us, v, vs, i))
     return tuple(rows), tuple(first_reads)
-
-
-def _product_slots(rows, forms) -> tuple:
-    """Per row, the product slot of each two-slot product in `forms`, numbered by first use.
-
-    A form (a, b, left) is the product of the quasiminors at places a and b
-    of a row's slots: a^{-1} b when `left` holds, a b^{-1} otherwise.  Rows
-    that name the same two slots in the same form share one product slot.
-    Slots are numbered in row order, and within a row in the order of
-    `forms`, which is the order in which a grid first uses them.
-    """
-    numbered = {}
-    return tuple(
-        tuple(
-            numbered.setdefault((slots[a], slots[b], left), len(numbered))
-            for a, b, left in forms
-        )
-        for slots, *_ in rows
-    )
 
 
 def _slot_reader(x: Matrix, first_reads):
@@ -311,9 +319,9 @@ def _slot_reader(x: Matrix, first_reads):
     zero one makes the sample non-generic, not a counterexample, and raises
     NotGeneric so the harness resamples.  inverse(s, u, v, k) inverts slot s
     after that test, at most once per slot.  product(p, a, b) is a b, made
-    once, at the first use of product slot p; product slots are numbered in
-    the order a grid first uses them (``_product_slots``), so the one not
-    yet made is always the next one.  All of these live for one grid call.
+    once, at the first use of product slot p; rows carry product slots
+    numbered in the order a grid first uses them (``_products``), so the one
+    not yet made is always the next one.  All of these live for one grid call.
     """
     cache, values, inverses, made = MinorCache(x), [], {}, []
 
@@ -345,43 +353,26 @@ def _slot_reader(x: Matrix, first_reads):
     return read, nonzero, inverse, product
 
 
-@functools.lru_cache(maxsize=1)
-def _dodgson_products(n: int) -> tuple:
-    """Per row of ``_dodgson_admissible(n)``, the product slots it uses (``_product_slots``).
-
-    In order of first use: d_usv d_uv^{-1}, d_uv^{-1} d_uvs, e_uv e_usv^{-1}
-    and e_uvs^{-1} e_uv.  n = 4 has 150 distinct products of each of the
-    four over its 216 rows.  Like the table, it is kept for the latest n.
-    """
-    return _product_slots(
-        _dodgson_admissible(n)[0], ((1, 0, False), (0, 2, True), (4, 5, False), (6, 4, True))
-    )
-
-
 def check_dodgson_grid(x: Matrix) -> int:
     """All five quasiminor exchange identities over every admissible (u, v, i).
 
     Each distinct instance (``_dodgson_admissible``) is evaluated once, at its
-    first triple, and counts 5 checks for each triple it stands for.  A
+    first triple, so a grid that returns has made all ``GRID_CHECKS``.  A
     failure or a NotGeneric witness is that of the first failing triple: a
-    triple fails exactly when its instance does.  Each quasiminor is read
-    at most once per grid, by slot, and each instance zero-tests d_uv,
-    d_usv, d_uvs, e_usv and e_uvs in that order.  Identity 2,
-    d_usv^{-1} e_uv = d_uv^{-1} e_usv, is checked as e_uv = ratio e_usv with
-    ratio = d_usv d_uv^{-1}, identity 1's product; identity 3,
-    e_uv d_uvs^{-1} = e_uvs d_uv^{-1}, as e_uv = e_uvs back with
-    back = d_uv^{-1} d_uvs, identity 5's right side.  Each is the same
-    equation times a quasiminor tested nonzero, so only d_uv, e_usv and
-    e_uvs are inverted.  The two-slot products ratio, back, e_uv e_usv^{-1}
-    and e_uvs^{-1} e_uv are made once per grid, by product slot
-    (``_dodgson_products``).
+    triple fails exactly when its instance does.  Each quasiminor is read at
+    most once per grid, by slot, and each instance zero-tests d_uv, d_usv,
+    d_uvs, e_usv and e_uvs in that order.  Identity 2, d_usv^{-1} e_uv = d_uv^{-1} e_usv, is
+    checked as e_uv = ratio e_usv with ratio = d_usv d_uv^{-1}, identity 1's
+    product; identity 3, e_uv d_uvs^{-1} = e_uvs d_uv^{-1}, as
+    e_uv = e_uvs back with back = d_uv^{-1} d_uvs, identity 5's right side.
+    Each is the same equation times a quasiminor tested nonzero, so only
+    d_uv, e_usv and e_uvs are inverted.  The two-slot products ratio, back,
+    e_uv e_usv^{-1} and e_uvs^{-1} e_uv are made once per grid, by the
+    product slots the rows carry.
     """
     rows, first_reads = _dodgson_admissible(x.rows)
     read, nonzero, inverse, product = _slot_reader(x, first_reads)
-    checks = 0
-    for (slots, u, us, v, vs, i, m), (p_ratio, p_back, p_e_usv, p_e_uvs) in zip(
-        rows, _dodgson_products(x.rows)
-    ):
+    for slots, (p_ratio, p_back, p_e_usv, p_e_uvs), u, us, v, vs, i in rows:
         d_uv, d_usv, d_uvs, d_usvs, e_uv, e_usv, e_uvs = read(slots)
         inv_d_uv = inverse(slots[0], u, v, i)
         nonzero(slots[1], us, v, i)
@@ -401,8 +392,7 @@ def check_dodgson_grid(x: Matrix) -> int:
             _fail("dodgson-4", x, params=params)
         if not equal(product(p_e_uvs, inv_e_uvs, e_uv), back):
             _fail("dodgson-5", x, params=params)
-        checks += 5 * m
-    return checks
+    return GRID_CHECKS["dodgson"](x.rows)
 
 
 @functools.lru_cache(maxsize=1)
@@ -418,16 +408,17 @@ def _plucker_admissible(n: int) -> tuple:
     and i + 1.  Checks of one side that share them are one instance: for each
     i the families and the others are grouped once by these level keys, and
     an instance is a (family group, other group, side).  A row (slots,
-    check, u, v, i, pivot, m) is an instance at its first check, with the
-    number m = m_w m_other of checks it stands for; ``slots`` holds the slots of
-    its five quasiminors (``_slots``) in read order, so that the check is
-    slot 0 = slot 1 + slot 2 slot 3^{-1} slot 4, and ``pivot`` is the (u, v)
-    of slot 3, the one inverted.  ``first_reads`` is as in
-    ``_dodgson_admissible``: n = 4 has 288 rows over 278 slots.  Like it,
-    the table depends on n alone and the table of the latest n is kept.
+    product, check, u, v, i, pivot) is an instance at its first check;
+    ``slots`` holds the slots of its five quasiminors (``_slots``) in read
+    order, so that the check is slot 0 = slot 1 + slot 2 slot 3^{-1} slot 4,
+    ``product`` the product slot of slot 2 slot 3^{-1} (as in ``_products``),
+    and ``pivot`` is the (u, v) of slot 3, the one inverted.
+    ``first_reads`` is as in ``_dodgson_admissible``: n = 4 has 288 rows
+    over 278 slots and 192 products.  Like it, the table depends on n alone
+    and the table of the latest n is kept.
     """
     perms = all_permutations(n)
-    numbered, first_reads, rows = {}, [], []
+    numbered, products, first_reads, rows = {}, {}, [], []
     for i in range(1, n - 1):
         s_i, s_next = Permutation.simple(i, n), Permutation.simple(i + 1, n)
         levels = (i + 1, i + 1, i, i + 1, i)
@@ -439,8 +430,8 @@ def _plucker_admissible(n: int) -> tuple:
                 key = tuple(_level_key(f.images, k) for f, k in zip(family, levels))
                 families.append((key, family))
         others = _groups(((_level_key(o.images, i), _level_key(o.images, i + 1)), o) for o in perms)
-        for (w, w_next, w_i, w_i_next, w_next_i), m_w in _groups(families):
-            for o, m_other in others:
+        for w, w_next, w_i, w_i_next, w_next_i in _groups(families):
+            for o in others:
                 u_reads = (
                     (w_next, o, i + 1), (w_i_next, o, i + 1), (w_next_i, o, i),
                     (w_i, o, i), (w, o, i + 1),
@@ -453,44 +444,31 @@ def _plucker_admissible(n: int) -> tuple:
                     ("plucker-u", w, o, u_reads), ("plucker-v", o, w, v_reads)
                 ):
                     slots = _slots(reads, numbered, first_reads)
-                    rows.append((slots, check, u, v, i, reads[3][:2], m_w * m_other))
+                    product = products.setdefault((slots[2], slots[3]), len(products))
+                    rows.append((slots, product, check, u, v, i, reads[3][:2]))
     return tuple(rows), tuple(first_reads)
-
-
-@functools.lru_cache(maxsize=1)
-def _plucker_products(n: int) -> tuple:
-    """Per row of ``_plucker_admissible(n)``, the product slot of its b c^{-1} (``_product_slots``).
-
-    b and c are slots 2 and 3 of the row: n = 4 has 192 distinct b c^{-1}
-    over its 288 rows.  Like the table, it is kept for the latest n.
-    """
-    return _product_slots(_plucker_admissible(n)[0], ((2, 3, False),))
 
 
 def check_minors_plucker_grid(x: Matrix) -> int:
     """Both generalized exchange identities with a three-step length condition.
 
     Each distinct instance (``_plucker_admissible``) is evaluated once, at its
-    first check, and counts 1 for each check it stands for.  A failure or a
-    NotGeneric witness is that of the first failing check: a check fails
-    exactly when its instance does.  Each quasiminor is read and inverted at
-    most once per grid, by slot; the inverse is taken before the fifth read,
-    where the check has always taken it.  The product b c^{-1} is made once
-    per grid, by product slot (``_plucker_products``).
+    first check, so a grid that returns has made all ``GRID_CHECKS``.  A
+    failure or a NotGeneric witness is that of the first failing check: a
+    check fails exactly when its instance does.  Each quasiminor is read and
+    inverted at most once per grid, by slot; the inverse is taken before the
+    fifth read, where the check has always taken it.  The product b c^{-1} is
+    made once per grid, by the product slot its row carries.
     """
     rows, first_reads = _plucker_admissible(x.rows)
     read, _, inverse, product = _slot_reader(x, first_reads)
-    checks = 0
-    for (slots, check, u, v, i, (pivot_u, pivot_v), m), (p_b_c,) in zip(
-        rows, _plucker_products(x.rows)
-    ):
+    for slots, p_b_c, check, u, v, i, (pivot_u, pivot_v) in rows:
         lhs, a, b, c = read(slots[:4])
         inv_c = inverse(slots[3], pivot_u, pivot_v, i)
         (d,) = read(slots[4:])
         if not equal(lhs, a + product(p_b_c, b, inv_c) * d):
             _fail(check, x, params=(u.images, v.images, i))
-        checks += m
-    return checks
+    return GRID_CHECKS["plucker"](x.rows)
 
 
 def check_quasi_plucker_coords(rng: random.Random, n: int) -> int:
@@ -644,19 +622,19 @@ SUITES = {
 
 GRID_CHECKS = {
     "dodgson": lambda n: 5 * (n - 1) * (factorial(n) // 2) ** 2,
-    "plucker": lambda n: (n - 2) * factorial(n) ** 2 // 3,
+    "plucker": lambda n: max(n - 2, 0) * factorial(n) ** 2 // 3,
 }
 """Grid suite -> n -> grid checks in one trial, in closed form.
 
 Dodgson makes 5 checks per admissible (u, v, i): for each of the n - 1
 simple reflections s_i, n!/2 permutations u have l(u s_i) > l(u), and as
-many v.  Plucker makes 2 checks per (w, other, i), i = 1..n-2, where
-l(w s_i s_{i+1} s_i) = l(w) + 3 holds for the n!/6 minimal representatives
-w of the cosets of <s_i, s_{i+1}>.  Every admissible triple is counted,
-though the grid checks evaluate each distinct instance once: 216 Dodgson
-and 288 Plucker instances at n = 4, 2,000 and 4,000 at n = 5.  The
-instance tables are built once per n, on the first grid at that n, and
-only those of the latest n are kept.
+many v.  Plucker makes 2 checks per (w, other, i), i = 1..n-2 (none below
+n = 3), where l(w s_i s_{i+1} s_i) = l(w) + 3 holds for the n!/6 minimal
+representatives w of the cosets of <s_i, s_{i+1}>.  A grid raises or checks every
+admissible triple, so it returns its entry here, though it evaluates
+each distinct instance once: 216 Dodgson and 288 Plucker instances at
+n = 4, 2,000 and 4,000 at n = 5.  The instance tables are built once per
+n, on the first grid at that n, and only those of the latest n are kept.
 """
 
 GRID_CHECK_BUDGET = 10_000_000

@@ -6,6 +6,7 @@ import pytest
 
 from oracles import (
     OppositeScalar,
+    counted_inversions,
     counted_products,
     counted_sums,
     delete,
@@ -59,9 +60,8 @@ from qbruhat.verify import (
     GRID_CHECKS,
     CheckFailed,
     _dodgson_admissible,
-    _dodgson_products,
     _plucker_admissible,
-    _plucker_products,
+    _products,
     _slots,
     check_dodgson_grid,
     check_minors_plucker_grid,
@@ -442,6 +442,47 @@ def test_homological_relations_directly():
             with_retries(make(n))
 
 
+def test_homological_and_inverse_entry_checks_invert_only_what_they_must():
+    # seeded 4 x 4 matrices: the row and column homological forms invert one
+    # quasiminor per free index, not two (45 -> 39), and the inverse entries are
+    # compared as entry |x|_ji = 1, with no inversion of the entry (68 -> 52)
+    for seed in (0, 1):
+        x = sample_matrix(random.Random(seed), 4, 4)
+        with counted_inversions() as homological:
+            assert verify.check_homological(x, random.Random(seed)) == 6
+        with counted_inversions() as entries:
+            assert verify.check_inverse_entries(x) == 16
+        assert (len(homological), len(entries)) == (39, 52)
+
+
+@pytest.mark.parametrize("form", ("row", "column"))
+@pytest.mark.parametrize("which", (1, 2))
+def test_a_zero_homological_quasiminor_is_not_generic(monkeypatch, form, which):
+    # each form reads q1 then q2 per free index, n - 1 rows before the columns, and
+    # zero-tests both: a zero one names itself as |x^{rc}|_pq, x without row r and
+    # column c, and is neither a counterexample nor a ZeroInverse.  q2, which the
+    # forms multiply by instead of inverting, escaped as a ZeroInverse before
+    n = 4
+    x = sample_matrix(random.Random(0), n, n)
+    target = which if form == "row" else 2 * (n - 1) + which
+    boxed, calls, zeroed = verify.boxed_quasiminor, [], []
+
+    def zeroing(y, rows, cols, p, q):
+        value = boxed(y, rows, cols, p, q)
+        calls.append(1)
+        if len(calls) != target:
+            return value
+        (r,) = set(interval(1, n)) - set(rows)
+        (c,) = set(interval(1, n)) - set(cols)
+        zeroed.append(("homological", r, c, p, q))
+        return value - value
+
+    monkeypatch.setattr(verify, "boxed_quasiminor", zeroing)
+    with pytest.raises(NotGeneric) as info:
+        verify.check_homological(x, random.Random(0))
+    assert info.value.witness == zeroed[0]
+
+
 def test_zero_grid_quasiminor_is_resampled_not_raised():
     # seed 274 draws a matrix with an exactly zero grid quasiminor; the grid
     # check reports it as NotGeneric and the harness draws the next sample
@@ -454,8 +495,19 @@ def grid_key(u, v, k):
     return _level_key(u.images, k), _level_key(v.images, k)
 
 
+# the two-slot products each grid shares, as (place a, place b, a inverted) in a row's
+# slots: Dodgson's d_usv d_uv^-1, d_uv^-1 d_uvs, e_uv e_usv^-1 and e_uvs^-1 e_uv over
+# (d_uv, d_usv, d_uvs, d_usvs, e_uv, e_usv, e_uvs), and Plucker's b c^-1 over
+# (lhs, a, b, c, d)
+DODGSON_FORMS = ((1, 0, False), (0, 2, True), (4, 5, False), (6, 4, True))
+PLUCKER_FORMS = ((2, 3, False),)
+
+
 def dodgson_pair_walk(n):
-    """``_dodgson_admissible(n)`` by a walk over every admissible (u, v) pair at each i."""
+    """(``_dodgson_admissible(n)``, m per row) by a walk over every admissible (u, v) pair at each i.
+
+    m is the number of admissible triples the row's instance stands for.
+    """
     perms = all_permutations(n)
     instances = {}
     for i in range(1, n):
@@ -468,18 +520,22 @@ def dodgson_pair_walk(n):
         for u, us, key_u in pairs:
             for v, vs, key_v in pairs:
                 instances.setdefault((key_u, key_v), [u, us, v, vs, i, 0])[-1] += 1
-    numbered, first_reads, rows = {}, [], []
-    for u, us, v, vs, i, m in instances.values():
+    numbered, products, first_reads, rows = {}, {}, [], []
+    for u, us, v, vs, i, _ in instances.values():
         reads = (
             (u, v, i), (us, v, i), (u, vs, i), (us, vs, i),
             (u, v, i + 1), (us, v, i + 1), (u, vs, i + 1),
         )
-        rows.append((_slots(reads, numbered, first_reads), u, us, v, vs, i, m))
-    return tuple(rows), tuple(first_reads)
+        slots = _slots(reads, numbered, first_reads)
+        rows.append((slots, _products(slots, DODGSON_FORMS, products), u, us, v, vs, i))
+    return (tuple(rows), tuple(first_reads)), [m for *_, m in instances.values()]
 
 
 def plucker_pair_walk(n):
-    """``_plucker_admissible(n)`` by a walk over every (w, other) pair and side at each i."""
+    """(``_plucker_admissible(n)``, m per row) by a walk over every (w, other) pair and side at each i.
+
+    m is the number of checks the row's instance stands for.
+    """
     perms = all_permutations(n)
     instances = {}
     for i in range(1, n - 1):
@@ -495,8 +551,8 @@ def plucker_pair_walk(n):
             for other, key_o in others:
                 for side in ("u", "v"):
                     instances.setdefault((side, key_w, key_o), [side, i, family, other, 0])[-1] += 1
-    numbered, first_reads, rows = {}, [], []
-    for side, i, (w, w_next, w_i, w_i_next, w_next_i), other, m in instances.values():
+    numbered, products, first_reads, rows = {}, {}, [], []
+    for side, i, (w, w_next, w_i, w_i_next, w_next_i), other, _ in instances.values():
         if side == "u":
             u, v, pivot = w, other, (w_i, other)
             reads = (
@@ -510,28 +566,34 @@ def plucker_pair_walk(n):
                 (u, w_i, i), (u, w_next_i, i),
             )
         slots = _slots(reads, numbered, first_reads)
-        rows.append((slots, f"plucker-{side}", u, v, i, pivot, m))
-    return tuple(rows), tuple(first_reads)
+        (product,) = _products(slots, PLUCKER_FORMS, products)
+        rows.append((slots, product, f"plucker-{side}", u, v, i, pivot))
+    return (tuple(rows), tuple(first_reads)), [m for *_, m in instances.values()]
 
 
-@pytest.mark.parametrize("n", (3, 4, 5))
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
 def test_tables_built_one_side_at_a_time_equal_the_pair_walk(n):
-    # same rows in the same order, same representatives, counts and slots
-    assert _dodgson_admissible(n) == dodgson_pair_walk(n)
-    assert _plucker_admissible(n) == plucker_pair_walk(n)
+    # same rows in the same order, same representatives, slots and product slots
+    assert _dodgson_admissible(n) == dodgson_pair_walk(n)[0]
+    assert _plucker_admissible(n) == plucker_pair_walk(n)[0]
 
 
 def test_grid_check_counts_are_the_admissible_counts():
-    # each listed instance stands for m admissible triples (Plucker: m checks)
-    for n in (2, 3, 4, 5):
-        dodgson, plucker = _dodgson_admissible(n), _plucker_admissible(n)
-        assert GRID_CHECKS["dodgson"](n) == 5 * sum(row[-1] for row in dodgson[0])
-        assert GRID_CHECKS["plucker"](n) == sum(row[-1] for row in plucker[0])
+    # each walked instance stands for m admissible triples (Plucker: m checks)
+    for n in (1, 2, 3, 4, 5):
+        (_, m_dodgson), (_, m_plucker) = dodgson_pair_walk(n), plucker_pair_walk(n)
+        assert GRID_CHECKS["dodgson"](n) == 5 * sum(m_dodgson)
+        assert GRID_CHECKS["plucker"](n) == sum(m_plucker)
         # one slot per distinct key, numbered in the order the rows first read them
-        for rows, first_reads in (dodgson, plucker):
+        for rows, first_reads in (_dodgson_admissible(n), _plucker_admissible(n)):
             assert len({grid_key(*read) for read in first_reads}) == len(first_reads)
             first_seen = list(dict.fromkeys(slot for row in rows for slot in row[0]))
             assert first_seen == list(range(len(first_reads)))
+    # below n = 3 the Plucker table is empty, and so is the count its grid returns
+    for n in (1, 2):
+        x = sample_matrix(random.Random(n), n, n)
+        assert check_minors_plucker_grid(x) == GRID_CHECKS["plucker"](n) == 0
+        assert check_dodgson_grid(x) == GRID_CHECKS["dodgson"](n) == 5 * (n - 1)
 
 
 def reference_inv(value, u, v, k, inverses):
@@ -751,17 +813,10 @@ def test_one_grid_reads_each_key_once_and_inverts_each_slot_once(monkeypatch, n)
         assert len(inversions) == len(set(asked)) < len(asked)
 
 
-# the two-slot products each grid shares, as (place a, place b, a inverted) in a row's
-# slots: Dodgson's d_usv d_uv^-1, d_uv^-1 d_uvs, e_uv e_usv^-1 and e_uvs^-1 e_uv over
-# (d_uv, d_usv, d_uvs, d_usvs, e_uv, e_usv, e_uvs), and Plucker's b c^-1 over
-# (lhs, a, b, c, d)
+# each table, the product slots of one of its rows, and the forms they are in
 PRODUCT_FORMS = (
-    (
-        _dodgson_admissible,
-        _dodgson_products,
-        ((1, 0, False), (0, 2, True), (4, 5, False), (6, 4, True)),
-    ),
-    (_plucker_admissible, _plucker_products, ((2, 3, False),)),
+    (_dodgson_admissible, lambda row: row[1], DODGSON_FORMS),
+    (_plucker_admissible, lambda row: (row[1],), PLUCKER_FORMS),
 )
 
 
@@ -769,20 +824,20 @@ PRODUCT_FORMS = (
 def test_product_slots_are_distinct_keys_numbered_by_first_use(n):
     # rows share a product slot exactly when they name the same two slots in the same
     # form, and the rows, in order, first use the product slots in slot order
-    for table, products, forms in PRODUCT_FORMS:
+    for table, products_of, forms in PRODUCT_FORMS:
         rows, _ = table(n)
-        assert len(products(n)) == len(rows)
+        products = [products_of(row) for row in rows]
         keys = {}
-        for (slots, *_), made in zip(rows, products(n)):
+        for (slots, *_), made in zip(rows, products):
             assert len(made) == len(forms)
             for (a, b, left), p in zip(forms, made):
                 assert keys.setdefault(p, (slots[a], slots[b], left)) == (slots[a], slots[b], left)
         assert len(set(keys.values())) == len(keys)
-        first_seen = list(dict.fromkeys(p for made in products(n) for p in made))
+        first_seen = list(dict.fromkeys(p for made in products for p in made))
         assert first_seen == list(range(len(keys)))
         if n == 4:
             # 150 distinct products of each Dodgson form over 216 rows, 192 b c^-1 over 288
-            per_form = [len({made[f] for made in products(n)}) for f in range(len(forms))]
+            per_form = [len({made[f] for made in products}) for f in range(len(forms))]
             assert per_form == ([150] * 4 if len(forms) == 4 else [192])
 
 
@@ -807,8 +862,8 @@ def test_each_product_slot_is_made_once_per_grid_call(monkeypatch):
 
         monkeypatch.setattr(verify, "_slot_reader", logged)
         grids = (check_dodgson_grid, check_minors_plucker_grid)
-        for (_, products, _), grid in zip(PRODUCT_FORMS, grids):
-            slots = max(p for row in products(4) for p in row) + 1
+        for (table, products_of, _), grid in zip(PRODUCT_FORMS, grids):
+            slots = max(p for row in table(4)[0] for p in products_of(row)) + 1
             for _ in range(2):
                 calls.clear()
                 assert grid(x) > 0
@@ -828,7 +883,7 @@ def test_a_zero_d_usv_or_d_uvs_gives_its_witness_without_an_inversion(monkeypatc
     # five; only d_uv of the first row has been inverted by then
     x = sample_matrix(random.Random(0), 4, 4)
     rows, first_reads = _dodgson_admissible(4)
-    slots, u, us, v, vs, i, _ = rows[0]
+    slots, _, u, us, v, vs, i = rows[0]
     target = grid_key(*first_reads[slots[role]])
     uv = MinorCache.uv
 
@@ -870,17 +925,15 @@ def test_each_shifted_product_slot_fails_under_the_label_of_its_first_use(monkey
                 grid(x)
         return info.value.detail["check"], info.value.detail["params"]
 
-    rows = _dodgson_admissible(4)[0]
-    _, u, _, v, _, i, _ = rows[0]
+    _, products, u, _, v, _, i = _dodgson_admissible(4)[0][0]
     labels = ("dodgson-1", "dodgson-3", "dodgson-4", "dodgson-5")
-    for p, label in zip(_dodgson_products(4)[0], labels):
+    for p, label in zip(products, labels):
         assert failure(check_dodgson_grid, p) == (label, (u.images, v.images, i))
-    rows = _plucker_admissible(4)[0]
     first_use = {}
-    for row, (p,) in zip(rows, _plucker_products(4)):
-        first_use.setdefault(p, row)
+    for row in _plucker_admissible(4)[0]:
+        first_use.setdefault(row[1], row)
     sides = {}
-    for p, (_, check, u, v, i, _, _) in first_use.items():
+    for p, (_, _, check, u, v, i, _) in first_use.items():
         sides.setdefault(check, (p, (u.images, v.images, i)))
     assert sorted(sides) == ["plucker-u", "plucker-v"]
     for check, (p, params) in sides.items():
@@ -1118,6 +1171,17 @@ def test_grid_tables_are_built_once_per_n(monkeypatch):
             assert not products
 
 
+def test_the_grid_tables_are_the_only_per_n_caches_in_verify():
+    # each grid's rows carry their slots and product slots: a second per-n table
+    # kept beside a grid's would have to be kept in step with it by hand
+    cached = sorted(
+        name
+        for name, value in vars(verify).items()
+        if hasattr(value, "cache_info") and value.__module__ == verify.__name__
+    )
+    assert cached == ["_dodgson_admissible", "_plucker_admissible"]
+
+
 def test_dodgson_grid_shares_the_ratio_of_identities_1_and_4():
     # one n = 4 grid: 3,042 scalar products when identities 1 and 4 each built
     # d_usv d_uv^-1, 216 fewer (one per instance) when they share it, 168
@@ -1129,7 +1193,6 @@ def test_dodgson_grid_shares_the_ratio_of_identities_1_and_4():
     # fewer again
     x = sample_matrix(random.Random(0), 4, 4)
     _dodgson_admissible(4)
-    _dodgson_products(4)
     with counted_products() as products:
         assert check_dodgson_grid(x) == GRID_CHECKS["dodgson"](4)
     assert len(products) == 3_042 - 216 - 168 - 276 - 2 * 216 - 4 * (216 - 150) == 1_686
@@ -1184,7 +1247,7 @@ def test_each_identity_reports_a_shifted_quasiminor_under_its_own_label(monkeypa
 
     x = sample_matrix(random.Random(0), 4, 4)
     rows, first_reads = _dodgson_admissible(4)
-    slots, u, _, v, _, i, _ = rows[0]
+    slots, _, u, _, v, _, i = rows[0]
     at = {role: first_reads[slots[role]] for role in (3, 5, 6)}  # d_usvs, e_usv, e_uvs
     for role, label, inverse_only in (
         (3, "dodgson-1", False),
@@ -1205,14 +1268,14 @@ def test_each_identity_reports_a_shifted_quasiminor_under_its_own_label(monkeypa
     # a Plucker check whose left side no earlier instance reads
     rows, first_reads = _plucker_admissible(4)
     seen = set()
-    for slots, check, u, v, i, _, _ in rows[:2]:
+    for slots, _, check, u, v, i, _ in rows[:2]:
         assert slots[0] not in seen
         seen.update(slots)
         u_at, v_at, k = first_reads[slots[0]]
         with monkeypatch.context() as patch:
             shifted_uv(patch, (u_at.images, v_at.images, k))
             assert failure(check_minors_plucker_grid, x) == (check, (u.images, v.images, i))
-    assert [row[1] for row in rows[:2]] == ["plucker-u", "plucker-v"]
+    assert [row[2] for row in rows[:2]] == ["plucker-u", "plucker-v"]
     # the first letter of a (w0, w0) word: the numerator of its first form
     w0 = Permutation.longest(4)
     point, word, _, _ = cell_point(random.Random(0), w0, w0)
