@@ -39,7 +39,7 @@ class NotGeneric(QBruhatError):
     * factorizations: ``("standard", i, j)``, ``("stage", m, k)``,
       ``("upper-t", m, k)``, ``("branch+", k)``, ``("branch-", k)``,
       ``("branch-agreement", k)``, ``("zero-parameter",)``, ``("replay",)``,
-      ``("tau", m, k)``, ``("tau-zero", m, k)``, ``("u-w0-twist", i, j)``,
+      ``("tau", m, k)``, ``("u-w0-twist", i, j)``,
       ``("w0-v-twist", i, j)``;
     * double-ratio families: ``(f, i, j)`` with f one of ``a b c d``, the
       swapped ``a' b' c' d'`` or the telescoped ``a0 b0 a1 b1``.

@@ -188,8 +188,9 @@ def solve_standard_unipotent(x: Matrix):
 
     t_{ij} is a ratio of two boxed quasiminors of trailing-column blocks;
     the returned list is aligned with the letters of ``standard_word``.
-    Raises NotGeneric naming the (i, j) whose denominator quasiminor is
-    undefined or singular.
+    Raises NotGeneric naming the first (i, j) whose denominator is zero.  The
+    reads' inner blocks (empty at i = 1) are those of the denominators at (i - 1,
+    j - 1) and (i - 1, j), so invertible by heredity (GGRW 2005, Thm 1.5.2).
     """
     if not x.is_square:
         raise ShapeMismatch("solve_standard_unipotent needs a square matrix")
@@ -200,14 +201,8 @@ def solve_standard_unipotent(x: Matrix):
     for i in range(1, n):
         cols = interval(n - i + 1, n)
         for j in range(i + 1, n + 1):
-            try:
-                num = boxed_quasiminor(x, interval(j - i, j - 1), cols, j - i, n - i + 1)
-                den = boxed_quasiminor(x, interval(j - i + 1, j), cols, j - i + 1, n - i + 1)
-            except NotGeneric as exc:
-                raise NotGeneric(
-                    f"standard factorization blocked at (i, j) = ({i}, {j}): {exc}",
-                    witness=("standard", i, j),
-                ) from exc
+            num = boxed_quasiminor(x, interval(j - i, j - 1), cols, j - i, n - i + 1)
+            den = boxed_quasiminor(x, interval(j - i + 1, j), cols, j - i + 1, n - i + 1)
             if is_zero(den):
                 raise NotGeneric(
                     f"standard factorization denominator at ({i}, {j}) is zero",
@@ -258,13 +253,11 @@ def upper_factorize(x: Matrix) -> UpperFactorization:
     Stage (m, k) kills the (m, k+1) entry with a right factor
     (1 - t_{m,k} E_k); the final stage is lower triangular.  A zero pivot
     with a zero target is benign (t = 0); a zero pivot with a nonzero
-    target is NotGeneric.
+    target is NotGeneric.  At n = 1 no pair runs: x itself, with no stage.
     """
     if not x.is_square:
         raise ShapeMismatch("upper_factorize needs a square matrix")
     n = x.rows
-    if n < 2:
-        return UpperFactorization(x, (), {}, {})
     y = x
     t, stages = {}, {}
     for m, k in upper_pairs(n):
@@ -562,12 +555,14 @@ def factor_w0_v(x: Matrix) -> W0VFactorization:
     is computed.  h and tau come from family d on x (h_m is its numerator
     at row m).  x_plus = P^{-1} x for P = diag(h) * Xneg^(n-1) ... Xneg^(1)
     comes from row operations on x, without forming P, and must be upper
-    unitriangular.  No zero reaches an inversion: a zero h_m with m < n
-    makes tau_(m,m) zero first, and h_n = x[n, 1] is nonzero past the gate.
-    x_plus then lies in the reduced cell of (e, v) with no further test:
-    P is lower triangular, so [x_plus vbar']_+ = [x vbar']_+, whose
-    support the gate has checked.  The twisted forms of tau (family c on
-    y = psi(x)) must agree, tested as |den| tau = |num| (``_block_terms``).
+    unitriangular.  No zero reaches an inversion: past the gate x is in
+    B w0 B, so each corner x[m..n, 1..n+1-m] is invertible and h_m, its
+    quasiminor at (m, n+1-m) over the next corner, is nonzero (GGRW 2005, Thm
+    1.5.2); so is tau_(m,k) = |den|^{-1} h_m once den passes ("tau", m, k).
+    x_plus then lies in the reduced cell of (e, v) with no further test: P is
+    lower triangular, so [x_plus vbar']_+ = [x vbar']_+, whose support the
+    gate has checked.  The twisted forms of tau (family c on y = psi(x)) must
+    agree, tested as |den| tau = |num| (``_block_terms``).
     """
     n = x.rows
     point = _point(x)
@@ -579,11 +574,6 @@ def factor_w0_v(x: Matrix) -> W0VFactorization:
     tau = {}
     for m, k in pairs:
         tau[(m, k)] = block_ratio(cache_x, "d", m, k, ("tau", m, k))
-        if is_zero(tau[(m, k)]):
-            raise NotGeneric(
-                f"tau_({m},{k}) is zero; x is degenerate for the negative blocks",
-                witness=("tau-zero", m, k),
-            )
     x_plus = _divide_negative_blocks(h, tau, x)
     if not x_plus.is_unitriangular("upper"):
         raise QBruhatError("residual of the negative blocks is not upper unitriangular")

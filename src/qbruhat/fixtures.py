@@ -8,14 +8,13 @@ index bookkeeping; the noncommutative multiplication order is exercised
 by the quaternion twins in the test suite.
 
 Fixtures double as the payload of the CLI ``demo`` subcommand, which
-prints the recovered symbolic expressions.
+prints the recovered symbolic expressions.  Each function that needs sympy
+imports it, so only ``demo`` pays the import, not every CLI command.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import sympy as sp
 
 from .factorize import (
     product_map,
@@ -59,17 +58,20 @@ class FixtureReport:
 
 
 def _symbol_matrix(n: int, name: str = "x") -> Matrix:
+    import sympy as sp
     return Matrix(
         [[sp.Symbol(f"{name}{i}{j}") for j in range(1, n + 1)] for i in range(1, n + 1)]
     )
 
 
 def _show(expr) -> str:
+    import sympy as sp
     return sp.sstr(sp.cancel(sp.together(expr)))
 
 
 def fixture_borel3() -> FixtureReport:
     """Factorization of an upper triangular 3x3 into torus times three factors."""
+    import sympy as sp
     rep = FixtureReport("borel3")
     d = sp.symbols("d1 d2 d3")
     t12, t13, t23 = sp.symbols("t12 t13 t23")
@@ -104,6 +106,7 @@ def fixture_borel3() -> FixtureReport:
 
 def fixture_gl3() -> FixtureReport:
     """Full 3x3 factorization along the word (-2,-1,-2,2,1,2)."""
+    import sympy as sp
     rep = FixtureReport("gl3")
     x = _symbol_matrix(3)
     h3 = x[3, 1]
@@ -142,6 +145,7 @@ def fixture_gl3() -> FixtureReport:
 
 def fixture_unipotent4() -> FixtureReport:
     """Unitriangular 4x4 factorization along the standard word."""
+    import sympy as sp
     rep = FixtureReport("unipotent4")
     names = {(i, j): sp.Symbol(f"t{i}{j}") for i in range(1, 4) for j in range(i + 1, 5)}
     word = standard_word(4)
@@ -185,6 +189,7 @@ def fixture_unipotent4() -> FixtureReport:
 
 def fixture_negative3() -> FixtureReport:
     """Torus times negative blocks times unitriangular residue, n = 3."""
+    import sympy as sp
     rep = FixtureReport("negative3")
     x = _symbol_matrix(3)
     h = [
@@ -259,6 +264,7 @@ def fixture_symmetric4() -> FixtureReport:
     """
     import itertools
 
+    import sympy as sp
     rep = FixtureReport("symmetric4")
     n = 4
     ys = {j: sp.Symbol(f"y{j}") for j in range(2, n + 1)}
@@ -284,6 +290,7 @@ def fixture_symmetric4() -> FixtureReport:
 
 def fixture_ldu2() -> FixtureReport:
     """The closed 2x2 LDU factorization."""
+    import sympy as sp
     rep = FixtureReport("ldu2")
     a, b, c, d = sp.symbols("a b c d")
     x = Matrix([[a, b], [c, d]])

@@ -58,20 +58,16 @@ def ldu(A: Matrix) -> GaussTriple:
     Diagonal entries are the principal quasiminors; the (beta, alpha)
     entry of L is the right quasi-Plucker coordinate of the first alpha
     columns, and the (alpha, beta) entry of U the left quasi-Plucker
-    coordinate of the first alpha rows.  NotGeneric names the first
-    principal quasiminor that is undefined or not invertible.
+    coordinate of the first alpha rows.  NotGeneric names the first zero
+    principal quasiminor; levels go in order, so by heredity (GGRW 2005, Thm
+    1.5.2) a singular leading block shows one level earlier as a zero one.
     """
     if not A.is_square:
         raise ShapeMismatch(f"ldu needs a square matrix, got {A.shape_str()}")
     n = A.rows
     diag_entries = []
     for k in range(1, n + 1):
-        try:
-            y = principal_quasiminor(A, k)
-        except NotGeneric as exc:
-            raise NotGeneric(
-                f"principal quasiminor at level {k} undefined", witness=("principal", k)
-            ) from exc
+        y = principal_quasiminor(A, k)
         if is_zero(y):
             raise NotGeneric(
                 f"principal quasiminor at level {k} is zero", witness=("principal", k)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import IndexOutOfRange, NotGeneric, ShapeMismatch, ZeroInverse
+from .errors import IndexOutOfRange, NotGeneric, ShapeMismatch
 from .scalars import (
     RationalQuaternion,
     _exact,
@@ -185,13 +185,12 @@ class Matrix:
         i, i+1, so column i becomes col_i t^-1 + col_{i+1} and column i+1
         becomes col_{i+1} t.  A term with an exact zero entry of columns i,
         i+1 is skipped, so a zero makes no product or sum: a row with a zero
-        in column i is kept as it is by x_i(t).
+        in column i is kept as it is by x_i(t).  A zero t of a negative letter
+        raises ZeroInverse in ``inv``; ``product_map`` refuses a zero parameter first.
         """
         check_index(letter, None, "generator index")
         k = check_index(abs(letter), self.cols - 1, "generator index")
         if letter < 0:
-            if is_zero(t):
-                raise ZeroInverse(f"x_-{k}(t) needs invertible t")
             t_inv = inv(t)
         rows = []
         for r in self._e:

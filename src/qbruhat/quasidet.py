@@ -81,7 +81,7 @@ def quasideterminant(A: Matrix, p: int, q: int):
 
 
 def quasidet_expansion(A: Matrix, p: int, q: int):
-    """|A|_pq via the expansion over inverted quasiminors of A^pq.
+    """|A|_pq via the expansion over inverted quasiminors of A^pq; A[p, q] at n = 1.
 
     Cross-check only: needs every |A^pq|_{p',q'} defined and invertible,
     a much stronger genericity requirement than the definition itself.
@@ -90,8 +90,6 @@ def quasidet_expansion(A: Matrix, p: int, q: int):
         raise ShapeMismatch(f"quasidet_expansion needs a square matrix, got {A.shape_str()}")
     acc = A[p, q]
     n = A.rows
-    if n == 1:
-        return acc
     rows = tuple(r for r in range(1, n + 1) if r != p)
     cols = tuple(c for c in range(1, n + 1) if c != q)
     for r in rows:
@@ -302,8 +300,8 @@ def sylvester_reduce(A: Matrix, I0, J0) -> Matrix:
     order, with b_pq the quasideterminant of the bordered pivot block
     marked at (p, q); |A|_st = |B|_st for every surviving position.  B is
     the Schur complement of A_{I0,J0}, read off ``_schur_chain`` on the
-    pivot block.  An empty pivot returns A itself; the pivot {2..n-1} is
-    the noncommutative Lewis Carroll setup.
+    pivot block.  An empty pivot returns a copy of A, the empty block's
+    entries; the pivot {2..n-1} is the noncommutative Lewis Carroll setup.
     """
     if not A.is_square:
         raise ShapeMismatch("sylvester_reduce needs a square matrix")
@@ -314,8 +312,6 @@ def sylvester_reduce(A: Matrix, I0, J0) -> Matrix:
         raise IndexOutOfRange(f"|I0| = {len(I0)} != |J0| = {len(J0)}")
     if len(I0) >= n:
         raise IndexOutOfRange("pivot must be a proper submatrix")
-    if not I0:
-        return A
     comp_rows = tuple(r for r in range(1, n + 1) if r not in I0)
     comp_cols = tuple(c for c in range(1, n + 1) if c not in J0)
     Q, block = _schur_chain(A._e, I0, J0)

@@ -3,7 +3,8 @@
 Deliberately naive and self-contained: cofactor expansion over plain
 Python lists, no shared code with the package's elimination or
 quasideterminant routines.  Ranks come from sympy's rational domain
-matrices, and a quaternion matrix's rank from the rank of its real form.
+matrices, and a quaternion matrix's rank from the rank of its real form;
+``norm_det`` is the determinant of that real form, Nrd(x)^2.
 ``OppositeScalar`` is a ring the package does not know: it reaches the
 package's zero test and inversion only through their generic branch.
 ``counted_products`` counts the quaternion products a block of code makes,
@@ -60,10 +61,15 @@ def plucker_row_coordinate(x, row_order):
     return cofactor_det([list(lists[r - 1]) for r in row_order])
 
 
+def _rational_matrix(rows):
+    """A nonempty rational matrix given as lists of Fractions or ints, over sympy's QQ."""
+    entries = [[QQ(Fraction(a).numerator, Fraction(a).denominator) for a in row] for row in rows]
+    return DomainMatrix(entries, (len(rows), len(rows[0])), QQ)
+
+
 def rational_rank(rows):
     """Rank of a nonempty rational matrix given as lists of Fractions or ints."""
-    entries = [[QQ(Fraction(a).numerator, Fraction(a).denominator) for a in row] for row in rows]
-    return DomainMatrix(entries, (len(rows), len(rows[0])), QQ).rank()
+    return _rational_matrix(rows).rank()
 
 
 def real_form(x):
@@ -78,6 +84,18 @@ def real_form(x):
         for row in x.to_lists()
         for r in range(4)
     ]
+
+
+def norm_det(x):
+    """det of ``real_form(x)`` over QQ, a Fraction: Nrd(x)^2 for a square quaternion x.
+
+    The reduced norm Nrd is multiplicative, and on a scalar q = a + bi + cj + dk it is
+    a^2 + b^2 + c^2 + d^2 (Aslaksen, "Quaternionic determinants", Math. Intelligencer
+    18 (1996)).  The determinant is commutative, so it shares no code with the
+    package's noncommutative kernels.
+    """
+    det = _rational_matrix(real_form(x)).det()
+    return Fraction(int(det.numerator), int(det.denominator))
 
 
 @contextlib.contextmanager

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -9,8 +10,10 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qbruhat import verify
 from qbruhat.cli import main
-from qbruhat.matrix import Matrix, matrix_to_json
+from qbruhat.matrix import Matrix, matrix_from_json, matrix_to_json
+from qbruhat.weyl import DoubleWord
 
 EYE2 = json.dumps(matrix_to_json(Matrix.identity(2)))
 GENERIC3 = json.dumps(
@@ -104,6 +107,51 @@ def test_verify_reports_all_suites(capsys):
     )
     assert code == 0
     assert len(out.strip().splitlines()) == 7
+
+
+def _wrong_torus(monkeypatch):
+    """Make the roundtrip suite's recover_params return each torus with h_1 + 1."""
+    real = verify.recover_params
+
+    def wrong(x, word):
+        out = real(x, word)
+        return dataclasses.replace(out, h=(out.h[0] + 1, *out.h[1:]))
+
+    monkeypatch.setattr(verify, "recover_params", wrong)
+    return real
+
+
+def test_a_failed_suite_reports_each_trial(monkeypatch):
+    _wrong_torus(monkeypatch)
+    report = verify.run_suite("roundtrip", 3, 2, 0)
+    assert report.line() == "suite=roundtrip n=3 trials=2 seed=0 checks=0: FAIL (2 failures)"
+    assert [failure["trial"] for failure in report.failures] == [0, 1]
+    for failure in report.failures:
+        assert set(failure) == {"check", "matrix", "word", "trial", "seed", "suite"}
+        assert failure["check"] == failure["suite"] == "roundtrip" and failure["seed"] == 0
+
+
+def test_a_failed_verify_exits_1_with_a_replayable_counterexample(monkeypatch, capsys):
+    real = _wrong_torus(monkeypatch)
+    argv = ("verify", "--suite", "roundtrip", "--n", "3", "--trials", "1", "--seed", "0")
+    code, out, _ = run(capsys, *argv)
+    line, counterexample = out.splitlines()
+    assert code == 1
+    assert line == "suite=roundtrip n=3 trials=1 seed=0 checks=0: FAIL (1 failures)"
+    failure = json.loads(counterexample)
+    x = matrix_from_json(failure["matrix"])
+    word = DoubleWord.from_text(failure["word"], 3)
+    assert real(x, word).replay(word) == x
+
+
+def test_verify_runs_the_extended_double_ratio_families(capsys):
+    argv = ("verify", "--suite", "double-ratios", "--n", "3", "--trials", "1", "--seed", "0")
+    checks = []
+    for extra in ((), ("--extended",)):
+        code, out, _ = run(capsys, *argv, *extra)
+        assert code == 0 and out.endswith(": PASS\n")
+        checks.append(int(out.split("checks=")[1].split(":")[0]))
+    assert checks[1] > checks[0]
 
 
 def test_demo(capsys):

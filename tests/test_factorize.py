@@ -22,18 +22,21 @@ from qbruhat.factorize import (
     recover_params,
     solve_standard_unipotent,
     standard_position,
+    UpperFactorization,
     standard_word,
     stage_entry_formula,
     upper_factorize,
     verify_double_ratios,
 )
+from qbruhat.gauss import ldu
 from qbruhat.matrix import Matrix, interval
-from qbruhat.quasidet import MinorCache, boxed_quasiminor
+from qbruhat.quasidet import MinorCache, boxed_quasiminor, positive_quasiminor
 from qbruhat.sampling import (
     cell_point,
     maximal_cell_point,
     matrix as sample_matrix,
     quaternion,
+    scalar as sample_scalar,
     upper_triangular,
     with_retries,
 )
@@ -344,6 +347,51 @@ def test_solve_standard_not_generic():
         solve_standard_unipotent(x)
 
 
+def test_degenerate_inputs_are_refused_by_the_zero_tests_alone():
+    # By heredity (GGRW 2005, Thm 1.5.2) every quasiminor that ldu and
+    # solve_standard_unipotent read is defined once the earlier zero tests pass,
+    # and h_m of a point of B w0 B is nonzero.  So on zero-heavy input each
+    # refusal is a kept zero test, never a read's ("inner", p, q).
+    rng = random.Random(39)
+    seen = {"ldu": 0, "standard": 0, "w0": 0}
+    for n in range(2, 6):
+        w0 = Permutation.longest(n)
+        for kind in ("rat", "quat"):
+            for _ in range(75):
+                x = Matrix(
+                    [[sample_scalar(rng, kind, 0 if rng.random() < 0.45 else 2) for _ in range(n)]
+                     for _ in range(n)]
+                )
+                try:
+                    ldu(x)
+                except NotGeneric as exc:
+                    seen["ldu"] += 1
+                    assert exc.witness[0] == "principal"
+                    assert str(exc) == f"principal quasiminor at level {exc.witness[1]} is zero"
+                zero = x[1, 1] - x[1, 1]
+                unit = Matrix(
+                    [[x[i, j] if j > i else zero + 1 if i == j else zero for j in range(1, n + 1)]
+                     for i in range(1, n + 1)]
+                )
+                try:
+                    solve_standard_unipotent(unit)
+                except NotGeneric as exc:
+                    seen["standard"] += 1
+                    i, j = exc.witness[1:]
+                    assert exc.witness[0] == "standard"
+                    assert str(exc) == f"standard factorization denominator at ({i}, {j}) is zero"
+                try:
+                    in_big_cell = classify(x).u == w0
+                except NotGeneric:
+                    in_big_cell = False
+                if in_big_cell:
+                    seen["w0"] += 1
+                    for m in range(1, n + 1):
+                        h_m = positive_quasiminor(x, BLOCK_FAMILIES["d"](n, m, m)[1])
+                        assert not is_zero(h_m), (x, m)
+    assert min(seen.values()) > 50, seen
+
+
 # -- upper factorization ----------------------------------------------------------
 
 
@@ -391,6 +439,9 @@ def test_upper_factorize_diagonal_is_trivial():
     for pair in uf.pairs:
         assert uf.stage(*pair) == d
     assert uf.replay() == d
+    # at n = 1 the loop over no pair leaves x itself
+    one = Matrix([[Q(2, 1)]])
+    assert upper_factorize(one) == UpperFactorization(one, (), {}, {})
 
 
 def test_upper_factorize_not_generic():

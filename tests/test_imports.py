@@ -12,10 +12,14 @@ the rule for a valid 1-based index, and no package module tests a difference of 
 scalars for zero outside ``scalars.equal``.  ``quasidet.py`` reads each quasiminor off
 the matrix that holds it and copies no matrix to take one.  No package module compares a
 value with a ring name: a ring is a key of ``sampling.RINGS``, and is reached through it.
+Importing the CLI does not load sympy, which only the ``demo`` fixtures use.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -432,3 +436,11 @@ def test_the_check_sees_a_branch_on_a_ring_name():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.relative_to(ROOT).as_posix())
 def test_no_module_branches_on_a_ring_name(path):
     assert ring_name_tests(path.read_text(encoding="utf-8")) == []
+
+
+def test_importing_the_cli_leaves_sympy_unloaded():
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    code = "import sys, qbruhat.cli; print(sorted(m for m in sys.modules if m.startswith('sympy')))"
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

@@ -148,6 +148,15 @@ def test_expansion_cross_check():
                 continue
 
 
+def test_expansion_refuses_a_zero_term_and_has_no_term_at_n1():
+    # |A^11|_22 = a22 - a23 a33^-1 a32 = 2 - 1 * 1 * 2 = 0, so the expansion cannot invert it
+    with pytest.raises(NotGeneric, match=r"^expansion term \|A\^\(11\)\|_\(2,2\) is zero$") as info:
+        quasidet_expansion(Matrix([[1, 1, 1], [1, 2, 1], [1, 2, 1]]), 1, 1)
+    assert info.value.witness == ("expansion", 2, 2)
+    for a in (Fraction(5), Q(1, 2, 3, 4)):
+        assert quasidet_expansion(Matrix([[a]]), 1, 1) == a
+
+
 def test_not_generic_singular_inner():
     x = Matrix([[1, 1], [1, 0]])
     with pytest.raises(NotGeneric):
@@ -312,6 +321,10 @@ def test_quasi_plucker_not_generic():
         quasi_plucker_left(zero, 1, 2, (3,))
     with pytest.raises(NotGeneric):
         quasi_plucker_right(zero.transpose(), 1, 2, (3,))
+    # both chains pivot on row 3, but each denominator, 2 - 2 * 1^-1 * 1, is zero
+    with pytest.raises(NotGeneric) as info:
+        quasi_plucker_right(Matrix([[1, 2], [2, 2], [1, 1]]), 1, 2, (3,))
+    assert info.value.witness == ("plucker-right", (3,), 1, 2)
 
 
 def test_quasiminors_are_read_where_they_live(monkeypatch):

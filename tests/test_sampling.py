@@ -1,11 +1,14 @@
-"""The seeded samplers: each ring's draw is pinned, and a draw that cannot be made is refused."""
+"""The seeded samplers: each ring's draw is pinned, a draw that cannot be made is refused,
+and an exhausted retry budget names its last failure."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+from qbruhat.errors import NotGeneric, RetriesExhausted
 from qbruhat.sampling import (
+    DEFAULT_RETRY_BUDGET,
     RINGS,
     cell_point,
     diagonal,
@@ -13,6 +16,7 @@ from qbruhat.sampling import (
     quaternion,
     scalar,
     upper_triangular,
+    with_retries,
 )
 from qbruhat.scalars import RationalQuaternion as Q
 from qbruhat.weyl import Permutation
@@ -61,3 +65,18 @@ def test_a_draw_that_cannot_be_made_is_refused():
     for draw in (scalar, nonzero_scalar):
         with pytest.raises(ValueError, match=r"^unknown scalar kind 'bogus'$"):
             draw(random.Random(0), "bogus")
+
+
+@pytest.mark.parametrize("budget", [3, None])
+def test_an_exhausted_retry_budget_names_the_last_failure(budget):
+    attempts = []
+
+    def body():
+        attempts.append(len(attempts) + 1)
+        raise NotGeneric(f"attempt {attempts[-1]}", witness=("attempt", attempts[-1]))
+
+    tries = DEFAULT_RETRY_BUDGET if budget is None else budget
+    message = rf"^still NotGeneric after {tries} attempts: attempt {tries}$"
+    with pytest.raises(RetriesExhausted, match=message):
+        with_retries(body, budget)
+    assert attempts == list(range(1, tries + 1))
